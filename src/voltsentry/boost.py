@@ -7,6 +7,24 @@ giving w* = -G / (H + lambda).  Split search is exact greedy over midpoints
 of consecutive distinct sorted feature values, with a deterministic
 tie-break: lowest feature index first, then lowest threshold.
 
+Split search runs on presorted column blocks, as in XGBoost's exact greedy
+algorithm (Chen & Guestrin, KDD 2016).  Each feature is sorted once per
+boosting segment, together with the positions where a midpoint threshold
+can separate two neighbours (the candidates).  A node carries, for each
+feature, its rows, their sorted values and their gradients in that
+feature's stable order.  A split on feature f is a prefix/suffix cut of f's
+block; the other feature's block is selected stably, so every child keeps
+the order a fresh stable sort would give.  Because every hessian is 1, H of
+c rows is the count c, and min_child_weight becomes a range of positions.
+Gains are computed at the candidate positions only.
+
+The kernel is bit-exact against a scan of every sorted position (the
+reference kept in the tests).  Gradient sums are taken in the same order,
+over the same rows: a pairwise sum in feature-0 order for G, and a running
+cumsum in each feature's order for the left sums.  Each gain is the same
+expression evaluated in the same order, and the first maximum wins.  Trees,
+leaf weights and loss histories are therefore identical to the scan's.
+
 An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
 ensemble maps physical inputs to model space: voltages divide by v_scale,
@@ -163,63 +181,130 @@ def split_gain(g_left: float, h_left: float, g_right: float, h_right: float,
                   - (g_left + g_right) ** 2 / (h_left + h_right + lam)) - gamma_leaf
 
 
-def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
-    """Scan both features over midpoints of consecutive distinct values.
+def _candidates(xs: np.ndarray) -> np.ndarray:
+    """Positions k of sorted values whose midpoint (xs[k] + xs[k+1]) / 2
+    separates xs[k] from xs[k+1]; degenerate midpoints cannot partition."""
+    lo, hi = xs[:-1], xs[1:]
+    return np.flatnonzero((lo < hi) & ((lo + hi) * 0.5 > lo))
 
-    Returns (gain, feature, threshold) of the best candidate or None.  The
-    strict > update combined with ascending scan order realizes the
-    tie-break contract.
+
+class _ColumnBlocks:
+    """Both features presorted once per boosting segment.
+
+    A node holds one block per feature: (rows, sorted values, gradients,
+    candidate positions), each in that feature's ascending stable order.
+    Nodes at the depth limit are leaves and carry only feature 0's rows and
+    gradients.  rank[f] maps each row to its position in feature f's sorted
+    order (int32: fewer than 2**31 rows).
     """
-    g_total = float(g[idx_by_feature[0]].sum())
-    h_total = float(h[idx_by_feature[0]].sum())
-    parent = g_total ** 2 / (h_total + cfg.lambda_l2)
-    best = None
-    for f in (0, 1):
-        idx = idx_by_feature[f]
-        xv = x[idx, f]
-        distinct = xv[:-1] < xv[1:]
-        if not distinct.any():
-            continue
-        gs = np.cumsum(g[idx])[:-1]
-        hs = np.cumsum(h[idx])[:-1]
-        thr = (xv[:-1] + xv[1:]) * 0.5
-        ok = distinct & (thr > xv[:-1])  # degenerate midpoints cannot partition
-        ok &= (hs >= cfg.min_child_weight) & (h_total - hs >= cfg.min_child_weight)
-        if not ok.any():
-            continue
-        gl, hl = gs[ok], hs[ok]
-        gr, hr = g_total - gl, h_total - hl
-        gains = 0.5 * (gl ** 2 / (hl + cfg.lambda_l2)
-                       + gr ** 2 / (hr + cfg.lambda_l2) - parent) - cfg.gamma_leaf
-        j = int(np.argmax(gains))
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), f, float(thr[ok][j]))
-    return best
 
+    def __init__(self, x: np.ndarray, cfg: TrainConfig):
+        self.cfg = cfg
+        self.order = []
+        self.rank = []
+        for f in (0, 1):
+            rows = np.argsort(x[:, f], kind="stable")
+            xs = x[rows, f]
+            self.order.append((rows, xs, _candidates(xs)))
+            rank = np.empty(rows.shape[0], dtype=np.int32)
+            rank[rows] = np.arange(rows.shape[0], dtype=np.int32)
+            self.rank.append(rank)
 
-def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: list):
-    idx = idx_by_feature[0]
-    g_sum = float(g[idx].sum())
-    h_sum = float(h[idx].sum())
+    def grow(self, g: np.ndarray, leaves: list) -> TreeNode:
+        """Fit one tree to the gradients g; appends (rows, weight) per leaf."""
+        root = [(rows, xs, g.take(rows), cand) for rows, xs, cand in self.order]
+        return self._node(root, 0, leaves)
 
-    def leaf():
-        w = leaf_weight(g_sum, h_sum, cfg.lambda_l2)
-        leaf_updates.append((idx, w))
-        return TreeNode(weight=w)
+    def _node(self, node, depth: int, leaves: list) -> TreeNode:
+        cfg = self.cfg
+        rows0, _, g0, _ = node[0]
+        m = rows0.shape[0]
+        g_sum = float(g0.sum())
+        best = None
+        if depth < cfg.max_depth and m >= 2:
+            best = self._split(node, m, g_sum)
+        if best is None or best[0] <= 0.0:
+            w = leaf_weight(g_sum, float(m), cfg.lambda_l2)
+            leaves.append((rows0, w))
+            return TreeNode(weight=w)
+        _, f, k = best
+        xs = node[f][1]
+        thr = float((xs[k] + xs[k + 1]) * 0.5)
+        full = depth + 1 < cfg.max_depth
+        go_left = None
+        if full or f == 1:  # the children need the other feature's block
+            # Within a node, x_f < thr exactly for the rows ranked at or
+            # below the row at sorted position k of feature f.
+            rank = self.rank[f]
+            go_left = rank.take(node[1 - f][0]) <= rank[node[f][0][k]]
+        left = self._node(self._child(node, full, f, k, go_left, True),
+                          depth + 1, leaves)
+        right = self._node(self._child(node, full, f, k, go_left, False),
+                           depth + 1, leaves)
+        return TreeNode(feature=f, threshold=thr, left=left, right=right)
 
-    if depth >= cfg.max_depth or idx.shape[0] < 2:
-        return leaf()
-    best = _best_split(x, g, h, idx_by_feature, cfg)
-    if best is None or best[0] <= 0.0:
-        return leaf()
-    _, f, thr = best
-    go_left = [x[ix, f] < thr for ix in idx_by_feature]
-    left_idx = (idx_by_feature[0][go_left[0]], idx_by_feature[1][go_left[1]])
-    right_idx = (idx_by_feature[0][~go_left[0]], idx_by_feature[1][~go_left[1]])
-    return TreeNode(
-        feature=f, threshold=thr,
-        left=_grow(x, g, h, left_idx, cfg, depth + 1, leaf_updates),
-        right=_grow(x, g, h, right_idx, cfg, depth + 1, leaf_updates))
+    def _split(self, node, m: int, g_sum: float):
+        """Best (gain, feature, sorted position) of a node, or None.
+
+        Gains are evaluated at valid candidate positions only.  np.argmax
+        keeps the lowest threshold among equal gains and the strict > the
+        lower feature index.
+        """
+        cfg = self.cfg
+        parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
+        # Each child's hessian sum is its row count c: need <= c <= m - need.
+        need = (math.ceil(cfg.min_child_weight)
+                if cfg.min_child_weight <= m else m + 1)
+        best = None
+        for f, (_, _, g, cand) in enumerate(node):
+            c = cand[np.searchsorted(cand, need - 1):
+                     np.searchsorted(cand, m - 1 - need, "right")]
+            if c.size == 0:
+                continue
+            gl = np.cumsum(g[:c[-1] + 1]).take(c)
+            gr = g_sum - gl
+            # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
+            den = np.add(c, 1, dtype=float)
+            den += cfg.lambda_l2
+            gl *= gl
+            gl /= den
+            np.subtract(m - 1, c, out=den, dtype=float)
+            den += cfg.lambda_l2
+            gr *= gr
+            gr /= den
+            gl += gr
+            gl -= parent
+            gl *= 0.5
+            gl -= cfg.gamma_leaf
+            j = int(np.argmax(gl))
+            if best is None or gl[j] > best[0]:
+                best = (float(gl[j]), f, int(c[j]))
+        return best
+
+    @staticmethod
+    def _child(node, full: bool, f: int, k: int, go_left, left: bool) -> list:
+        """Blocks of one child of a split at sorted position k of feature f.
+
+        Rows with x_f < thr are the prefix [0, k] of f's block; the other
+        feature's block is selected stably, so both keep their sorted order.
+        """
+        blocks = []
+        for j in ((0, 1) if full else (0,)):
+            rows, xs, g, cand = node[j]
+            if j == f:
+                part = slice(None, k + 1) if left else slice(k + 1, None)
+                rows, xs, g = rows[part], xs[part], g[part]
+                if full:
+                    i = int(np.searchsorted(cand, k))
+                    cand = cand[:i] if left else cand[i + 1:] - (k + 1)
+            else:
+                pos = np.flatnonzero(go_left if left else ~go_left)
+                rows, g = rows.take(pos), g.take(pos)
+                if full:
+                    xs = xs.take(pos)
+                    cand = _candidates(xs)
+            blocks.append((rows, xs, g, cand) if full else (rows, None, g, None))
+        return blocks
 
 
 def fit_tree(data, current_pred, cfg: TrainConfig) -> TreeNode:
@@ -229,11 +314,7 @@ def fit_tree(data, current_pred, cfg: TrainConfig) -> TreeNode:
     if x.shape[0] == 0:
         raise ValueError("cannot fit a tree on empty data")
     pred = np.broadcast_to(np.asarray(current_pred, dtype=float), y.shape)
-    g = pred - y
-    h = np.ones_like(y)
-    idx0 = np.argsort(x[:, 0], kind="stable")
-    idx1 = np.argsort(x[:, 1], kind="stable")
-    return _grow(x, g, h, (idx0, idx1), cfg, 0, [])
+    return _ColumnBlocks(x, cfg).grow(pred - y, [])
 
 
 def _eval_tree(tree: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -262,18 +343,16 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     Mutates preds / val_preds in place and returns (Segment, BoostHistory).
     """
     history = BoostHistory()
-    idx0 = np.argsort(x[:, 0], kind="stable")
-    idx1 = np.argsort(x[:, 1], kind="stable")
-    h = np.ones_like(y)
+    blocks = _ColumnBlocks(x, cfg)
     trees = []
     for rnd in range(cfg.n_trees):
         g = preds - y
         if not math.isfinite(float(np.dot(g, g))):
             raise TrainingError("non-finite training loss", rnd)
-        leaf_updates: list = []
-        tree = _grow(x, g, h, (idx0, idx1), cfg, 0, leaf_updates)
-        for idx, w in leaf_updates:
-            preds[idx] += cfg.learning_rate * w
+        leaves: list = []
+        tree = blocks.grow(g, leaves)
+        for rows, w in leaves:
+            preds[rows] += cfg.learning_rate * w
         loss = float(np.mean((y - preds) ** 2))
         if not math.isfinite(loss):
             raise TrainingError("non-finite training loss", rnd)

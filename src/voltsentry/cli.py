@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__, boost, configio, datasets, pipeline, sentinel
 from .boost import TrainingError
 from .datasets import TraceParseError
-from .reports import RunReport, read_report, write_report, write_timings
+from .reports import (RunReport, read_report, write_loss_curve, write_report,
+                      write_timings)
 from .simkit import SolverError
 
 
@@ -102,6 +103,8 @@ def cmd_train_base(args) -> int:
 
     model_path = os.path.join(out_dir, "model_base.json")
     boost.save_model(model_path, model)
+    curve_path = os.path.join(out_dir, "loss_curve_base.csv")
+    write_loss_curve(curve_path, model.history)
     val_err = pipeline.max_abs_residual(model, val_set)
     report = RunReport(
         command="train-base", seed=args.seed,
@@ -117,7 +120,8 @@ def cmd_train_base(args) -> int:
             "val_max_abs_error_v": val_err,
             "val_max_abs_error_fraction": val_err / 4.2,
         },
-        artifacts={"model": _name(model_path)},
+        artifacts={"model": _name(model_path),
+                   "loss_curve": _name(curve_path)},
         provenance=_provenance(config=args.config))
     report_path = os.path.join(out_dir, "report_train_base.json")
     write_report(report_path, report)
@@ -137,7 +141,7 @@ def cmd_finetune(args) -> int:
     train_traces = [datasets.read_trace(p) for p in args.traces]
     test_trace = datasets.read_trace(args.test_trace)
     model, info, seconds = pipeline.finetune_pack(
-        base, spec.pack, train_traces, test_trace, recipe)
+        base, spec.pack, train_traces, test_trace, recipe, cell=spec.cell)
 
     model_path = os.path.join(out_dir, f"model_{spec.pack.name}.json")
     boost.save_model(model_path, model)

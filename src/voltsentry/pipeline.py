@@ -160,13 +160,15 @@ def max_abs_residual(model: boost.Ensemble, data: SupervisedSet) -> float:
 
 def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
                   test_trace: TelemetryTrace, recipe: transfer.FinetuneConfig,
-                  split: SplitSpec | None = None):
+                  split: SplitSpec | None = None, cell: CellParams | None = None):
     """Fine-tune the base model for one pack; returns (model, info, seconds).
 
     info carries the validation max-abs residual before and after the
     fine-tune (physical volts) and the test-module error fraction relative
-    to the nominal module voltage.
+    to the nominal module voltage, series_cells * cell.v_max (the default
+    cell when ``cell`` is None).
     """
+    cell = cell or simkit.default_cell()
     split = split or SplitSpec.default_for(config.q)
     norm = transfer.norm_for_pack(config)
     train_set, val_set, test_set = build_pack_sets(
@@ -177,7 +179,7 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
     tl = transfer.finetune(base, train_set, val_set, recipe, norm)
     seconds = time.perf_counter() - t0
 
-    nominal_v = config.series_cells * simkit.default_cell().v_max
+    nominal_v = config.series_cells * cell.v_max
     test_err = max_abs_residual(tl, test_set) * norm.v_scale
     info = {
         "pack": config.name,

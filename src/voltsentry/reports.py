@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .boost import BoostHistory
 from .sentinel import DetectionTrace
 
 
@@ -102,6 +103,17 @@ def write_report(path, report: RunReport) -> None:
 def read_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_loss_curve(path, history: BoostHistory) -> None:
+    """Loss curve CSV: ``round,train_mse,val_mse``, one row per boosting
+    round (round r holds the losses after r trees).  Losses are written as
+    ``%.16e``, which round-trips every float64 exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("round,train_mse,val_mse\n")
+        rows = zip(history.train_mse, history.val_mse, strict=True)
+        for rnd, (train_mse, val_mse) in enumerate(rows, start=1):
+            fh.write(f"{rnd:d},{train_mse:.16e},{val_mse:.16e}\n")
 
 
 def write_timings(path, timings: dict) -> None:

@@ -10,6 +10,9 @@ not).  Every threshold crossing r >= epsilon flips the attack flag, marking
 attack onset and withdrawal.  The first frame only initializes the
 predictor; the first residual appears at k = 1.
 
+Frames and traces reject NaN and infinite values when they are built, so
+the detector is never handed a non-finite measurement.
+
 The pure toggle is fragile by construction: a single nominal spike at or
 above epsilon inverts the flag for good.  An optional debounce (minimum
 dwell in samples between toggles) is available but off by default.

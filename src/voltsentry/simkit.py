@@ -213,16 +213,21 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class TelemetryFrame:
-    """One recorded sample: time, pack current, q module voltages."""
+    """One recorded sample: time, pack current, q module voltages.
+
+    Every value must be finite; a NaN or infinite value raises ValueError.
+    """
 
     t_s: float
     i_pack_a: float
     v_modules: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "v_modules", tuple(float(v) for v in self.v_modules))
+        if not all(map(math.isfinite, (self.t_s, self.i_pack_a) + self.v_modules)):
+            raise ValueError("frame values must be finite")
         if self.t_s < 0:
             raise ValueError("t_s must be nonnegative")
-        object.__setattr__(self, "v_modules", tuple(float(v) for v in self.v_modules))
 
     @property
     def q(self) -> int:
@@ -236,7 +241,8 @@ class TelemetryTrace:
     ``v_modules`` has shape (n, q).  ``i_modules`` is a noise-free per-module
     current diagnostic kept for balance checks; it is not part of the CSV
     schema.  ``attack_mask`` is set on corrupted traces (1 inside the attack
-    window).
+    window).  ``t_s``, ``i_pack_a`` and ``v_modules`` must be finite; a NaN
+    or infinite value raises ValueError.
     """
 
     t_s: np.ndarray
@@ -253,6 +259,9 @@ class TelemetryTrace:
         n = self.t_s.shape[0]
         if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
             raise ValueError("trace arrays must have matching lengths")
+        if not (np.isfinite(self.t_s).all() and np.isfinite(self.i_pack_a).all()
+                and np.isfinite(self.v_modules).all()):
+            raise ValueError("trace values must be finite")
         if n > 1 and not np.all(np.diff(self.t_s) > 0):
             raise ValueError("t_s must be strictly increasing")
         if np.any(self.t_s < 0):

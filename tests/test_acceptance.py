@@ -243,7 +243,7 @@ def test_09_determinism_suite(tmp_path):
     run(tmp_path / "run_b")
 
     compared = []
-    for name in ("model_base.json", "model_pack1.json",
+    for name in ("model_base.json", "loss_curve_base.csv", "model_pack1.json",
                  "detection_nominal_pack1_c100.csv",
                  "detection_pack1_c100_swap_fdi.csv",
                  "trace_pack1_c100_swap_fdi.csv",

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from boost_reference import reference_boost_segment
 from voltsentry import boost
-from voltsentry.boost import (Ensemble, NormSpec, Segment, TrainConfig,
-                              TrainingError, TreeNode, fit_tree, leaf_weight,
-                              predict, predict_batch, split_gain, train)
+from voltsentry.boost import (BASE_RECIPE, Ensemble, NormSpec, Segment,
+                              TrainConfig, TrainingError, TreeNode, fit_tree,
+                              leaf_weight, predict, predict_batch, split_gain,
+                              train)
 from voltsentry.datasets import SupervisedSet
 
 
@@ -294,6 +296,98 @@ class TestTrain:
         a = boost.model_to_json(train(ds, None, cfg))
         b = boost.model_to_json(train(ds, None, cfg))
         assert a == b
+
+
+def feature_column(rng, style, n):
+    """One feature column: constant, few distinct values, neighbours one
+    float apart (degenerate midpoints), or continuous."""
+    if style == "constant":
+        return np.full(n, 0.75)
+    if style == "grid":
+        return rng.integers(0, 5, size=n) * 0.25
+    if style == "ulp":
+        return 1.0 + rng.integers(0, 4, size=n) * np.finfo(float).eps
+    return rng.uniform(-2.0, 2.0, size=n)
+
+
+def kernel_and_reference(x, y, preds, cfg, tag, val=None):
+    """(model JSON, history, final predictions) of the column-block kernel
+    and of the reference scan, each run on its own copy of the inputs."""
+    runs = []
+    for segment_fn in (boost._boost_segment, reference_boost_segment):
+        val_x = val_y = val_preds = None
+        if val is not None:
+            val_x, val_y, val_preds = val[0], val[1], val[2].copy()
+        out = preds.copy()
+        segment, history = segment_fn(x, y, out, cfg, tag, val_x, val_y,
+                                      val_preds)
+        ens = Ensemble(base_score=0.5, segments=(segment,))
+        runs.append((boost.model_to_json(ens), history, out))
+    return runs
+
+
+class TestKernelMatchesReference:
+    """The presorted column-block kernel equals the plain scan bit for bit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+           styles=st.tuples(*[st.sampled_from(["constant", "grid", "ulp",
+                                                "uniform"])] * 2),
+           depth=st.integers(1, 8), min_child_weight=st.sampled_from([0.0, 1.0, 3.5]),
+           gamma=st.sampled_from([0.0, 0.1]), lam=st.sampled_from([0.0, 1.0]),
+           n_trees=st.integers(1, 4), warm=st.booleans(), n_val=st.integers(0, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_random_segments(self, seed, n, styles, depth, min_child_weight,
+                             gamma, lam, n_trees, warm, n_val):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([feature_column(rng, s, n) for s in styles])
+        y = rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n) * (seed % 2)
+        cfg = TrainConfig(n_trees=n_trees, max_depth=depth, learning_rate=0.3,
+                          lambda_l2=lam, gamma_leaf=gamma,
+                          min_child_weight=min_child_weight)
+        if warm:  # a fine-tune segment continues from non-constant predictions
+            preds, tag = y + rng.normal(size=n), "finetune"
+        else:
+            preds, tag = np.full(n, float(y.mean())), "base"
+        val = None
+        if n_val:
+            val_x = rng.uniform(-2.0, 2.0, size=(n_val, 2))
+            val = (val_x, rng.normal(size=n_val), np.zeros(n_val))
+        (got, got_hist, got_preds), (want, want_hist, want_preds) = \
+            kernel_and_reference(x, y, preds, cfg, tag, val)
+        assert got == want
+        assert got_hist == want_hist
+        assert np.array_equal(got_preds, want_preds)
+
+    def test_fit_tree_matches_reference(self):
+        rng = np.random.default_rng(4)
+        x = np.column_stack([rng.uniform(size=200), rng.integers(0, 7, 200) * 0.5])
+        y = np.sin(6 * x[:, 0]) + x[:, 1]
+        cfg = TrainConfig(n_trees=1, max_depth=5, learning_rate=1.0)
+        pred = np.full(200, 0.25)
+        tree = fit_tree(dataset(x, y), 0.25, cfg)
+        (_, _, _), (want, _, _) = kernel_and_reference(x, y, pred, cfg, "base")
+        got = boost.model_to_json(Ensemble(0.5, (Segment("base", 1.0, (tree,)),)))
+        assert got == want
+
+    def test_canonical_corpus_first_rounds(self, base_bundle):
+        """The session base model's first 20 trees and losses equal 20
+        reference rounds on the canonical corpus."""
+        ens, _, train_set, val_set = base_bundle
+        cfg = TrainConfig(n_trees=20, max_depth=BASE_RECIPE.max_depth,
+                          learning_rate=BASE_RECIPE.learning_rate,
+                          lambda_l2=BASE_RECIPE.lambda_l2,
+                          gamma_leaf=BASE_RECIPE.gamma_leaf,
+                          min_child_weight=BASE_RECIPE.min_child_weight)
+        preds = np.full(len(train_set), ens.base_score)
+        val_preds = np.full(len(val_set), ens.base_score)
+        segment, history = reference_boost_segment(
+            train_set.x, train_set.y, preds, cfg, "base",
+            val_set.x, val_set.y, val_preds)
+        first = Segment("base", cfg.learning_rate, ens.segments[0].trees[:20])
+        assert (boost.model_to_json(Ensemble(ens.base_score, (first,)))
+                == boost.model_to_json(Ensemble(ens.base_score, (segment,))))
+        assert ens.history.train_mse[:20] == history.train_mse
+        assert ens.history.val_mse[:20] == history.val_mse
 
 
 class TestPredict:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,13 +106,23 @@ class TestPipeline:
         report = json.loads((out / "report_mini_c100_swap_fdi.json").read_text())
         assert report["command"] == "attack-eval"
         assert "onset_delay_samples" in report["detection"]
-        assert "config_sha256" not in report["provenance"] or True
         prov = report["provenance"]
+        assert set(prov) == {"package_version", "model_format_version",
+                             "model_sha256", "trace_sha256", "scenario_sha256"}
         assert prov["model_format_version"] == 1
-        assert any(k.endswith("_sha256") for k in prov)
         # Reports never carry wall-clock content; timings live in sidecars.
         assert "runtime" not in json.dumps(report).lower()
         assert (out / "timings_train_base.json").exists()
+
+        base = json.loads((out / "report_train_base.json").read_text())
+        assert base["artifacts"]["loss_curve"] == "loss_curve_base.csv"
+        curve = (out / "loss_curve_base.csv").read_text().splitlines()
+        assert curve[0] == "round,train_mse,val_mse"
+        assert len(curve) == 1 + 15
+        last = curve[-1].split(",")
+        assert last[0] == "15"
+        assert float(last[1]) == base["model"]["final_train_mse"]
+        assert float(last[2]) == base["model"]["final_val_mse"]
 
         assert cli.main(["report", str(out / "report_mini_c100_swap_fdi.json")]) == 0
         printed = capsys.readouterr().out
@@ -122,11 +133,39 @@ class TestPipeline:
         out_b = mini_setup["tmp"] / "b"
         run_pipeline(mini_setup, out_a)
         run_pipeline(mini_setup, out_b)
-        for name in ("model_base.json", "model_mini.json",
+        for name in ("model_base.json", "loss_curve_base.csv", "model_mini.json",
                      "detection_mini_c100_swap_fdi.csv",
                      "report_mini_c100_swap_fdi.json",
                      "report_train_base.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestFinetuneNominalVoltage:
+    def test_config_cell_sets_nominal_module_voltage(self, mini_setup):
+        out = mini_setup["tmp"] / "out_vmax"
+        art = run_pipeline(mini_setup, out)
+        default = json.loads((out / "report_finetune_mini.json").read_text())
+        assert default["model"]["nominal_module_v"] == 4 * 4.2
+
+        spec = SimRunSpec(
+            kind="pack", cell=replace(MINI_CELL, v_max=4.1),
+            policy=simkit.CccvPolicy(c_rate=1.0, duration_s=240),
+            noise=simkit.NoiseSpec(), pack=mini_pack_config(), init_soc=0.25)
+        config = mini_setup["tmp"] / "mini_vmax41.ini"
+        write_sim_config(config, spec)
+        out_41 = mini_setup["tmp"] / "out_vmax41"
+        traces = art["traces"]
+        assert cli.main(["finetune", "--model", str(art["model"]),
+                         "--config", str(config),
+                         "--traces", str(traces["c080"]), str(traces["c120"]),
+                         "--test-trace", str(traces["c100"]),
+                         "--recipe", str(mini_setup["recipe"]),
+                         "--out-dir", str(out_41)]) == 0
+        info = json.loads((out_41 / "report_finetune_mini.json").read_text())["model"]
+        assert info["nominal_module_v"] == 4 * 4.1
+        assert info["test_max_abs_error_fraction"] == (
+            info["test_max_abs_error_v"] / (4 * 4.1))
+        assert info["test_max_abs_error_v"] == default["model"]["test_max_abs_error_v"]
 
 
 class TestErrorPaths:

@@ -158,6 +158,38 @@ class TestStepDetector:
         assert det.events[1][0] == 60.0
 
 
+class TestNonFiniteInput:
+    """A non-finite frame or trace is rejected where it is built, before
+    the detector can turn it into a NaN residual that never flags."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["voltage", "current"])
+    def test_step_detector_input_rejected_stream_continues(self, bad, field):
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        det = run_detector(trace, model, epsilon=0.1)
+        state = DetectorState.initial(0.1, trace.frame(0))
+        good = trace.frame(1)
+        with pytest.raises(ValueError, match="finite"):
+            v = (bad,) if field == "voltage" else good.v_modules
+            i = bad if field == "current" else good.i_pack_a
+            step_detector(state, TelemetryFrame(good.t_s, i, v), model)
+        state, r, flag = step_detector(state, good, model)
+        assert (r, flag) == (det.r[0], det.flag[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_detector_input_rejected(self, bad):
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        v = trace.v_modules[:, 0].copy()
+        v[-1] = bad  # the last frame is never a predictor input
+        with pytest.raises(ValueError, match="finite"):
+            run_detector(make_trace(v, i=0.0), model, epsilon=0.1)
+        i = np.zeros(trace.n_frames)
+        i[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_detector(make_trace(trace.v_modules[:, 0], i=i), model,
+                         epsilon=0.1)
+
+
 class TestWriters:
     def test_detection_csv(self, tmp_path):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3)

@@ -282,6 +282,23 @@ class TestTelemetryTypes:
                                   i_pack_a=np.zeros(2),
                                   v_modules=np.ones((2, 1)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_frame_nonfinite_rejected(self, bad):
+        for args in ((1.0, bad, (3.7, 3.8)), (1.0, 5.0, (3.7, bad)),
+                     (bad, 5.0, (3.7, 3.8))):
+            with pytest.raises(ValueError, match="finite"):
+                simkit.TelemetryFrame(*args)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_trace_nonfinite_rejected(self, bad):
+        t, i, v = np.arange(3.0), np.zeros(3), np.ones((3, 2))
+        for field in range(3):
+            arrays = [t.copy(), i.copy(), v.copy()]
+            arrays[field][-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                simkit.TelemetryTrace(t_s=arrays[0], i_pack_a=arrays[1],
+                                      v_modules=arrays[2])
+
     def test_trace_shape_checks(self):
         with pytest.raises(ValueError):
             simkit.TelemetryTrace(t_s=np.array([0.0, 1.0]),
