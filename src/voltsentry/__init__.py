@@ -3,12 +3,11 @@
 __version__ = "0.1.0"
 
 from .boost import (BASE_RECIPE, Ensemble, NormSpec, TrainConfig, leaf_weight,
-                    load_model, predict, predict_batch, save_model, split_gain,
-                    train)
+                    load_model, predict_batch, save_model, split_gain, train)
 from .datasets import (SplitSpec, SupervisedSet, build_supervised, read_trace,
-                       split_modules, write_trace)
+                       write_trace)
 from .sentinel import (DetectionTrace, DetectorState, calibrate_threshold,
-                       residual, run_detector, step_detector)
+                       one_step_residuals, run_detector, step_detector)
 from .simkit import (CccvPolicy, CellParams, CellState, NoiseSpec, PackConfig,
                      TelemetryFrame, TelemetryTrace, cell_voltage,
                      default_cell, pack1_config, pack2_config, run_cccv_cell,

@@ -25,6 +25,14 @@ cumsum in each feature's order for the left sums.  Each gain is the same
 expression evaluated in the same order, and the first maximum wins.  Trees,
 leaf weights and loss histories are therefore identical to the scan's.
 
+A tree is its preorder node arrays (feature, threshold, left, right,
+weight), the layout the model JSON stores and the flat node layout of
+XGBoost and Treelite.  The kernel appends nodes in preorder as it grows
+them, and model_from_json builds trees through the same validating Tree
+constructor.  _eval_tree, which moves all rows down one tree a level at a
+time, is the only prediction walk: validation loss, predict_model_space and
+predict_batch all use it, adding lr * w per tree in tree order.
+
 An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
 ensemble maps physical inputs to model space: voltages divide by v_scale,
@@ -59,34 +67,55 @@ class NormSpec:
     i_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.v_scale > 0 and self.i_scale > 0):
-            raise ValueError("normalization scales must be positive")
+        if not (0 < self.v_scale < math.inf and 0 < self.i_scale < math.inf):
+            raise ValueError("normalization scales must be positive and finite")
 
 
-@dataclass
-class TreeNode:
-    """Binary regression tree node; a leaf has no children."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A regression tree: its preorder node arrays, as the model JSON stores them.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
+    Node 0 is the root.  An internal node sends a row x to node ``left`` if
+    x[feature] < threshold and to node ``right`` otherwise; a leaf has
+    feature -1, children -1 and its output in ``weight``.  The constructor
+    is the only way in and rejects what is not such a tree, so the
+    prediction walk needs no checks of its own.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def leaf_value(self, x) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] < node.threshold else node.right
-        return node.weight
+    def __post_init__(self):
+        for name in ("feature", "left", "right"):
+            a = np.asarray(getattr(self, name))
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"tree {name} must hold integers")
+            object.__setattr__(self, name, a.astype(np.int64))
+        for name in ("threshold", "weight"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        n = self.feature.size
+        if n == 0 or {a.shape for a in (self.feature, self.threshold, self.left,
+                                        self.right, self.weight)} != {(n,)}:
+            raise ValueError("inconsistent tree node arrays")
+        if not (np.isfinite(self.threshold).all()
+                and np.isfinite(self.weight).all()):
+            raise ValueError("tree thresholds and weights must be finite")
+        leaf = self.feature == -1
+        if not np.isin(self.feature[~leaf], (0, 1)).all():
+            raise ValueError("internal tree nodes must split on feature 0 or 1")
+        if (self.left[leaf] != -1).any() or (self.right[leaf] != -1).any():
+            raise ValueError("tree leaves must have children -1")
+        parents = np.flatnonzero(~leaf)
+        children = np.concatenate([self.left[parents], self.right[parents]])
+        if not np.array_equal(np.sort(children), np.arange(1, n)):
+            raise ValueError(
+                "every tree node but the root must be the child of exactly one node")
+        if (children <= np.tile(parents, 2)).any():
+            raise ValueError("tree child indices must exceed their parent's")
 
 
 @dataclass(frozen=True)
@@ -100,6 +129,8 @@ class Segment:
     def __post_init__(self):
         if self.tag not in ("base", "finetune"):
             raise ValueError("segment tag must be 'base' or 'finetune'")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("segment learning rate must be finite")
         object.__setattr__(self, "trees", tuple(self.trees))
 
 
@@ -121,6 +152,8 @@ class Ensemble:
     history: BoostHistory | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.base_score):
+            raise ValueError("base_score must be finite")
         self.segments = tuple(self.segments)
         tags = [s.tag for s in self.segments]
         if "finetune" in tags and "base" in tags[tags.index("finetune"):]:
@@ -210,13 +243,18 @@ class _ColumnBlocks:
             rank[rows] = np.arange(rows.shape[0], dtype=np.int32)
             self.rank.append(rank)
 
-    def grow(self, g: np.ndarray, leaves: list) -> TreeNode:
+    def grow(self, g: np.ndarray, leaves: list) -> Tree:
         """Fit one tree to the gradients g; appends (rows, weight) per leaf."""
         root = [(rows, xs, g.take(rows), cand) for rows, xs, cand in self.order]
-        return self._node(root, 0, leaves)
+        nodes: list = []
+        self._node(root, 0, leaves, nodes)
+        return Tree(*zip(*nodes))
 
-    def _node(self, node, depth: int, leaves: list) -> TreeNode:
+    def _node(self, node, depth: int, leaves: list, nodes: list) -> int:
+        """Append the subtree of a node to nodes, one (feature, threshold,
+        left, right, weight) row per node in preorder; returns its index."""
         cfg = self.cfg
+        pos = len(nodes)
         rows0, _, g0, _ = node[0]
         m = rows0.shape[0]
         g_sum = float(g0.sum())
@@ -226,7 +264,8 @@ class _ColumnBlocks:
         if best is None or best[0] <= 0.0:
             w = leaf_weight(g_sum, float(m), cfg.lambda_l2)
             leaves.append((rows0, w))
-            return TreeNode(weight=w)
+            nodes.append((-1, 0.0, -1, -1, w))
+            return pos
         _, f, k = best
         xs = node[f][1]
         thr = float((xs[k] + xs[k + 1]) * 0.5)
@@ -237,11 +276,13 @@ class _ColumnBlocks:
             # below the row at sorted position k of feature f.
             rank = self.rank[f]
             go_left = rank.take(node[1 - f][0]) <= rank[node[f][0][k]]
+        nodes.append(None)
         left = self._node(self._child(node, full, f, k, go_left, True),
-                          depth + 1, leaves)
+                          depth + 1, leaves, nodes)
         right = self._node(self._child(node, full, f, k, go_left, False),
-                           depth + 1, leaves)
-        return TreeNode(feature=f, threshold=thr, left=left, right=right)
+                           depth + 1, leaves, nodes)
+        nodes[pos] = (f, thr, left, right, 0.0)
+        return pos
 
     def _split(self, node, m: int, g_sum: float):
         """Best (gain, feature, sorted position) of a node, or None.
@@ -307,7 +348,7 @@ class _ColumnBlocks:
         return blocks
 
 
-def fit_tree(data, current_pred, cfg: TrainConfig) -> TreeNode:
+def fit_tree(data, current_pred, cfg: TrainConfig) -> Tree:
     """Fit one regression tree to the residuals of the current prediction."""
     x = np.asarray(data.x, dtype=float)
     y = np.asarray(data.y, dtype=float)
@@ -317,13 +358,10 @@ def fit_tree(data, current_pred, cfg: TrainConfig) -> TreeNode:
     return _ColumnBlocks(x, cfg).grow(pred - y, [])
 
 
-def _eval_tree(tree: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Vectorized leaf lookup for one tree over an (N, 2) matrix."""
-    flat = _flatten(tree)
-    feature = flat["feature"]
-    threshold = flat["threshold"]
-    left = flat["left"]
-    right = flat["right"]
+def _eval_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf weights of one tree for every row of an (N, 2) matrix."""
+    feature, threshold = tree.feature, tree.threshold
+    left, right = tree.left, tree.right
     node = np.zeros(x.shape[0], dtype=np.int64)
     while True:
         f = feature[node]
@@ -333,7 +371,7 @@ def _eval_tree(tree: TreeNode, x: np.ndarray) -> np.ndarray:
         vals = np.where(f == 0, x[:, 0], x[:, 1])
         child = np.where(vals < threshold[node], left[node], right[node])
         node = np.where(internal, child, node)
-    return flat["weight"][node]
+    return tree.weight[node]
 
 
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
@@ -407,69 +445,9 @@ def predict_batch(ens: Ensemble, x: np.ndarray) -> np.ndarray:
     return predict_model_space(ens, x_model) * ens.norm.v_scale
 
 
-def predict(ens: Ensemble, x) -> float:
-    """Predict the next voltage for one physical (v, i) pair."""
-    v, i = float(x[0]), float(x[1])
-    if not (math.isfinite(v) and math.isfinite(i)):
-        raise ValueError("features must be finite")
-    xm = (v / ens.norm.v_scale, i / ens.norm.i_scale)
-    out = ens.base_score
-    for seg in ens.segments:
-        for tree in seg.trees:
-            out += seg.learning_rate * tree.leaf_value(xm)
-    return out * ens.norm.v_scale
-
-
 # ---------------------------------------------------------------------------
 # Serialization (versioned JSON, bit-stable round trips)
 # ---------------------------------------------------------------------------
-
-def _flatten(tree: TreeNode) -> dict:
-    cached = getattr(tree, "_flat", None)
-    if cached is not None:
-        return cached
-    feature, threshold, left, right, weight = [], [], [], [], []
-
-    def visit(node: TreeNode) -> int:
-        pos = len(feature)
-        feature.append(node.feature if not node.is_leaf else -1)
-        threshold.append(node.threshold if not node.is_leaf else 0.0)
-        left.append(-1)
-        right.append(-1)
-        weight.append(node.weight if node.is_leaf else 0.0)
-        if not node.is_leaf:
-            left[pos] = visit(node.left)
-            right[pos] = visit(node.right)
-        return pos
-
-    visit(tree)
-    flat = {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=float),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "weight": np.array(weight, dtype=float),
-    }
-    tree._flat = flat
-    return flat
-
-
-def _unflatten(doc: dict) -> TreeNode:
-    feature = doc["feature"]
-    n = len(feature)
-    shapes = {len(doc[k]) for k in ("feature", "threshold", "left", "right", "weight")}
-    if shapes != {n}:
-        raise ValueError("inconsistent tree node arrays")
-
-    def build(pos: int) -> TreeNode:
-        if feature[pos] < 0:
-            return TreeNode(weight=float(doc["weight"][pos]))
-        return TreeNode(
-            feature=int(feature[pos]), threshold=float(doc["threshold"][pos]),
-            left=build(int(doc["left"][pos])), right=build(int(doc["right"][pos])))
-
-    return build(0)
-
 
 def model_to_json(ens: Ensemble) -> str:
     doc = {
@@ -483,11 +461,11 @@ def model_to_json(ens: Ensemble) -> str:
                 "learning_rate": float(seg.learning_rate),
                 "trees": [
                     {
-                        "feature": [int(v) for v in _flatten(t)["feature"]],
-                        "threshold": [float(v) for v in _flatten(t)["threshold"]],
-                        "left": [int(v) for v in _flatten(t)["left"]],
-                        "right": [int(v) for v in _flatten(t)["right"]],
-                        "weight": [float(v) for v in _flatten(t)["weight"]],
+                        "feature": t.feature.tolist(),
+                        "threshold": t.threshold.tolist(),
+                        "left": t.left.tolist(),
+                        "right": t.right.tolist(),
+                        "weight": t.weight.tolist(),
                     }
                     for t in seg.trees
                 ],
@@ -505,7 +483,8 @@ def model_from_json(text: str) -> Ensemble:
     segments = tuple(
         Segment(
             tag=seg["tag"], learning_rate=seg["learning_rate"],
-            trees=tuple(_unflatten(t) for t in seg["trees"]))
+            trees=tuple(Tree(t["feature"], t["threshold"], t["left"],
+                             t["right"], t["weight"]) for t in seg["trees"]))
         for seg in doc["segments"])
     norm = NormSpec(v_scale=doc["norm"]["v_scale"], i_scale=doc["norm"]["i_scale"])
     return Ensemble(base_score=doc["base_score"], segments=segments, norm=norm)

@@ -132,18 +132,6 @@ def concat(sets: list) -> SupervisedSet:
         meta={"norm": norm, "sources": sources})
 
 
-def split_modules(trace: TelemetryTrace, spec: SplitSpec,
-                  normalization: NormSpec | None = None):
-    """Module-wise train/validation/test sets from a single trace."""
-    spec.validate_for(trace.q)
-
-    def build(modules):
-        return concat([build_supervised(trace, m, normalization) for m in modules])
-
-    return (build(spec.train_modules), build(spec.val_modules),
-            build(spec.test_modules))
-
-
 def check_no_leakage(*sets: SupervisedSet) -> None:
     """Assert that no (trace, module) key appears in more than one set."""
     seen: set = set()

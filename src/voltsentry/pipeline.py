@@ -203,15 +203,17 @@ def base_with_norm(base: boost.Ensemble, norm: boost.NormSpec) -> boost.Ensemble
 
 def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
                        margin: float = 4.0 / 3.0):
-    """Nominal-run residuals and the resulting threshold.
+    """Nominal-run residuals and the resulting threshold, from one
+    prediction pass over the trace.
 
     Returns (epsilon, nominal detection trace run at that epsilon,
     per-module predictions for plot data).
     """
-    preds = sentinel.predictions_for_trace(trace, model)
-    residuals = np.max(np.abs(trace.v_modules[1:] - preds), axis=1)
+    preds, residuals = sentinel.one_step_residuals(
+        model, trace.v_modules, trace.i_pack_a)
     epsilon = sentinel.calibrate_threshold(residuals, margin)
-    det = sentinel.run_detector(trace, model, epsilon)
+    det = sentinel.DetectionTrace.from_residuals(trace.t_s[1:], residuals,
+                                                 epsilon)
     return epsilon, det, preds
 
 

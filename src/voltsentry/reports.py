@@ -74,11 +74,6 @@ def score_detection(det: DetectionTrace, mask: np.ndarray,
     return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings)
 
 
-def count_false_toggles(det: DetectionTrace) -> int:
-    """Crossings in a run that should be attack-free."""
-    return det.crossings
-
-
 @dataclass
 class RunReport:
     """Deterministic record of one CLI command run."""

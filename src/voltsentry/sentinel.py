@@ -10,8 +10,12 @@ not).  Every threshold crossing r >= epsilon flips the attack flag, marking
 attack onset and withdrawal.  The first frame only initializes the
 predictor; the first residual appears at k = 1.
 
-Frames and traces reject NaN and infinite values when they are built, so
-the detector is never handed a non-finite measurement.
+one_step_residuals is the only place residuals are computed: streaming
+(step_detector, one row per module), batch detection (run_detector) and
+calibration all call it.  Frames and traces reject NaN and infinite values
+when they are built, and one_step_residuals raises ValueError on a
+non-finite residual, such as one from a value written into a trace's
+arrays afterwards, so a NaN never reaches the toggle as "no crossing".
 
 The pure toggle is fragile by construction: a single nominal spike at or
 above epsilon inverts the flag for good.  An optional debounce (minimum
@@ -28,13 +32,22 @@ from .boost import Ensemble, predict_batch
 from .simkit import TelemetryFrame, TelemetryTrace
 
 
-def residual(measured: TelemetryFrame, predicted) -> float:
-    """Largest absolute module voltage error for one frame."""
-    predicted = np.asarray(predicted, dtype=float)
-    if predicted.shape != (measured.q,):
-        raise ValueError(
-            f"predicted has shape {predicted.shape}, expected ({measured.q},)")
-    return float(np.max(np.abs(np.array(measured.v_modules) - predicted)))
+def one_step_residuals(model: Ensemble, v_modules, i_pack_a):
+    """Predictions vhat(k) from frame k-1 and residuals r(k), k = 1..n-1.
+
+    ``v_modules`` is (n, q) and ``i_pack_a`` (n,) over n consecutive frames.
+    Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
+    ValueError if a residual is not finite.
+    """
+    v = np.asarray(v_modules, dtype=float)
+    q = v.shape[1]
+    x = np.column_stack([v[:-1].reshape(-1),
+                         np.repeat(np.asarray(i_pack_a, dtype=float)[:-1], q)])
+    predicted = predict_batch(model, x).reshape(-1, q)
+    r = np.max(np.abs(v[1:] - predicted), axis=1)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
+    return predicted, r
 
 
 def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
@@ -96,10 +109,9 @@ def step_detector(state: DetectorState, measured: TelemetryFrame,
     prev = state.last_frame
     if measured.q != prev.q:
         raise ValueError("module count changed mid-stream")
-    x = np.column_stack([np.array(prev.v_modules),
-                         np.full(prev.q, prev.i_pack_a)])
-    predicted = predict_batch(model, x)
-    r = residual(measured, predicted)
+    _, r = one_step_residuals(model, (prev.v_modules, measured.v_modules),
+                              (prev.i_pack_a, measured.i_pack_a))
+    r = float(r[0])
     flag = state.flag
     events = state.events
     last_toggle = state.last_toggle_k
@@ -127,6 +139,16 @@ class DetectionTrace:
         if np.any(self.r < 0):
             raise ValueError("residuals must be nonnegative")
 
+    @classmethod
+    def from_residuals(cls, t_s, r, epsilon: float,
+                       debounce: int = 0) -> "DetectionTrace":
+        """Flags and crossing events of residuals r at frame times t_s."""
+        flags = apply_toggle(r, epsilon, debounce)
+        toggles = np.flatnonzero(np.diff(np.concatenate([[0], flags])) != 0)
+        events = tuple((float(t_s[k]), float(r[k])) for k in toggles)
+        return cls(t_s=np.array(t_s), r=r, flag=flags, epsilon=epsilon,
+                   events=events)
+
     @property
     def crossings(self) -> int:
         return len(self.events)
@@ -141,26 +163,8 @@ def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
-    x = np.column_stack([
-        trace.v_modules[:-1].reshape(-1),
-        np.repeat(trace.i_pack_a[:-1], trace.q),
-    ])
-    predicted = predict_batch(model, x).reshape(-1, trace.q)
-    r = np.max(np.abs(trace.v_modules[1:] - predicted), axis=1)
-    flags = apply_toggle(r, epsilon, debounce)
-    toggles = np.flatnonzero(np.diff(np.concatenate([[0], flags])) != 0)
-    events = tuple((float(trace.t_s[k + 1]), float(r[k])) for k in toggles)
-    return DetectionTrace(t_s=trace.t_s[1:].copy(), r=r, flag=flags,
-                          epsilon=epsilon, events=events)
-
-
-def predictions_for_trace(trace: TelemetryTrace, model: Ensemble) -> np.ndarray:
-    """One-step predictions vhat(k) for k = 1..n-1, shape (n-1, q)."""
-    x = np.column_stack([
-        trace.v_modules[:-1].reshape(-1),
-        np.repeat(trace.i_pack_a[:-1], trace.q),
-    ])
-    return predict_batch(model, x).reshape(-1, trace.q)
+    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)
+    return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon, debounce)
 
 
 def write_detection(path, det: DetectionTrace) -> None:

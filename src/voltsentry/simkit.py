@@ -279,10 +279,6 @@ class TelemetryTrace:
         return TelemetryFrame(float(self.t_s[k]), float(self.i_pack_a[k]),
                               tuple(self.v_modules[k]))
 
-    def frames(self):
-        for k in range(self.n_frames):
-            yield self.frame(k)
-
     def copy(self) -> "TelemetryTrace":
         return TelemetryTrace(
             self.t_s.copy(), self.i_pack_a.copy(), self.v_modules.copy(),

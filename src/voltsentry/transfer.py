@@ -49,16 +49,6 @@ def norm_for_pack(config: PackConfig) -> NormSpec:
         i_scale=float(config.parallel_modules * config.branches_per_module))
 
 
-def normalize_xy(x: np.ndarray, y: np.ndarray, norm: NormSpec):
-    xn = np.column_stack([x[:, 0] / norm.v_scale, x[:, 1] / norm.i_scale])
-    return xn, y / norm.v_scale
-
-
-def denormalize_xy(x: np.ndarray, y: np.ndarray, norm: NormSpec):
-    xd = np.column_stack([x[:, 0] * norm.v_scale, x[:, 1] * norm.i_scale])
-    return xd, y * norm.v_scale
-
-
 def finetune(base: Ensemble, pack_train, pack_val, cfg: FinetuneConfig,
              norm: NormSpec) -> Ensemble:
     """Continue boosting from the base model's residuals on pack data.

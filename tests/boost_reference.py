@@ -1,17 +1,41 @@
-"""Reference exact-greedy trainer: a plain scan of every sorted position.
+"""Reference implementations the boost module must match bit for bit.
 
-``_best_split`` and ``_grow`` are the straightforward implementation that
-``voltsentry.boost`` replaced with its presorted column-block kernel; they
-are kept here verbatim as the oracle the kernel must match bit for bit.
+``_best_split`` and ``_grow`` are the straightforward exact-greedy trainer,
+a plain scan of every sorted position, that ``voltsentry.boost`` replaced
+with its presorted column-block kernel; their split search is kept here
+verbatim, emitting the same preorder node arrays as the kernel.
 ``reference_boost_segment`` is ``boost._boost_segment`` driven by them.
+
+``leaf_value`` walks one row down one tree, node by node: the oracle for
+the batch walk ``boost._eval_tree``.  ``tree_depth`` is the depth of a tree
+from its node arrays.
 """
 
 import math
 
 import numpy as np
 
-from voltsentry.boost import (BoostHistory, Segment, TrainConfig, TrainingError,
-                              TreeNode, _eval_tree, leaf_weight)
+from voltsentry.boost import (BoostHistory, Segment, TrainConfig, Tree,
+                              TrainingError, _eval_tree, leaf_weight)
+
+
+def leaf_value(tree: Tree, x) -> float:
+    """Leaf weight of one row x = (v, i), walking down from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] < tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return float(tree.weight[node])
+
+
+def tree_depth(tree: Tree) -> int:
+    """Length of the longest root-to-leaf path; children follow parents."""
+    depth = np.zeros(len(tree.feature), dtype=int)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
 
 
 def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
@@ -48,7 +72,9 @@ def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
     return best
 
 
-def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: list):
+def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: list,
+          nodes: list) -> int:
+    pos = len(nodes)
     idx = idx_by_feature[0]
     g_sum = float(g[idx].sum())
     h_sum = float(h[idx].sum())
@@ -56,7 +82,8 @@ def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: l
     def leaf():
         w = leaf_weight(g_sum, h_sum, cfg.lambda_l2)
         leaf_updates.append((idx, w))
-        return TreeNode(weight=w)
+        nodes.append((-1, 0.0, -1, -1, w))
+        return pos
 
     if depth >= cfg.max_depth or idx.shape[0] < 2:
         return leaf()
@@ -67,10 +94,12 @@ def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: l
     go_left = [x[ix, f] < thr for ix in idx_by_feature]
     left_idx = (idx_by_feature[0][go_left[0]], idx_by_feature[1][go_left[1]])
     right_idx = (idx_by_feature[0][~go_left[0]], idx_by_feature[1][~go_left[1]])
-    return TreeNode(
-        feature=f, threshold=thr,
-        left=_grow(x, g, h, left_idx, cfg, depth + 1, leaf_updates),
-        right=_grow(x, g, h, right_idx, cfg, depth + 1, leaf_updates))
+    nodes.append(None)
+    nodes[pos] = (
+        f, thr,
+        _grow(x, g, h, left_idx, cfg, depth + 1, leaf_updates, nodes),
+        _grow(x, g, h, right_idx, cfg, depth + 1, leaf_updates, nodes), 0.0)
+    return pos
 
 
 def reference_boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
@@ -86,7 +115,9 @@ def reference_boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
         if not math.isfinite(float(np.dot(g, g))):
             raise TrainingError("non-finite training loss", rnd)
         leaf_updates: list = []
-        tree = _grow(x, g, h, (idx0, idx1), cfg, 0, leaf_updates)
+        nodes: list = []
+        _grow(x, g, h, (idx0, idx1), cfg, 0, leaf_updates, nodes)
+        tree = Tree(*zip(*nodes))
         for idx, w in leaf_updates:
             preds[idx] += cfg.learning_rate * w
         loss = float(np.mean((y - preds) ** 2))

@@ -6,17 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from boost_reference import reference_boost_segment
+from boost_reference import leaf_value, reference_boost_segment, tree_depth
 from voltsentry import boost
-from voltsentry.boost import (BASE_RECIPE, Ensemble, NormSpec, Segment,
-                              TrainConfig, TrainingError, TreeNode, fit_tree,
-                              leaf_weight, predict, predict_batch, split_gain,
-                              train)
+from voltsentry.boost import (BASE_RECIPE, Ensemble, NormSpec, Segment, Tree,
+                              TrainConfig, TrainingError, fit_tree, leaf_weight,
+                              predict_batch, split_gain, train)
 from voltsentry.datasets import SupervisedSet
 
 
 def dataset(x, y):
     return SupervisedSet(x=np.asarray(x, float), y=np.asarray(y, float))
+
+
+def leaf(w):
+    return Tree([-1], [0.0], [-1], [-1], [w])
+
+
+def stump(feature, threshold, w_left, w_right):
+    return Tree([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1],
+                [2, -1, -1], [0.0, w_left, w_right])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +169,8 @@ class TestFitTree:
         x = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
         ds = dataset(x, np.full(8, 3.3))
         tree = fit_tree(ds, np.full(8, 3.3), self.CFG)
-        assert tree.is_leaf
-        assert tree.weight == 0.0
+        assert list(tree.feature) == [-1]
+        assert tree.weight[0] == 0.0
 
     def test_step_function_split_at_midpoint(self):
         rng = np.random.default_rng(7)
@@ -175,10 +183,10 @@ class TestFitTree:
                           lambda_l2=0.0, min_child_weight=1.0)
         assert count_candidates(x) == 30
         tree = fit_tree(ds, np.zeros(16), cfg)
-        assert tree.feature == 0
-        assert tree.threshold == pytest.approx((x0[8] + x0[9]) / 2)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx((x0[8] + x0[9]) / 2)
         oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
-        assert (tree.feature, tree.threshold) == (oracle[1], oracle[2])
+        assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_depth_cap_one_checkerboard_axis_by_gain(self):
         # 4x4 checkerboard with an amplitude ramp along feature 0, so one
@@ -194,10 +202,10 @@ class TestFitTree:
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
                           lambda_l2=1.0)
         tree = fit_tree(dataset(x, y), np.zeros(16), cfg)
-        assert not tree.is_leaf
-        assert tree.left.is_leaf and tree.right.is_leaf
+        assert tree.feature[0] >= 0
+        assert list(tree.feature[1:]) == [-1, -1]
         oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
-        assert (tree.feature, tree.threshold) == (oracle[1], oracle[2])
+        assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_empty_data_rejected(self):
         ds = dataset(np.empty((0, 2)), np.empty(0))
@@ -211,7 +219,7 @@ class TestFitTree:
         for depth in (1, 2, 4):
             cfg = TrainConfig(n_trees=1, max_depth=depth, learning_rate=1.0)
             tree = fit_tree(dataset(x, y), np.zeros(64), cfg)
-            assert tree.depth() <= depth
+            assert tree_depth(tree) <= depth
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 32))
     @settings(max_examples=80, deadline=None)
@@ -226,9 +234,9 @@ class TestFitTree:
         tree = fit_tree(dataset(x, y), np.zeros(n), cfg)
         oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
         if oracle is None or oracle[0] <= 0.0:
-            assert tree.is_leaf
+            assert list(tree.feature) == [-1]
         else:
-            assert (tree.feature, tree.threshold) == (oracle[1], oracle[2])
+            assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +253,7 @@ class TestTrain:
         assert ens.base_score == 2.5
         assert ens.history.train_mse[-1] == 0.0
         leaves = [t for seg in ens.segments for t in seg.trees]
-        assert all(t.is_leaf and t.weight == 0.0 for t in leaves)
+        assert all(list(t.feature) == [-1] and t.weight[0] == 0.0 for t in leaves)
 
     def test_loss_nonincreasing_with_prefix_oracle(self):
         rng = np.random.default_rng(11)
@@ -261,7 +269,7 @@ class TestTrain:
         preds = np.full(len(y), ens.base_score)
         for rnd, tree in enumerate(seg.trees):
             preds = preds + seg.learning_rate * np.array(
-                [tree.leaf_value(p) for p in x])
+                [leaf_value(tree, p) for p in x])
             assert losses[rnd] == pytest.approx(np.mean((y - preds) ** 2),
                                                 rel=1e-12)
 
@@ -390,18 +398,71 @@ class TestKernelMatchesReference:
         assert ens.history.val_mse[:20] == history.val_mse
 
 
+GRID = np.arange(-4, 5) * 0.25  # thresholds, and model-space inputs
+
+
+def random_tree(rng, max_depth):
+    """A random tree grown in preorder, thresholds on GRID."""
+    nodes = []
+
+    def grow(depth):
+        pos = len(nodes)
+        if depth == max_depth or rng.random() < 0.25:
+            nodes.append((-1, 0.0, -1, -1, float(rng.normal())))
+            return pos
+        nodes.append(None)
+        split = (int(rng.integers(0, 2)), float(rng.choice(GRID)))
+        nodes[pos] = (*split, grow(depth + 1), grow(depth + 1), 0.0)
+        return pos
+
+    grow(0)
+    return Tree(*zip(*nodes))
+
+
+def random_ensemble(rng):
+    """Base and optional fine-tune segments of random trees, with a
+    normalization whose integer scales map GRID values exactly."""
+    segments = tuple(
+        Segment(tag, float(rng.uniform(0.01, 1.0)),
+                tuple(random_tree(rng, int(rng.integers(0, 6)))
+                      for _ in range(int(rng.integers(0, 8)))))
+        for tag in ("base", "finetune")[:int(rng.integers(1, 3))])
+    norm = NormSpec(v_scale=float(rng.choice([1.0, 3.0, 80.0, 100.0])),
+                    i_scale=float(rng.choice([1.0, 7.0, 20.0, 25.0])))
+    return Ensemble(float(rng.normal()), segments, norm)
+
+
+def random_rows(rng, ens, n):
+    """Physical (v, i) rows, most of them on a threshold in model space."""
+    x_model = np.where(rng.random((n, 2)) < 0.7, rng.choice(GRID, (n, 2)),
+                       rng.uniform(-1.2, 1.2, (n, 2)))
+    return x_model * [ens.norm.v_scale, ens.norm.i_scale]
+
+
+def walk_predict(ens, x):
+    """Per-row oracle: base score plus lr * leaf value, tree by tree."""
+    out = []
+    for v, i in x:
+        row = (v / ens.norm.v_scale, i / ens.norm.i_scale)
+        value = ens.base_score
+        for seg in ens.segments:
+            for tree in seg.trees:
+                value += seg.learning_rate * leaf_value(tree, row)
+        out.append(value * ens.norm.v_scale)
+    return np.array(out)
+
+
 class TestPredict:
     def test_empty_segments_returns_base_score(self):
         ens = Ensemble(base_score=3.9, segments=())
-        assert predict(ens, (3.7, 5.0)) == 3.9
+        assert predict_batch(ens, [[3.7, 5.0]])[0] == 3.9
 
     def test_single_stump_additivity(self):
-        stump = TreeNode(feature=0, threshold=0.5,
-                         left=TreeNode(weight=-1.0), right=TreeNode(weight=2.0))
         ens = Ensemble(base_score=1.0,
-                       segments=(Segment("base", 1.0, (stump,)),))
-        assert predict(ens, (0.2, 0.0)) == 0.0
-        assert predict(ens, (0.9, 0.0)) == 3.0
+                       segments=(Segment("base", 1.0, (stump(0, 0.5, -1.0, 2.0),)),))
+        # A row on the threshold goes right: the rule is x < threshold.
+        assert list(predict_batch(ens, [[0.2, 0.0], [0.9, 0.0], [0.5, 0.0]])) \
+            == [0.0, 3.0, 3.0]
 
     def test_matches_manual_leaf_sum(self):
         rng = np.random.default_rng(8)
@@ -415,30 +476,45 @@ class TestPredict:
             manual = ens.base_score
             for seg in ens.segments:
                 for tree in seg.trees:
-                    manual += seg.learning_rate * tree.leaf_value(row)
+                    manual += seg.learning_rate * leaf_value(tree, row)
             assert expect == manual
-            assert predict(ens, row) == manual
 
     def test_segment_order_invariance(self):
-        t1 = TreeNode(weight=0.5)
-        t2 = TreeNode(weight=-0.25)
+        t1, t2 = leaf(0.5), leaf(-0.25)
         a = Ensemble(0.0, (Segment("base", 0.5, (t1, t2)),))
         b = Ensemble(0.0, (Segment("base", 0.5, (t2, t1)),))
-        assert predict(a, (0.0, 0.0)) == predict(b, (0.0, 0.0))
+        assert predict_batch(a, [[0.0, 0.0]]) == predict_batch(b, [[0.0, 0.0]])
 
     def test_norm_applied_on_both_sides(self):
-        stump = TreeNode(feature=0, threshold=4.0,
-                         left=TreeNode(weight=-0.1), right=TreeNode(weight=0.1))
         ens = Ensemble(base_score=3.8,
-                       segments=(Segment("base", 1.0, (stump,)),),
+                       segments=(Segment("base", 1.0, (stump(0, 4.0, -0.1, 0.1),)),),
                        norm=NormSpec(v_scale=100.0, i_scale=20.0))
-        assert predict(ens, (370.0, 100.0)) == (3.8 - 0.1) * 100.0
-        assert predict(ens, (420.0, 100.0)) == (3.8 + 0.1) * 100.0
+        assert list(predict_batch(ens, [[370.0, 100.0], [420.0, 100.0]])) \
+            == [(3.8 - 0.1) * 100.0, (3.8 + 0.1) * 100.0]
 
     def test_nonfinite_rejected(self):
         ens = Ensemble(base_score=0.0, segments=())
         with pytest.raises(ValueError):
-            predict(ens, (float("nan"), 0.0))
+            predict_batch(ens, [[float("nan"), 0.0]])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_per_row_walk(self, seed, n):
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng)
+        x = random_rows(rng, ens, n)
+        assert predict_batch(ens, x).tobytes() == walk_predict(ens, x).tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng)
+        text = boost.model_to_json(ens)
+        again = boost.model_from_json(text)
+        assert boost.model_to_json(again) == text
+        x = random_rows(rng, ens, 30)
+        assert predict_batch(again, x).tobytes() == predict_batch(ens, x).tobytes()
 
 
 class TestSerialization:
@@ -467,8 +543,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             boost.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda d, t: t.update(right=[7, -1, -1]), id="child-out-of-range"),
+        pytest.param(lambda d, t: t.update(left=[0, -1, -1]), id="child-cycle"),
+        pytest.param(lambda d, t: t.update(right=[1, -1, -1]), id="child-shared"),
+        pytest.param(lambda d, t: t.update(  # nodes 3 and 4 are each other's child
+            feature=[0, -1, -1, 0, 0, -1, -1], threshold=[0.5] + [0.0] * 6,
+            left=[1, -1, -1, 4, 3, -1, -1], right=[2, -1, -1, 5, 6, -1, -1],
+            weight=[0.0] * 7), id="detached-cycle"),
+        pytest.param(lambda d, t: t.update(left=[1.5, -1, -1]), id="child-not-integer"),
+        pytest.param(lambda d, t: t.update(feature=[5, -1, -1]), id="feature-5"),
+        pytest.param(lambda d, t: t.update(feature=[-2, -1, -1]), id="feature-minus-2"),
+        pytest.param(lambda d, t: t.update(left=[1, 2, -1]), id="leaf-with-child"),
+        pytest.param(lambda d, t: t.update(threshold=[float("nan"), 0.0, 0.0]),
+                     id="threshold-nan"),
+        pytest.param(lambda d, t: t.update(weight=[0.0, float("inf"), 0.5]),
+                     id="weight-inf"),
+        pytest.param(lambda d, t: t.update(feature=[], threshold=[], left=[],
+                                           right=[], weight=[]), id="empty-tree"),
+        pytest.param(lambda d, t: d.update(base_score=float("nan")), id="base-score-nan"),
+        pytest.param(lambda d, t: d["segments"][0].update(learning_rate=float("-inf")),
+                     id="learning-rate-inf"),
+        pytest.param(lambda d, t: d["norm"].update(v_scale=float("inf")), id="v-scale-inf"),
+    ])
+    def test_malformed_model_rejected(self, corrupt):
+        ens = Ensemble(0.5, (Segment("base", 0.1, (stump(0, 0.5, -1.0, 2.0),)),))
+        doc = json.loads(boost.model_to_json(ens))
+        corrupt(doc, doc["segments"][0]["trees"][0])
+        with pytest.raises(ValueError):
+            boost.model_from_json(json.dumps(doc))
+
     def test_segments_base_first_enforced(self):
-        t = TreeNode(weight=0.0)
+        t = leaf(0.0)
         with pytest.raises(ValueError):
             Ensemble(0.0, (Segment("finetune", 0.1, (t,)),
                            Segment("base", 0.1, (t,))))

@@ -204,6 +204,26 @@ class TestErrorPaths:
         assert code == 5
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
+    def test_malformed_model_category(self, tmp_path, capsys):
+        # Node 0 lists itself as its left child: a cycle, not a tree.
+        tree = {"feature": [0, -1, -1], "threshold": [3.8, 0.0, 0.0],
+                "left": [0, -1, -1], "right": [2, -1, -1],
+                "weight": [0.0, -0.1, 0.1]}
+        model = tmp_path / "cycle.json"
+        model.write_text(json.dumps({
+            "version": 1, "base_score": 3.8,
+            "norm": {"v_scale": 1.0, "i_scale": 1.0},
+            "segments": [{"tag": "base", "learning_rate": 0.1,
+                          "trees": [tree]}]}))
+        trace = tmp_path / "cell.csv"
+        datasets.write_trace(trace, simkit.TelemetryTrace(
+            t_s=np.arange(3.0), i_pack_a=np.full(3, 5.0),
+            v_modules=[[3.7], [3.8], [3.9]]))
+        code = cli.main(["calibrate", "--model", str(model), "--trace",
+                         str(trace), "--out-dir", str(tmp_path)])
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
     def test_bad_epsilon_rejected(self, mini_setup, capsys):
         out = mini_setup["tmp"] / "out_eps"
         art = run_pipeline(mini_setup, out)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from voltsentry import datasets, simkit
+from voltsentry import datasets, pipeline, simkit
 from voltsentry.boost import NormSpec
 from voltsentry.datasets import (SplitSpec, TraceParseError, build_supervised,
                                  check_no_leakage, concat, read_trace,
-                                 split_modules, write_trace)
+                                 write_trace)
 
 
 class TestBuildSupervised:
@@ -57,21 +57,25 @@ class TestBuildSupervised:
 
 
 class TestSplits:
-    def _pack_trace(self, q=4, n=901, base=370.0):
+    def _pack_trace(self, q=4, n=901, base=370.0, name=""):
         rng = np.random.default_rng(0)
         v = base + np.arange(q) + np.cumsum(rng.uniform(0, 0.01, (n, q)), axis=0)
-        return make_trace(v, i=100.0)
+        return make_trace(v, i=100.0, name=name)
+
+    def _pack_sets(self, q, split):
+        """Pack sets from two training charges and one test charge."""
+        train = [self._pack_trace(q, name=f"c{j}") for j in (80, 120)]
+        return pipeline.build_pack_sets(train, self._pack_trace(q, name="c100"),
+                                        split, NormSpec())
 
     def test_default_split_sizes_pack1(self):
-        trace = self._pack_trace(q=4)
         spec = SplitSpec.default_for(4)
         assert spec.train_modules == (1, 2)
-        train, val, test = split_modules(trace, spec)
+        train, val, test = self._pack_sets(4, spec)
         assert (len(train), len(val), len(test)) == (1800, 900, 900)
 
     def test_default_split_sizes_pack2(self):
-        trace = self._pack_trace(q=5)
-        train, val, test = split_modules(trace, SplitSpec.default_for(5))
+        train, val, test = self._pack_sets(5, SplitSpec.default_for(5))
         assert (len(train), len(val), len(test)) == (2700, 900, 900)
 
     def test_overlapping_sets_rejected(self):
@@ -81,11 +85,11 @@ class TestSplits:
     def test_cell_trace_with_pack_spec_errors(self):
         trace = make_trace([3.7, 3.8, 3.9])
         with pytest.raises(ValueError):
-            split_modules(trace, SplitSpec.default_for(4))
+            pipeline.build_pack_sets([trace], trace, SplitSpec.default_for(4),
+                                     NormSpec())
 
     def test_no_leakage(self):
-        trace = self._pack_trace(q=4)
-        train, val, test = split_modules(trace, SplitSpec.default_for(4))
+        train, val, test = self._pack_sets(4, SplitSpec.default_for(4))
         check_no_leakage(train, val, test)
         with pytest.raises(ValueError, match="leakage"):
             check_no_leakage(train, train)

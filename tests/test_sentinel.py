@@ -4,38 +4,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from voltsentry import boost, sentinel
-from voltsentry.boost import TrainConfig, train
+from voltsentry import boost, pipeline, sentinel
+from voltsentry.boost import Ensemble, NormSpec, Segment, Tree, TrainConfig, train
 from voltsentry.datasets import build_supervised
 from voltsentry.sentinel import (DetectorState, apply_toggle,
-                                 calibrate_threshold, residual, run_detector,
-                                 step_detector)
+                                 calibrate_threshold, one_step_residuals,
+                                 run_detector, step_detector)
 from voltsentry.simkit import TelemetryFrame
+
+
+def constant_model(v, v_scale=1.0):
+    """Predicts v for every module whatever the inputs."""
+    return Ensemble(v / v_scale, (), NormSpec(v_scale=v_scale))
+
+
+def offset_model():
+    """Predicts v(k-1) + 0.2 below 351 V and v(k-1) + 0.4 from there."""
+    stump = Tree([0, -1, -1], [351.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                 [0.0, 0.2, 0.4])
+    return Ensemble(350.0, (Segment("base", 1.0, (stump,)),))
 
 
 class TestResidual:
     def test_zero_when_prediction_matches(self):
-        frame = TelemetryFrame(0.0, 5.0, (3.7, 3.8))
-        assert residual(frame, np.array([3.7, 3.8])) == 0.0
+        v = [[3.75, 3.75], [3.75, 3.75]]
+        predicted, r = one_step_residuals(constant_model(3.75), v, [5.0, 5.0])
+        assert np.array_equal(predicted, [[3.75, 3.75]])
+        assert np.array_equal(r, [0.0])
 
     def test_definition(self):
-        frame = TelemetryFrame(0.0, 5.0, (400.0, 401.0))
-        assert residual(frame, np.array([400.0, 400.0])) == 1.0
+        v = [[399.0, 399.0], [400.0, 401.0]]
+        predicted, r = one_step_residuals(constant_model(400.0, 100.0), v,
+                                          [5.0, 5.0])
+        assert np.array_equal(predicted, [[400.0, 400.0]])
+        assert np.array_equal(r, [1.0])
 
     def test_permutation_invariant(self):
-        measured = (350.0, 351.0, 352.0)
-        predicted = np.array([350.2, 350.9, 352.4])
-        base = residual(TelemetryFrame(0.0, 1.0, measured), predicted)
+        v = np.array([[350.0, 351.0, 352.0], [350.3, 351.2, 352.5],
+                      [350.1, 351.7, 352.2]])
         perm = [2, 0, 1]
-        permuted = residual(
-            TelemetryFrame(0.0, 1.0, tuple(measured[j] for j in perm)),
-            predicted[perm])
-        assert base == permuted
+        model = offset_model()
+        predicted, r = one_step_residuals(model, v, [1.0, 1.0, 1.0])
+        predicted_p, r_p = one_step_residuals(model, v[:, perm], [1.0, 1.0, 1.0])
+        assert np.array_equal(predicted_p, predicted[:, perm])
+        assert np.array_equal(r_p, r)
 
-    def test_length_mismatch(self):
-        frame = TelemetryFrame(0.0, 5.0, (3.7, 3.8))
-        with pytest.raises(ValueError):
-            residual(frame, np.array([3.7]))
+    def test_calibration_predicts_trace_once(self, monkeypatch):
+        rows = []
+
+        def counting(model, x):
+            rows.append(len(x))
+            return boost.predict_batch(model, x)
+
+        monkeypatch.setattr(sentinel, "predict_batch", counting)
+        trace = make_trace([[350.0, 351.0], [350.3, 351.2], [350.1, 351.7]],
+                           i=1.0)
+        epsilon, det, preds = pipeline.calibrate_on_trace(offset_model(), trace)
+        assert rows == [4]
+        assert preds.shape == (2, 2)
+        assert epsilon == 4.0 / 3.0 * float(np.max(det.r))
 
 
 class TestCalibration:
@@ -188,6 +215,36 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             run_detector(make_trace(trace.v_modules[:, 0], i=i), model,
                          epsilon=0.1)
+
+
+class TestNonFiniteResidual:
+    """A non-finite residual raises in the one residual function, so stream,
+    batch and calibration never read it as "no crossing"."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_detector_array_written_after_construction(self, bad):
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        trace.v_modules[-1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_detector(trace, model, epsilon=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_calibrate_array_written_after_construction(self, bad):
+        model, _, nominal = ramp_model_and_trace()
+        nominal.v_modules[-1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pipeline.calibrate_on_trace(model, nominal)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_step_detector_overflowing_prediction(self):
+        huge = Tree([-1], [0.0], [-1], [-1], [1e308])
+        model = Ensemble(1e308, (Segment("base", 1.0, (huge,)),))
+        trace = make_trace([3.7, 3.8, 3.9])
+        state = DetectorState.initial(0.1, trace.frame(0))
+        with pytest.raises(ValueError, match="finite"):
+            step_detector(state, trace.frame(1), model)
+        with pytest.raises(ValueError, match="finite"):
+            run_detector(trace, model, epsilon=0.1)
 
 
 class TestWriters:
