@@ -29,9 +29,27 @@ A tree is its preorder node arrays (feature, threshold, left, right,
 weight), the layout the model JSON stores and the flat node layout of
 XGBoost and Treelite.  The kernel appends nodes in preorder as it grows
 them, and model_from_json builds trees through the same validating Tree
-constructor.  _eval_tree, which moves all rows down one tree a level at a
-time, is the only prediction walk: validation loss, predict_model_space and
-predict_batch all use it, adding lr * w per tree in tree order.
+constructor.  Tree arrays are read-only and an Ensemble's fields cannot be
+reassigned, so what an ensemble compiled at construction never goes stale.
+
+Prediction compiles the trees once into one node table, as QuickScorer
+(Lucchese et al., SIGIR 2015) and Treelite (Cho & Li, 2018) compile an
+ensemble: one array each of split feature, threshold, first child and leaf
+value lr * w over all trees.  The table is laid out level by level, and the
+two children of a node sit side by side, so a row moves with
+node = child[node] + (x[feature] >= threshold); a leaf is its own child with
+threshold +inf, so it stays put.  The walk moves every (tree, row) pair one
+level per step, for all trees at once.  Trees are walked deepest first, so
+level L moves only the trees deeper than L, and rows go in chunks of about
+_CHUNK tree-row pairs to stay in cache.  The walk is bit-exact against a
+per-tree walk: x >= t is exactly not x < t for finite x, so every row
+reaches the same leaf, and the leaf values are summed onto the start in
+tree order by np.add.accumulate, the same float additions in the same order
+as adding one tree at a time (np.sum would sum pairwise).  NaN would go the
+other way from the < rule, so the walk rejects non-finite features.
+_NodeTable.walk is the only prediction walk: predict_model_space,
+predict_batch and the validation loss during training (on a table of the
+one new tree) all use it.
 
 An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
@@ -46,6 +64,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class ModelParseError(ValueError):
+    """A model JSON that lacks a field or holds one of the wrong type."""
 
 
 class TrainingError(RuntimeError):
@@ -79,7 +101,8 @@ class Tree:
     x[feature] < threshold and to node ``right`` otherwise; a leaf has
     feature -1, children -1 and its output in ``weight``.  The constructor
     is the only way in and rejects what is not such a tree, so the
-    prediction walk needs no checks of its own.
+    prediction walk needs no checks of its own.  It copies the arrays and
+    makes them read-only.
     """
 
     feature: np.ndarray
@@ -96,7 +119,7 @@ class Tree:
             object.__setattr__(self, name, a.astype(np.int64))
         for name in ("threshold", "weight"):
             object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
+                               np.array(getattr(self, name), dtype=float))
         n = self.feature.size
         if n == 0 or {a.shape for a in (self.feature, self.threshold, self.left,
                                         self.right, self.weight)} != {(n,)}:
@@ -116,6 +139,90 @@ class Tree:
                 "every tree node but the root must be the child of exactly one node")
         if (children <= np.tile(parents, 2)).any():
             raise ValueError("tree child indices must exceed their parent's")
+        for a in (self.feature, self.threshold, self.left, self.right,
+                  self.weight):
+            a.flags.writeable = False
+
+
+# Tree-row pairs walked per chunk of rows, so that a chunk's walk state and
+# the values it gathers stay in cache.
+_CHUNK = 1 << 15
+
+
+class _NodeTable:
+    """Trees compiled into one node table, walked all together.
+
+    ``split_i`` (the node splits on feature 1), ``threshold``, ``child``
+    (the left child; the right one follows it) and ``value`` (lr * w at a
+    leaf) hold every node, level by level.  The root of tree t is node t.
+    ``order`` lists the trees deepest first, ``rank`` is its inverse and
+    ``active[L]`` counts the trees deeper than L.
+    """
+
+    def __init__(self, trees):
+        """Compile (learning rate, Tree) pairs, in tree order."""
+        n_trees = len(trees)
+        sizes = np.array([t.feature.size for _, t in trees], dtype=np.int64)
+        first = np.cumsum(sizes) - sizes
+
+        def stacked(name):
+            return np.concatenate([getattr(t, name) for _, t in trees]
+                                  or [np.empty(0)])
+
+        shift = np.repeat(first, sizes)
+        feature = stacked("feature")
+        left = stacked("left") + shift
+        right = stacked("right") + shift
+        threshold = stacked("threshold")
+        value = np.repeat(np.array([lr for lr, _ in trees], dtype=float),
+                          sizes) * stacked("weight")
+        tree_of = np.repeat(np.arange(n_trees), sizes)
+        depth = np.zeros(n_trees, dtype=np.int64)
+        levels = [(np.empty(0, bool), np.empty(0), np.empty(0, np.int64),
+                   np.empty(0))]
+        level, pos = first, 0  # old indices of one level's nodes, in new order
+        while level.size:
+            f = feature[level]
+            internal = f >= 0
+            inner = level[internal]
+            child = np.arange(pos, pos + level.size)
+            pos += level.size
+            child[internal] = pos + 2 * np.arange(inner.size)
+            levels.append((f == 1, np.where(internal, threshold[level], np.inf),
+                           child, np.where(internal, 0.0, value[level])))
+            depth[tree_of[inner]] = len(levels) - 1
+            level = np.column_stack([left[inner], right[inner]]).ravel()
+        self.split_i, self.threshold, self.child, self.value = (
+            np.concatenate(c) for c in zip(*levels))
+        self.order = np.argsort(-depth, kind="stable")
+        self.rank = np.argsort(self.order)
+        self.active = [int(np.count_nonzero(depth > d))
+                       for d in range(int(depth.max(initial=0)))]
+
+    def walk(self, x: np.ndarray, start) -> np.ndarray:
+        """start plus every tree's lr * w, added in tree order, per row of
+        an (N, 2) model-space matrix; start is a scalar or an (N,) array."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("features must be finite")
+        out = np.empty(x.shape[0])
+        out[:] = start
+        if not self.order.size:
+            return out
+        step = max(1, _CHUNK // self.order.size)
+        for a in range(0, x.shape[0], step):
+            v = np.ascontiguousarray(x[a:a + step, 0])
+            i = np.ascontiguousarray(x[a:a + step, 1])
+            node = np.repeat(self.order[:, None], v.size, axis=1)
+            for k in self.active:
+                cur = node[:k]
+                x_f = np.where(self.split_i.take(cur), i, v)
+                np.add(self.child.take(cur), x_f >= self.threshold.take(cur),
+                       out=cur)
+            leaves = self.value.take(node.take(self.rank, axis=0))
+            out[a:a + step] = np.add.accumulate(
+                np.vstack([out[a:a + step], leaves]), axis=0)[-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -142,22 +249,28 @@ class BoostHistory:
     val_mse: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
-    """Additive tree model: base_score plus learning-rate-weighted leaves."""
+    """Additive tree model: base_score plus learning-rate-weighted leaves.
+
+    Its trees are compiled into one node table at construction.
+    """
 
     base_score: float
     segments: tuple
     norm: NormSpec = NormSpec()
     history: BoostHistory | None = None
+    table: _NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.base_score):
             raise ValueError("base_score must be finite")
-        self.segments = tuple(self.segments)
+        object.__setattr__(self, "segments", tuple(self.segments))
         tags = [s.tag for s in self.segments]
         if "finetune" in tags and "base" in tags[tags.index("finetune"):]:
             raise ValueError("segments must be ordered base-first")
+        object.__setattr__(self, "table", _NodeTable(
+            [(s.learning_rate, t) for s in self.segments for t in s.trees]))
 
     @property
     def n_trees(self) -> int:
@@ -358,22 +471,6 @@ def fit_tree(data, current_pred, cfg: TrainConfig) -> Tree:
     return _ColumnBlocks(x, cfg).grow(pred - y, [])
 
 
-def _eval_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
-    """Leaf weights of one tree for every row of an (N, 2) matrix."""
-    feature, threshold = tree.feature, tree.threshold
-    left, right = tree.left, tree.right
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    while True:
-        f = feature[node]
-        internal = f >= 0
-        if not internal.any():
-            break
-        vals = np.where(f == 0, x[:, 0], x[:, 1])
-        child = np.where(vals < threshold[node], left[node], right[node])
-        node = np.where(internal, child, node)
-    return tree.weight[node]
-
-
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
                    val_x=None, val_y=None, val_preds=None):
     """Run cfg.n_trees boosting rounds starting from the given predictions.
@@ -396,7 +493,8 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
             raise TrainingError("non-finite training loss", rnd)
         history.train_mse.append(loss)
         if val_x is not None:
-            val_preds += cfg.learning_rate * _eval_tree(tree, val_x)
+            val_preds[:] = _NodeTable([(cfg.learning_rate, tree)]).walk(
+                val_x, val_preds)
             history.val_mse.append(float(np.mean((val_y - val_preds) ** 2)))
         trees.append(tree)
     return Segment(tag, cfg.learning_rate, tuple(trees)), history
@@ -427,19 +525,14 @@ def train(data, val, cfg: TrainConfig) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 def predict_model_space(ens: Ensemble, x_model: np.ndarray) -> np.ndarray:
-    """Raw additive model output for already-normalized (N, 2) inputs."""
-    out = np.full(x_model.shape[0], ens.base_score)
-    for seg in ens.segments:
-        for tree in seg.trees:
-            out += seg.learning_rate * _eval_tree(tree, x_model)
-    return out
+    """Raw additive model output for already-normalized (N, 2) inputs;
+    raises ValueError if an input is not finite."""
+    return ens.table.walk(x_model, ens.base_score)
 
 
 def predict_batch(ens: Ensemble, x: np.ndarray) -> np.ndarray:
     """Predict next voltages for an (N, 2) matrix of physical (v, i) rows."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
     x_model = np.column_stack([x[:, 0] / ens.norm.v_scale,
                                x[:, 1] / ens.norm.i_scale])
     return predict_model_space(ens, x_model) * ens.norm.v_scale
@@ -476,18 +569,52 @@ def model_to_json(ens: Ensemble) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+_NUMBER = (int, float)
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "weight")
+
+
+def _field(obj, key: str, types: tuple, where: str):
+    """obj[key] of a JSON object, checked to be of one of the given types."""
+    if type(obj) is not dict:
+        raise ModelParseError(f"{where} must be an object")
+    if key not in obj:
+        raise ModelParseError(f"{where} lacks {key!r}")
+    if type(obj[key]) not in types:
+        raise ModelParseError(f"{where}.{key} has the wrong type")
+    return obj[key]
+
+
+def _tree_from_json(doc, where: str) -> Tree:
+    arrays = [_field(doc, name, (list,), where) for name in _NODE_ARRAYS]
+    for name, a in zip(_NODE_ARRAYS, arrays):
+        if not set(map(type, a)) <= set(_NUMBER):
+            raise ModelParseError(f"{where}.{name} must hold numbers")
+    return Tree(*arrays)
+
+
 def model_from_json(text: str) -> Ensemble:
+    """Load a model; raises ModelParseError on a missing field or one of the
+    wrong type and ValueError on values that do not form a model."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ModelParseError("model must be a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')!r}")
-    segments = tuple(
-        Segment(
-            tag=seg["tag"], learning_rate=seg["learning_rate"],
-            trees=tuple(Tree(t["feature"], t["threshold"], t["left"],
-                             t["right"], t["weight"]) for t in seg["trees"]))
-        for seg in doc["segments"])
-    norm = NormSpec(v_scale=doc["norm"]["v_scale"], i_scale=doc["norm"]["i_scale"])
-    return Ensemble(base_score=doc["base_score"], segments=segments, norm=norm)
+    segments = []
+    for s, seg in enumerate(_field(doc, "segments", (list,), "model")):
+        where = f"segments[{s}]"
+        trees = _field(seg, "trees", (list,), where)
+        segments.append(Segment(
+            tag=_field(seg, "tag", (str,), where),
+            learning_rate=_field(seg, "learning_rate", _NUMBER, where),
+            trees=tuple(_tree_from_json(t, f"{where}.trees[{j}]")
+                        for j, t in enumerate(trees))))
+    norm = _field(doc, "norm", (dict,), "model")
+    return Ensemble(
+        base_score=_field(doc, "base_score", _NUMBER, "model"),
+        segments=segments,
+        norm=NormSpec(v_scale=_field(norm, "v_scale", _NUMBER, "norm"),
+                      i_scale=_field(norm, "i_scale", _NUMBER, "norm")))
 
 
 def save_model(path, ens: Ensemble) -> None:

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, boost, configio, datasets, pipeline, sentinel
-from .boost import TrainingError
+from .boost import ModelParseError, TrainingError
 from .datasets import TraceParseError
 from .reports import (RunReport, read_report, write_loss_curve, write_report,
                       write_timings)
@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_EXITS = (
     (FileNotFoundError, "missing-file", 3),
-    ((TraceParseError, configparser.Error, json.JSONDecodeError), "parse-error", 4),
+    ((TraceParseError, ModelParseError, configparser.Error, json.JSONDecodeError),
+     "parse-error", 4),
     ((SolverError, TrainingError), "runtime-error", 6),
     (ValueError, "invalid-input", 5),
 )

@@ -6,9 +6,11 @@ with its presorted column-block kernel; their split search is kept here
 verbatim, emitting the same preorder node arrays as the kernel.
 ``reference_boost_segment`` is ``boost._boost_segment`` driven by them.
 
-``leaf_value`` walks one row down one tree, node by node: the oracle for
-the batch walk ``boost._eval_tree``.  ``tree_depth`` is the depth of a tree
-from its node arrays.
+``_eval_tree`` is the batch walk that ``boost`` replaced with its compiled
+node table, kept verbatim: it moves all rows down one tree a level at a
+time with the x < threshold rule.  ``leaf_value`` walks one row down one
+tree, node by node.  Both are oracles for the compiled walk.  ``tree_depth``
+is the depth of a tree from its node arrays.
 """
 
 import math
@@ -16,7 +18,23 @@ import math
 import numpy as np
 
 from voltsentry.boost import (BoostHistory, Segment, TrainConfig, Tree,
-                              TrainingError, _eval_tree, leaf_weight)
+                              TrainingError, leaf_weight)
+
+
+def _eval_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf weights of one tree for every row of an (N, 2) matrix."""
+    feature, threshold = tree.feature, tree.threshold
+    left, right = tree.left, tree.right
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        f = feature[node]
+        internal = f >= 0
+        if not internal.any():
+            break
+        vals = np.where(f == 0, x[:, 0], x[:, 1])
+        child = np.where(vals < threshold[node], left[node], right[node])
+        node = np.where(internal, child, node)
+    return tree.weight[node]
 
 
 def leaf_value(tree: Tree, x) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from boost_reference import leaf_value, reference_boost_segment, tree_depth
-from voltsentry import boost
-from voltsentry.boost import (BASE_RECIPE, Ensemble, NormSpec, Segment, Tree,
-                              TrainConfig, TrainingError, fit_tree, leaf_weight,
-                              predict_batch, split_gain, train)
+from boost_reference import (_eval_tree, leaf_value, reference_boost_segment,
+                             tree_depth)
+from voltsentry import boost, pipeline, transfer
+from voltsentry.boost import (BASE_RECIPE, Ensemble, ModelParseError, NormSpec,
+                              Segment, Tree, TrainConfig, TrainingError,
+                              fit_tree, leaf_weight, predict_batch,
+                              predict_model_space, split_gain, train)
 from voltsentry.datasets import SupervisedSet
 
 
@@ -497,6 +501,25 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_batch(ens, [[float("nan"), 0.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("predict", [predict_batch, predict_model_space])
+    def test_nonfinite_feature_rejected_not_routed(self, predict, column, bad):
+        # A NaN would go left under x >= threshold and right under x < threshold.
+        ens = Ensemble(0.0, (Segment("base", 1.0, (stump(column, 0.5, -1.0, 2.0),)),))
+        x = np.full((3, 2), 0.25)
+        x[1, column] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            predict(ens, x)
+
+    def test_nonfinite_in_model_space_rejected(self):
+        # Finite physical rows that overflow when normalized.
+        ens = Ensemble(0.0, (Segment("base", 1.0, (stump(0, 0.5, -1.0, 2.0),)),),
+                       norm=NormSpec(v_scale=1e-10, i_scale=1.0))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="features must be finite"):
+            predict_batch(ens, [[1e300, 0.0]])
+
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_per_row_walk(self, seed, n):
@@ -515,6 +538,126 @@ class TestPredict:
         assert boost.model_to_json(again) == text
         x = random_rows(rng, ens, 30)
         assert predict_batch(again, x).tobytes() == predict_batch(ens, x).tobytes()
+
+
+def per_tree_walk(ens, x_model):
+    """The walk before compilation: base score plus lr * leaf, one tree at a
+    time over all rows (reference ``_eval_tree``)."""
+    out = np.full(x_model.shape[0], ens.base_score)
+    for seg in ens.segments:
+        for tree in seg.trees:
+            out += seg.learning_rate * _eval_tree(tree, x_model)
+    return out
+
+
+def per_row_walk(ens, x_model):
+    """Per-row oracle in model space: node by node, tree by tree."""
+    out = []
+    for row in x_model:
+        value = ens.base_score
+        for seg in ens.segments:
+            for tree in seg.trees:
+                value += seg.learning_rate * leaf_value(tree, row)
+        out.append(value)
+    return np.array(out, dtype=float)
+
+
+class TestCompiledWalk:
+    """The compiled node table equals the per-tree walk byte for byte."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 64),
+           rows=st.sampled_from(["0", "1", "4", "step-1", "step", "step+1",
+                                 "2step+1"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_tree_and_per_row_walk(self, seed, chunk, rows):
+        rng = np.random.default_rng(seed)
+        segments = tuple(
+            Segment(tag, float(rng.uniform(0.01, 1.0)),
+                    tuple(random_tree(rng, int(rng.integers(0, 9)))
+                          for _ in range(int(rng.integers(0, 6)))))
+            for tag in ("base", "finetune")[:int(rng.integers(0, 3))])
+        ens = Ensemble(float(rng.normal()), segments)
+        step = max(1, chunk // max(1, ens.n_trees))
+        n = {"0": 0, "1": 1, "4": 4, "step-1": step - 1, "step": step,
+             "step+1": step + 1, "2step+1": 2 * step + 1}[rows]
+        x = np.where(rng.random((n, 2)) < 0.7, rng.choice(GRID, (n, 2)),
+                     rng.uniform(-1.2, 1.2, (n, 2)))
+        with mock.patch.object(boost, "_CHUNK", chunk):
+            got = predict_model_space(ens, x)
+        assert got.shape == (n,)
+        assert got.tobytes() == per_tree_walk(ens, x).tobytes()
+        assert got.tobytes() == per_row_walk(ens, x).tobytes()
+
+    def test_deep_and_shallow_trees_mixed(self):
+        # Depth 8 next to stumps and single leaves, in both orders.
+        rng = np.random.default_rng(12)
+        deep = random_tree(rng, 8)
+        while tree_depth(deep) < 8:
+            deep = random_tree(rng, 8)
+        trees = (leaf(0.3), stump(1, 0.25, -0.5, 0.5), deep, leaf(-0.1),
+                 stump(0, -0.5, 1.0, -1.0))
+        x = np.where(rng.random((500, 2)) < 0.7, rng.choice(GRID, (500, 2)),
+                     rng.uniform(-1.2, 1.2, (500, 2)))
+        for order in (trees, trees[::-1]):
+            ens = Ensemble(0.5, (Segment("base", 0.12, order[:3]),
+                                 Segment("finetune", 0.035, order[3:])))
+            assert ens.table.active == [3, 1, 1, 1, 1, 1, 1, 1]
+            assert (predict_model_space(ens, x).tobytes()
+                    == per_tree_walk(ens, x).tobytes())
+
+    def test_canonical_base_model_chunk_boundaries(self, base_bundle):
+        ens, _, train_set, _ = base_bundle
+        step = boost._CHUNK // ens.n_trees
+        for n in (1, 4, step - 1, step, step + 1, 3 * step + 1):
+            x = train_set.x[:n]
+            assert (predict_model_space(ens, x).tobytes()
+                    == per_tree_walk(ens, x).tobytes())
+
+
+class TestImmutable:
+    """What an ensemble compiled at construction cannot go stale."""
+
+    def test_tree_arrays_read_only(self):
+        tree = stump(0, 0.5, -1.0, 2.0)
+        with pytest.raises(ValueError):
+            tree.threshold[0] = 0.75
+        for name in ("feature", "threshold", "left", "right", "weight"):
+            assert not getattr(tree, name).flags.writeable
+
+    def test_tree_copies_its_inputs(self):
+        threshold = np.array([0.5, 0.0, 0.0])
+        tree = Tree(np.array([0, -1, -1]), threshold, np.array([1, -1, -1]),
+                    np.array([2, -1, -1]), np.array([0.0, -1.0, 2.0]))
+        threshold[0] = 0.75
+        assert tree.threshold[0] == 0.5
+
+    def test_ensemble_fields_cannot_be_reassigned(self):
+        ens = Ensemble(0.5, (Segment("base", 0.1, (stump(0, 0.5, -1.0, 2.0),)),))
+        for name in ("base_score", "segments", "norm", "history", "table"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ens, name, getattr(ens, name))
+
+    def test_construction_paths(self):
+        rng = np.random.default_rng(9)
+        x = np.column_stack([rng.uniform(3.0, 4.2, 200), rng.uniform(2, 6, 200)])
+        y = x[:, 0] + 0.01 * x[:, 1]
+        base = train(dataset(x, y), dataset(x[:50], y[:50]),
+                     TrainConfig(n_trees=5, max_depth=3, learning_rate=0.3))
+        norm = NormSpec(v_scale=100.0, i_scale=20.0)
+        pack = SupervisedSet(x=x[:80] * [1.0, 0.5], y=y[:80] + 0.002,
+                             meta={"norm": norm})
+        tuned = transfer.finetune(base, pack, pack, transfer.PACK2_RECIPE, norm)
+        viewed = pipeline.base_with_norm(base, norm)
+        loaded = boost.model_from_json(boost.model_to_json(tuned))
+        rows = np.column_stack([rng.uniform(300, 420, 20), rng.uniform(40, 120, 20)])
+        for ens in (base, tuned, viewed, loaded):
+            for tree in (t for seg in ens.segments for t in seg.trees):
+                assert not tree.threshold.flags.writeable
+            x_model = rows / [ens.norm.v_scale, ens.norm.i_scale]
+            assert (predict_model_space(ens, x_model).tobytes()
+                    == per_tree_walk(ens, x_model).tobytes())
+        assert (predict_batch(loaded, rows).tobytes()
+                == predict_batch(tuned, rows).tobytes())
 
 
 class TestSerialization:
@@ -543,35 +686,87 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             boost.model_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda d, t: t.update(right=[7, -1, -1]), id="child-out-of-range"),
-        pytest.param(lambda d, t: t.update(left=[0, -1, -1]), id="child-cycle"),
-        pytest.param(lambda d, t: t.update(right=[1, -1, -1]), id="child-shared"),
+    @pytest.mark.parametrize("corrupt,error", [
+        # Values that do not form a model are invalid input.
+        pytest.param(lambda d, t: t.update(right=[7, -1, -1]), ValueError,
+                     id="child-out-of-range"),
+        pytest.param(lambda d, t: t.update(left=[0, -1, -1]), ValueError,
+                     id="child-cycle"),
+        pytest.param(lambda d, t: t.update(right=[1, -1, -1]), ValueError,
+                     id="child-shared"),
         pytest.param(lambda d, t: t.update(  # nodes 3 and 4 are each other's child
             feature=[0, -1, -1, 0, 0, -1, -1], threshold=[0.5] + [0.0] * 6,
             left=[1, -1, -1, 4, 3, -1, -1], right=[2, -1, -1, 5, 6, -1, -1],
-            weight=[0.0] * 7), id="detached-cycle"),
-        pytest.param(lambda d, t: t.update(left=[1.5, -1, -1]), id="child-not-integer"),
-        pytest.param(lambda d, t: t.update(feature=[5, -1, -1]), id="feature-5"),
-        pytest.param(lambda d, t: t.update(feature=[-2, -1, -1]), id="feature-minus-2"),
-        pytest.param(lambda d, t: t.update(left=[1, 2, -1]), id="leaf-with-child"),
+            weight=[0.0] * 7), ValueError, id="detached-cycle"),
+        pytest.param(lambda d, t: t.update(left=[1.5, -1, -1]), ValueError,
+                     id="child-not-integer"),
+        pytest.param(lambda d, t: t.update(feature=[5, -1, -1]), ValueError,
+                     id="feature-5"),
+        pytest.param(lambda d, t: t.update(feature=[-2, -1, -1]), ValueError,
+                     id="feature-minus-2"),
+        pytest.param(lambda d, t: t.update(left=[1, 2, -1]), ValueError,
+                     id="leaf-with-child"),
         pytest.param(lambda d, t: t.update(threshold=[float("nan"), 0.0, 0.0]),
-                     id="threshold-nan"),
+                     ValueError, id="threshold-nan"),
         pytest.param(lambda d, t: t.update(weight=[0.0, float("inf"), 0.5]),
-                     id="weight-inf"),
+                     ValueError, id="weight-inf"),
         pytest.param(lambda d, t: t.update(feature=[], threshold=[], left=[],
-                                           right=[], weight=[]), id="empty-tree"),
-        pytest.param(lambda d, t: d.update(base_score=float("nan")), id="base-score-nan"),
+                                           right=[], weight=[]),
+                     ValueError, id="empty-tree"),
+        pytest.param(lambda d, t: d.update(base_score=float("nan")), ValueError,
+                     id="base-score-nan"),
         pytest.param(lambda d, t: d["segments"][0].update(learning_rate=float("-inf")),
-                     id="learning-rate-inf"),
-        pytest.param(lambda d, t: d["norm"].update(v_scale=float("inf")), id="v-scale-inf"),
+                     ValueError, id="learning-rate-inf"),
+        pytest.param(lambda d, t: d["norm"].update(v_scale=float("inf")), ValueError,
+                     id="v-scale-inf"),
+        # A missing field or one of the wrong type is a parse error.
+        pytest.param(lambda d, t: t.pop("weight"), ModelParseError, id="no-weight"),
+        pytest.param(lambda d, t: t.pop("left"), ModelParseError, id="no-left"),
+        pytest.param(lambda d, t: d.pop("norm"), ModelParseError, id="no-norm"),
+        pytest.param(lambda d, t: d["norm"].pop("i_scale"), ModelParseError,
+                     id="no-i-scale"),
+        pytest.param(lambda d, t: d.pop("segments"), ModelParseError,
+                     id="no-segments"),
+        pytest.param(lambda d, t: d["segments"][0].pop("tag"), ModelParseError,
+                     id="no-tag"),
+        pytest.param(lambda d, t: d["segments"][0].pop("trees"), ModelParseError,
+                     id="no-trees"),
+        pytest.param(lambda d, t: d.pop("base_score"), ModelParseError,
+                     id="no-base-score"),
+        pytest.param(lambda d, t: t.update(weight={"0": 1.0}), ModelParseError,
+                     id="weight-object"),
+        pytest.param(lambda d, t: t.update(threshold=["0.5", 0.0, 0.0]),
+                     ModelParseError, id="threshold-string"),
+        pytest.param(lambda d, t: t.update(feature=[[0], -1, -1]), ModelParseError,
+                     id="feature-nested"),
+        pytest.param(lambda d, t: t.update(weight=[0.0, True, 0.5]), ModelParseError,
+                     id="weight-bool"),
+        pytest.param(lambda d, t: d["segments"][0].update(learning_rate="0.1"),
+                     ModelParseError, id="learning-rate-string"),
+        pytest.param(lambda d, t: d["segments"][0].update(tag=1), ModelParseError,
+                     id="tag-number"),
+        pytest.param(lambda d, t: d["segments"][0].update(trees={}), ModelParseError,
+                     id="trees-object"),
+        pytest.param(lambda d, t: d.update(segments=[["base"]]), ModelParseError,
+                     id="segment-list"),
+        pytest.param(lambda d, t: d["segments"][0].update(trees=[None]),
+                     ModelParseError, id="tree-null"),
+        pytest.param(lambda d, t: d.update(norm=[1.0, 1.0]), ModelParseError,
+                     id="norm-list"),
+        pytest.param(lambda d, t: d.update(base_score=None), ModelParseError,
+                     id="base-score-null"),
     ])
-    def test_malformed_model_rejected(self, corrupt):
+    def test_malformed_model_rejected(self, corrupt, error):
         ens = Ensemble(0.5, (Segment("base", 0.1, (stump(0, 0.5, -1.0, 2.0),)),))
         doc = json.loads(boost.model_to_json(ens))
         corrupt(doc, doc["segments"][0]["trees"][0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             boost.model_from_json(json.dumps(doc))
+        assert type(info.value) is error
+
+    def test_model_not_an_object(self):
+        with pytest.raises(ModelParseError):
+            boost.model_from_json("[1, 2]")
 
     def test_segments_base_first_enforced(self):
         t = leaf(0.0)
