@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Per-layer timing medians for a BENCH_<n>.json file.
 
-Times the prediction layer on the canonical models of the README's CLI
-flow (seed 1):
+Times the simulation layer, model loading and the prediction layer on
+the canonical inputs and models of the README's CLI flow (seed 1):
 
+- ``simulate_cell_corpus_s``: the 36 ``run_cccv_cell`` calls of the
+  canonical cell corpus, without writing CSVs
+- ``run_cccv_pack_{pack1,pack2}_ms``: each pack's c100 charge
+  (``configs/pack*_c100.ini``)
+- ``load_model_base_ms``: ``boost.load_model`` on the 400-tree base model
 - ``predict_batch`` at N = 4 (one pack 1 frame), 3 600 (pack 1's test
   trace, one row per module and step) and 91 200 (the cell corpus's
   training pairs, on the base model)
 - ``sentinel.step_detector`` per frame, over each pack's test trace
 
-Each figure is the median of repeated calls, in milliseconds.  One run
-records one label, so before/after pairs come from two runs on the same
-machine, for example:
+Each figure is the median of repeated calls, in milliseconds unless its
+name ends in ``_s``.  One run records one label, so before/after pairs come
+from two runs on the same machine, for example:
 
-    python scripts/bench.py --src ../parent/src --label before --out BENCH_4.json
-    python scripts/bench.py --label after --out BENCH_4.json
+    python scripts/bench.py --src ../parent/src --label before --out BENCH_5.json
+    python scripts/bench.py --label after --out BENCH_5.json
 
 ``--src`` picks the voltsentry sources to time (default: this checkout's).
 The canonical artifacts are built into ``--artifacts`` with the CLI of the
@@ -31,6 +36,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
@@ -61,6 +67,23 @@ def build_artifacts(cli, out: str) -> None:
                 raise SystemExit(f"bench: voltsentry {argv[0]} failed")
 
 
+def simulate_cell_corpus(pipeline, simkit) -> None:
+    """The canonical corpus's run_cccv_cell calls, as generate_cell_corpus
+    makes them, without the CSV writes."""
+    cell = simkit.default_cell()
+    run_index = 0
+    for c_rate in pipeline.CELL_C_RATES:
+        for init_soc in pipeline.CELL_INIT_SOCS:
+            for r0_scale in pipeline.CELL_R0_SCALES:
+                simkit.run_cccv_cell(
+                    replace(cell, r0_ohm=cell.r0_ohm * r0_scale),
+                    simkit.CccvPolicy(c_rate=c_rate,
+                                      duration_s=pipeline.CELL_DURATIONS[c_rate]),
+                    init_soc, simkit.NoiseSpec(),
+                    seed=pipeline.CANONICAL_CORPUS_SEED + run_index)
+                run_index += 1
+
+
 def median_ms(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -86,19 +109,27 @@ def step_detector_ms(sentinel, model, trace) -> float:
 def measure(art: str) -> dict:
     import numpy as np
 
-    from voltsentry import boost, cli, datasets, pipeline, sentinel
+    from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 
     if not all(os.path.exists(os.path.join(art, f"model_{name}.json"))
                for name in ("base",) + PACKS):
         build_artifacts(cli, art)
-    base = boost.load_model(os.path.join(art, "model_base.json"))
+    layers = {"simulate_cell_corpus_s": median_ms(
+        lambda: simulate_cell_corpus(pipeline, simkit), 3) / 1e3}
+    for p in PACKS:
+        spec = configio.read_sim_config(os.path.join(CONFIGS, f"{p}_c100.ini"))
+        layers[f"run_cccv_pack_{p}_ms"] = median_ms(
+            lambda: simkit.run_cccv_pack(spec.pack, spec.cell, spec.policy,
+                                         spec.init_soc, spec.noise), 5)
+    base_path = os.path.join(art, "model_base.json")
+    layers["load_model_base_ms"] = median_ms(lambda: boost.load_model(base_path), 30)
+    base = boost.load_model(base_path)
     models = {p: boost.load_model(os.path.join(art, f"model_{p}.json")) for p in PACKS}
     traces = {p: datasets.read_trace(os.path.join(art, f"{p}_c100.csv")) for p in PACKS}
     corpus_train, _ = pipeline.load_cell_corpus(os.path.join(art, "corpus"))
     test = traces["pack1"]
     pack_x = np.column_stack([test.v_modules[:-1].reshape(-1),
                               np.repeat(test.i_pack_a[:-1], test.v_modules.shape[1])])
-    layers = {}
     for n, model, x, repeats in ((4, models["pack1"], pack_x, 500),
                                  (3600, models["pack1"], pack_x, 20),
                                  (91200, base, corpus_train.x, 5)):

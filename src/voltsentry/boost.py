@@ -113,34 +113,34 @@ class Tree:
 
     def __post_init__(self):
         for name in ("feature", "left", "right"):
-            a = np.asarray(getattr(self, name))
+            a = np.array(getattr(self, name))
             if a.size and a.dtype.kind not in "iu":
                 raise ValueError(f"tree {name} must hold integers")
-            object.__setattr__(self, name, a.astype(np.int64))
+            object.__setattr__(self, name, a.astype(np.int64, copy=False))
         for name in ("threshold", "weight"):
             object.__setattr__(self, name,
                                np.array(getattr(self, name), dtype=float))
-        n = self.feature.size
-        if n == 0 or {a.shape for a in (self.feature, self.threshold, self.left,
-                                        self.right, self.weight)} != {(n,)}:
+        feature, left, right = self.feature, self.left, self.right
+        n = feature.size
+        if n == 0 or not (feature.shape == self.threshold.shape == left.shape
+                          == right.shape == self.weight.shape == (n,)):
             raise ValueError("inconsistent tree node arrays")
         if not (np.isfinite(self.threshold).all()
                 and np.isfinite(self.weight).all()):
             raise ValueError("tree thresholds and weights must be finite")
-        leaf = self.feature == -1
-        if not np.isin(self.feature[~leaf], (0, 1)).all():
+        if (np.abs(feature) > 1).any():  # -1 (a leaf), 0 or 1
             raise ValueError("internal tree nodes must split on feature 0 or 1")
-        if (self.left[leaf] != -1).any() or (self.right[leaf] != -1).any():
+        leaf = feature == -1
+        if (left[leaf] != -1).any() or (right[leaf] != -1).any():
             raise ValueError("tree leaves must have children -1")
         parents = np.flatnonzero(~leaf)
-        children = np.concatenate([self.left[parents], self.right[parents]])
-        if not np.array_equal(np.sort(children), np.arange(1, n)):
+        children = np.concatenate((left[parents], right[parents]))
+        if children.size != n - 1 or (np.sort(children) != np.arange(1, n)).any():
             raise ValueError(
                 "every tree node but the root must be the child of exactly one node")
-        if (children <= np.tile(parents, 2)).any():
+        if (children <= np.concatenate((parents, parents))).any():
             raise ValueError("tree child indices must exceed their parent's")
-        for a in (self.feature, self.threshold, self.left, self.right,
-                  self.weight):
+        for a in (feature, self.threshold, left, right, self.weight):
             a.flags.writeable = False
 
 
@@ -569,11 +569,11 @@ def model_to_json(ens: Ensemble) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-_NUMBER = (int, float)
+_NUMBER = frozenset((int, float))
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "weight")
 
 
-def _field(obj, key: str, types: tuple, where: str):
+def _field(obj, key: str, types: tuple | frozenset, where: str):
     """obj[key] of a JSON object, checked to be of one of the given types."""
     if type(obj) is not dict:
         raise ModelParseError(f"{where} must be an object")
@@ -587,7 +587,7 @@ def _field(obj, key: str, types: tuple, where: str):
 def _tree_from_json(doc, where: str) -> Tree:
     arrays = [_field(doc, name, (list,), where) for name in _NODE_ARRAYS]
     for name, a in zip(_NODE_ARRAYS, arrays):
-        if not set(map(type, a)) <= set(_NUMBER):
+        if not set(map(type, a)) <= _NUMBER:
             raise ModelParseError(f"{where}.{name} must hold numbers")
     return Tree(*arrays)
 

@@ -19,6 +19,19 @@ bus voltage, Kirchhoff current balance).  The recorded module voltage is the
 series sum of one representative branch, i.e. the bus voltage minus that
 module's interconnect drop, which is what gives packs their stable module
 voltage ordering.
+
+Both CCCV loops compute each 0.1 s sub-step's state once.  The cell loop
+steps on local floats through ``_cell_update``, the scalar update that
+``step_cell`` also calls, with the decay factors and the OCV knot table
+taken out of the loop; it evaluates the OCV and solves the current once
+per sub-step.  The pack model fixes its module and total resistances per
+run and computes the module offsets once per state, which the CC check,
+the CV solve and the current split share.  A recorded step's current and
+split also drive its first sub-step, which starts from the same state.
+Every float operation is the one a per-call evaluation would make, in the
+same order, so the traces are bit-identical to it; the tests keep the
+per-call loops as their oracle.  Parameters are checked once, when the
+dataclasses are built: every field must be finite.
 """
 
 from __future__ import annotations
@@ -60,6 +73,11 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _require_finite_fields(obj, *names: str) -> None:
+    for name in names:
+        _require_finite(name, getattr(obj, name))
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Electrical parameters of a single cell."""
@@ -74,6 +92,9 @@ class CellParams:
     v_min: float = 2.5
 
     def __post_init__(self):
+        _require_finite_fields(self, "capacity_ah", "r0_ohm", "r1_ohm", "c1_f",
+                               "diff_tau_s", "v_max", "v_min")
+        _require_finite("ocv_knots", *(x for knot in self.ocv_knots for x in knot))
         if not self.capacity_ah > 0:
             raise ValueError("capacity_ah must be positive")
         if self.r0_ohm < 0 or self.r1_ohm < 0:
@@ -102,14 +123,18 @@ class CellParams:
         return np.interp(soc_surf, np.array(self._ocv_socs), np.array(self._ocv_volts))
 
     def ocv_scalar(self, s: float) -> float:
-        socs, volts = self._ocv_socs, self._ocv_volts
-        if s <= socs[0]:
-            return volts[0]
-        if s >= socs[-1]:
-            return volts[-1]
-        j = bisect_right(socs, s)
-        frac = (s - socs[j - 1]) / (socs[j] - socs[j - 1])
-        return volts[j - 1] + frac * (volts[j] - volts[j - 1])
+        return _interp(self._ocv_socs, self._ocv_volts, s)
+
+
+def _interp(socs: tuple, volts: tuple, s: float) -> float:
+    """Linear interpolation in a knot table, clamped to the table ends."""
+    if s <= socs[0]:
+        return volts[0]
+    if s >= socs[-1]:
+        return volts[-1]
+    j = bisect_right(socs, s)
+    frac = (s - socs[j - 1]) / (socs[j] - socs[j - 1])
+    return volts[j - 1] + frac * (volts[j] - volts[j - 1])
 
 
 @dataclass(frozen=True)
@@ -153,6 +178,7 @@ class PackConfig:
     interconnect_ohm: float | tuple = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self, "capacity_ah", "v_max_pack", "heterogeneity_sigma")
         if self.parallel_modules < 1 or self.branches_per_module < 1 or self.series_cells < 1:
             raise ValueError("pack topology counts must be >= 1")
         if self.heterogeneity_sigma < 0:
@@ -163,6 +189,7 @@ class PackConfig:
                 (float(self.interconnect_ohm),) * self.parallel_modules)
         else:
             object.__setattr__(self, "interconnect_ohm", tuple(float(r) for r in self.interconnect_ohm))
+        _require_finite("interconnect_ohm", *self.interconnect_ohm)
         if len(self.interconnect_ohm) != self.parallel_modules:
             raise ValueError("interconnect_ohm needs one value per module")
         if any(r < 0 for r in self.interconnect_ohm):
@@ -192,6 +219,7 @@ class CccvPolicy:
     duration_s: float = 900.0
 
     def __post_init__(self):
+        _require_finite_fields(self, "c_rate", "v_max", "taper_cutoff_c", "duration_s")
         if not self.c_rate > 0:
             raise ValueError("c_rate must be positive")
         if not 0 < self.taper_cutoff_c < self.c_rate:
@@ -207,6 +235,7 @@ class NoiseSpec:
     rel_sigma: float = 0.001
 
     def __post_init__(self):
+        _require_finite_fields(self, "rel_sigma")
         if self.rel_sigma < 0:
             raise ValueError("rel_sigma must be nonnegative")
 
@@ -307,6 +336,34 @@ class TelemetryTrace:
 # Single-cell dynamics
 # ---------------------------------------------------------------------------
 
+def _cell_update(soc: float, v_rc: float, surf: float, i_cell: float, dt: float,
+                 capacity_ah: float, r1_ohm: float, rc_decay: float,
+                 tau_d: float, diff_decay: float) -> tuple:
+    """Exact update of (soc, v_rc, surf) over dt at constant current.
+
+    ``rc_decay`` is exp(-dt / (r1 * c1)) (unused when r1 = 0) and
+    ``diff_decay`` is exp(-dt / tau_d).  The one copy of the cell math:
+    ``step_cell`` and the ``run_cccv_cell`` loop both call it.
+    """
+    d_soc = i_cell * dt / 3600.0 / capacity_ah
+    soc_new = soc + d_soc
+    if r1_ohm > 0.0:
+        v_inf = i_cell * r1_ohm
+        v_rc = v_inf + (v_rc - v_inf) * rc_decay
+    else:
+        v_rc = 0.0
+    # Exact solution of d(surf)/dt = (soc(t) - surf)/tau with soc(t) linear.
+    rate_tau = d_soc / dt * tau_d
+    surf = soc_new - rate_tau + (surf - soc + rate_tau) * diff_decay
+    return min(max(soc_new, 0.0), 1.0), v_rc, min(max(surf, 0.0), 1.0)
+
+
+def _decays(params: CellParams, dt: float) -> tuple:
+    """(rc_decay, diff_decay) of ``_cell_update`` for a step of dt."""
+    rc_decay = math.exp(-dt / (params.r1_ohm * params.c1_f)) if params.r1_ohm > 0.0 else 0.0
+    return rc_decay, math.exp(-dt / params.diff_tau_s)
+
+
 def step_cell(state: CellState, params: CellParams, i_cell: float, dt: float) -> CellState:
     """Advance one cell by dt seconds at constant current (exact update).
 
@@ -318,26 +375,11 @@ def step_cell(state: CellState, params: CellParams, i_cell: float, dt: float) ->
     _require_finite("dt", dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
-
-    d_soc = i_cell * dt / 3600.0 / params.capacity_ah
-    soc_new = min(max(state.soc + d_soc, 0.0), 1.0)
-
-    if params.r1_ohm > 0.0:
-        tau1 = params.r1_ohm * params.c1_f
-        v_inf = i_cell * params.r1_ohm
-        v_rc_new = v_inf + (state.v_rc - v_inf) * math.exp(-dt / tau1)
-    else:
-        v_rc_new = 0.0
-
-    # Exact solution of d(surf)/dt = (soc(t) - surf)/tau with soc(t) linear.
-    tau_d = params.diff_tau_s
-    rate = d_soc / dt
-    decay = math.exp(-dt / tau_d)
-    surf_new = (state.soc + d_soc) - rate * tau_d + (
-        state.soc_surf - state.soc + rate * tau_d) * decay
-    surf_new = min(max(surf_new, 0.0), 1.0)
-
-    return CellState(soc=soc_new, v_rc=v_rc_new, soc_surf=surf_new)
+    rc_decay, diff_decay = _decays(params, dt)
+    soc, v_rc, surf = _cell_update(
+        state.soc, state.v_rc, state.soc_surf, i_cell, dt, params.capacity_ah,
+        params.r1_ohm, rc_decay, params.diff_tau_s, diff_decay)
+    return CellState(soc=soc, v_rc=v_rc, soc_surf=surf)
 
 
 def cell_voltage(state: CellState, params: CellParams, i_cell: float) -> float:
@@ -352,6 +394,9 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     return np.round(values, 6)
 
 
+_SUB_DT = 0.1  # seconds per sub-step; ten per 1 Hz record
+
+
 def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
                   noise: NoiseSpec = NoiseSpec(), seed: int = 0,
                   name: str = "") -> TelemetryTrace:
@@ -362,6 +407,10 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     terminal voltage sits at the setpoint, tapering until the cutoff C-rate,
     after which the cell rests at zero current for the remaining duration.
     Measurement noise only touches the recorded voltages.
+
+    The loop steps on local floats: each 0.1 s sub-step evaluates the OCV
+    and solves the current once, and a recorded step's current also drives
+    its first sub-step.
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
@@ -370,27 +419,26 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
     i_cc = policy.c_rate * params.capacity_ah
+    _require_finite("i_cell", i_cc)
     i_cut = policy.taper_cutoff_c * params.capacity_ah
+    v_max, r0, r1 = policy.v_max, params.r0_ohm, params.r1_ohm
+    capacity, tau_d = params.capacity_ah, params.diff_tau_s
+    rc_decay, diff_decay = _decays(params, _SUB_DT)
+    socs, volts = params._ocv_socs, params._ocv_volts
     n_records = int(policy.duration_s) + 1
-    sub_dt = 0.1
-    state = CellState(soc=init_soc)
     phase = "cc"
 
-    t_out = np.arange(n_records, dtype=float)
-    i_out = np.empty(n_records)
-    v_out = np.empty(n_records)
-
-    def current_now(st: CellState, step: int) -> float:
+    def current_now(ocv: float, v_rc: float, step: int) -> float:
         nonlocal phase
         if phase == "cc":
-            if cell_voltage(st, params, i_cc) >= policy.v_max:
+            if ocv + i_cc * r0 + v_rc >= v_max:
                 phase = "cv"
             else:
                 return i_cc
         if phase == "cv":
-            if params.r0_ohm <= 0.0:
+            if r0 <= 0.0:
                 raise SolverError("cannot regulate voltage with r0 = 0", step)
-            i_cv = (policy.v_max - params.ocv_scalar(st.soc_surf) - st.v_rc) / params.r0_ohm
+            i_cv = (v_max - ocv - v_rc) / r0
             if i_cv < -1e-9:
                 raise SolverError("CV solve produced negative current", step)
             i_cv = min(max(i_cv, 0.0), i_cc)
@@ -400,24 +448,32 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
                 return i_cv
         return 0.0
 
+    soc = surf = float(init_soc)
+    v_rc = 0.0
+    i_out, v_out = [], []
     sub_step = 0
     for k in range(n_records):
-        i_k = current_now(state, sub_step)
-        i_out[k] = i_k
-        v_out[k] = cell_voltage(state, params, i_k)
+        ocv = _interp(socs, volts, surf)
+        i_sub = current_now(ocv, v_rc, sub_step)
+        i_out.append(i_sub)
+        v_out.append(ocv + i_sub * r0 + v_rc)
         if k == n_records - 1:
             break
-        for _ in range(10):
-            i_sub = current_now(state, sub_step)
-            state = step_cell(state, params, i_sub, sub_dt)
+        for j in range(10):
+            if j:
+                i_sub = current_now(_interp(socs, volts, surf), v_rc, sub_step)
+            soc, v_rc, surf = _cell_update(soc, v_rc, surf, i_sub, _SUB_DT, capacity,
+                                           r1, rc_decay, tau_d, diff_decay)
             sub_step += 1
 
+    i_out = np.array(i_out)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_records)
-    v_rec = v_out * (1.0 + noise.rel_sigma * z)
+    v_rec = np.array(v_out) * (1.0 + noise.rel_sigma * z)
     return TelemetryTrace(
-        t_s=t_out, i_pack_a=i_out, v_modules=_quantize(v_rec)[:, None],
-        i_modules=i_out[:, None].copy(), name=name)
+        t_s=np.arange(n_records, dtype=float), i_pack_a=i_out,
+        v_modules=_quantize(v_rec)[:, None], i_modules=i_out[:, None].copy(),
+        name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +481,17 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
 # ---------------------------------------------------------------------------
 
 class _PackModel:
-    """Vectorized state of q representative branches of series cells."""
+    """Vectorized state of q representative branches of series cells.
 
-    def __init__(self, config: PackConfig, cell: CellParams, init_soc: float):
+    The cell resistances never change, so the module and total resistances
+    are fixed per run.  The module offsets ``o`` (zero-current voltage sums)
+    and their conductance-weighted sum are computed once per state, at
+    construction and after each ``advance``; the CC check, the CV solve and
+    the current split of that state all share them.
+    """
+
+    def __init__(self, config: PackConfig, cell: CellParams, init_soc: float,
+                 dt: float):
         config.validate_capacity(cell)
         q, s = config.q, config.series_cells
         rng = np.random.default_rng(config.rng_seed)
@@ -436,64 +500,61 @@ class _PackModel:
         cap_f = np.maximum(1.0 + sigma * rng.standard_normal((q, s)), 0.5)
         r0_f = np.maximum(1.0 + sigma * rng.standard_normal((q, s)), 0.0)
         self.capacity = cell.capacity_ah * cap_f
-        self.r0 = cell.r0_ohm * r0_f
-        self.cell = cell
-        self.config = config
         self.branches = config.branches_per_module
-        self.r_link = np.array(config.interconnect_ohm)
+        self.r_mod = (cell.r0_ohm * r0_f).sum(axis=1) / self.branches
+        self.r_tot = self.r_mod + np.array(config.interconnect_ohm)
+        self.inv = 1.0 / self.r_tot
+        self.inv_sum = float(self.inv.sum())
+        self.dt = dt
+        self.r1 = cell.r1_ohm
+        self.tau_d = cell.diff_tau_s
+        self.rc_decay, self.diff_decay = _decays(cell, dt)
+        self._ocv_socs = np.array(cell._ocv_socs)
+        self._ocv_volts = np.array(cell._ocv_volts)
         self.soc = np.full((q, s), float(init_soc))
         self.v_rc = np.zeros((q, s))
         self.surf = np.full((q, s), float(init_soc))
-        socs = np.array([p for p, _ in cell.ocv_knots])
-        volts = np.array([v for _, v in cell.ocv_knots])
-        self._ocv_socs = socs
-        self._ocv_volts = volts
+        self._offsets()
 
-    def _ocv(self, surf: np.ndarray) -> np.ndarray:
-        return np.interp(surf, self._ocv_socs, self._ocv_volts)
+    def _offsets(self) -> None:
+        self.o = (np.interp(self.surf, self._ocv_socs, self._ocv_volts)
+                  + self.v_rc).sum(axis=1)
+        self.o_dot = float(np.dot(self.o, self.inv))
 
-    def module_offsets(self):
-        """Per-module zero-current voltage sum and effective resistance."""
-        o = (self._ocv(self.surf) + self.v_rc).sum(axis=1)
-        r_mod = self.r0.sum(axis=1) / self.branches
-        return o, r_mod
+    def bus_voltage(self, i_pack: float) -> float:
+        """Bus voltage of the exact parallel split of a pack current."""
+        return (i_pack + self.o_dot) / self.inv_sum
 
-    def split(self, i_pack: float):
+    def module_currents(self, i_pack: float) -> np.ndarray:
         """Exact parallel-bus current split for a given pack current."""
-        o, r_mod = self.module_offsets()
-        r_tot = r_mod + self.r_link
-        inv = 1.0 / r_tot
-        v_bus = (i_pack + float(np.dot(o, inv))) / float(inv.sum())
-        i_mod = (v_bus - o) * inv
-        v_mod = o + i_mod * r_mod
-        return v_bus, i_mod, v_mod
+        return (self.bus_voltage(i_pack) - self.o) * self.inv
 
     def cv_current(self, setpoint: float) -> float:
         """Pack current that places the bus voltage at the setpoint."""
-        o, r_mod = self.module_offsets()
-        r_tot = r_mod + self.r_link
-        return float(np.sum((setpoint - o) / r_tot))
+        return float(np.sum((setpoint - self.o) / self.r_tot))
 
-    def advance(self, i_mod: np.ndarray, dt: float) -> None:
+    def advance(self, i_mod: np.ndarray) -> None:
         """Advance every cell by dt at its branch current (exact updates)."""
         i_cell = (i_mod / self.branches)[:, None]
-        d_soc = i_cell * dt / 3600.0 / self.capacity
-        soc_new = np.clip(self.soc + d_soc, 0.0, 1.0)
-
-        r1, c1 = self.cell.r1_ohm, self.cell.c1_f
-        if r1 > 0.0:
-            v_inf = i_cell * r1
-            self.v_rc = v_inf + (self.v_rc - v_inf) * math.exp(-dt / (r1 * c1))
-        else:
-            self.v_rc = np.zeros_like(self.v_rc)
-
-        tau_d = self.cell.diff_tau_s
-        rate = d_soc / dt
-        decay = math.exp(-dt / tau_d)
-        self.surf = np.clip(
-            (self.soc + d_soc) - rate * tau_d
-            + (self.surf - self.soc + rate * tau_d) * decay, 0.0, 1.0)
-        self.soc = soc_new
+        d_soc = i_cell * self.dt / 3600.0 / self.capacity
+        soc_new = self.soc + d_soc
+        if self.r1 > 0.0:
+            v_inf = i_cell * self.r1
+            self.v_rc -= v_inf
+            self.v_rc *= self.rc_decay
+            self.v_rc += v_inf
+        # surf <- (soc_new - rate * tau_d) + (surf - soc + rate * tau_d) * decay
+        rate_tau = d_soc
+        rate_tau /= self.dt
+        rate_tau *= self.tau_d
+        self.surf -= self.soc
+        self.surf += rate_tau
+        self.surf *= self.diff_decay
+        np.subtract(soc_new, rate_tau, out=rate_tau)
+        self.surf += rate_tau
+        self.surf.clip(0.0, 1.0, out=self.surf)
+        soc_new.clip(0.0, 1.0, out=self.soc)
+        self._offsets()
 
 
 def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
@@ -514,15 +575,13 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
         raise ValueError(
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
-    model = _PackModel(config, cell, init_soc)
+    model = _PackModel(config, cell, init_soc, _SUB_DT)
     setpoint = config.series_cells * policy.v_max
     i_cc = policy.c_rate * config.capacity_ah
     i_cut = policy.taper_cutoff_c * config.capacity_ah
     n_records = int(policy.duration_s) + 1
-    sub_dt = 0.1
     phase = "cc"
 
-    t_out = np.arange(n_records, dtype=float)
     i_out = np.empty(n_records)
     v_out = np.empty((n_records, config.q))
     im_out = np.empty((n_records, config.q))
@@ -530,8 +589,7 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     def pack_current(step: int) -> float:
         nonlocal phase
         if phase == "cc":
-            v_bus, _, _ = model.split(i_cc)
-            if v_bus >= setpoint:
+            if model.bus_voltage(i_cc) >= setpoint:
                 phase = "cv"
             else:
                 return i_cc
@@ -551,16 +609,16 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     sub_step = 0
     for k in range(n_records):
         i_k = pack_current(sub_step)
-        _, i_mod, v_mod = model.split(i_k)
+        i_mod = model.module_currents(i_k)
         i_out[k] = i_k
-        v_out[k] = v_mod
+        v_out[k] = model.o + i_mod * model.r_mod
         im_out[k] = i_mod
         if k == n_records - 1:
             break
-        for _ in range(10):
-            i_sub = pack_current(sub_step)
-            _, i_mod_sub, _ = model.split(i_sub)
-            model.advance(i_mod_sub, sub_dt)
+        for j in range(10):
+            if j:
+                i_mod = model.module_currents(pack_current(sub_step))
+            model.advance(i_mod)
             sub_step += 1
 
     seed_key = [config.rng_seed, int(round(policy.c_rate * 1000)),
@@ -569,8 +627,8 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     z = rng.standard_normal((n_records, config.q))
     v_rec = v_out * (1.0 + noise.rel_sigma * z)
     return TelemetryTrace(
-        t_s=t_out, i_pack_a=i_out, v_modules=_quantize(v_rec),
-        i_modules=im_out, name=name)
+        t_s=np.arange(n_records, dtype=float), i_pack_a=i_out,
+        v_modules=_quantize(v_rec), i_modules=im_out, name=name)
 
 
 # ---------------------------------------------------------------------------

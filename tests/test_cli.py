@@ -1,3 +1,4 @@
+import configparser
 import json
 from dataclasses import replace
 
@@ -255,6 +256,36 @@ class TestErrorPaths:
         assert code == 5
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("kind, section, values, field", [
+        ("cell", "policy", {"duration_s": "inf"}, "duration_s"),
+        ("cell", "policy", {"v_max": "nan"}, "v_max"),
+        ("cell", "policy", {"c_rate": "inf"}, "c_rate"),
+        ("cell", "cell", {"r1_ohm": "nan"}, "r1_ohm"),
+        ("cell", "cell", {"ocv_soc": "0.0, 0.5, 1.0", "ocv_v": "3.0, nan, 4.2"},
+         "ocv_knots"),
+        ("cell", "noise", {"rel_sigma": "nan"}, "rel_sigma"),
+        ("pack", "pack", {"heterogeneity_sigma": "inf"}, "heterogeneity_sigma"),
+        ("pack", "pack", {"interconnect_ohm": "0.0, nan, 0.1"}, "interconnect_ohm"),
+    ])
+    def test_nonfinite_sim_parameter_rejected(self, tmp_path, capsys, kind,
+                                              section, values, field):
+        spec = SimRunSpec(kind=kind, cell=MINI_CELL,
+                          policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),
+                          noise=simkit.NoiseSpec(), init_soc=0.3,
+                          pack=mini_pack_config() if kind == "pack" else None)
+        cfg = tmp_path / "run.ini"
+        write_sim_config(cfg, spec)
+        parser = configparser.ConfigParser()
+        parser.read(cfg)
+        parser[section].update(values)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert f"{field} must be finite" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 class TestOutDirResolution:
     def test_env_var_override(self, mini_setup, monkeypatch, tmp_path):

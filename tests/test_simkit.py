@@ -1,14 +1,21 @@
+import hashlib
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from voltsentry import simkit
+import simkit_reference
+from voltsentry import configio, simkit
 from voltsentry.simkit import (CccvPolicy, CellParams, CellState, NoiseSpec,
-                               PackConfig, cell_voltage, run_cccv_cell,
-                               run_cccv_pack, step_cell)
+                               PackConfig, SolverError, cell_voltage,
+                               run_cccv_cell, run_cccv_pack, step_cell)
 
 CELL = simkit.default_cell()
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 class TestStepCell:
@@ -304,3 +311,185 @@ class TestTelemetryTypes:
             simkit.TelemetryTrace(t_s=np.array([0.0, 1.0]),
                                   i_pack_a=np.zeros(3),
                                   v_modules=np.ones((2, 1)))
+
+
+def _outcome(run):
+    """The trace bytes a simulator call returns, or the error it raises."""
+    try:
+        trace = run()
+    except (ValueError, SolverError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "step", None))
+    return ("trace", trace.t_s.tobytes(), trace.i_pack_a.tobytes(),
+            trace.v_modules.tobytes(), trace.i_modules.tobytes())
+
+
+def _phases(outcome, i_cc) -> str:
+    """Hypothesis event label: the charging phases a run's currents show."""
+    if outcome[0] == "error":
+        return f"error: {outcome[1].__name__}"
+    i = np.frombuffer(outcome[2])
+    return "phases: " + "+".join(
+        name for name, seen in (("cc", (i == i_cc).any()),
+                                ("cv", ((i > 0) & (i < i_cc)).any()),
+                                ("rest", (i == 0).any())) if seen)
+
+
+def _sha256(trace) -> str:
+    digest = hashlib.sha256()
+    for a in (trace.t_s, trace.i_pack_a, trace.v_modules, trace.i_modules):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+cell_params = st.builds(
+    CellParams,
+    capacity_ah=st.floats(0.5, 10.0),
+    r0_ohm=st.sampled_from((0.0, 0.005, 0.018, 0.03)),
+    r1_ohm=st.sampled_from((0.0, 0.004, 0.012)),
+    c1_f=st.floats(100.0, 5000.0),
+    diff_tau_s=st.floats(5.0, 120.0))
+
+policies = st.builds(
+    lambda c_rate, cut, v_max, duration: CccvPolicy(
+        c_rate=c_rate, taper_cutoff_c=cut * c_rate, v_max=v_max,
+        duration_s=duration),
+    c_rate=st.floats(0.2, 3.0), cut=st.floats(0.02, 0.9),
+    v_max=st.floats(4.0, 4.25), duration=st.floats(1.0, 300.0))
+
+# Half the runs start near full charge, so that CV and rest are reached.
+init_socs = st.one_of(st.floats(0.0, 0.99), st.floats(0.85, 0.95))
+
+
+class TestMatchesReference:
+    """The once-per-sub-step loops equal the old loops byte for byte."""
+
+    @given(soc=st.floats(0.0, 1.0), v_rc=st.floats(-0.1, 0.1),
+           surf=st.floats(0.0, 1.0), i=st.floats(-20.0, 20.0),
+           dt=st.floats(1e-3, 3600.0), params=cell_params)
+    @settings(max_examples=200, deadline=None)
+    def test_step_cell(self, soc, v_rc, surf, i, dt, params):
+        state = CellState(soc=soc, v_rc=v_rc, soc_surf=surf)
+        new = step_cell(state, params, i, dt)
+        old = simkit_reference.step_cell(state, params, i, dt)
+        assert [float(getattr(new, f)).hex() for f in ("soc", "v_rc", "soc_surf")] == [
+            float(getattr(old, f)).hex() for f in ("soc", "v_rc", "soc_surf")]
+
+    @given(params=cell_params, policy=policies, init_soc=init_socs,
+           rel_sigma=st.sampled_from((0.0, 0.001, 0.01)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cell_run(self, params, policy, init_soc, rel_sigma, seed):
+        noise = NoiseSpec(rel_sigma)
+        new = _outcome(lambda: run_cccv_cell(params, policy, init_soc, noise, seed=seed))
+        event(_phases(new, policy.c_rate * params.capacity_ah))
+        assert new == _outcome(lambda: simkit_reference.run_cccv_cell(
+            params, policy, init_soc, noise, seed=seed))
+
+    @pytest.mark.parametrize("r1", [0.0, 0.012])
+    @pytest.mark.parametrize("init_soc, c_rate, cutoff, phases", [
+        (0.2, 1.0, 0.05, {"cc"}),
+        (0.9, 1.0, 0.05, {"cc", "cv"}),
+        (0.9, 2.0, 0.5, {"cv", "rest"}),
+    ])
+    def test_cell_phases(self, r1, init_soc, c_rate, cutoff, phases):
+        params = replace(CELL, r1_ohm=r1)
+        policy = CccvPolicy(c_rate=c_rate, taper_cutoff_c=cutoff, duration_s=300)
+        new = run_cccv_cell(params, policy, init_soc, NoiseSpec(), seed=4)
+        old = simkit_reference.run_cccv_cell(params, policy, init_soc,
+                                             NoiseSpec(), seed=4)
+        assert _outcome(lambda: new) == _outcome(lambda: old)
+        i = new.i_pack_a
+        seen = {"cc"} if i[0] == c_rate * CELL.capacity_ah else set()
+        seen |= {"cv"} if ((i > 0) & (i < c_rate * CELL.capacity_ah)).any() else set()
+        seen |= {"rest"} if (i == 0).any() else set()
+        assert seen == phases
+
+    def test_r0_zero_cell_reaching_cv(self):
+        params = replace(CELL, r0_ohm=0.0)
+        policy = CccvPolicy(c_rate=1.0, duration_s=600)
+        new = _outcome(lambda: run_cccv_cell(params, policy, 0.9, seed=1))
+        assert new[:2] == ("error", SolverError)
+        assert "r0 = 0" in new[2] and new[3] > 0
+        assert new == _outcome(lambda: simkit_reference.run_cccv_cell(
+            params, policy, 0.9, seed=1))
+
+    @given(data=st.data(), cell=cell_params, policy=policies,
+           q=st.integers(1, 5), s=st.integers(1, 20),
+           branches=st.integers(1, 5), sigma=st.floats(0.0, 0.05),
+           ladder=st.booleans(), init_soc=init_socs,
+           rng_seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    # Zero module and link resistances divide by zero in both versions.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pack_run(self, data, cell, policy, q, s, branches, sigma, ladder,
+                      init_soc, rng_seed):
+        links = st.floats(0.0, 0.2)
+        link = (tuple(data.draw(st.lists(links, min_size=q, max_size=q)))
+                if ladder else data.draw(links))
+        config = PackConfig(
+            name="prop", parallel_modules=q, branches_per_module=branches,
+            series_cells=s, capacity_ah=cell.capacity_ah * q * branches,
+            v_max_pack=s * 4.4, heterogeneity_sigma=sigma, rng_seed=rng_seed,
+            interconnect_ohm=link)
+        new = _outcome(lambda: run_cccv_pack(config, cell, policy, init_soc))
+        event(_phases(new, policy.c_rate * config.capacity_ah))
+        assert new == _outcome(
+            lambda: simkit_reference.run_cccv_pack(config, cell, policy, init_soc))
+
+    def test_canonical_pack1_c100(self):
+        spec = configio.read_sim_config(os.path.join(CONFIGS, "pack1_c100.ini"))
+        args = (spec.pack, spec.cell, spec.policy, spec.init_soc, spec.noise)
+        trace = run_cccv_pack(*args)
+        assert _sha256(trace) == (
+            "dbe2f6f0ea04d47ae5024c4f49a1b0a89e8bdbbd9df8ed9a9334ab0eed7f24b9")
+        assert _outcome(lambda: trace) == _outcome(
+            lambda: simkit_reference.run_cccv_pack(*args))
+
+    def test_canonical_corpus_run(self):
+        # cell_c120_s050_r105 of the canonical corpus (seed 1, run index 35):
+        # CC, then a CV taper.
+        args = (replace(CELL, r0_ohm=CELL.r0_ohm * 1.05),
+                CccvPolicy(c_rate=1.2, duration_s=2200.0), 0.5, NoiseSpec())
+        trace = run_cccv_cell(*args, seed=36)
+        assert _sha256(trace) == (
+            "4ab99f85dc4f9f6abd85d476498e00fdc34a0bf2974a5990669773e31f5efde6")
+        assert _outcome(lambda: trace) == _outcome(
+            lambda: simkit_reference.run_cccv_cell(*args, seed=36))
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("build, field", [
+        (lambda x: CellParams(capacity_ah=x), "capacity_ah"),
+        (lambda x: CellParams(r0_ohm=x), "r0_ohm"),
+        (lambda x: CellParams(r1_ohm=x), "r1_ohm"),
+        (lambda x: CellParams(c1_f=x), "c1_f"),
+        (lambda x: CellParams(diff_tau_s=x), "diff_tau_s"),
+        (lambda x: CellParams(v_max=x), "v_max"),
+        (lambda x: CellParams(v_min=x), "v_min"),
+        (lambda x: CellParams(ocv_knots=((0.0, 3.0), (0.5, x), (1.0, 4.2))),
+         "ocv_knots"),
+        (lambda x: CellParams(ocv_knots=((0.0, 3.0), (x, 3.7), (1.0, 4.2))),
+         "ocv_knots"),
+        (lambda x: CccvPolicy(c_rate=x), "c_rate"),
+        (lambda x: CccvPolicy(c_rate=1.0, v_max=x), "v_max"),
+        (lambda x: CccvPolicy(c_rate=1.0, taper_cutoff_c=x), "taper_cutoff_c"),
+        (lambda x: CccvPolicy(c_rate=1.0, duration_s=x), "duration_s"),
+        (lambda x: NoiseSpec(rel_sigma=x), "rel_sigma"),
+        (lambda x: replace(small_pack(), capacity_ah=x), "capacity_ah"),
+        (lambda x: replace(small_pack(), v_max_pack=x), "v_max_pack"),
+        (lambda x: replace(small_pack(), heterogeneity_sigma=x),
+         "heterogeneity_sigma"),
+        (lambda x: small_pack(interconnect=x), "interconnect_ohm"),
+        (lambda x: small_pack(interconnect=(0.0, x, 0.1)), "interconnect_ohm"),
+    ])
+    def test_rejected_at_construction(self, build, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(bad)
+
+    def test_overflowing_cc_current_rejected(self):
+        args = (CellParams(capacity_ah=1e300), CccvPolicy(c_rate=1e10, duration_s=5),
+                0.3)
+        outcome = _outcome(lambda: run_cccv_cell(*args))
+        assert outcome[:3] == ("error", ValueError, "i_cell must be finite, got inf")
+        assert outcome == _outcome(lambda: simkit_reference.run_cccv_cell(*args))
