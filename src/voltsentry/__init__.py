@@ -3,15 +3,14 @@
 __version__ = "0.1.0"
 
 from .boost import (BASE_RECIPE, Ensemble, NormSpec, TrainConfig, leaf_weight,
-                    load_model, predict_batch, save_model, split_gain, train)
+                    load_model, predict_batch, save_model, train)
 from .datasets import (SplitSpec, SupervisedSet, build_supervised, read_trace,
                        write_trace)
 from .sentinel import (DetectionTrace, DetectorState, calibrate_threshold,
                        one_step_residuals, run_detector, step_detector)
-from .simkit import (CccvPolicy, CellParams, CellState, NoiseSpec, PackConfig,
-                     TelemetryFrame, TelemetryTrace, cell_voltage,
-                     default_cell, pack1_config, pack2_config, run_cccv_cell,
-                     run_cccv_pack, step_cell)
-from .threatgen import AttackScenario, apply_replay, apply_scenario, apply_swap
+from .simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
+                     TelemetryFrame, TelemetryTrace, default_cell, pack1_config,
+                     pack2_config, run_cccv_cell, run_cccv_pack)
+from .threatgen import AttackScenario, apply_replay, apply_scenario
 from .transfer import (PACK1_RECIPE, PACK2_RECIPE, FinetuneConfig, finetune,
                        norm_for_pack)

@@ -318,15 +318,6 @@ def leaf_weight(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
     return -grad_sum / denom
 
 
-def split_gain(g_left: float, h_left: float, g_right: float, h_right: float,
-               lambda_l2: float, gamma_leaf: float) -> float:
-    """Objective reduction of a candidate split."""
-    lam = lambda_l2
-    return 0.5 * (g_left ** 2 / (h_left + lam)
-                  + g_right ** 2 / (h_right + lam)
-                  - (g_left + g_right) ** 2 / (h_left + h_right + lam)) - gamma_leaf
-
-
 def _candidates(xs: np.ndarray) -> np.ndarray:
     """Positions k of sorted values whose midpoint (xs[k] + xs[k+1]) / 2
     separates xs[k] from xs[k+1]; degenerate midpoints cannot partition."""
@@ -459,16 +450,6 @@ class _ColumnBlocks:
                     cand = _candidates(xs)
             blocks.append((rows, xs, g, cand) if full else (rows, None, g, None))
         return blocks
-
-
-def fit_tree(data, current_pred, cfg: TrainConfig) -> Tree:
-    """Fit one regression tree to the residuals of the current prediction."""
-    x = np.asarray(data.x, dtype=float)
-    y = np.asarray(data.y, dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit a tree on empty data")
-    pred = np.broadcast_to(np.asarray(current_pred, dtype=float), y.shape)
-    return _ColumnBlocks(x, cfg).grow(pred - y, [])
 
 
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,

@@ -17,9 +17,9 @@ when they are built, and one_step_residuals raises ValueError on a
 non-finite residual, such as one from a value written into a trace's
 arrays afterwards, so a NaN never reaches the toggle as "no crossing".
 
-The pure toggle is fragile by construction: a single nominal spike at or
-above epsilon inverts the flag for good.  An optional debounce (minimum
-dwell in samples between toggles) is available but off by default.
+The toggle is the paper's pure set/reset rule: the flag is the parity of
+the crossings so far.  It is fragile by construction, since a single
+nominal spike at or above epsilon inverts the flag for good.
 """
 
 from __future__ import annotations
@@ -61,20 +61,12 @@ def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
     return epsilon
 
 
-def apply_toggle(residuals, epsilon: float, debounce: int = 0) -> np.ndarray:
-    """Flag sequence from a residual sequence under the set/reset rule."""
+def apply_toggle(residuals, epsilon: float) -> np.ndarray:
+    """Flag sequence from a residual sequence: the parity of the crossings
+    r >= epsilon up to and including each step."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    flags = np.empty(len(residuals), dtype=int)
-    flag = 0
-    last_toggle = -1
-    for k, r in enumerate(residuals):
-        if r >= epsilon and (debounce <= 0 or last_toggle < 0
-                             or k - last_toggle >= debounce):
-            flag = 1 - flag
-            last_toggle = k
-        flags[k] = flag
-    return flags
+    return np.cumsum(np.asarray(residuals) >= epsilon) & 1
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,6 @@ class DetectorState:
     flag: int = 0
     last_frame: TelemetryFrame | None = None
     events: tuple = ()
-    debounce: int = 0
-    last_toggle_k: int = -1
-    k: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -96,9 +85,8 @@ class DetectorState:
             raise ValueError("flag must be 0 or 1")
 
     @classmethod
-    def initial(cls, epsilon: float, first_frame: TelemetryFrame,
-                debounce: int = 0) -> "DetectorState":
-        return cls(epsilon=epsilon, last_frame=first_frame, debounce=debounce, k=1)
+    def initial(cls, epsilon: float, first_frame: TelemetryFrame) -> "DetectorState":
+        return cls(epsilon=epsilon, last_frame=first_frame)
 
 
 def step_detector(state: DetectorState, measured: TelemetryFrame,
@@ -114,15 +102,10 @@ def step_detector(state: DetectorState, measured: TelemetryFrame,
     r = float(r[0])
     flag = state.flag
     events = state.events
-    last_toggle = state.last_toggle_k
-    if r >= state.epsilon and (state.debounce <= 0 or last_toggle < 0
-                               or state.k - last_toggle >= state.debounce):
+    if r >= state.epsilon:
         flag = 1 - flag
-        last_toggle = state.k
         events = events + ((measured.t_s, r),)
-    new_state = replace(state, flag=flag, last_frame=measured, events=events,
-                        last_toggle_k=last_toggle, k=state.k + 1)
-    return new_state, r, flag
+    return replace(state, flag=flag, last_frame=measured, events=events), r, flag
 
 
 @dataclass
@@ -140,12 +123,11 @@ class DetectionTrace:
             raise ValueError("residuals must be nonnegative")
 
     @classmethod
-    def from_residuals(cls, t_s, r, epsilon: float,
-                       debounce: int = 0) -> "DetectionTrace":
+    def from_residuals(cls, t_s, r, epsilon: float) -> "DetectionTrace":
         """Flags and crossing events of residuals r at frame times t_s."""
-        flags = apply_toggle(r, epsilon, debounce)
-        toggles = np.flatnonzero(np.diff(np.concatenate([[0], flags])) != 0)
-        events = tuple((float(t_s[k]), float(r[k])) for k in toggles)
+        flags = apply_toggle(r, epsilon)
+        events = tuple((float(t_s[k]), float(r[k]))
+                       for k in np.flatnonzero(r >= epsilon))
         return cls(t_s=np.array(t_s), r=r, flag=flags, epsilon=epsilon,
                    events=events)
 
@@ -154,17 +136,17 @@ class DetectionTrace:
         return len(self.events)
 
 
-def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
-                 debounce: int = 0) -> DetectionTrace:
+def run_detector(trace: TelemetryTrace, model: Ensemble,
+                 epsilon: float) -> DetectionTrace:
     """Batch detection pass over a trace; bit-equal to streaming step calls.
 
-    Predictions are evaluated in one vectorized call; the flag recursion is
-    inherently sequential.
+    Predictions are evaluated in one vectorized call, and the flags are a
+    cumulative count of the crossings.
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
     _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)
-    return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon, debounce)
+    return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon)
 
 
 def write_detection(path, det: DetectionTrace) -> None:

@@ -20,18 +20,22 @@ series sum of one representative branch, i.e. the bus voltage minus that
 module's interconnect drop, which is what gives packs their stable module
 voltage ordering.
 
-Both CCCV loops compute each 0.1 s sub-step's state once.  The cell loop
-steps on local floats through ``_cell_update``, the scalar update that
-``step_cell`` also calls, with the decay factors and the OCV knot table
-taken out of the loop; it evaluates the OCV and solves the current once
-per sub-step.  The pack model fixes its module and total resistances per
-run and computes the module offsets once per state, which the CC check,
-the CV solve and the current split share.  A recorded step's current and
-split also drive its first sub-step, which starts from the same state.
-Every float operation is the one a per-call evaluation would make, in the
-same order, so the traces are bit-identical to it; the tests keep the
-per-call loops as their oracle.  Parameters are checked once, when the
-dataclasses are built: every field must be finite.
+Both CCCV loops compute each 0.1 s sub-step's state once, through one
+cell update kernel, ``_cell_update``.  The cell loop calls it on local
+floats, with the decay factors and the OCV knot table taken out of the
+loop; it evaluates the OCV and solves the current once per sub-step.  The
+pack calls it on its (q, s) state arrays with one branch current per
+module: the augmented assignments that rebind a float update the pack's
+arrays in place, and only the final clamp to [0, 1] is chosen by form.
+The pack model fixes its module and total resistances per run, rejects a
+module whose total resistance is not positive and finite, and computes
+the module offsets once per state, which the CC check, the CV solve and
+the current split share.  A recorded step's current and split also drive
+its first sub-step, which starts from the same state.  Every float
+operation is the one a per-call evaluation would make, in the same order,
+so the traces are bit-identical to it; the tests keep the per-call loops
+as their oracle.  Parameters are checked once, when the dataclasses are
+built: every field must be finite.
 """
 
 from __future__ import annotations
@@ -116,14 +120,9 @@ class CellParams:
         object.__setattr__(self, "_ocv_socs", tuple(socs))
         object.__setattr__(self, "_ocv_volts", tuple(volts))
 
-    def ocv(self, soc_surf):
+    def ocv(self, soc_surf: float) -> float:
         """Open-circuit voltage, linear interpolation clamped to the table ends."""
-        if isinstance(soc_surf, (int, float)):
-            return self.ocv_scalar(float(soc_surf))
-        return np.interp(soc_surf, np.array(self._ocv_socs), np.array(self._ocv_volts))
-
-    def ocv_scalar(self, s: float) -> float:
-        return _interp(self._ocv_socs, self._ocv_volts, s)
+        return _interp(self._ocv_socs, self._ocv_volts, soc_surf)
 
 
 def _interp(socs: tuple, volts: tuple, s: float) -> float:
@@ -135,23 +134,6 @@ def _interp(socs: tuple, volts: tuple, s: float) -> float:
     j = bisect_right(socs, s)
     frac = (s - socs[j - 1]) / (socs[j] - socs[j - 1])
     return volts[j - 1] + frac * (volts[j] - volts[j - 1])
-
-
-@dataclass(frozen=True)
-class CellState:
-    """Dynamic state of one cell: bulk SOC, RC voltage, surface SOC."""
-
-    soc: float
-    v_rc: float = 0.0
-    soc_surf: float | None = None
-
-    def __post_init__(self):
-        if self.soc_surf is None:
-            object.__setattr__(self, "soc_surf", self.soc)
-        if not 0.0 <= self.soc <= 1.0:
-            raise ValueError("soc must be in [0, 1]")
-        if not 0.0 <= self.soc_surf <= 1.0:
-            raise ValueError("soc_surf must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -336,56 +318,48 @@ class TelemetryTrace:
 # Single-cell dynamics
 # ---------------------------------------------------------------------------
 
-def _cell_update(soc: float, v_rc: float, surf: float, i_cell: float, dt: float,
-                 capacity_ah: float, r1_ohm: float, rc_decay: float,
-                 tau_d: float, diff_decay: float) -> tuple:
+def _cell_update(soc, v_rc, surf, i_cell, dt: float, capacity_ah,
+                 r1_ohm: float, rc_decay: float, tau_d: float,
+                 diff_decay: float) -> tuple:
     """Exact update of (soc, v_rc, surf) over dt at constant current.
 
-    ``rc_decay`` is exp(-dt / (r1 * c1)) (unused when r1 = 0) and
-    ``diff_decay`` is exp(-dt / tau_d).  The one copy of the cell math:
-    ``step_cell`` and the ``run_cccv_cell`` loop both call it.
+    The one copy of the cell math, for one cell on floats and for a pack on
+    (q, s) arrays with a (q, 1) branch current and per-cell capacities.
+    The augmented assignments rebind floats and update arrays in place, so
+    the pack's ``v_rc`` and ``surf`` buffers are reused; the clamp to
+    [0, 1] is the only step chosen by form.  ``rc_decay`` is
+    exp(-dt / (r1 * c1)) (unused when r1 = 0, where v_rc is 0.0) and
+    ``diff_decay`` is exp(-dt / tau_d).
     """
     d_soc = i_cell * dt / 3600.0 / capacity_ah
     soc_new = soc + d_soc
     if r1_ohm > 0.0:
         v_inf = i_cell * r1_ohm
-        v_rc = v_inf + (v_rc - v_inf) * rc_decay
+        v_rc -= v_inf
+        v_rc *= rc_decay
+        v_rc += v_inf
     else:
         v_rc = 0.0
-    # Exact solution of d(surf)/dt = (soc(t) - surf)/tau with soc(t) linear.
-    rate_tau = d_soc / dt * tau_d
-    surf = soc_new - rate_tau + (surf - soc + rate_tau) * diff_decay
-    return min(max(soc_new, 0.0), 1.0), v_rc, min(max(surf, 0.0), 1.0)
+    # Exact solution of d(surf)/dt = (soc(t) - surf)/tau with soc(t) linear:
+    # surf <- (soc_new - rate * tau_d) + (surf - soc + rate * tau_d) * decay
+    rate_tau = d_soc
+    rate_tau /= dt
+    rate_tau *= tau_d
+    surf -= soc
+    surf += rate_tau
+    surf *= diff_decay
+    surf += soc_new - rate_tau
+    if isinstance(surf, float):
+        return min(max(soc_new, 0.0), 1.0), v_rc, min(max(surf, 0.0), 1.0)
+    soc_new.clip(0.0, 1.0, out=soc_new)
+    surf.clip(0.0, 1.0, out=surf)
+    return soc_new, v_rc, surf
 
 
 def _decays(params: CellParams, dt: float) -> tuple:
     """(rc_decay, diff_decay) of ``_cell_update`` for a step of dt."""
     rc_decay = math.exp(-dt / (params.r1_ohm * params.c1_f)) if params.r1_ohm > 0.0 else 0.0
     return rc_decay, math.exp(-dt / params.diff_tau_s)
-
-
-def step_cell(state: CellState, params: CellParams, i_cell: float, dt: float) -> CellState:
-    """Advance one cell by dt seconds at constant current (exact update).
-
-    SOC integrates the current (clamped to [0, 1] afterwards), the RC state
-    relaxes exponentially toward ``i * r1``, and the surface SOC tracks the
-    linearly-moving bulk SOC with time constant ``diff_tau_s``.
-    """
-    _require_finite("i_cell", i_cell)
-    _require_finite("dt", dt)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    rc_decay, diff_decay = _decays(params, dt)
-    soc, v_rc, surf = _cell_update(
-        state.soc, state.v_rc, state.soc_surf, i_cell, dt, params.capacity_ah,
-        params.r1_ohm, rc_decay, params.diff_tau_s, diff_decay)
-    return CellState(soc=soc, v_rc=v_rc, soc_surf=surf)
-
-
-def cell_voltage(state: CellState, params: CellParams, i_cell: float) -> float:
-    """Terminal voltage at the given applied current."""
-    _require_finite("i_cell", i_cell)
-    return params.ocv_scalar(state.soc_surf) + i_cell * params.r0_ohm + state.v_rc
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -414,7 +388,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if float(params.ocv(init_soc)) >= policy.v_max:
+    if params.ocv(init_soc) >= policy.v_max:
         raise ValueError(
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
@@ -484,10 +458,12 @@ class _PackModel:
     """Vectorized state of q representative branches of series cells.
 
     The cell resistances never change, so the module and total resistances
-    are fixed per run.  The module offsets ``o`` (zero-current voltage sums)
-    and their conductance-weighted sum are computed once per state, at
-    construction and after each ``advance``; the CC check, the CV solve and
-    the current split of that state all share them.
+    are fixed per run; a module whose total resistance is not positive and
+    finite would take an infinite share of the current, so it raises
+    ValueError before any division.  The module offsets ``o`` (zero-current
+    voltage sums) and their conductance-weighted sum are computed once per
+    state, at construction and after each ``advance``; the CC check, the CV
+    solve and the current split of that state all share them.
     """
 
     def __init__(self, config: PackConfig, cell: CellParams, init_soc: float,
@@ -503,6 +479,9 @@ class _PackModel:
         self.branches = config.branches_per_module
         self.r_mod = (cell.r0_ohm * r0_f).sum(axis=1) / self.branches
         self.r_tot = self.r_mod + np.array(config.interconnect_ohm)
+        if not np.all((self.r_tot > 0.0) & (self.r_tot < math.inf)):
+            raise ValueError("module resistance r_mod + interconnect_ohm must be "
+                             "positive and finite")
         self.inv = 1.0 / self.r_tot
         self.inv_sum = float(self.inv.sum())
         self.dt = dt
@@ -535,25 +514,10 @@ class _PackModel:
 
     def advance(self, i_mod: np.ndarray) -> None:
         """Advance every cell by dt at its branch current (exact updates)."""
-        i_cell = (i_mod / self.branches)[:, None]
-        d_soc = i_cell * self.dt / 3600.0 / self.capacity
-        soc_new = self.soc + d_soc
-        if self.r1 > 0.0:
-            v_inf = i_cell * self.r1
-            self.v_rc -= v_inf
-            self.v_rc *= self.rc_decay
-            self.v_rc += v_inf
-        # surf <- (soc_new - rate * tau_d) + (surf - soc + rate * tau_d) * decay
-        rate_tau = d_soc
-        rate_tau /= self.dt
-        rate_tau *= self.tau_d
-        self.surf -= self.soc
-        self.surf += rate_tau
-        self.surf *= self.diff_decay
-        np.subtract(soc_new, rate_tau, out=rate_tau)
-        self.surf += rate_tau
-        self.surf.clip(0.0, 1.0, out=self.surf)
-        soc_new.clip(0.0, 1.0, out=self.soc)
+        self.soc, self.v_rc, self.surf = _cell_update(
+            self.soc, self.v_rc, self.surf, (i_mod / self.branches)[:, None],
+            self.dt, self.capacity, self.r1, self.rc_decay, self.tau_d,
+            self.diff_decay)
         self._offsets()
 
 
@@ -571,7 +535,7 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if float(cell.ocv(init_soc)) >= policy.v_max:
+    if cell.ocv(init_soc) >= policy.v_max:
         raise ValueError(
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simkit import TelemetryFrame, TelemetryTrace
+from .simkit import TelemetryTrace
 
 ATTACK_KINDS = ("swap_fdi", "replay")
 
@@ -61,15 +61,6 @@ class AttackScenario:
                 raise ValueError("record window outside trace span")
             if any(m > trace.q for m in self.target_modules):
                 raise ValueError(f"target module beyond q={trace.q}")
-
-
-def apply_swap(frame: TelemetryFrame) -> TelemetryFrame:
-    """Reorder one frame's voltages descending; ties keep module order."""
-    if frame.q < 2:
-        raise ValueError("swap needs at least 2 modules")
-    v = np.array(frame.v_modules)
-    order = np.argsort(-v, kind="stable")
-    return TelemetryFrame(frame.t_s, frame.i_pack_a, tuple(v[order]))
 
 
 def _swap_rows(v: np.ndarray) -> np.ndarray:

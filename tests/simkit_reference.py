@@ -10,12 +10,30 @@ the oracles of the equivalence properties in ``test_simkit.py``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from voltsentry.simkit import (CccvPolicy, CellParams, CellState, NoiseSpec,
-                               PackConfig, SolverError, TelemetryTrace,
-                               _quantize, _require_finite)
+from voltsentry.simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
+                               SolverError, TelemetryTrace, _quantize,
+                               _require_finite)
+
+
+@dataclass(frozen=True)
+class CellState:
+    """Dynamic state of one cell: bulk SOC, RC voltage, surface SOC."""
+
+    soc: float
+    v_rc: float = 0.0
+    soc_surf: float | None = None
+
+    def __post_init__(self):
+        if self.soc_surf is None:
+            object.__setattr__(self, "soc_surf", self.soc)
+        if not 0.0 <= self.soc <= 1.0:
+            raise ValueError("soc must be in [0, 1]")
+        if not 0.0 <= self.soc_surf <= 1.0:
+            raise ValueError("soc_surf must be in [0, 1]")
 
 
 def step_cell(state: CellState, params: CellParams, i_cell: float, dt: float) -> CellState:
@@ -54,7 +72,7 @@ def step_cell(state: CellState, params: CellParams, i_cell: float, dt: float) ->
 def cell_voltage(state: CellState, params: CellParams, i_cell: float) -> float:
     """Terminal voltage at the given applied current."""
     _require_finite("i_cell", i_cell)
-    return params.ocv_scalar(state.soc_surf) + i_cell * params.r0_ohm + state.v_rc
+    return params.ocv(state.soc_surf) + i_cell * params.r0_ohm + state.v_rc
 
 def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
                   noise: NoiseSpec = NoiseSpec(), seed: int = 0,
@@ -94,7 +112,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
         if phase == "cv":
             if params.r0_ohm <= 0.0:
                 raise SolverError("cannot regulate voltage with r0 = 0", step)
-            i_cv = (policy.v_max - params.ocv_scalar(st.soc_surf) - st.v_rc) / params.r0_ohm
+            i_cv = (policy.v_max - params.ocv(st.soc_surf) - st.v_rc) / params.r0_ohm
             if i_cv < -1e-9:
                 raise SolverError("CV solve produced negative current", step)
             i_cv = min(max(i_cv, 0.0), i_cc)

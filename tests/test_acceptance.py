@@ -12,12 +12,11 @@ import time
 import numpy as np
 
 from boost_reference import tree_depth
-from test_boost import brute_force_best_split, numeric_leaf_weight
+from test_boost import brute_force_best_split, grow_tree, numeric_leaf_weight
 from voltsentry import cli, pipeline, simkit, threatgen
-from voltsentry.boost import TrainConfig, fit_tree, leaf_weight
-from voltsentry.datasets import SupervisedSet
+from voltsentry.boost import TrainConfig, leaf_weight
 from voltsentry.sentinel import calibrate_threshold
-from voltsentry.simkit import CccvPolicy, CellState, NoiseSpec, step_cell
+from voltsentry.simkit import CccvPolicy, NoiseSpec
 
 SWAP = threatgen.AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700)
 REPLAY = threatgen.AttackScenario(kind="replay", k0_s=400, kf_s=700,
@@ -44,8 +43,7 @@ def test_01_boosting_oracle_equivalence():
         # instead of through summation-order rounding.
         x = rng.integers(-8, 9, size=(n, 2)) * 0.25
         y = rng.integers(-8, 9, size=n) * 0.5
-        ds = SupervisedSet(x=x, y=y)
-        tree = fit_tree(ds, np.zeros(n), cfg)
+        tree = grow_tree(x, y, np.zeros(n), cfg)
         oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
         if oracle is None or oracle[0] <= 0.0:
             assert list(tree.feature) == [-1], \
@@ -179,8 +177,11 @@ def test_08_simulator_conservation(pack1_bundle):
         soc = float(rng.uniform(0.05, 0.95))
         i = float(rng.uniform(-6, 6))
         dt = float(rng.uniform(0.01, 10))
-        out = step_cell(CellState(soc=soc), cell, i, dt)
-        assert out.soc == min(max(soc + i * dt / 3600.0 / cell.capacity_ah, 0.0), 1.0)
+        rc_decay, diff_decay = simkit._decays(cell, dt)
+        out, _, _ = simkit._cell_update(soc, 0.0, soc, i, dt, cell.capacity_ah,
+                                        cell.r1_ohm, rc_decay, cell.diff_tau_s,
+                                        diff_decay)
+        assert out == min(max(soc + i * dt / 3600.0 / cell.capacity_ah, 0.0), 1.0)
 
     # CC monotonicity on the canonical nominal pack trace (noise-free twin).
     config = pack1_bundle["config"]

@@ -13,13 +13,20 @@ from boost_reference import (_eval_tree, leaf_value, reference_boost_segment,
 from voltsentry import boost, pipeline, transfer
 from voltsentry.boost import (BASE_RECIPE, Ensemble, ModelParseError, NormSpec,
                               Segment, Tree, TrainConfig, TrainingError,
-                              fit_tree, leaf_weight, predict_batch,
-                              predict_model_space, split_gain, train)
+                              _ColumnBlocks, leaf_weight, predict_batch,
+                              predict_model_space, train)
 from voltsentry.datasets import SupervisedSet
 
 
 def dataset(x, y):
     return SupervisedSet(x=np.asarray(x, float), y=np.asarray(y, float))
+
+
+def grow_tree(x, y, pred, cfg):
+    """One tree fitted to the residuals of the prediction pred, as a
+    boosting round grows it."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return _ColumnBlocks(x, cfg).grow(pred - y, [])
 
 
 def leaf(w):
@@ -97,7 +104,7 @@ def count_candidates(x):
 
 
 # ---------------------------------------------------------------------------
-# leaf_weight / split_gain
+# leaf_weight
 # ---------------------------------------------------------------------------
 
 class TestLeafWeight:
@@ -132,37 +139,8 @@ class TestLeafWeight:
         assert w == pytest.approx(numeric_leaf_weight(g, h, lam), abs=1e-9)
 
 
-class TestSplitGain:
-    def test_symmetric_halves_no_benefit(self):
-        # Exactly -gamma without regularization; never better with it.
-        assert split_gain(2.0, 1.5, 2.0, 1.5, 0.0, 0.5) == pytest.approx(-0.5)
-        assert split_gain(2.0, 1.5, 2.0, 1.5, 1.0, 0.5) <= -0.5
-
-    def test_worked_example(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.0) == pytest.approx(2.0)
-
-    def test_gamma_dominance(self):
-        gain = split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 10.0)
-        assert gain <= 0.0
-
-    def test_objective_reduction_oracle(self):
-        # Gain must equal the explicit objective drop computed from the
-        # optimal leaf weights on each side.
-        gl, hl, gr, hr, lam = -3.0, 2.0, 1.0, 4.0, 0.7
-
-        def obj(g, h, w):
-            return g * w + 0.5 * (h + lam) * w ** 2
-
-        parent_w = leaf_weight(gl + gr, hl + hr, lam)
-        split_w = (leaf_weight(gl, hl, lam), leaf_weight(gr, hr, lam))
-        reduction = obj(gl + gr, hl + hr, parent_w) - (
-            obj(gl, hl, split_w[0]) + obj(gr, hr, split_w[1]))
-        assert split_gain(gl, hl, gr, hr, lam, 0.0) == pytest.approx(reduction,
-                                                                     abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# fit_tree
+# one tree (_ColumnBlocks.grow)
 # ---------------------------------------------------------------------------
 
 class TestFitTree:
@@ -171,8 +149,7 @@ class TestFitTree:
 
     def test_constant_targets_single_leaf(self):
         x = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
-        ds = dataset(x, np.full(8, 3.3))
-        tree = fit_tree(ds, np.full(8, 3.3), self.CFG)
+        tree = grow_tree(x, np.full(8, 3.3), np.full(8, 3.3), self.CFG)
         assert list(tree.feature) == [-1]
         assert tree.weight[0] == 0.0
 
@@ -182,11 +159,10 @@ class TestFitTree:
         x1 = rng.uniform(0, 1, 16)
         x = np.column_stack([x0, x1])
         y = np.where(x0 < x0[9], -1.0, 1.0)
-        ds = dataset(x, y)
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
                           lambda_l2=0.0, min_child_weight=1.0)
         assert count_candidates(x) == 30
-        tree = fit_tree(ds, np.zeros(16), cfg)
+        tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx((x0[8] + x0[9]) / 2)
         oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
@@ -205,16 +181,11 @@ class TestFitTree:
         y = np.array(ts)
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
                           lambda_l2=1.0)
-        tree = fit_tree(dataset(x, y), np.zeros(16), cfg)
+        tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] >= 0
         assert list(tree.feature[1:]) == [-1, -1]
         oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
         assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
-
-    def test_empty_data_rejected(self):
-        ds = dataset(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(ValueError):
-            fit_tree(ds, np.empty(0), self.CFG)
 
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(3)
@@ -222,7 +193,7 @@ class TestFitTree:
         y = rng.uniform(size=64)
         for depth in (1, 2, 4):
             cfg = TrainConfig(n_trees=1, max_depth=depth, learning_rate=1.0)
-            tree = fit_tree(dataset(x, y), np.zeros(64), cfg)
+            tree = grow_tree(x, y, np.zeros(64), cfg)
             assert tree_depth(tree) <= depth
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 32))
@@ -235,7 +206,7 @@ class TestFitTree:
         y = rng.integers(-4, 5, size=n) * 0.5
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
                           lambda_l2=1.0, min_child_weight=1.0)
-        tree = fit_tree(dataset(x, y), np.zeros(n), cfg)
+        tree = grow_tree(x, y, np.zeros(n), cfg)
         oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
         if oracle is None or oracle[0] <= 0.0:
             assert list(tree.feature) == [-1]
@@ -287,6 +258,8 @@ class TestTrain:
         ens = train(ds, vs, cfg)
         assert len(ens.history.val_mse) == 5
 
+    # The targets overflow np.dot(g, g) on purpose.
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_loss_aborts_with_round(self):
         x = np.column_stack([np.linspace(0, 1, 4), np.zeros(4)])
         ds = dataset(x, np.array([0.0, 1e308, -1e308, 0.0]))
@@ -376,7 +349,7 @@ class TestKernelMatchesReference:
         y = np.sin(6 * x[:, 0]) + x[:, 1]
         cfg = TrainConfig(n_trees=1, max_depth=5, learning_rate=1.0)
         pred = np.full(200, 0.25)
-        tree = fit_tree(dataset(x, y), 0.25, cfg)
+        tree = grow_tree(x, y, pred, cfg)
         (_, _, _), (want, _, _) = kernel_and_reference(x, y, pred, cfg, "base")
         got = boost.model_to_json(Ensemble(0.5, (Segment("base", 1.0, (tree,)),)))
         assert got == want

@@ -287,6 +287,26 @@ class TestErrorPaths:
         assert f"{field} must be finite" in err["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
+    def test_zero_resistance_pack_rejected(self, tmp_path, capsys):
+        # A 2x1x2 pack whose cells and links have no resistance at all.
+        spec = SimRunSpec(
+            kind="pack", cell=simkit.CellParams(capacity_ah=2.0, r0_ohm=0.0),
+            policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),
+            noise=simkit.NoiseSpec(), init_soc=0.3,
+            pack=simkit.PackConfig(name="short", parallel_modules=2,
+                                   branches_per_module=1, series_cells=2,
+                                   capacity_ah=4.0, v_max_pack=9.0,
+                                   interconnect_ohm=0.0))
+        cfg = tmp_path / "run.ini"
+        write_sim_config(cfg, spec)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "positive and finite" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
 class TestOutDirResolution:
     def test_env_var_override(self, mini_setup, monkeypatch, tmp_path):
         target = tmp_path / "env_out"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
+from test_boost import GRID, random_tree
 from voltsentry import boost, pipeline, sentinel
 from voltsentry.boost import Ensemble, NormSpec, Segment, Tree, TrainConfig, train
 from voltsentry.datasets import build_supervised
@@ -82,6 +83,17 @@ class TestCalibration:
             calibrate_threshold([])
 
 
+def toggle_loop(residuals, epsilon):
+    """The sequential set/reset loop that apply_toggle replaced (its oracle)."""
+    flags = np.empty(len(residuals), dtype=int)
+    flag = 0
+    for k, r in enumerate(residuals):
+        if r >= epsilon:
+            flag = 1 - flag
+        flags[k] = flag
+    return flags
+
+
 class TestToggle:
     def test_worked_sequence(self):
         flags = apply_toggle([0.5, 3.0, 0.1, 2.5, 0.2], epsilon=2.0)
@@ -100,10 +112,15 @@ class TestToggle:
                 assert f == prev
             prev = f
 
-    def test_debounce_suppresses_chatter(self):
-        rs = [3.0, 3.0, 3.0, 0.0, 0.0]
-        assert list(apply_toggle(rs, 2.0)) == [1, 0, 1, 1, 1]
-        assert list(apply_toggle(rs, 2.0, debounce=3)) == [1, 1, 1, 1, 1]
+    @given(rs=st.lists(st.tuples(st.floats(0, 5), st.booleans()), max_size=60),
+           eps=st.floats(0.5, 4.5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sequential_loop(self, rs, eps):
+        # Half of the residuals sit exactly on epsilon.
+        residuals = [eps if tie else r for r, tie in rs]
+        new, old = apply_toggle(residuals, eps), toggle_loop(residuals, eps)
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
@@ -140,6 +157,39 @@ class TestStepDetector:
         assert np.array_equal(np.array(rs), det.r)
         assert np.array_equal(np.array(flags), det.flag)
         assert tuple(state.events) == det.events
+
+    @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(0, 5),
+           depth=st.integers(0, 4), q=st.integers(1, 5), n=st.integers(2, 60),
+           tie=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_streaming_equals_batch_property(self, seed, n_trees, depth, q, n,
+                                             tie):
+        """Random small ensembles on random traces: step_detector's
+        residuals, flags and events equal run_detector's bit for bit, with
+        epsilon set on one of the residuals in half of the draws."""
+        rng = np.random.default_rng(seed)
+        trees = tuple(random_tree(rng, depth) for _ in range(n_trees))
+        model = Ensemble(float(rng.normal()),
+                         (Segment("base", float(rng.uniform(0.01, 1.0)), trees),))
+        # Mostly threshold values, so many residuals repeat exactly.
+        v = np.where(rng.random((n, q)) < 0.7, rng.choice(GRID, (n, q)),
+                     rng.uniform(-1.2, 1.2, (n, q)))
+        trace = make_trace(v, i=rng.choice(GRID, n))
+        _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)
+        positive = r[r > 0]
+        epsilon = (float(rng.choice(positive)) if tie and positive.size
+                   else float(rng.uniform(0.01, 2.0)))
+        det = run_detector(trace, model, epsilon)
+        state = DetectorState.initial(epsilon, trace.frame(0))
+        rs, flags = [], []
+        for k in range(1, n):
+            state, r_k, flag = step_detector(state, trace.frame(k), model)
+            rs.append(r_k)
+            flags.append(flag)
+        assert np.array(rs).tobytes() == det.r.tobytes()
+        assert np.array_equal(np.array(flags), det.flag)
+        assert state.events == det.events
+        assert det.flag.tobytes() == toggle_loop(det.r, epsilon).tobytes()
 
     def test_step_change_crossings_at_onset_and_withdrawal(self):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3, k0=30, kf=60)

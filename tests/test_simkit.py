@@ -4,54 +4,65 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import simkit_reference
 from voltsentry import configio, simkit
-from voltsentry.simkit import (CccvPolicy, CellParams, CellState, NoiseSpec,
-                               PackConfig, SolverError, cell_voltage,
-                               run_cccv_cell, run_cccv_pack, step_cell)
+from voltsentry.simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
+                               SolverError, run_cccv_cell, run_cccv_pack)
 
 CELL = simkit.default_cell()
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
 
 
+def cell_update(params, soc, v_rc, surf, i, dt):
+    """The simulator's exact update of one cell's (soc, v_rc, surf) over dt."""
+    rc_decay, diff_decay = simkit._decays(params, dt)
+    return simkit._cell_update(soc, v_rc, surf, i, dt, params.capacity_ah,
+                               params.r1_ohm, rc_decay, params.diff_tau_s,
+                               diff_decay)
+
+
+def terminal_voltage(params, v_rc, surf, i):
+    return params.ocv(surf) + i * params.r0_ohm + v_rc
+
+
 class TestStepCell:
+    """The cell update kernel, on one cell's floats."""
+
     def test_zero_input_relaxation(self):
-        state = CellState(soc=0.5, v_rc=0.05, soc_surf=0.4)
-        out = step_cell(state, CELL, 0.0, 10.0)
-        assert out.soc == 0.5
-        assert 0.0 < out.v_rc < 0.05
-        assert 0.4 < out.soc_surf < 0.5
+        soc, v_rc, surf = cell_update(CELL, 0.5, 0.05, 0.4, 0.0, 10.0)
+        assert soc == 0.5
+        assert 0.0 < v_rc < 0.05
+        assert 0.4 < surf < 0.5
 
     def test_one_hour_at_1c_charges_full(self):
         params = CellParams(capacity_ah=5.0)
-        out = step_cell(CellState(soc=0.5), params, 5.0, 3600.0)
-        assert out.soc == 1.0
+        soc, _, _ = cell_update(params, 0.5, 0.0, 0.5, 5.0, 3600.0)
+        assert soc == 1.0
 
     def test_charge_conservation_exact(self):
-        state = CellState(soc=0.3)
         i, dt = 4.2, 7.0
-        out = step_cell(state, CELL, i, dt)
-        assert out.soc == 0.3 + i * dt / 3600.0 / CELL.capacity_ah
+        soc, _, _ = cell_update(CELL, 0.3, 0.0, 0.3, i, dt)
+        assert soc == 0.3 + i * dt / 3600.0 / CELL.capacity_ah
 
     @given(soc=st.floats(0.05, 0.95), i=st.floats(-8.0, 8.0),
            dt=st.floats(0.01, 60.0))
     @settings(max_examples=60, deadline=None)
     def test_conservation_property(self, soc, i, dt):
-        out = step_cell(CellState(soc=soc), CELL, i, dt)
+        out, _, _ = cell_update(CELL, soc, 0.0, soc, i, dt)
         expected = min(max(soc + i * dt / 3600.0 / CELL.capacity_ah, 0.0), 1.0)
-        assert out.soc == expected
+        assert out == expected
 
     def test_substep_equivalence_vs_euler_oracle(self):
         # Independent oracle: explicit Euler at 1 ms on the same ODE.
-        state = CellState(soc=0.4, v_rc=0.01, soc_surf=0.38)
+        state = (0.4, 0.01, 0.38)
         i = 5.0
-        macro = step_cell(state, CELL, i, 1.0)
+        _, v_rc_macro, surf_macro = cell_update(CELL, *state, i, 1.0)
 
-        soc, v_rc, surf = state.soc, state.v_rc, state.soc_surf
+        soc, v_rc, surf = state
         h = 0.001
         tau1 = CELL.r1_ohm * CELL.c1_f
         for _ in range(1000):
@@ -61,44 +72,29 @@ class TestStepCell:
             soc += d_soc * h
             v_rc += d_vrc * h
             surf += d_surf * h
-        v_macro = cell_voltage(macro, CELL, i)
-        v_euler = cell_voltage(CellState(soc=min(soc, 1.0), v_rc=v_rc,
-                                         soc_surf=surf), CELL, i)
+        v_macro = terminal_voltage(CELL, v_rc_macro, surf_macro, i)
+        v_euler = terminal_voltage(CELL, v_rc, surf, i)
         assert abs(v_macro - v_euler) < 1e-6
         # The exact update must also equal its own sub-stepped composition.
         sub = state
         for _ in range(10):
-            sub = step_cell(sub, CELL, i, 0.1)
-        assert abs(cell_voltage(sub, CELL, i) - v_macro) < 1e-9
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            step_cell(CellState(soc=0.5), CELL, float("nan"), 1.0)
-        with pytest.raises(ValueError):
-            step_cell(CellState(soc=0.5), CELL, 1.0, float("inf"))
-        with pytest.raises(ValueError):
-            step_cell(CellState(soc=0.5), CELL, 1.0, -1.0)
+            sub = cell_update(CELL, *sub, i, 0.1)
+        assert abs(terminal_voltage(CELL, sub[1], sub[2], i) - v_macro) < 1e-9
 
 
 class TestCellVoltage:
     def test_at_knot_equals_knot_ocv(self):
         soc, volts = CELL.ocv_knots[5]
-        state = CellState(soc=soc, v_rc=0.0, soc_surf=soc)
-        assert cell_voltage(state, CELL, 0.0) == volts
+        assert CELL.ocv(soc) == volts
 
     def test_arithmetic(self):
+        # The first record: OCV(0.5) plus the ohmic drop of 1C = 5 A.
         params = CellParams(r0_ohm=0.01,
                             ocv_knots=((0.0, 3.0), (0.5, 3.7), (1.0, 4.2)))
-        state = CellState(soc=0.5, v_rc=0.0, soc_surf=0.5)
-        assert cell_voltage(state, params, 5.0) == pytest.approx(3.75, abs=1e-12)
-
-    def test_affine_in_current_with_slope_r0(self):
-        # Oracle: finite differences over i.
-        state = CellState(soc=0.6, v_rc=0.02, soc_surf=0.55)
-        currents = np.linspace(-3.0, 8.0, 12)
-        volts = [cell_voltage(state, CELL, i) for i in currents]
-        slopes = np.diff(volts) / np.diff(currents)
-        assert np.allclose(slopes, CELL.r0_ohm, atol=1e-12)
+        trace = run_cccv_cell(params, CccvPolicy(c_rate=1.0, duration_s=1),
+                              0.5, NoiseSpec(0.0))
+        assert trace.i_pack_a[0] == 5.0
+        assert trace.v_modules[0, 0] == pytest.approx(3.75, abs=1e-12)
 
 
 class TestParamValidation:
@@ -115,12 +111,6 @@ class TestParamValidation:
             CellParams(c1_f=-1.0)
         with pytest.raises(ValueError):
             CellParams(v_min=4.5)
-
-    def test_state_bounds(self):
-        with pytest.raises(ValueError):
-            CellState(soc=1.2)
-        with pytest.raises(ValueError):
-            CellState(soc=0.5, soc_surf=-0.1)
 
 
 class TestRunCccvCell:
@@ -314,9 +304,17 @@ class TestTelemetryTypes:
 
 
 def _outcome(run):
-    """The trace bytes a simulator call returns, or the error it raises."""
+    """The trace bytes a simulator call returns, or the error it raises.
+
+    numpy floating-point errors raise here, so an overflow is an outcome
+    that both implementations must share, not a warning.  Only its type is
+    kept: the two may overflow first in different operations.
+    """
     try:
-        trace = run()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            trace = run()
+    except FloatingPointError:
+        return ("error", FloatingPointError)
     except (ValueError, SolverError) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "step", None))
     return ("trace", trace.t_s.tobytes(), trace.i_pack_a.tobytes(),
@@ -341,13 +339,17 @@ def _sha256(trace) -> str:
     return digest.hexdigest()
 
 
-cell_params = st.builds(
-    CellParams,
-    capacity_ah=st.floats(0.5, 10.0),
-    r0_ohm=st.sampled_from((0.0, 0.005, 0.018, 0.03)),
-    r1_ohm=st.sampled_from((0.0, 0.004, 0.012)),
-    c1_f=st.floats(100.0, 5000.0),
-    diff_tau_s=st.floats(5.0, 120.0))
+def _cells(r0_values):
+    return st.builds(
+        CellParams,
+        capacity_ah=st.floats(0.5, 10.0),
+        r0_ohm=st.sampled_from(r0_values),
+        r1_ohm=st.sampled_from((0.0, 0.004, 0.012)),
+        c1_f=st.floats(100.0, 5000.0),
+        diff_tau_s=st.floats(5.0, 120.0))
+
+
+cell_params = _cells((0.0, 0.005, 0.018, 0.03))
 
 policies = st.builds(
     lambda c_rate, cut, v_max, duration: CccvPolicy(
@@ -359,6 +361,26 @@ policies = st.builds(
 # Half the runs start near full charge, so that CV and rest are reached.
 init_socs = st.one_of(st.floats(0.0, 0.99), st.floats(0.85, 0.95))
 
+pack_shapes = dict(q=st.integers(1, 5), s=st.integers(1, 20),
+                   branches=st.integers(1, 5), sigma=st.floats(0.0, 0.05),
+                   ladder=st.booleans(), rng_seed=st.integers(0, 1000))
+
+RESISTANCE_ERROR = ("module resistance r_mod + interconnect_ohm must be "
+                    "positive and finite")
+
+
+def _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed):
+    """A q-module pack of the cell, with a scalar or per-module interconnect
+    drawn from [0, 0.2] ohm."""
+    links = st.floats(0.0, 0.2)
+    link = (tuple(data.draw(st.lists(links, min_size=q, max_size=q)))
+            if ladder else data.draw(links))
+    return PackConfig(
+        name="prop", parallel_modules=q, branches_per_module=branches,
+        series_cells=s, capacity_ah=cell.capacity_ah * q * branches,
+        v_max_pack=s * 4.4, heterogeneity_sigma=sigma, rng_seed=rng_seed,
+        interconnect_ohm=link)
+
 
 class TestMatchesReference:
     """The once-per-sub-step loops equal the old loops byte for byte."""
@@ -368,11 +390,44 @@ class TestMatchesReference:
            dt=st.floats(1e-3, 3600.0), params=cell_params)
     @settings(max_examples=200, deadline=None)
     def test_step_cell(self, soc, v_rc, surf, i, dt, params):
-        state = CellState(soc=soc, v_rc=v_rc, soc_surf=surf)
-        new = step_cell(state, params, i, dt)
-        old = simkit_reference.step_cell(state, params, i, dt)
-        assert [float(getattr(new, f)).hex() for f in ("soc", "v_rc", "soc_surf")] == [
+        new = cell_update(params, soc, v_rc, surf, i, dt)
+        old = simkit_reference.step_cell(
+            simkit_reference.CellState(soc=soc, v_rc=v_rc, soc_surf=surf),
+            params, i, dt)
+        assert [float(x).hex() for x in new] == [
             float(getattr(old, f)).hex() for f in ("soc", "v_rc", "soc_surf")]
+
+    @given(data=st.data(), q=st.integers(1, 4), s=st.integers(1, 6),
+           dt=st.floats(1e-3, 3600.0), params=cell_params)
+    @settings(max_examples=100, deadline=None)
+    def test_cell_update_arrays_equal_floats(self, data, q, s, dt, params):
+        """The pack's array form of the kernel equals its float form cell by
+        cell, bit for bit, and updates v_rc and surf in place."""
+        def grid(elements, shape):
+            n = shape[0] * shape[1]
+            return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)),
+                            dtype=float).reshape(shape)
+
+        soc = grid(st.floats(0.0, 1.0), (q, s))
+        v_rc = grid(st.floats(-0.1, 0.1), (q, s))
+        surf = grid(st.floats(0.0, 1.0), (q, s))
+        capacity = grid(st.floats(0.5, 10.0), (q, s))
+        i_cell = grid(st.floats(-20.0, 20.0), (q, 1))
+        rc_decay, diff_decay = simkit._decays(params, dt)
+        fixed = (params.r1_ohm, rc_decay, params.diff_tau_s, diff_decay)
+        cells = [simkit._cell_update(float(soc[m, c]), float(v_rc[m, c]),
+                                     float(surf[m, c]), float(i_cell[m, 0]), dt,
+                                     float(capacity[m, c]), *fixed)
+                 for m in range(q) for c in range(s)]
+        v_rc_buf, surf_buf = v_rc.copy(), surf.copy()
+        out = simkit._cell_update(soc, v_rc_buf, surf_buf, i_cell, dt, capacity,
+                                  *fixed)
+        assert out[2] is surf_buf
+        assert out[1] is v_rc_buf or (params.r1_ohm == 0.0 and out[1] == 0.0)
+        for j in range(3):
+            got = np.broadcast_to(out[j], (q, s)).reshape(-1)
+            assert [float(x).hex() for x in got] == [
+                float(cell[j]).hex() for cell in cells]
 
     @given(params=cell_params, policy=policies, init_soc=init_socs,
            rel_sigma=st.sampled_from((0.0, 0.001, 0.01)),
@@ -414,27 +469,21 @@ class TestMatchesReference:
             params, policy, 0.9, seed=1))
 
     @given(data=st.data(), cell=cell_params, policy=policies,
-           q=st.integers(1, 5), s=st.integers(1, 20),
-           branches=st.integers(1, 5), sigma=st.floats(0.0, 0.05),
-           ladder=st.booleans(), init_soc=init_socs,
-           rng_seed=st.integers(0, 1000))
+           init_soc=init_socs, **pack_shapes)
     @settings(max_examples=60, deadline=None)
-    # Zero module and link resistances divide by zero in both versions.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pack_run(self, data, cell, policy, q, s, branches, sigma, ladder,
                       init_soc, rng_seed):
-        links = st.floats(0.0, 0.2)
-        link = (tuple(data.draw(st.lists(links, min_size=q, max_size=q)))
-                if ladder else data.draw(links))
-        config = PackConfig(
-            name="prop", parallel_modules=q, branches_per_module=branches,
-            series_cells=s, capacity_ah=cell.capacity_ah * q * branches,
-            v_max_pack=s * 4.4, heterogeneity_sigma=sigma, rng_seed=rng_seed,
-            interconnect_ohm=link)
+        config = _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed)
         new = _outcome(lambda: run_cccv_pack(config, cell, policy, init_soc))
         event(_phases(new, policy.c_rate * config.capacity_ah))
-        assert new == _outcome(
-            lambda: simkit_reference.run_cccv_pack(config, cell, policy, init_soc))
+        # A module with zero cell and link resistance is rejected before
+        # any division (after the policy's feasibility check).
+        if (cell.r0_ohm == 0.0 and min(config.interconnect_ohm) == 0.0
+                and cell.ocv(init_soc) < policy.v_max):
+            assert new == ("error", ValueError, RESISTANCE_ERROR, None)
+        else:
+            assert new == _outcome(lambda: simkit_reference.run_cccv_pack(
+                config, cell, policy, init_soc))
 
     def test_canonical_pack1_c100(self):
         spec = configio.read_sim_config(os.path.join(CONFIGS, "pack1_c100.ini"))
@@ -455,6 +504,33 @@ class TestMatchesReference:
             "4ab99f85dc4f9f6abd85d476498e00fdc34a0bf2974a5990669773e31f5efde6")
         assert _outcome(lambda: trace) == _outcome(
             lambda: simkit_reference.run_cccv_cell(*args, seed=36))
+
+
+class TestPackProperties:
+    @given(data=st.data(), cell=_cells((0.005, 0.018, 0.03)), policy=policies,
+           init_soc=init_socs, **pack_shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_kirchhoff_balance(self, data, cell, policy, q, s, branches, sigma,
+                               ladder, init_soc, rng_seed):
+        """The module currents sum to the pack current at every record.
+
+        The split's rounding error grows as module voltage over module
+        resistance, so the cells have a positive r0: every module then has
+        at least about 1 milliohm.
+        """
+        assume(cell.ocv(init_soc) < policy.v_max)
+        config = _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed)
+        trace = run_cccv_pack(config, cell, policy, init_soc)
+        event(_phases(_outcome(lambda: trace), policy.c_rate * config.capacity_ah))
+        total = trace.i_modules.sum(axis=1)
+        scale = np.maximum(np.abs(trace.i_pack_a), 1.0)
+        assert np.max(np.abs(total - trace.i_pack_a) / scale) <= 1e-9
+
+    @pytest.mark.parametrize("links", [0.0, (0.1, 0.0, 0.1), (0.0, 0.0, 0.05)])
+    def test_zero_module_resistance_rejected(self, links):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_cccv_pack(small_pack(interconnect=links), replace(CELL, r0_ohm=0.0),
+                          CccvPolicy(c_rate=1.0, duration_s=30), 0.3)
 
 
 class TestNonFiniteParams:

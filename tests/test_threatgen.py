@@ -4,38 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from voltsentry.simkit import TelemetryFrame
-from voltsentry.threatgen import (AttackScenario, apply_replay, apply_scenario,
-                                  apply_swap)
+from voltsentry.threatgen import AttackScenario, apply_replay, apply_scenario
+
+
+def swap_one_frame(vs, i=100.0):
+    """A one-frame trace after a swap attack over that frame."""
+    out, _ = apply_scenario(make_trace([vs], i=i),
+                            AttackScenario(kind="swap_fdi", k0_s=0, kf_s=1))
+    return out
 
 
 class TestApplySwap:
     def test_ascending_becomes_descending(self):
-        frame = TelemetryFrame(0.0, 100.0, (350.1, 350.2, 350.3, 350.4))
-        out = apply_swap(frame)
-        assert out.v_modules == (350.4, 350.3, 350.2, 350.1)
-        assert out.i_pack_a == frame.i_pack_a
-        assert out.t_s == frame.t_s
+        out = swap_one_frame((350.1, 350.2, 350.3, 350.4))
+        assert tuple(out.v_modules[0]) == (350.4, 350.3, 350.2, 350.1)
+        assert out.i_pack_a[0] == 100.0
+        assert out.t_s[0] == 0.0
 
     def test_all_equal_unchanged(self):
-        frame = TelemetryFrame(0.0, 100.0, (350.0, 350.0, 350.0))
-        assert apply_swap(frame).v_modules == frame.v_modules
+        assert tuple(swap_one_frame((350.0, 350.0, 350.0)).v_modules[0]) == (
+            350.0, 350.0, 350.0)
 
     def test_needs_two_modules(self):
         with pytest.raises(ValueError):
-            apply_swap(TelemetryFrame(0.0, 100.0, (350.0,)))
+            swap_one_frame((350.0,))
 
     def test_stable_tie_break(self):
-        frame = TelemetryFrame(0.0, 1.0, (5.0, 3.0, 3.0))
-        assert apply_swap(frame).v_modules == (5.0, 3.0, 3.0)
+        assert tuple(swap_one_frame((5.0, 3.0, 3.0), i=1.0).v_modules[0]) == (
+            5.0, 3.0, 3.0)
 
     @given(vs=st.lists(st.floats(300, 400), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_multiset_preserved_and_descending(self, vs):
-        out = apply_swap(TelemetryFrame(0.0, 1.0, tuple(vs)))
-        assert sorted(out.v_modules) == sorted(vs)
-        assert all(a >= b for a, b in
-                   zip(out.v_modules, out.v_modules[1:]))
+        out = tuple(swap_one_frame(tuple(vs), i=1.0).v_modules[0])
+        assert sorted(out) == sorted(vs)
+        assert all(a >= b for a, b in zip(out, out[1:]))
 
 
 class TestScenarioValidation:
@@ -174,3 +177,36 @@ class TestApplyScenario:
         back = read_trace(path)
         assert np.array_equal(back.attack_mask, mask)
         assert back == out
+
+
+class TestAttackWindowProperty:
+    @given(data=st.data(), n=st.integers(2, 60), q=st.integers(2, 5),
+           replay=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_mask_is_window_and_outside_unchanged(self, data, n, q, replay, seed):
+        """Swap and replay on random windows: the mask is 1 exactly on
+        [k0, kf), and the current and every frame outside it are unchanged."""
+        rng = np.random.default_rng(seed)
+        trace = make_trace(rng.uniform(300.0, 400.0, (n, q)),
+                           i=rng.uniform(0.0, 100.0, n))
+        if replay:
+            span = data.draw(st.integers(0, (n - 1) // 2))
+            record = max(span, 1)
+            k0 = data.draw(st.integers(record, n - span))
+            start = data.draw(st.integers(0, k0 - record))
+            end = data.draw(st.integers(start + record, k0))
+            targets = data.draw(st.sets(st.integers(1, q), min_size=1))
+            scenario = AttackScenario(kind="replay", k0_s=k0, kf_s=k0 + span,
+                                      record_start_s=start, record_end_s=end,
+                                      target_modules=tuple(targets))
+        else:
+            k0 = data.draw(st.integers(0, n))
+            scenario = AttackScenario(kind="swap_fdi", k0_s=k0,
+                                      kf_s=data.draw(st.integers(k0, n)))
+        out, mask = apply_scenario(trace, scenario)
+        window = (trace.t_s >= scenario.k0_s) & (trace.t_s < scenario.kf_s)
+        assert np.array_equal(mask, window.astype(int))
+        assert out.attack_mask is mask
+        assert out.i_pack_a.tobytes() == trace.i_pack_a.tobytes()
+        assert out.t_s.tobytes() == trace.t_s.tobytes()
+        assert out.v_modules[~window].tobytes() == trace.v_modules[~window].tobytes()
