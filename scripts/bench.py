@@ -13,13 +13,23 @@ the canonical inputs and models of the README's CLI flow (seed 1):
   trace, one row per module and step) and 91 200 (the cell corpus's
   training pairs, on the base model)
 - ``sentinel.step_detector`` per frame, over each pack's test trace
+- ``calibrate_on_trace_{pack1,pack2}_ms``: calibration on a fresh copy of
+  each pack's test trace, so nothing is memoized on it yet
+- ``evaluate_attack_{cold,warm}_{pack1,pack2}_ms``: the pack's canonical
+  scenario (``configs/swap_pack1.ini``, ``configs/replay_pack2.ini``) at its
+  calibrated threshold, on a fresh copy of the test trace (cold) or
+  repeated on one trace (warm, as a sweep over one trace runs)
 
 Each figure is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come
-from two runs on the same machine, for example:
+from runs on the same machine.  Runs of a label accumulate in the output
+file: each layer keeps every run's figure under ``<label>_runs`` and their
+median under ``<label>``.  Alternate the labels, for example:
 
-    python scripts/bench.py --src ../parent/src --label before --out BENCH_5.json
-    python scripts/bench.py --label after --out BENCH_5.json
+    for k in 1 2 3; do
+        python scripts/bench.py --src ../parent/src --label before --out BENCH_7.json
+        python scripts/bench.py --label after --out BENCH_7.json
+    done
 
 ``--src`` picks the voltsentry sources to time (default: this checkout's).
 The canonical artifacts are built into ``--artifacts`` with the CLI of the
@@ -84,11 +94,13 @@ def simulate_cell_corpus(pipeline, simkit) -> None:
                 run_index += 1
 
 
-def median_ms(fn, repeats: int) -> float:
+def median_ms(fn, repeats: int, make=lambda: ()) -> float:
+    """Median time of ``fn(*make())``; ``make`` runs outside the timing."""
     times = []
     for _ in range(repeats):
+        args = make()
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
 
@@ -142,6 +154,22 @@ def measure(art: str) -> dict:
     for p in PACKS:
         layers[f"step_detector_{p}_frame_ms"] = step_detector_ms(
             sentinel, models[p], traces[p])
+    for p, ini in zip(PACKS, ("swap_pack1.ini", "replay_pack2.ini")):
+        model, trace = models[p], traces[p]
+        scenario = configio.read_scenario(os.path.join(CONFIGS, ini))
+        epsilon = pipeline.calibrate_on_trace(model, trace)[0]
+
+        def fresh():
+            return (trace.copy(),)
+
+        def attack(t):
+            pipeline.evaluate_attack(model, t, scenario, epsilon)
+
+        layers[f"calibrate_on_trace_{p}_ms"] = median_ms(
+            lambda t: pipeline.calibrate_on_trace(model, t), 20, fresh)
+        layers[f"evaluate_attack_cold_{p}_ms"] = median_ms(attack, 20, fresh)
+        layers[f"evaluate_attack_warm_{p}_ms"] = median_ms(
+            attack, 20, lambda: (trace,))
     return layers
 
 
@@ -163,7 +191,10 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     for name, value in layers.items():
-        doc["layers"].setdefault(name, {})[args.label] = round(value, 4)
+        entry = doc["layers"].setdefault(name, {})
+        runs = entry.setdefault(f"{args.label}_runs", [])
+        runs.append(round(value, 4))
+        entry[args.label] = round(statistics.median(runs), 4)
     doc["env"][args.label] = {"nproc": len(os.sched_getaffinity(0)),
                               "python": platform.python_version(),
                               "numpy": np.__version__}

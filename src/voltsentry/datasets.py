@@ -192,6 +192,9 @@ def read_trace(path) -> TelemetryTrace:
             raise TraceParseError(f"unparseable value in {line!r}", ln) from None
         if not all(np.isfinite(values)):
             raise TraceParseError("non-finite value", ln)
+        if t and values[0] != t[-1] + 1.0:
+            raise TraceParseError(
+                f"t_s={values[0]!r} does not follow t_s={t[-1]!r} by 1 s", ln)
         t.append(values[0])
         i.append(values[1])
         if has_mask:

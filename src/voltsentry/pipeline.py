@@ -206,11 +206,13 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
     """Nominal-run residuals and the resulting threshold, from one
     prediction pass over the trace.
 
-    Returns (epsilon, nominal detection trace run at that epsilon,
-    per-module predictions for plot data).
+    The predictions are memoized on the trace, so attacks evaluated on it
+    afterwards with the same model (evaluate_attack) reuse them.  Returns
+    (epsilon, nominal detection trace run at that epsilon, per-module
+    predictions for plot data, read-only).
     """
     preds, residuals = sentinel.one_step_residuals(
-        model, trace.v_modules, trace.i_pack_a)
+        model, trace.v_modules, trace.i_pack_a, nominal=trace)
     epsilon = sentinel.calibrate_threshold(residuals, margin)
     det = sentinel.DetectionTrace.from_residuals(trace.t_s[1:], residuals,
                                                  epsilon)
@@ -219,12 +221,16 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
 
 def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
                     scenario: threatgen.AttackScenario, epsilon: float):
-    """Corrupt a nominal trace, run detection, score against the mask."""
+    """Corrupt a nominal trace, run detection, score against the mask.
+
+    Only the predictor inputs the attack changed are predicted; the others
+    take the nominal trace's predictions, memoized on it per model.
+    """
     from .reports import score_detection
 
     corrupted, mask = threatgen.apply_scenario(trace, scenario)
-    det = sentinel.run_detector(corrupted, model, epsilon)
-    metrics = score_detection(det, mask, corrupted.t_s)
+    det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace)
+    metrics = score_detection(det, mask)
     return corrupted, det, metrics
 
 

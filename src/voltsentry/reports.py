@@ -39,38 +39,32 @@ class DetectionMetrics:
         }
 
 
-def score_detection(det: DetectionTrace, mask: np.ndarray,
-                    trace_t: np.ndarray) -> DetectionMetrics:
-    """Score flags against the mask; both indexed by trace time."""
+def score_detection(det: DetectionTrace, mask: np.ndarray) -> DetectionMetrics:
+    """Score flags against the mask by frame index.
+
+    ``mask`` has one entry per trace frame and ``det`` covers frames 1..n-1,
+    so flag j belongs to frame j + 1.  Delays count frames from the first
+    masked frame (onset) and from the first frame after the window
+    (withdrawal).
+    """
     mask = np.asarray(mask)
+    if mask.shape != (len(det.flag) + 1,):
+        raise ValueError("mask must have one entry per trace frame")
     active = np.flatnonzero(mask == 1)
     if active.size == 0:
         raise ValueError("mask contains no attack window")
-    k0_t = float(trace_t[active[0]])
-    kf_t = float(trace_t[active[-1]]) + 1.0
+    k0, kf = int(active[0]), int(active[-1]) + 1
 
     flags = det.flag
     prev = np.concatenate([[0], flags[:-1]])
-    rises = np.flatnonzero((flags == 1) & (prev == 0))
-    falls = np.flatnonzero((flags == 0) & (prev == 1))
-    rise_t = det.t_s[rises]
-    fall_t = det.t_s[falls]
+    rises = np.flatnonzero((flags == 1) & (prev == 0)) + 1
+    falls = np.flatnonzero((flags == 0) & (prev == 1)) + 1
 
-    onset = None
-    on_candidates = rise_t[rise_t >= k0_t]
-    if on_candidates.size:
-        onset = int(on_candidates[0] - k0_t)
-    withdrawal = None
-    off_candidates = fall_t[fall_t >= kf_t]
-    if off_candidates.size:
-        withdrawal = int(off_candidates[0] - kf_t)
-
-    # Map each rise time back to the mask index to spot nominal-window rises.
-    false_alarms = 0
-    for t in rise_t:
-        k = int(np.searchsorted(trace_t, t))
-        if k >= len(mask) or mask[k] == 0:
-            false_alarms += 1
+    on = rises[rises >= k0]
+    off = falls[falls >= kf]
+    onset = int(on[0] - k0) if on.size else None
+    withdrawal = int(off[0] - kf) if off.size else None
+    false_alarms = int(np.count_nonzero(mask[rises] == 0))
     return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings)
 
 

@@ -14,8 +14,26 @@ one_step_residuals is the only place residuals are computed: streaming
 (step_detector, one row per module), batch detection (run_detector) and
 calibration all call it.  Frames and traces reject NaN and infinite values
 when they are built, and one_step_residuals raises ValueError on a
-non-finite residual, such as one from a value written into a trace's
-arrays afterwards, so a NaN never reaches the toggle as "no crossing".
+non-finite residual, such as one from a value forced into a trace's
+read-only arrays afterwards, so a NaN never reaches the toggle as "no
+crossing".  step_detector also rejects a frame whose t_s is not the
+previous frame's plus 1 s; the caller's state is unchanged, so the stream
+continues from the last good frame.
+
+Scoring attacks against a nominal trace reuses its predictions.  Given a
+``nominal`` trace of the same shape, one_step_residuals takes the nominal
+trace's predictions from a memo on that trace (one entry: the model
+object, copies of the trace's voltages and currents, and the read-only
+predictions), marks the predictor input rows that differ from the
+nominal trace's, predicts only those and splices them in; r is then
+computed over every row as before.  The memo serves only the same model
+object and only while the trace's arrays equal its copies, so a write
+forced into the trace never serves stale predictions.  A NaN compares
+unequal, so it still reaches the walk, which rejects it.  The reuse is
+bit-exact because prediction is independent per row: the node-table walk
+accumulates each row's leaves in its own column, in tree order, and
+predict_batch scales each element on its own, so a row equal to a
+nominal row gets the identical prediction.
 
 The toggle is the paper's pure set/reset rule: the flag is the parity of
 the crossings so far.  It is fragile by construction, since a single
@@ -32,18 +50,55 @@ from .boost import Ensemble, predict_batch
 from .simkit import TelemetryFrame, TelemetryTrace
 
 
-def one_step_residuals(model: Ensemble, v_modules, i_pack_a):
+def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Predictor inputs: one (v_m(k), i(k)) row per frame k < n-1 and module
+    m, frame-major."""
+    return np.column_stack([v[:-1].reshape(-1), np.repeat(i[:-1], v.shape[1])])
+
+
+def _nominal_predictions(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
+    """The trace's one-step predictions under ``model``, (n-1, q), read-only.
+
+    Memoized on the trace: one entry, which serves a call only for the same
+    model object and while the trace's arrays still equal the copies taken
+    when it was made.
+    """
+    memo = trace._memo
+    if not (memo is not None and memo[0] is model
+            and np.array_equal(memo[1], trace.v_modules)
+            and np.array_equal(memo[2], trace.i_pack_a)):
+        v, i = trace.v_modules.copy(), trace.i_pack_a.copy()
+        predicted = predict_batch(model, _features(v, i)).reshape(-1, trace.q)
+        for a in (v, i, predicted):
+            a.flags.writeable = False
+        memo = trace._memo = (model, v, i, predicted)
+    return memo[3]
+
+
+def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
+                       nominal: TelemetryTrace | None = None):
     """Predictions vhat(k) from frame k-1 and residuals r(k), k = 1..n-1.
 
     ``v_modules`` is (n, q) and ``i_pack_a`` (n,) over n consecutive frames.
     Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
     ValueError if a residual is not finite.
+
+    Given a ``nominal`` trace of the same shape, the predictions of every
+    predictor input row equal to the nominal trace's are taken from the
+    nominal trace's memoized predictions, and only the other rows are
+    predicted; the predictions returned may then be read-only.
     """
     v = np.asarray(v_modules, dtype=float)
-    q = v.shape[1]
-    x = np.column_stack([v[:-1].reshape(-1),
-                         np.repeat(np.asarray(i_pack_a, dtype=float)[:-1], q)])
-    predicted = predict_batch(model, x).reshape(-1, q)
+    x = _features(v, np.asarray(i_pack_a, dtype=float))
+    if nominal is None or nominal.v_modules.shape != v.shape:
+        predicted = predict_batch(model, x)
+    else:
+        predicted = _nominal_predictions(model, nominal).reshape(-1)
+        changed = (x != _features(nominal.v_modules, nominal.i_pack_a)).any(axis=1)
+        if changed.any():
+            predicted = predicted.copy()
+            predicted[changed] = predict_batch(model, x[changed])
+    predicted = predicted.reshape(-1, v.shape[1])
     r = np.max(np.abs(v[1:] - predicted), axis=1)
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
@@ -97,6 +152,9 @@ def step_detector(state: DetectorState, measured: TelemetryFrame,
     prev = state.last_frame
     if measured.q != prev.q:
         raise ValueError("module count changed mid-stream")
+    if measured.t_s != prev.t_s + 1.0:
+        raise ValueError(f"frame at t_s={measured.t_s} does not follow the "
+                         f"frame at t_s={prev.t_s} by 1 s")
     _, r = one_step_residuals(model, (prev.v_modules, measured.v_modules),
                               (prev.i_pack_a, measured.i_pack_a))
     r = float(r[0])
@@ -136,16 +194,17 @@ class DetectionTrace:
         return len(self.events)
 
 
-def run_detector(trace: TelemetryTrace, model: Ensemble,
-                 epsilon: float) -> DetectionTrace:
+def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
+                 nominal: TelemetryTrace | None = None) -> DetectionTrace:
     """Batch detection pass over a trace; bit-equal to streaming step calls.
 
-    Predictions are evaluated in one vectorized call, and the flags are a
-    cumulative count of the crossings.
+    Predictions are evaluated in one vectorized call (only of the rows that
+    differ from ``nominal``'s, when given; see one_step_residuals), and the
+    flags are a cumulative count of the crossings.
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
-    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)
+    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a, nominal)
     return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon)
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -222,6 +222,13 @@ class NoiseSpec:
             raise ValueError("rel_sigma must be nonnegative")
 
 
+def _frozen(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a`` (as ``dtype`` if given)."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class TelemetryFrame:
     """One recorded sample: time, pack current, q module voltages.
@@ -253,7 +260,15 @@ class TelemetryTrace:
     current diagnostic kept for balance checks; it is not part of the CSV
     schema.  ``attack_mask`` is set on corrupted traces (1 inside the attack
     window).  ``t_s``, ``i_pack_a`` and ``v_modules`` must be finite; a NaN
-    or infinite value raises ValueError.
+    or infinite value raises ValueError.  ``t_s`` must be nonnegative and
+    each value must be the previous one plus 1 s; a gap, a duplicate or a
+    reversal raises ValueError.
+
+    The constructor copies every array it is given and makes the copies
+    read-only, so a trace never changes after validation and never freezes
+    a caller's array.  ``_memo`` holds the one-step predictions of the trace
+    under one model, kept by ``sentinel`` for scoring attacks against this
+    trace; ``copy()`` does not carry it.
     """
 
     t_s: np.ndarray
@@ -262,19 +277,26 @@ class TelemetryTrace:
     i_modules: np.ndarray | None = None
     attack_mask: np.ndarray | None = None
     name: str = ""
+    _memo: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        self.t_s = np.asarray(self.t_s, dtype=float)
-        self.i_pack_a = np.asarray(self.i_pack_a, dtype=float)
-        self.v_modules = np.atleast_2d(np.asarray(self.v_modules, dtype=float))
+        self.t_s = _frozen(self.t_s, float)
+        self.i_pack_a = _frozen(self.i_pack_a, float)
+        self.v_modules = _frozen(np.atleast_2d(self.v_modules), float)
+        if self.i_modules is not None:
+            self.i_modules = _frozen(self.i_modules)
+        if self.attack_mask is not None:
+            self.attack_mask = _frozen(self.attack_mask)
         n = self.t_s.shape[0]
         if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
             raise ValueError("trace arrays must have matching lengths")
         if not (np.isfinite(self.t_s).all() and np.isfinite(self.i_pack_a).all()
                 and np.isfinite(self.v_modules).all()):
             raise ValueError("trace values must be finite")
-        if n > 1 and not np.all(np.diff(self.t_s) > 0):
-            raise ValueError("t_s must be strictly increasing")
+        if not np.all(self.t_s[1:] == self.t_s[:-1] + 1.0):
+            raise ValueError("t_s must step by exactly 1 s (no gap, duplicate "
+                             "or reversal)")
         if np.any(self.t_s < 0):
             raise ValueError("t_s must be nonnegative")
 
@@ -291,11 +313,7 @@ class TelemetryTrace:
                               tuple(self.v_modules[k]))
 
     def copy(self) -> "TelemetryTrace":
-        return TelemetryTrace(
-            self.t_s.copy(), self.i_pack_a.copy(), self.v_modules.copy(),
-            None if self.i_modules is None else self.i_modules.copy(),
-            None if self.attack_mask is None else self.attack_mask.copy(),
-            self.name)
+        return replace(self)
 
     def __eq__(self, other):
         if not isinstance(other, TelemetryTrace):
@@ -446,7 +464,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     v_rec = np.array(v_out) * (1.0 + noise.rel_sigma * z)
     return TelemetryTrace(
         t_s=np.arange(n_records, dtype=float), i_pack_a=i_out,
-        v_modules=_quantize(v_rec)[:, None], i_modules=i_out[:, None].copy(),
+        v_modules=_quantize(v_rec)[:, None], i_modules=i_out[:, None],
         name=name)
 
 

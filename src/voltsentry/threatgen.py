@@ -10,7 +10,7 @@ previously recorded window of the same trace back over the target modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,42 +68,50 @@ def _swap_rows(v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(v, order, axis=1)
 
 
+def _window(trace: TelemetryTrace, scenario: AttackScenario) -> tuple:
+    """Frame indices [a, b) of the scenario's active window."""
+    a, b = np.searchsorted(trace.t_s, [scenario.k0_s, scenario.kf_s])
+    return int(a), int(b)
+
+
+def _replayed(trace: TelemetryTrace, scenario: AttackScenario) -> np.ndarray:
+    """The module voltages with the recorded window replayed over the
+    target modules."""
+    a, b = _window(trace, scenario)
+    rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
+    cols = [m - 1 for m in scenario.target_modules]
+    v = trace.v_modules.copy()
+    v[a:b, cols] = trace.v_modules[rec:rec + b - a, cols]
+    return v
+
+
 def apply_replay(trace: TelemetryTrace, scenario: AttackScenario) -> TelemetryTrace:
     """Replay recorded voltages over the target modules inside the window."""
     if scenario.kind != "replay":
         raise ValueError("scenario is not a replay")
     scenario.validate_for(trace)
-    out = trace.copy()
-    idx = np.searchsorted(trace.t_s, [scenario.k0_s, scenario.kf_s,
-                                      scenario.record_start_s])
-    a, b, rec = int(idx[0]), int(idx[1]), int(idx[2])
-    cols = [m - 1 for m in scenario.target_modules]
-    span = b - a
-    for c in cols:
-        out.v_modules[a:b, c] = trace.v_modules[rec:rec + span, c]
-    return out
+    return replace(trace, v_modules=_replayed(trace, scenario))
 
 
 def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
     """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask).
 
     The input trace is never modified.  The mask is 1 exactly on [k0, kf)
-    and is also attached to the returned trace for CSV emission.
+    and is the returned trace's ``attack_mask`` (read-only), for CSV
+    emission.
     """
     scenario.validate_for(trace)
+    a, b = _window(trace, scenario)
     if scenario.kind == "swap_fdi":
         if trace.q < 2:
             raise ValueError("swap needs at least 2 modules")
-        out = trace.copy()
-        idx = np.searchsorted(trace.t_s, [scenario.k0_s, scenario.kf_s])
-        a, b = int(idx[0]), int(idx[1])
-        out.v_modules[a:b] = _swap_rows(trace.v_modules[a:b])
+        v = trace.v_modules.copy()
+        v[a:b] = _swap_rows(trace.v_modules[a:b])
     else:
-        out = apply_replay(trace, scenario)
-        idx = np.searchsorted(trace.t_s, [scenario.k0_s, scenario.kf_s])
-        a, b = int(idx[0]), int(idx[1])
+        v = _replayed(trace, scenario)
     mask = np.zeros(trace.n_frames, dtype=int)
     mask[a:b] = 1
-    out.attack_mask = mask
-    out.name = (trace.name + "_" + scenario.kind) if trace.name else scenario.kind
-    return out, mask
+    out = replace(trace, v_modules=v, attack_mask=mask,
+                  name=(trace.name + "_" + scenario.kind) if trace.name
+                  else scenario.kind)
+    return out, out.attack_mask

@@ -243,6 +243,30 @@ class TestErrorPaths:
         assert self.calibrate_with_tree(tmp_path, tree, corrupt) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "parse-error"
 
+    @pytest.mark.parametrize("t2", ["3.000000", "1.000000", "0.000000"],
+                             ids=["gap", "duplicate", "reversal"])
+    @pytest.mark.parametrize("command", ["calibrate", "attack-eval"])
+    def test_trace_cadence_break_is_parse_error(self, tmp_path, capsys, t2,
+                                                command):
+        trace = tmp_path / "gap.csv"
+        trace.write_text("t_s,i_pack_a,v_m1\n0.000000,5.0,3.7\n"
+                         f"1.000000,5.0,3.8\n{t2},5.0,3.9\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"version": 1, "base_score": 3.8,
+             "norm": {"v_scale": 1.0, "i_scale": 1.0}, "segments": []}))
+        scenario = tmp_path / "swap.ini"
+        write_scenario(scenario, AttackScenario(kind="swap_fdi", k0_s=0, kf_s=1))
+        argv = [command, "--model", str(model), "--trace", str(trace),
+                "--out-dir", str(tmp_path / "out")]
+        if command == "attack-eval":
+            argv += ["--scenario", str(scenario), "--epsilon", "0.1"]
+        assert cli.main(argv) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse-error"
+        assert err["message"].startswith("line 4: t_s=")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_epsilon_rejected(self, mini_setup, capsys):
         out = mini_setup["tmp"] / "out_eps"
         art = run_pipeline(mini_setup, out)

@@ -186,6 +186,16 @@ class TestCsvErrors:
         with pytest.raises(TraceParseError, match="line 2"):
             read_trace(path)
 
+    @pytest.mark.parametrize("t2", ["3.0", "1.0", "0.0"],
+                             ids=["gap", "duplicate", "reversal"])
+    def test_cadence_break_reports_line(self, tmp_path, t2):
+        path = tmp_path / "c.csv"
+        path.write_text("t_s,i_pack_a,v_m1\n0.0,1.0,3.7\n1.0,1.0,3.7\n"
+                        f"{t2},1.0,3.7\n3.0,1.0,3.7\n")
+        with pytest.raises(TraceParseError, match="line 4: t_s=") as err:
+            read_trace(path)
+        assert err.value.line == 4
+
     def test_no_data_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t_s,i_pack_a,v_m1\n")

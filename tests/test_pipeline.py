@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_trace
-from voltsentry import boost, configio, pipeline, simkit
+from test_boost import GRID, random_tree
+from voltsentry import boost, configio, pipeline, sentinel, simkit
+from voltsentry.boost import Ensemble, Segment
 from voltsentry.cli import check_model_trace_compat
 from voltsentry.datasets import SplitSpec
 from voltsentry.reports import RunReport, score_detection, write_report
-from voltsentry.sentinel import DetectionTrace
+from voltsentry.sentinel import DetectionTrace, run_detector
+from voltsentry.threatgen import AttackScenario, apply_scenario
 from voltsentry.transfer import norm_for_pack
 
 
@@ -91,7 +96,7 @@ class TestScoreDetection:
         flags = np.zeros(n - 1, dtype=int)
         flags[k0 - 1:kf - 1] = 1  # detection trace starts at t=1
         det = detection(flags)
-        m = score_detection(det, self.mask(n, k0, kf), np.arange(n, dtype=float))
+        m = score_detection(det, self.mask(n, k0, kf))
         assert m.onset_delay == 0
         assert m.withdrawal_delay == 0
         assert m.false_alarms == 0
@@ -102,14 +107,14 @@ class TestScoreDetection:
         flags = np.zeros(n - 1, dtype=int)
         flags[k0 + 1:kf + 1] = 1
         det = detection(flags)
-        m = score_detection(det, self.mask(n, k0, kf), np.arange(n, dtype=float))
+        m = score_detection(det, self.mask(n, k0, kf))
         assert m.onset_delay == 2
         assert m.withdrawal_delay == 2
 
     def test_missed_detection(self):
         n, k0, kf = 20, 5, 12
         det = detection(np.zeros(n - 1, dtype=int))
-        m = score_detection(det, self.mask(n, k0, kf), np.arange(n, dtype=float))
+        m = score_detection(det, self.mask(n, k0, kf))
         assert m.onset_delay is None
         assert m.withdrawal_delay is None
         assert m.as_dict()["onset_delay_samples"] == "missed"
@@ -120,13 +125,13 @@ class TestScoreDetection:
         flags[2:4] = 1   # a rise at t=3 in the nominal region
         flags[k0 - 1:kf - 1] = 1
         det = detection(flags)
-        m = score_detection(det, self.mask(n, k0, kf), np.arange(n, dtype=float))
+        m = score_detection(det, self.mask(n, k0, kf))
         assert m.false_alarms == 1
 
     def test_mask_without_window_rejected(self):
         det = detection(np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
-            score_detection(det, np.zeros(6, dtype=int), np.arange(6.0))
+            score_detection(det, np.zeros(6, dtype=int))
 
 
 class TestReports:
@@ -158,3 +163,169 @@ class TestBaseModelCellQuality:
         ens, _, _, val_set = base_bundle
         err = pipeline.max_abs_residual(ens, val_set)
         assert err <= 0.005 * 4.2
+
+
+def random_model(rng, n_trees, depth):
+    trees = tuple(random_tree(rng, depth) for _ in range(n_trees))
+    return Ensemble(float(rng.normal()),
+                    (Segment("base", float(rng.uniform(0.01, 1.0)), trees),))
+
+
+def random_trace(rng, n, q):
+    """A 1 Hz trace of mostly GRID values, so rows often repeat exactly."""
+    v = np.where(rng.random((n, q)) < 0.7, rng.choice(GRID, (n, q)),
+                 rng.uniform(-1.2, 1.2, (n, q)))
+    return make_trace(v, i=rng.choice(GRID, n))
+
+
+def draw_scenario(data, n, q):
+    """A swap (q >= 2) or replay window of at least one frame, which may
+    end at the last frame; replays on a random target subset."""
+    if q < 2 or data.draw(st.booleans()):
+        if n < 3:
+            return None
+        span = data.draw(st.integers(1, (n - 1) // 2))
+        k0 = data.draw(st.integers(span, n - span))
+        start = data.draw(st.integers(0, k0 - span))
+        end = data.draw(st.integers(start + span, k0))
+        targets = data.draw(st.sets(st.integers(1, q), min_size=1))
+        return AttackScenario("replay", k0, k0 + span, record_start_s=start,
+                              record_end_s=end, target_modules=tuple(targets))
+    k0 = data.draw(st.integers(0, n - 1))
+    return AttackScenario("swap_fdi", k0, data.draw(st.integers(k0 + 1, n)))
+
+
+def full_prediction(model, trace, scenario, epsilon):
+    """evaluate_attack without the nominal trace's predictions."""
+    corrupted, mask = apply_scenario(trace, scenario)
+    det = run_detector(corrupted, model, epsilon)
+    return corrupted, det, score_detection(det, mask)
+
+
+def assert_same_outcome(got, want):
+    (c1, d1, m1), (c2, d2, m2) = got, want
+    assert c1 == c2
+    assert d1.r.tobytes() == d2.r.tobytes()
+    assert d1.flag.tobytes() == d2.flag.tobytes()
+    assert d1.events == d2.events
+    assert m1 == m2
+
+
+def counting_predictions(monkeypatch):
+    """Rows passed to each predict_batch call of the residual function."""
+    rows = []
+
+    def counting(model, x):
+        rows.append(len(x))
+        return boost.predict_batch(model, x)
+
+    monkeypatch.setattr(sentinel, "predict_batch", counting)
+    return rows
+
+
+class TestAttackReuse:
+    """evaluate_attack predicts only the rows an attack changed and takes
+    the others from the nominal trace's memoized predictions; the outcome
+    equals a full prediction of the corrupted trace bit for bit."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n_trees=st.integers(0, 5), depth=st.integers(0, 4),
+           q=st.integers(1, 5), n=st.integers(2, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_prediction_property(self, data, seed, n_trees, depth,
+                                             q, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_trees, depth)
+        trace = random_trace(rng, n, q)
+        for _ in range(data.draw(st.integers(1, 4))):
+            scenario = draw_scenario(data, n, q)
+            if scenario is None:
+                return
+            epsilon = float(rng.uniform(0.01, 2.0))
+            want = full_prediction(model, trace, scenario, epsilon)
+            if data.draw(st.booleans()):  # epsilon on one of the residuals
+                positive = want[1].r[want[1].r > 0]
+                if positive.size:
+                    epsilon = float(rng.choice(positive))
+                    want = full_prediction(model, trace, scenario, epsilon)
+            got = pipeline.evaluate_attack(model, trace, scenario, epsilon)
+            assert_same_outcome(got, want)
+            assert trace._memo[0] is model
+
+    def scenario(self):
+        return AttackScenario("swap_fdi", 10, 30)
+
+    def test_second_model_replaces_memo(self):
+        rng = np.random.default_rng(7)
+        trace = random_trace(rng, 40, 3)
+        first, second = random_model(rng, 5, 3), random_model(rng, 5, 3)
+        scenario = self.scenario()
+        pipeline.evaluate_attack(first, trace, scenario, 0.5)
+        got = pipeline.evaluate_attack(second, trace, scenario, 0.5)
+        assert_same_outcome(got, full_prediction(second, trace, scenario, 0.5))
+        assert trace._memo[0] is second
+
+    def test_nominal_written_after_memoization(self):
+        rng = np.random.default_rng(8)
+        trace = random_trace(rng, 40, 3)
+        model = random_model(rng, 5, 3)
+        scenario = self.scenario()
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.v_modules[35, 0] = 9.0
+        trace.v_modules.flags.writeable = True
+        trace.v_modules[:] = trace.v_modules[:, ::-1] + 0.5
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert_same_outcome(got, full_prediction(model, trace, scenario, 0.5))
+
+    def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        model = random_model(rng, 5, 3)
+        trace, other = random_trace(rng, 40, 3), random_trace(rng, 41, 3)
+        want = run_detector(trace, model, 0.5)
+        rows = counting_predictions(monkeypatch)
+        det = run_detector(trace, model, 0.5, nominal=other)
+        assert rows == [39 * 3]
+        assert det.r.tobytes() == want.r.tobytes()
+        assert other._memo is None
+
+    def test_window_that_changes_no_row(self, monkeypatch):
+        """A swap over frames already in descending order changes nothing:
+        no row is predicted again."""
+        model = random_model(np.random.default_rng(10), 5, 3)
+        v = np.column_stack([np.linspace(1.0, 0.0, 30), np.zeros(30)])
+        trace = make_trace(v, i=0.25)
+        scenario = AttackScenario("swap_fdi", 5, 30)
+        want = full_prediction(model, trace, scenario, 0.5)
+        rows = counting_predictions(monkeypatch)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert rows == [29 * 2]  # the nominal trace, into the memo
+        assert_same_outcome(got, want)
+        rows.clear()
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert rows == []
+
+    def test_calibrate_then_attack_predicts_nominal_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 5, 3)
+        trace = random_trace(rng, 40, 3)
+        scenario = AttackScenario("replay", 20, 30, record_start_s=2,
+                                  record_end_s=12, target_modules=(2,))
+        want = full_prediction(model, trace, scenario, 0.5)
+        rows = counting_predictions(monkeypatch)
+        _, _, preds = pipeline.calibrate_on_trace(model, trace)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert_same_outcome(got, want)
+        changed = np.count_nonzero(want[0].v_modules[:-1] != trace.v_modules[:-1])
+        assert rows == [39 * 3, changed]
+        assert not preds.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            preds[0, 0] = 0.0
+
+    def test_copy_does_not_carry_memo(self):
+        rng = np.random.default_rng(12)
+        model = random_model(rng, 5, 3)
+        trace = random_trace(rng, 20, 2)
+        pipeline.calibrate_on_trace(model, trace)
+        assert trace._memo is not None and trace.copy()._memo is None
+        assert all(not a.flags.writeable for a in trace._memo[1:])

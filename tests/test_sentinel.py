@@ -225,6 +225,21 @@ class TestStepDetector:
         with pytest.raises(ValueError):
             step_detector(state, TelemetryFrame(1.0, 0.0, (100.0, 101.0)), model)
 
+    @pytest.mark.parametrize("dt", [2.0, 0.0, -1.0],
+                             ids=["gap", "duplicate", "reversal"])
+    def test_cadence_break_rejected_stream_continues(self, dt):
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        det = run_detector(trace, model, epsilon=0.1)
+        state, _, _ = step_detector(DetectorState.initial(0.1, trace.frame(0)),
+                                    trace.frame(1), model)
+        good = trace.frame(2)
+        bad = TelemetryFrame(trace.frame(1).t_s + dt, good.i_pack_a,
+                             good.v_modules)
+        with pytest.raises(ValueError, match="by 1 s"):
+            step_detector(state, bad, model)
+        state, r, flag = step_detector(state, good, model)
+        assert (r, flag) == (det.r[1], det.flag[1])
+
     def test_events_record_crossing_residuals(self):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
         det = run_detector(trace, model, epsilon=0.1)
@@ -267,6 +282,15 @@ class TestNonFiniteInput:
                          epsilon=0.1)
 
 
+def force_write(array, index, value):
+    """Write into a read-only trace array: a plain write raises, so the
+    array is made writable on purpose first."""
+    with pytest.raises(ValueError, match="read-only"):
+        array[index] = value
+    array.flags.writeable = True
+    array[index] = value
+
+
 class TestNonFiniteResidual:
     """A non-finite residual raises in the one residual function, so stream,
     batch and calibration never read it as "no crossing"."""
@@ -274,16 +298,30 @@ class TestNonFiniteResidual:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_run_detector_array_written_after_construction(self, bad):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
-        trace.v_modules[-1, 0] = bad
+        force_write(trace.v_modules, (-1, 0), bad)
         with pytest.raises(ValueError, match="finite"):
             run_detector(trace, model, epsilon=0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_calibrate_array_written_after_construction(self, bad):
         model, _, nominal = ramp_model_and_trace()
-        nominal.v_modules[-1, 0] = bad
+        force_write(nominal.v_modules, (-1, 0), bad)
         with pytest.raises(ValueError, match="finite"):
             pipeline.calibrate_on_trace(model, nominal)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_memoized_nominal_written_after_construction(self, bad, row):
+        """A value written into a nominal trace after its predictions were
+        memoized is seen: a predictor input raises in the walk, the last
+        frame as a non-finite residual."""
+        model, _, nominal = ramp_model_and_trace()
+        pipeline.calibrate_on_trace(model, nominal)
+        force_write(nominal.v_modules, (row, 0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            pipeline.calibrate_on_trace(model, nominal)
+        with pytest.raises(ValueError, match="finite"):
+            run_detector(nominal, model, epsilon=0.1, nominal=nominal)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_detector_overflowing_prediction(self):

@@ -296,6 +296,28 @@ class TestTelemetryTypes:
                 simkit.TelemetryTrace(t_s=arrays[0], i_pack_a=arrays[1],
                                       v_modules=arrays[2])
 
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 3.0], [0.0, 1.0, 1.0],
+                                   [0.0, 2.0, 1.0], [5.0, 5.5, 6.5]],
+                             ids=["gap", "duplicate", "reversal", "half-step"])
+    def test_trace_cadence_rejected(self, t):
+        with pytest.raises(ValueError, match="1 s"):
+            simkit.TelemetryTrace(t_s=np.array(t), i_pack_a=np.zeros(3),
+                                  v_modules=np.ones((3, 1)))
+
+    def test_trace_arrays_read_only_copies(self):
+        t, i, v, mask = np.arange(3.0), np.zeros(3), np.ones((3, 2)), np.zeros(3, int)
+        trace = simkit.TelemetryTrace(t_s=t, i_pack_a=i, v_modules=v,
+                                      i_modules=v, attack_mask=mask)
+        arrays = (trace.t_s, trace.i_pack_a, trace.v_modules, trace.i_modules,
+                  trace.attack_mask)
+        for given, kept in zip((t, i, v, v, mask), arrays):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1
+        v[0, 0] = 7.0
+        assert trace.v_modules[0, 0] == 1.0
+
     def test_trace_shape_checks(self):
         with pytest.raises(ValueError):
             simkit.TelemetryTrace(t_s=np.array([0.0, 1.0]),
