@@ -19,6 +19,12 @@ the canonical inputs and models of the README's CLI flow (seed 1):
   scenario (``configs/swap_pack1.ini``, ``configs/replay_pack2.ini``) at its
   calibrated threshold, on a fresh copy of the test trace (cold) or
   repeated on one trace (warm, as a sweep over one trace runs)
+- ``evaluate_attack_warm_cv_replay_pack2_ms``: the worst case of the warm
+  path.  A replay of every module into the middle half of the CV phase of
+  a phased pack 2 charge (SOC 0.8, 1 C, cut-off 0.3 C, as in the
+  benchmark's sweep), recorded from the frames just before it.  The CV
+  current tapers frame by frame, so no replayed row meets its recorded
+  current again, and each of them is predicted.
 
 Each figure is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come
@@ -27,8 +33,8 @@ file: each layer keeps every run's figure under ``<label>_runs`` and their
 median under ``<label>``.  Alternate the labels, for example:
 
     for k in 1 2 3; do
-        python scripts/bench.py --src ../parent/src --label before --out BENCH_7.json
-        python scripts/bench.py --label after --out BENCH_7.json
+        python scripts/bench.py --src ../parent/src --label before --out BENCH_8.json
+        python scripts/bench.py --label after --out BENCH_8.json
     done
 
 ``--src`` picks the voltsentry sources to time (default: this checkout's).
@@ -121,7 +127,8 @@ def step_detector_ms(sentinel, model, trace) -> float:
 def measure(art: str) -> dict:
     import numpy as np
 
-    from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
+    from voltsentry import (boost, cli, configio, datasets, pipeline, sentinel,
+                            simkit, threatgen)
 
     if not all(os.path.exists(os.path.join(art, f"model_{name}.json"))
                for name in ("base",) + PACKS):
@@ -170,7 +177,31 @@ def measure(art: str) -> dict:
         layers[f"evaluate_attack_cold_{p}_ms"] = median_ms(attack, 20, fresh)
         layers[f"evaluate_attack_warm_{p}_ms"] = median_ms(
             attack, 20, lambda: (trace,))
+    phased, scenario = cv_replay(pipeline, simkit, threatgen)
+    epsilon = pipeline.calibrate_on_trace(models["pack2"], phased)[0]
+    layers["evaluate_attack_warm_cv_replay_pack2_ms"] = median_ms(
+        lambda: pipeline.evaluate_attack(models["pack2"], phased, scenario,
+                                         epsilon), 20)
     return layers
+
+
+def cv_replay(pipeline, simkit, threatgen):
+    """A phased pack 2 charge and a replay of all its modules into the
+    middle half of its CV phase, recorded from the frames just before."""
+    import numpy as np
+
+    policy = simkit.CccvPolicy(c_rate=1.0, taper_cutoff_c=0.3,
+                               duration_s=pipeline.PACK_TRACE_DURATION_S)
+    trace = simkit.run_cccv_pack(simkit.pack2_config(), simkit.default_cell(),
+                                 policy, 0.8)
+    i = trace.i_pack_a
+    cv = int(np.flatnonzero(i < i[0])[0])
+    span = int(np.flatnonzero(i == 0.0)[0]) - cv
+    k0, length = cv + span // 4, span // 2
+    scenario = threatgen.AttackScenario(
+        "replay", k0, k0 + length, record_start_s=k0 - length,
+        record_end_s=k0, target_modules=tuple(range(1, trace.q + 1)))
+    return trace, scenario
 
 
 def main(argv=None) -> int:

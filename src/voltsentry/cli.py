@@ -96,6 +96,7 @@ def cmd_simulate(args) -> int:
 def cmd_train_base(args) -> int:
     cfg = configio.read_train_config(args.config) if args.config else boost.BASE_RECIPE
     out_dir = _out_dir(args)
+    cell = pipeline.read_corpus_cell(args.corpus_dir)
     train_set, val_set = pipeline.load_cell_corpus(args.corpus_dir)
     t0 = time.perf_counter()
     model = boost.train(train_set, val_set, cfg)
@@ -118,7 +119,7 @@ def cmd_train_base(args) -> int:
             "final_train_mse": model.history.train_mse[-1],
             "final_val_mse": model.history.val_mse[-1],
             "val_max_abs_error_v": val_err,
-            "val_max_abs_error_fraction": val_err / 4.2,
+            "val_max_abs_error_fraction": val_err / cell.v_max,
         },
         artifacts={"model": _name(model_path),
                    "loss_curve": _name(curve_path)},

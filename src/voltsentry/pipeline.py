@@ -13,9 +13,10 @@ artifact.
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -38,6 +39,8 @@ CANONICAL_CORPUS_SEED = 1
 
 # Validation slice of the corpus: the mid init-SOC runs at nominal r0.
 _VAL_TAG = "_s030_r100"
+# The corpus's cell parameters, written beside its CSVs.
+CORPUS_MANIFEST = "corpus.json"
 
 
 def corpus_trace_name(c_rate: float, init_soc: float, r0_scale: float) -> str:
@@ -48,7 +51,8 @@ def corpus_trace_name(c_rate: float, init_soc: float, r0_scale: float) -> str:
 
 def generate_cell_corpus(out_dir, cell: CellParams | None = None,
                          seed: int = 0, noise: NoiseSpec = NoiseSpec()) -> list:
-    """Simulate the cell charging grid and write one CSV per run."""
+    """Simulate the cell charging grid and write one CSV per run, then the
+    corpus manifest (write_corpus_manifest); returns the paths written."""
     cell = cell or simkit.default_cell()
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -67,7 +71,37 @@ def generate_cell_corpus(out_dir, cell: CellParams | None = None,
                 datasets.write_trace(path, trace)
                 paths.append(path)
                 run_index += 1
+    paths.append(write_corpus_manifest(out_dir, cell))
     return paths
+
+
+def write_corpus_manifest(corpus_dir, cell: CellParams) -> str:
+    """Write ``corpus.json`` beside the corpus CSVs: the corpus's cell
+    parameters, with sorted keys, so equal cells give equal bytes."""
+    path = os.path.join(corpus_dir, CORPUS_MANIFEST)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"cell": asdict(cell)}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def read_corpus_cell(corpus_dir) -> CellParams:
+    """The cell parameters recorded in a corpus's manifest.
+
+    Raises FileNotFoundError without a manifest and ValueError unless its
+    "cell" holds every field of a valid CellParams and nothing else.
+    """
+    path = os.path.join(corpus_dir, CORPUS_MANIFEST)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        cell = doc["cell"]
+        if cell.keys() != {f.name for f in fields(CellParams)}:
+            raise KeyError(sorted(cell))
+        knots = tuple(map(tuple, cell["ocv_knots"]))
+        return CellParams(**{**cell, "ocv_knots": knots})
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a corpus manifest ({exc!r})") from None
 
 
 def load_cell_corpus(corpus_dir):
@@ -209,7 +243,7 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
     The predictions are memoized on the trace, so attacks evaluated on it
     afterwards with the same model (evaluate_attack) reuse them.  Returns
     (epsilon, nominal detection trace run at that epsilon, per-module
-    predictions for plot data, read-only).
+    predictions for plot data).
     """
     preds, residuals = sentinel.one_step_residuals(
         model, trace.v_modules, trace.i_pack_a, nominal=trace)
@@ -223,8 +257,9 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
                     scenario: threatgen.AttackScenario, epsilon: float):
     """Corrupt a nominal trace, run detection, score against the mask.
 
-    Only the predictor inputs the attack changed are predicted; the others
-    take the nominal trace's predictions, memoized on it per model.
+    Only the predictor input rows found nowhere in the nominal trace are
+    predicted; the others take the nominal trace's predictions, memoized on
+    it per model and looked up by row value.
     """
     from .reports import score_detection
 

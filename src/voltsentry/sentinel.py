@@ -20,20 +20,25 @@ crossing".  step_detector also rejects a frame whose t_s is not the
 previous frame's plus 1 s; the caller's state is unchanged, so the stream
 continues from the last good frame.
 
-Scoring attacks against a nominal trace reuses its predictions.  Given a
-``nominal`` trace of the same shape, one_step_residuals takes the nominal
-trace's predictions from a memo on that trace (one entry: the model
-object, copies of the trace's voltages and currents, and the read-only
-predictions), marks the predictor input rows that differ from the
-nominal trace's, predicts only those and splices them in; r is then
-computed over every row as before.  The memo serves only the same model
-object and only while the trace's arrays equal its copies, so a write
-forced into the trace never serves stale predictions.  A NaN compares
-unequal, so it still reaches the walk, which rejects it.  The reuse is
-bit-exact because prediction is independent per row: the node-table walk
-accumulates each row's leaves in its own column, in tree order, and
-predict_batch scales each element on its own, so a row equal to a
-nominal row gets the identical prediction.
+Scoring attacks against a nominal trace reuses its predictions, looked up
+by row value.  Given a ``nominal`` trace, one_step_residuals keeps a memo
+on that trace (one entry: the model object, copies of the trace's
+voltages and currents, the trace's predictor rows as sorted keys and
+their predictions in the same order).  Each predictor row (v_m(k), i(k))
+of the trace being checked is looked up among the keys, wherever it sits:
+a row equal to some nominal row takes that row's prediction, and only
+the rows equal to none are predicted, in one call; r is then computed
+over every row as before.  An attack that permutes a frame's modules or
+replays recorded frames at the same current therefore predicts nothing.
+The memo serves only the same model object and only while the trace's
+arrays equal its copies, so a write forced into the trace never serves
+stale predictions.  The reuse is bit-exact because a prediction depends
+only on the row's two values: predict_batch scales each element on its
+own and the node-table walk compares ``x >= t`` and adds each row's
+leaves in its own column, in tree order.  Keys compare by value, so a
+-0.0 takes the prediction made for 0.0, whose branches it takes too
+(-0.0 >= t exactly when 0.0 >= t).  A NaN equals no key, so it still
+reaches the walk, which rejects it.
 
 The toggle is the paper's pure set/reset rule: the flag is the parity of
 the crossings so far.  It is fragile by construction, since a single
@@ -56,8 +61,15 @@ def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return np.column_stack([v[:-1].reshape(-1), np.repeat(i[:-1], v.shape[1])])
 
 
-def _nominal_predictions(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
-    """The trace's one-step predictions under ``model``, (n-1, q), read-only.
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """One complex key per (v, i) row of a C-contiguous (N, 2) float array,
+    without a copy; numpy orders complex values by (real, imag)."""
+    return x.view(np.complex128).ravel()
+
+
+def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
+    """The trace's predictor rows as sorted keys and their predictions under
+    ``model`` in the same order, both read-only.
 
     Memoized on the trace: one entry, which serves a call only for the same
     model object and while the trace's arrays still equal the copies taken
@@ -68,11 +80,14 @@ def _nominal_predictions(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
             and np.array_equal(memo[1], trace.v_modules)
             and np.array_equal(memo[2], trace.i_pack_a)):
         v, i = trace.v_modules.copy(), trace.i_pack_a.copy()
-        predicted = predict_batch(model, _features(v, i)).reshape(-1, trace.q)
-        for a in (v, i, predicted):
+        x = _features(v, i)
+        keys = _row_keys(x)
+        order = np.argsort(keys, kind="stable")
+        keys, predicted = keys[order], predict_batch(model, x)[order]
+        for a in (v, i, keys, predicted):
             a.flags.writeable = False
-        memo = trace._memo = (model, v, i, predicted)
-    return memo[3]
+        memo = trace._memo = (model, v, i, keys, predicted)
+    return memo[3], memo[4]
 
 
 def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
@@ -83,21 +98,21 @@ def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
     Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
     ValueError if a residual is not finite.
 
-    Given a ``nominal`` trace of the same shape, the predictions of every
-    predictor input row equal to the nominal trace's are taken from the
-    nominal trace's memoized predictions, and only the other rows are
-    predicted; the predictions returned may then be read-only.
+    Given a ``nominal`` trace, every predictor input row equal in value to
+    one of the nominal trace's rows takes that row's memoized prediction,
+    and only the other rows are predicted.
     """
     v = np.asarray(v_modules, dtype=float)
     x = _features(v, np.asarray(i_pack_a, dtype=float))
-    if nominal is None or nominal.v_modules.shape != v.shape:
+    if nominal is None or nominal.n_frames < 2:  # no nominal rows to reuse
         predicted = predict_batch(model, x)
     else:
-        predicted = _nominal_predictions(model, nominal).reshape(-1)
-        changed = (x != _features(nominal.v_modules, nominal.i_pack_a)).any(axis=1)
-        if changed.any():
-            predicted = predicted.copy()
-            predicted[changed] = predict_batch(model, x[changed])
+        keys, known = _nominal_predictions(model, nominal)
+        xk = _row_keys(x)
+        pos = np.minimum(np.searchsorted(keys, xk), keys.size - 1)
+        predicted, miss = known[pos], keys[pos] != xk
+        if miss.any():
+            predicted[miss] = predict_batch(model, x[miss])
     predicted = predicted.reshape(-1, v.shape[1])
     r = np.max(np.abs(v[1:] - predicted), axis=1)
     if not np.isfinite(r).all():
@@ -198,9 +213,9 @@ def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
                  nominal: TelemetryTrace | None = None) -> DetectionTrace:
     """Batch detection pass over a trace; bit-equal to streaming step calls.
 
-    Predictions are evaluated in one vectorized call (only of the rows that
-    differ from ``nominal``'s, when given; see one_step_residuals), and the
-    flags are a cumulative count of the crossings.
+    Predictions are evaluated in one vectorized call (only of the rows
+    absent from ``nominal``'s rows, when given; see one_step_residuals), and
+    the flags are a cumulative count of the crossings.
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")

@@ -28,13 +28,19 @@ pack calls it on its (q, s) state arrays with one branch current per
 module: the augmented assignments that rebind a float update the pack's
 arrays in place, and only the final clamp to [0, 1] is chosen by form.
 The pack model fixes its module and total resistances per run, rejects a
-module whose total resistance is not positive and finite, and computes
-the module offsets once per state, which the CC check, the CV solve and
-the current split share.  A recorded step's current and split also drive
-its first sub-step, which starts from the same state.  Every float
-operation is the one a per-call evaluation would make, in the same order,
-so the traces are bit-identical to it; the tests keep the per-call loops
-as their oracle.  Parameters are checked once, when the dataclasses are
+module whose total resistance is not positive and finite, or a pack whose
+conductances overflow, and computes the module offsets once per state,
+which the CC check, the CV solve and the current split share.  Small but
+representable module resistances are accepted, yet the run is unstable
+for them, because each sub-step's current split is computed once and
+held: with r0 = 0 and links of 1e-6 ohm, a 3-module pack charging from
+SOC 0.3 at 1 C stops within a few steps with SolverError ("CV solve
+produced negative pack current") where it should stay in CC, and at
+1e-4 ohm the Kirchhoff error grows to about 5e-12 (3e-15 at 0.2 ohm).
+A recorded step's current and split also drive its first sub-step,
+which starts from the same state.  Every float operation is the one a
+per-call evaluation would make, in the same order, so the traces are
+bit-identical to it; the tests keep the per-call loops as their oracle.  Parameters are checked once, when the dataclasses are
 built: every field must be finite.
 """
 
@@ -268,7 +274,9 @@ class TelemetryTrace:
     read-only, so a trace never changes after validation and never freezes
     a caller's array.  ``_memo`` holds the one-step predictions of the trace
     under one model, kept by ``sentinel`` for scoring attacks against this
-    trace; ``copy()`` does not carry it.
+    trace: the trace's predictor rows as sorted keys and their predictions
+    in the same order, so any trace's rows can be looked up in it by value.
+    ``copy()`` does not carry it.
     """
 
     t_s: np.ndarray
@@ -478,8 +486,10 @@ class _PackModel:
     The cell resistances never change, so the module and total resistances
     are fixed per run; a module whose total resistance is not positive and
     finite would take an infinite share of the current, so it raises
-    ValueError before any division.  The module offsets ``o`` (zero-current
-    voltage sums) and their conductance-weighted sum are computed once per
+    ValueError before any division.  So does a pack whose conductances,
+    their sum or their offset-weighted sum overflow, as total resistances
+    near the smallest positive floats make them.  The module offsets ``o``
+    (zero-current voltage sums) and their conductance-weighted sum are computed once per
     state, at construction and after each ``advance``; the CC check, the CV
     solve and the current split of that state all share them.
     """
@@ -500,8 +510,6 @@ class _PackModel:
         if not np.all((self.r_tot > 0.0) & (self.r_tot < math.inf)):
             raise ValueError("module resistance r_mod + interconnect_ohm must be "
                              "positive and finite")
-        self.inv = 1.0 / self.r_tot
-        self.inv_sum = float(self.inv.sum())
         self.dt = dt
         self.r1 = cell.r1_ohm
         self.tau_d = cell.diff_tau_s
@@ -511,7 +519,15 @@ class _PackModel:
         self.soc = np.full((q, s), float(init_soc))
         self.v_rc = np.zeros((q, s))
         self.surf = np.full((q, s), float(init_soc))
-        self._offsets()
+        # Overflowing conductances are rejected here, before any sub-step,
+        # rather than simulated on non-finite currents.
+        with np.errstate(over="ignore"):
+            self.inv = 1.0 / self.r_tot
+            self.inv_sum = float(self.inv.sum())
+            self._offsets()
+        if not (math.isfinite(self.inv_sum) and math.isfinite(self.o_dot)):
+            raise ValueError("module conductances 1 / (r_mod + interconnect_ohm) "
+                             "overflow; the module resistance is too small")
 
     def _offsets(self) -> None:
         self.o = (np.interp(self.surf, self._ocv_socs, self._ocv_volts)

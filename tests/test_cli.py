@@ -1,11 +1,12 @@
 import configparser
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from voltsentry import cli, datasets, simkit
+from voltsentry import cli, datasets, pipeline, simkit
 from voltsentry.configio import SimRunSpec, write_scenario, write_sim_config
 from voltsentry.threatgen import AttackScenario
 
@@ -30,6 +31,7 @@ def write_mini_corpus(corpus_dir):
             MINI_CELL, simkit.CccvPolicy(c_rate=c_rate, duration_s=240),
             soc, simkit.NoiseSpec(), seed=seed, name=name)
         datasets.write_trace(corpus_dir / (name + ".csv"), trace)
+    pipeline.write_corpus_manifest(corpus_dir, MINI_CELL)
 
 
 def write_pack_configs(tmp_path):
@@ -167,6 +169,59 @@ class TestFinetuneNominalVoltage:
         assert info["test_max_abs_error_fraction"] == (
             info["test_max_abs_error_v"] / (4 * 4.1))
         assert info["test_max_abs_error_v"] == default["model"]["test_max_abs_error_v"]
+
+
+class TestTrainBaseNominalVoltage:
+    def test_corpus_manifest_sets_nominal_cell_voltage(self, tmp_path):
+        cell = replace(simkit.default_cell(), v_max=4.1)
+        config = tmp_path / "corpus_vmax41.ini"
+        write_sim_config(config, SimRunSpec(
+            kind="cell_corpus", cell=cell, policy=simkit.CccvPolicy(c_rate=1.0),
+            noise=simkit.NoiseSpec(), init_soc=0.3, seed=1))
+        corpus = tmp_path / "corpus"
+        assert cli.main(["simulate", "--config", str(config),
+                         "--out-dir", str(corpus)]) == 0
+        assert pipeline.read_corpus_cell(corpus) == cell
+        train_cfg = tmp_path / "train.ini"
+        train_cfg.write_text("[train]\nn_trees = 3\nmax_depth = 2\n")
+        assert cli.main(["train-base", "--corpus-dir", str(corpus),
+                         "--config", str(train_cfg),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        model = json.loads((tmp_path / "out" / "report_train_base.json")
+                           .read_text())["model"]
+        assert model["val_max_abs_error_fraction"] == (
+            model["val_max_abs_error_v"] / 4.1)
+
+    def test_corpus_without_manifest_is_missing_file(self, mini_setup, capsys):
+        (mini_setup["corpus"] / pipeline.CORPUS_MANIFEST).unlink()
+        out = mini_setup["tmp"] / "out"
+        assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert pipeline.CORPUS_MANIFEST in err["message"]
+        assert not (out / "report_train_base.json").exists()
+
+    @pytest.mark.parametrize("text, code", [
+        ('{"cell": {"v_max": 4.1}}', 5),
+        ('{"cell": []}', 5),
+        ('[]', 5),
+        ('{"cell": {"v_max": 4.1', 4),
+    ])
+    def test_malformed_manifest_rejected(self, mini_setup, capsys, text, code):
+        (mini_setup["corpus"] / pipeline.CORPUS_MANIFEST).write_text(text)
+        assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
+                         "--out-dir", str(mini_setup["tmp"] / "out")]) == code
+        capsys.readouterr()
+
+    def test_manifest_with_bad_value_rejected(self, mini_setup, capsys):
+        path = mini_setup["corpus"] / pipeline.CORPUS_MANIFEST
+        doc = json.loads(path.read_text())
+        doc["cell"]["v_max"] = "high"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
+                         "--out-dir", str(mini_setup["tmp"] / "out")]) == 5
+        assert "not a corpus manifest" in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestErrorPaths:
@@ -311,8 +366,10 @@ class TestErrorPaths:
         assert f"{field} must be finite" in err["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
-    def test_zero_resistance_pack_rejected(self, tmp_path, capsys):
-        # A 2x1x2 pack whose cells and links have no resistance at all.
+    @staticmethod
+    def simulate_short_pack(tmp_path, capsys, link) -> str:
+        """Message of the rejected simulate of a 2x1x2 pack whose cells have
+        no resistance, with interconnects of ``link`` ohm."""
         spec = SimRunSpec(
             kind="pack", cell=simkit.CellParams(capacity_ah=2.0, r0_ohm=0.0),
             policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),
@@ -320,15 +377,25 @@ class TestErrorPaths:
             pack=simkit.PackConfig(name="short", parallel_modules=2,
                                    branches_per_module=1, series_cells=2,
                                    capacity_ah=4.0, v_max_pack=9.0,
-                                   interconnect_ohm=0.0))
+                                   interconnect_ohm=link))
         cfg = tmp_path / "run.ini"
         write_sim_config(cfg, spec)
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out-dir", str(tmp_path)]) == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-input"
-        assert "positive and finite" in err["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+        return err["message"]
+
+    def test_zero_resistance_pack_rejected(self, tmp_path, capsys):
+        # A pack whose cells and links have no resistance at all.
+        message = self.simulate_short_pack(tmp_path, capsys, 0.0)
+        assert "positive and finite" in message
+
+    @pytest.mark.parametrize("link", [2.2e-313, sys.float_info.min])
+    def test_overflowing_conductance_pack_rejected(self, tmp_path, capsys, link):
+        message = self.simulate_short_pack(tmp_path, capsys, link)
+        assert "overflow" in message
 
 
 class TestOutDirResolution:

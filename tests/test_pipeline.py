@@ -23,7 +23,9 @@ class TestCorpusRecipe:
     def test_grid_covers_design(self, corpus_dir):
         import os
         files = sorted(os.listdir(corpus_dir))
-        assert len(files) == 36
+        assert len(files) == 36 + 1
+        assert files.count(pipeline.CORPUS_MANIFEST) == 1
+        assert pipeline.read_corpus_cell(corpus_dir) == simkit.default_cell()
         train, val = pipeline.load_cell_corpus(corpus_dir)
         # Validation slice: mid init-SOC at nominal r0, one run per C-rate.
         assert len(val) == int(sum(pipeline.CELL_DURATIONS.values()))
@@ -211,6 +213,18 @@ def assert_same_outcome(got, want):
     assert m1 == m2
 
 
+def predictor_rows(trace):
+    """The trace's (v_m(k), i(k)) predictor rows, frame-major."""
+    return list(zip(trace.v_modules[:-1].ravel().tolist(),
+                    np.repeat(trace.i_pack_a[:-1], trace.q).tolist()))
+
+
+def absent_rows(trace, nominal) -> int:
+    """How many of the trace's predictor rows equal no nominal row."""
+    known = set(predictor_rows(nominal))
+    return sum(row not in known for row in predictor_rows(trace))
+
+
 def counting_predictions(monkeypatch):
     """Rows passed to each predict_batch call of the residual function."""
     rows = []
@@ -224,8 +238,9 @@ def counting_predictions(monkeypatch):
 
 
 class TestAttackReuse:
-    """evaluate_attack predicts only the rows an attack changed and takes
-    the others from the nominal trace's memoized predictions; the outcome
+    """evaluate_attack predicts only the rows of the corrupted trace that
+    equal no row of the nominal trace, wherever they sit, and takes the
+    others from the nominal trace's memoized predictions; the outcome
     equals a full prediction of the corrupted trace bit for bit."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
@@ -278,16 +293,27 @@ class TestAttackReuse:
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, full_prediction(model, trace, scenario, 0.5))
 
-    def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
+    def test_nominal_of_another_shape_predicts_absent_rows(self, monkeypatch):
         rng = np.random.default_rng(9)
         model = random_model(rng, 5, 3)
-        trace, other = random_trace(rng, 40, 3), random_trace(rng, 41, 3)
-        want = run_detector(trace, model, 0.5)
+        other = random_trace(rng, 41, 3)
+        # Frames 5..34 of the nominal trace, modules 3 and 1: no new row.
+        inside = make_trace(other.v_modules[5:35, ::-2], i=other.i_pack_a[5:35])
+        outside = random_trace(rng, 40, 2)
+        want = [run_detector(t, model, 0.5) for t in (inside, outside)]
         rows = counting_predictions(monkeypatch)
-        det = run_detector(trace, model, 0.5, nominal=other)
-        assert rows == [39 * 3]
-        assert det.r.tobytes() == want.r.tobytes()
-        assert other._memo is None
+        det = run_detector(inside, model, 0.5, nominal=other)
+        assert rows == [40 * 3]  # the nominal trace, into the memo
+        assert det.r.tobytes() == want[0].r.tobytes()
+        rows.clear()
+        det = run_detector(outside, model, 0.5, nominal=other)
+        assert rows == [absent_rows(outside, other)]
+        assert 0 < rows[0] < 39 * 2
+        assert det.r.tobytes() == want[1].r.tobytes()
+        assert other._memo[0] is model
+        one_frame = make_trace(other.v_modules[:1], i=other.i_pack_a[:1])
+        det = run_detector(outside, model, 0.5, nominal=one_frame)
+        assert det.r.tobytes() == want[1].r.tobytes()
 
     def test_window_that_changes_no_row(self, monkeypatch):
         """A swap over frames already in descending order changes nothing:
@@ -316,11 +342,73 @@ class TestAttackReuse:
         _, _, preds = pipeline.calibrate_on_trace(model, trace)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
-        changed = np.count_nonzero(want[0].v_modules[:-1] != trace.v_modules[:-1])
-        assert rows == [39 * 3, changed]
-        assert not preds.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            preds[0, 0] = 0.0
+        assert rows == [39 * 3, absent_rows(want[0], trace)]
+        preds[:] = 0.0  # the caller's copy, not the memo
+        assert_same_outcome(pipeline.evaluate_attack(model, trace, scenario, 0.5),
+                            want)
+
+    def test_swap_predicts_nothing_after_memo(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 5, 3)
+        trace = make_trace(rng.uniform(-1.2, 1.2, (40, 3)),
+                           i=rng.uniform(-1.2, 1.2, 40))
+        scenario = AttackScenario("swap_fdi", 5, 40)
+        want = full_prediction(model, trace, scenario, 0.5)
+        pipeline.calibrate_on_trace(model, trace)
+        rows = counting_predictions(monkeypatch)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert rows == []
+        assert_same_outcome(got, want)
+        assert not np.array_equal(got[0].v_modules, trace.v_modules)
+
+    def test_replay_at_constant_current_predicts_nothing(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = random_model(rng, 5, 3)
+        trace = make_trace(rng.uniform(-1.2, 1.2, (40, 3)), i=0.25)
+        scenario = AttackScenario("replay", 20, 35, record_start_s=0,
+                                  record_end_s=15, target_modules=(1, 3))
+        want = full_prediction(model, trace, scenario, 0.5)
+        pipeline.calibrate_on_trace(model, trace)
+        rows = counting_predictions(monkeypatch)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert rows == []
+        assert_same_outcome(got, want)
+
+    def test_replay_across_currents_predicts_absent_rows(self, monkeypatch):
+        """Replayed voltages meet other currents: each such row is new,
+        except where the recorded and the live current coincide."""
+        rng = np.random.default_rng(15)
+        model = random_model(rng, 5, 3)
+        i = np.where(np.arange(40) % 4 == 0, 0.5, rng.uniform(-1.2, 1.2, 40))
+        trace = make_trace(rng.uniform(-1.2, 1.2, (40, 3)), i=i)
+        scenario = AttackScenario("replay", 20, 32, record_start_s=4,
+                                  record_end_s=16, target_modules=(2,))
+        want = full_prediction(model, trace, scenario, 0.5)
+        pipeline.calibrate_on_trace(model, trace)
+        rows = counting_predictions(monkeypatch)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert_same_outcome(got, want)
+        # Frames 20, 24 and 28 replay frames 4, 8 and 12 at the same current.
+        assert rows == [absent_rows(want[0], trace)] == [12 - 3]
+
+    def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        model = random_model(rng, 5, 4)
+        v = np.where(rng.random((30, 2)) < 0.5, 0.0, rng.choice(GRID, (30, 2)))
+        nominal = make_trace(v, i=np.where(np.arange(30) % 2, 0.0, 0.5))
+        flipped = make_trace(np.where(v == 0.0, -0.0, v),
+                             i=np.where(np.arange(30) % 2, -0.0, 0.5))
+        assert np.signbit(flipped.v_modules).any()
+        want = sentinel.one_step_residuals(model, flipped.v_modules,
+                                           flipped.i_pack_a)
+        sentinel.one_step_residuals(model, nominal.v_modules, nominal.i_pack_a,
+                                    nominal)
+        rows = counting_predictions(monkeypatch)
+        got = sentinel.one_step_residuals(model, flipped.v_modules,
+                                          flipped.i_pack_a, nominal)
+        assert rows == []
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_copy_does_not_carry_memo(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,8 @@ pack_shapes = dict(q=st.integers(1, 5), s=st.integers(1, 20),
 
 RESISTANCE_ERROR = ("module resistance r_mod + interconnect_ohm must be "
                     "positive and finite")
+CONDUCTANCE_ERROR = ("module conductances 1 / (r_mod + interconnect_ohm) "
+                     "overflow; the module resistance is too small")
 
 
 def _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed):
@@ -503,9 +506,14 @@ class TestMatchesReference:
         if (cell.r0_ohm == 0.0 and min(config.interconnect_ohm) == 0.0
                 and cell.ocv(init_soc) < policy.v_max):
             assert new == ("error", ValueError, RESISTANCE_ERROR, None)
+            return
+        want = _outcome(lambda: simkit_reference.run_cccv_pack(
+            config, cell, policy, init_soc))
+        if new == ("error", ValueError, CONDUCTANCE_ERROR, None):
+            # Rejected up front, where the reference overflows.
+            assert want == ("error", FloatingPointError)
         else:
-            assert new == _outcome(lambda: simkit_reference.run_cccv_pack(
-                config, cell, policy, init_soc))
+            assert new == want
 
     def test_canonical_pack1_c100(self):
         spec = configio.read_sim_config(os.path.join(CONFIGS, "pack1_c100.ini"))
@@ -552,6 +560,22 @@ class TestPackProperties:
     def test_zero_module_resistance_rejected(self, links):
         with pytest.raises(ValueError, match="positive and finite"):
             run_cccv_pack(small_pack(interconnect=links), replace(CELL, r0_ohm=0.0),
+                          CccvPolicy(c_rate=1.0, duration_s=30), 0.3)
+
+    @pytest.mark.parametrize("link", [2.2e-313, sys.float_info.min])
+    def test_overflowing_conductance_rejected(self, link, monkeypatch):
+        """Positive but tiny links overflow 1 / r, its sum or the offsets'
+        weighted sum: rejected before any sub-step, without a numpy
+        warning (warnings are errors in this suite)."""
+        def no_step(*args):
+            raise AssertionError("a sub-step ran")
+
+        monkeypatch.setattr(simkit, "_cell_update", no_step)
+        with pytest.raises(ValueError, match="conductances .* overflow"):
+            simkit._PackModel(small_pack(interconnect=link),
+                              replace(CELL, r0_ohm=0.0), 0.3, 0.1)
+        with pytest.raises(ValueError, match="conductances .* overflow"):
+            run_cccv_pack(small_pack(interconnect=link), replace(CELL, r0_ohm=0.0),
                           CccvPolicy(c_rate=1.0, duration_s=30), 0.3)
 
 
