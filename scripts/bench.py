@@ -38,14 +38,13 @@ median under ``<label>``.  Alternate the labels, for example:
     done
 
 ``--src`` picks the voltsentry sources to time (default: this checkout's).
-The canonical artifacts are built into ``--artifacts`` with the CLI of the
-sources under test unless that directory already holds them; prediction
-outputs do not depend on which bit-exact version built the models.
+The canonical artifacts are built into ``--artifacts`` by the study driver
+(``scripts/run_attack_studies.py``) through the CLI of the sources under
+test unless that directory already holds them; prediction outputs do not
+depend on which bit-exact version built the models.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import platform
@@ -57,30 +56,6 @@ from dataclasses import replace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 PACKS = ("pack1", "pack2")
-
-
-def build_artifacts(cli, out: str) -> None:
-    """The README's CLI flow up to fine-tuning, at the canonical seed."""
-    corpus = os.path.join(out, "corpus")
-    commands = [["simulate", "--config", os.path.join(CONFIGS, "cell_corpus.ini"),
-                 "--seed", "1", "--out-dir", corpus],
-                ["train-base", "--corpus-dir", corpus, "--out-dir", out]]
-    for pack in PACKS:
-        for rate in ("c080", "c120", "c100"):
-            commands.append(["simulate", "--config",
-                             os.path.join(CONFIGS, f"{pack}_{rate}.ini"),
-                             "--out-dir", out])
-    for pack in PACKS:
-        commands.append(["finetune", "--model", os.path.join(out, "model_base.json"),
-                         "--config", os.path.join(CONFIGS, f"{pack}_c100.ini"),
-                         "--traces", os.path.join(out, f"{pack}_c080.csv"),
-                         os.path.join(out, f"{pack}_c120.csv"),
-                         "--test-trace", os.path.join(out, f"{pack}_c100.csv"),
-                         "--recipe", pack, "--out-dir", out])
-    for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
-                raise SystemExit(f"bench: voltsentry {argv[0]} failed")
 
 
 def simulate_cell_corpus(pipeline, simkit) -> None:
@@ -127,12 +102,17 @@ def step_detector_ms(sentinel, model, trace) -> float:
 def measure(art: str) -> dict:
     import numpy as np
 
-    from voltsentry import (boost, cli, configio, datasets, pipeline, sentinel,
+    from voltsentry import (boost, configio, datasets, pipeline, sentinel,
                             simkit, threatgen)
 
     if not all(os.path.exists(os.path.join(art, f"model_{name}.json"))
                for name in ("base",) + PACKS):
-        build_artifacts(cli, art)
+        # Imported here, after --src is on the path, so that the CLI
+        # under test builds the artifacts.
+        import run_attack_studies
+
+        if run_attack_studies.run_study(art):
+            raise SystemExit("bench: the study driver failed")
     layers = {"simulate_cell_corpus_s": median_ms(
         lambda: simulate_cell_corpus(pipeline, simkit), 3) / 1e3}
     for p in PACKS:

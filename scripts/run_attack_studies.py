@@ -1,111 +1,126 @@
 #!/usr/bin/env python3
-"""End-to-end attack-detection study.
+"""End-to-end attack-detection study, run through the voltsentry CLI.
 
-Builds the cell corpus, trains the base one-step voltage predictor,
-fine-tunes it for both pack configurations, calibrates the residual
-threshold on each pack's nominal 1C charge, and scores the two attack
-scenarios (module-voltage swap on pack 1, partial replay on pack 2).
+Runs the README's CLI flow with the shipped configs/: simulates the cell
+corpus, trains the base one-step voltage predictor, then for each pack
+simulates its three charges, fine-tunes the base model, calibrates the
+residual threshold on the nominal 1C charge and scores the pack's attack
+scenario (module-voltage swap on pack 1, partial replay on pack 2) at
+that threshold.  The first command that fails stops the study with its
+exit code.
 
-Writes all artifacts (telemetry CSVs, model JSONs, detection CSVs, plot
-data, reports) under --out-dir and prints a summary table.
+The artifacts are the CLI's, flat under --out-dir (the corpus CSVs under
+--out-dir/corpus).  The summary table is read back from the reports and
+the fine-tune timing sidecars.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import sys
-import time
 
-import numpy as np
+from voltsentry import cli, pipeline
 
-from voltsentry import boost, datasets, pipeline, sentinel, simkit, threatgen, transfer
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+# (pack, its attack scenario config, the scenario's kind)
+STUDIES = (("pack1", "swap_pack1", "swap_fdi"), ("pack2", "replay_pack2", "replay"))
 
 
-def run_pack_study(base, base_seconds, config, recipe, scenario, out_dir):
-    pack_dir = os.path.join(out_dir, config.name)
-    os.makedirs(pack_dir, exist_ok=True)
-    traces = pipeline.generate_pack_traces(config, out_dir=pack_dir)
-    model, info, seconds = pipeline.finetune_pack(
-        base, config, traces["train"], traces["test"], recipe)
-    boost.save_model(os.path.join(pack_dir, f"model_{config.name}.json"), model)
+def _read(out_dir, name) -> dict:
+    with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+        return json.load(fh)
 
-    epsilon, nominal_det, preds = pipeline.calibrate_on_trace(model, traces["test"])
-    pipeline.write_prediction_csv(
-        os.path.join(pack_dir, "predictions_nominal.csv"),
-        traces["test"], preds, nominal_det.r)
-    sentinel.write_detection(
-        os.path.join(pack_dir, "detection_nominal.csv"), nominal_det)
 
-    corrupted, det, metrics = pipeline.evaluate_attack(
-        model, traces["test"], scenario, epsilon)
-    datasets.write_trace(
-        os.path.join(pack_dir, f"trace_{scenario.kind}.csv"), corrupted)
-    sentinel.write_detection(
-        os.path.join(pack_dir, f"detection_{scenario.kind}.csv"), det)
-    sentinel.write_events(
-        os.path.join(pack_dir, f"events_{scenario.kind}.csv"), det)
+def _run(*commands) -> int:
+    """Run CLI commands in order, dropping the report paths they print;
+    returns 0, or the exit code of the first that fails."""
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            return code
+    return 0
 
-    return {
-        "pack": config.name,
-        "attack": scenario.kind,
-        "n_trees": len(model.segments[-1].trees),
-        "train_size": info["train_size"],
-        "val_size": info["val_size"],
-        "finetune_s": seconds,
-        "test_err_pct": 100 * info["test_max_abs_error_fraction"],
-        "max_nominal_r": float(np.max(nominal_det.r)),
-        "epsilon": epsilon,
-        "onset": metrics.onset_delay,
-        "withdrawal": metrics.withdrawal_delay,
-        "false_alarms": metrics.false_alarms,
-    }
+
+def _run_pack(pack, scenario, out_dir) -> int:
+    cfg = lambda name: os.path.join(CONFIGS, name + ".ini")  # noqa: E731
+    at = lambda name: os.path.join(out_dir, name)  # noqa: E731
+    test, model = at(f"{pack}_c100.csv"), at(f"model_{pack}.json")
+    code = _run(
+        *(["simulate", "--config", cfg(f"{pack}_{rate}"), "--out-dir", out_dir]
+          for rate in ("c080", "c120", "c100")),
+        ["finetune", "--model", at("model_base.json"), "--config", cfg(f"{pack}_c100"),
+         "--traces", at(f"{pack}_c080.csv"), at(f"{pack}_c120.csv"),
+         "--test-trace", test, "--recipe", pack, "--out-dir", out_dir],
+        ["calibrate", "--model", model, "--trace", test, "--out-dir", out_dir])
+    if code:
+        return code
+    calibrated = _read(out_dir, f"report_calibrate_{pack}_c100.json")["detection"]
+    return _run(["attack-eval", "--model", model, "--trace", test, "--scenario",
+                 cfg(scenario), "--epsilon", repr(calibrated["epsilon_v"]),
+                 "--out-dir", out_dir])
+
+
+def run_study(out_dir, seed=pipeline.CANONICAL_CORPUS_SEED) -> int:
+    """Run the study's CLI commands in order; returns 0, or the exit code
+    of the first command that fails, having run nothing after it."""
+    corpus = os.path.join(out_dir, "corpus")
+    print(f"[1/4] generating cell corpus (seed {seed}) ...")
+    code = _run(["simulate", "--config", os.path.join(CONFIGS, "cell_corpus.ini"),
+                 "--seed", str(seed), "--out-dir", corpus])
+    if not code:
+        print("[2/4] training base model ...")
+        code = _run(["train-base", "--corpus-dir", corpus, "--out-dir", out_dir])
+    if code:
+        return code
+    base = _read(out_dir, "report_train_base.json")
+    train_s = _read(out_dir, "timings_train_base.json")["train_s"]
+    err_pct = 100 * base["model"]["val_max_abs_error_fraction"]
+    print(f"      {base['inputs']['n_train']} train / {base['inputs']['n_val']} val "
+          f"pairs, {train_s:.1f} s, val max abs err {err_pct:.3f}% of the cell's v_max")
+    for step, (pack, scenario, _) in enumerate(STUDIES, start=3):
+        print(f"[{step}/4] {pack}: fine-tune + {scenario} study ...")
+        code = _run_pack(pack, scenario, out_dir)
+        if code:
+            return code
+    return 0
+
+
+def summary_table(out_dir) -> str:
+    """The study's summary, one row per pack, from the CLI's outputs."""
+    header = (f"{'pack':6s} {'attack':9s} {'trees':>5s} {'N':>5s} "
+              f"{'ft[s]':>7s} {'err%':>6s} {'max r':>6s} {'eps':>5s} "
+              f"{'onset':>5s} {'wdraw':>5s} {'FA':>3s}")
+    lines = [header, "-" * len(header)]
+    for pack, _, kind in STUDIES:
+        ft = _read(out_dir, f"report_finetune_{pack}.json")["model"]
+        seconds = _read(out_dir, f"timings_finetune_{pack}.json")["finetune_s"]
+        cal = _read(out_dir, f"report_calibrate_{pack}_c100.json")["detection"]
+        det = _read(out_dir, f"report_{pack}_c100_{kind}.json")["detection"]
+        lines.append(
+            f"{pack:6s} {kind:9s} {ft['tree_counts']['finetune']:5d} "
+            f"{ft['train_size']:5d} {seconds:7.3f} "
+            f"{100 * ft['test_max_abs_error_fraction']:6.3f} "
+            f"{cal['max_nominal_residual_v']:6.2f} {cal['epsilon_v']:5.2f} "
+            f"{det['onset_delay_samples']!s:>5s} "
+            f"{det['withdrawal_delay_samples']!s:>5s} {det['false_alarms']:3d}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="out/study")
     parser.add_argument("--seed", type=int,
                         default=pipeline.CANONICAL_CORPUS_SEED,
                         help="cell corpus seed")
     args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    corpus_dir = os.path.join(args.out_dir, "corpus")
-    print(f"[1/4] generating cell corpus (seed {args.seed}) ...")
-    pipeline.generate_cell_corpus(corpus_dir, seed=args.seed)
-
-    print("[2/4] training base model (400 trees, depth 4, lr 0.12) ...")
-    t0 = time.perf_counter()
-    base, base_seconds = pipeline.train_base(corpus_dir)
-    boost.save_model(os.path.join(args.out_dir, "model_base.json"), base)
-    train_set, val_set = pipeline.load_cell_corpus(corpus_dir)
-    base_err = pipeline.max_abs_residual(base, val_set)
-    print(f"      {len(train_set)} train / {len(val_set)} val pairs, "
-          f"{base_seconds:.1f} s, val max abs err "
-          f"{100 * base_err / 4.2:.3f}% of 4.2 V")
-
-    swap = threatgen.AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700)
-    replay = threatgen.AttackScenario(kind="replay", k0_s=400, kf_s=700,
-                                      record_start_s=100, record_end_s=400,
-                                      target_modules=(1, 2))
-    print("[3/4] pack 1: fine-tune + swap-FDI study ...")
-    row1 = run_pack_study(base, base_seconds, simkit.pack1_config(),
-                          transfer.PACK1_RECIPE, swap, args.out_dir)
-    print("[4/4] pack 2: fine-tune + replay study ...")
-    row2 = run_pack_study(base, base_seconds, simkit.pack2_config(),
-                          transfer.PACK2_RECIPE, replay, args.out_dir)
-
-    print()
-    header = (f"{'pack':6s} {'attack':9s} {'trees':>5s} {'N':>5s} "
-              f"{'ft[s]':>7s} {'err%':>6s} {'max r':>6s} {'eps':>5s} "
-              f"{'onset':>5s} {'wdraw':>5s} {'FA':>3s}")
-    print(header)
-    print("-" * len(header))
-    for row in (row1, row2):
-        print(f"{row['pack']:6s} {row['attack']:9s} {row['n_trees']:5d} "
-              f"{row['train_size']:5d} {row['finetune_s']:7.3f} "
-              f"{row['test_err_pct']:6.3f} {row['max_nominal_r']:6.2f} "
-              f"{row['epsilon']:5.2f} {str(row['onset']):>5s} "
-              f"{str(row['withdrawal']):>5s} {row['false_alarms']:3d}")
+    code = run_study(args.out_dir, args.seed)
+    if code:
+        return code
+    print("\n" + summary_table(args.out_dir))
     print(f"\nartifacts under {args.out_dir}/")
     return 0
 

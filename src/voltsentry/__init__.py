@@ -11,6 +11,6 @@ from .sentinel import (DetectionTrace, DetectorState, calibrate_threshold,
 from .simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
                      TelemetryFrame, TelemetryTrace, default_cell, pack1_config,
                      pack2_config, run_cccv_cell, run_cccv_pack)
-from .threatgen import AttackScenario, apply_replay, apply_scenario
+from .threatgen import AttackScenario, apply_scenario
 from .transfer import (PACK1_RECIPE, PACK2_RECIPE, FinetuneConfig, finetune,
                        norm_for_pack)

@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
         written = [path]
     else:
         from .simkit import run_cccv_pack
-        name = (f"{spec.pack.name}_c{int(round(spec.policy.c_rate * 100)):03d}")
+        name = pipeline.pack_trace_name(spec.pack.name, spec.policy.c_rate)
         trace = run_cccv_pack(spec.pack, spec.cell, spec.policy,
                               spec.init_soc, spec.noise, name=name)
         path = os.path.join(out_dir, name + ".csv")

@@ -4,8 +4,9 @@ Simulator config sections (all keys optional unless stated):
 
     [cell]    capacity_ah r0_ohm r1_ohm c1_f diff_tau_s v_max v_min
               ocv_soc ocv_v           (comma lists, same length)
-    [pack]    name parallel_modules branches_per_module series_cells
-              capacity_ah v_max_pack heterogeneity_sigma rng_seed
+    [pack]    parallel_modules branches_per_module series_cells
+              capacity_ah v_max_pack (required for pack runs)
+              name heterogeneity_sigma rng_seed
               interconnect_ohm       (scalar or comma list, one per module)
     [policy]  c_rate v_max taper_cutoff_c duration_s
     [noise]   rel_sigma
@@ -17,8 +18,10 @@ Simulator config sections (all keys optional unless stated):
 
 Scenario files have a single [attack] section with kind, k0_s, kf_s and,
 for replays, record_start_s, record_end_s, target_modules (comma list,
-1-based).  Train/fine-tune recipes use [train] / [finetune] sections with
-the corresponding config fields.
+1-based); all but target_modules are required.  Train/fine-tune recipes
+use [train] / [finetune] sections with the corresponding config fields;
+[finetune] requires n_trees, max_depth and learning_rate.  A missing
+required key raises configparser.NoOptionError (CLI exit 4, parse-error).
 """
 
 from __future__ import annotations
@@ -112,11 +115,11 @@ def read_sim_config(path) -> SimRunSpec:
         values = _floats(link)
         pack = PackConfig(
             name=sec.get("name", "pack"),
-            parallel_modules=sec.getint("parallel_modules"),
-            branches_per_module=sec.getint("branches_per_module"),
-            series_cells=sec.getint("series_cells"),
-            capacity_ah=sec.getfloat("capacity_ah"),
-            v_max_pack=sec.getfloat("v_max_pack"),
+            parallel_modules=parser.getint("pack", "parallel_modules"),
+            branches_per_module=parser.getint("pack", "branches_per_module"),
+            series_cells=parser.getint("pack", "series_cells"),
+            capacity_ah=parser.getfloat("pack", "capacity_ah"),
+            v_max_pack=parser.getfloat("pack", "v_max_pack"),
             heterogeneity_sigma=sec.getfloat("heterogeneity_sigma", fallback=0.01),
             rng_seed=sec.getint("rng_seed", fallback=0),
             interconnect_ohm=values[0] if len(values) == 1 else values)
@@ -172,11 +175,11 @@ def read_scenario(path) -> AttackScenario:
         raise ValueError(f"{path}: missing [attack] section")
     sec = parser["attack"]
     kind = sec.get("kind", "").strip()
-    kwargs: dict = {"kind": kind, "k0_s": sec.getint("k0_s"),
-                    "kf_s": sec.getint("kf_s")}
+    kwargs: dict = {"kind": kind, "k0_s": parser.getint("attack", "k0_s"),
+                    "kf_s": parser.getint("attack", "kf_s")}
     if kind == "replay":
-        kwargs["record_start_s"] = sec.getint("record_start_s")
-        kwargs["record_end_s"] = sec.getint("record_end_s")
+        kwargs["record_start_s"] = parser.getint("attack", "record_start_s")
+        kwargs["record_end_s"] = parser.getint("attack", "record_end_s")
         kwargs["target_modules"] = _ints(sec.get("target_modules", ""))
     return AttackScenario(**kwargs)
 
@@ -220,9 +223,9 @@ def resolve_recipe(name_or_path) -> FinetuneConfig:
     if not parser.has_section("finetune"):
         raise ValueError(f"{text}: missing [finetune] section")
     sec = parser["finetune"]
-    kwargs = {"n_trees": sec.getint("n_trees"),
-              "max_depth": sec.getint("max_depth"),
-              "learning_rate": sec.getfloat("learning_rate")}
+    kwargs = {"n_trees": parser.getint("finetune", "n_trees"),
+              "max_depth": parser.getint("finetune", "max_depth"),
+              "learning_rate": parser.getfloat("finetune", "learning_rate")}
     for key in ("lambda_l2", "gamma_leaf", "min_child_weight"):
         if key in sec:
             kwargs[key] = sec.getfloat(key)

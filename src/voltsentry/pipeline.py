@@ -1,10 +1,11 @@
-"""End-to-end experiment orchestration shared by the CLI, scripts, and tests.
+"""The study's steps, run by the CLI commands.
 
-The flow mirrors the study design: build a cell-level corpus over varied
-charging conditions, train the base predictor on it, generate limited pack
-telemetry (two short training charges plus one test charge per pack),
-fine-tune per pack, calibrate the residual threshold on the nominal test
-charge, and score attack scenarios against it.
+The study builds a cell-level corpus over varied charging conditions,
+trains the base predictor on it, simulates limited pack telemetry (two
+short training charges plus one test charge per pack, named by
+pack_trace_name), fine-tunes per pack, calibrates the residual threshold
+on the nominal test charge, and scores attack scenarios against it.
+scripts/run_attack_studies.py runs that flow through the CLI.
 
 All model-building steps read telemetry from CSV files, so the recorded
 6-decimal values are the single source of truth for every downstream
@@ -47,6 +48,10 @@ def corpus_trace_name(c_rate: float, init_soc: float, r0_scale: float) -> str:
     return (f"cell_c{int(round(c_rate * 100)):03d}"
             f"_s{int(round(init_soc * 100)):03d}"
             f"_r{int(round(r0_scale * 100)):03d}")
+
+
+def pack_trace_name(pack_name: str, c_rate: float) -> str:
+    return f"{pack_name}_c{int(round(c_rate * 100)):03d}"
 
 
 def generate_cell_corpus(out_dir, cell: CellParams | None = None,
@@ -119,44 +124,8 @@ def load_cell_corpus(corpus_dir):
     return datasets.concat(train_parts), datasets.concat(val_parts)
 
 
-def train_base(corpus_dir, cfg: boost.TrainConfig = boost.BASE_RECIPE):
-    """Train the cell-level base model; returns (ensemble, seconds)."""
-    train_set, val_set = load_cell_corpus(corpus_dir)
-    t0 = time.perf_counter()
-    ens = boost.train(train_set, val_set, cfg)
-    return ens, time.perf_counter() - t0
-
-
 def pack_policy(c_rate: float) -> CccvPolicy:
     return CccvPolicy(c_rate=c_rate, duration_s=PACK_TRACE_DURATION_S)
-
-
-def generate_pack_traces(config: PackConfig, cell: CellParams | None = None,
-                         out_dir=None, noise: NoiseSpec = NoiseSpec()) -> dict:
-    """Two short training charges plus the nominal test charge for one pack.
-
-    Returns {"train": [trace, trace], "test": trace}; writes CSVs when
-    out_dir is given (the returned traces are then the CSV-loaded ones).
-    """
-    cell = cell or simkit.default_cell()
-    result = {"train": [], "test": None}
-
-    def run(c_rate):
-        name = f"{config.name}_c{int(round(c_rate * 100)):03d}"
-        trace = simkit.run_cccv_pack(
-            config, cell, pack_policy(c_rate), PACK_INIT_SOC, noise, name=name)
-        if out_dir is not None:
-            path = os.path.join(out_dir, name + ".csv")
-            datasets.write_trace(path, trace)
-            trace = datasets.read_trace(path)
-        return trace
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    for c_rate in PACK_TRAIN_C_RATES:
-        result["train"].append(run(c_rate))
-    result["test"] = run(PACK_TEST_C_RATE)
-    return result
 
 
 def build_pack_sets(train_traces: list, test_trace: TelemetryTrace,
@@ -208,7 +177,7 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
     train_set, val_set, test_set = build_pack_sets(
         train_traces, test_trace, split, norm)
 
-    val_before = max_abs_residual(base_with_norm(base, norm), val_set)
+    val_before = max_abs_residual(base, val_set)
     t0 = time.perf_counter()
     tl = transfer.finetune(base, train_set, val_set, recipe, norm)
     seconds = time.perf_counter() - t0
@@ -229,24 +198,18 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
     return tl, info, seconds
 
 
-def base_with_norm(base: boost.Ensemble, norm: boost.NormSpec) -> boost.Ensemble:
-    """The frozen base model viewed through a pack normalization."""
-    return boost.Ensemble(base_score=base.base_score, segments=base.segments,
-                          norm=norm)
-
-
 def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
                        margin: float = 4.0 / 3.0):
     """Nominal-run residuals and the resulting threshold, from one
     prediction pass over the trace.
 
-    The predictions are memoized on the trace, so attacks evaluated on it
-    afterwards with the same model (evaluate_attack) reuse them.  Returns
+    Nothing is memoized on the trace: the first evaluate_attack on it
+    builds the memo that later attacks with the same model reuse.  Returns
     (epsilon, nominal detection trace run at that epsilon, per-module
     predictions for plot data).
     """
     preds, residuals = sentinel.one_step_residuals(
-        model, trace.v_modules, trace.i_pack_a, nominal=trace)
+        model, trace.v_modules, trace.i_pack_a)
     epsilon = sentinel.calibrate_threshold(residuals, margin)
     det = sentinel.DetectionTrace.from_residuals(trace.t_s[1:], residuals,
                                                  epsilon)
@@ -290,7 +253,7 @@ def write_canonical_configs(out_dir) -> dict:
 
     for config in (simkit.pack1_config(), simkit.pack2_config()):
         for c_rate in PACK_TRAIN_C_RATES + (PACK_TEST_C_RATE,):
-            label = f"{config.name}_c{int(round(c_rate * 100)):03d}"
+            label = pack_trace_name(config.name, c_rate)
             spec = configio.SimRunSpec(
                 kind="pack", cell=cell, policy=pack_policy(c_rate),
                 noise=NoiseSpec(), pack=config, init_soc=PACK_INIT_SOC)

@@ -32,7 +32,9 @@ over every row as before.  An attack that permutes a frame's modules or
 replays recorded frames at the same current therefore predicts nothing.
 The memo serves only the same model object and only while the trace's
 arrays equal its copies, so a write forced into the trace never serves
-stale predictions.  The reuse is bit-exact because a prediction depends
+stale predictions.  Calibration passes no nominal trace, so it predicts
+its trace once and builds no memo; the first attack scored against the
+trace builds it.  The reuse is bit-exact because a prediction depends
 only on the row's two values: predict_batch scales each element on its
 own and the node-table walk compares ``x >= t`` and adds each row's
 leaves in its own column, in tree order.  Keys compare by value, so a

@@ -74,25 +74,6 @@ def _window(trace: TelemetryTrace, scenario: AttackScenario) -> tuple:
     return int(a), int(b)
 
 
-def _replayed(trace: TelemetryTrace, scenario: AttackScenario) -> np.ndarray:
-    """The module voltages with the recorded window replayed over the
-    target modules."""
-    a, b = _window(trace, scenario)
-    rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
-    cols = [m - 1 for m in scenario.target_modules]
-    v = trace.v_modules.copy()
-    v[a:b, cols] = trace.v_modules[rec:rec + b - a, cols]
-    return v
-
-
-def apply_replay(trace: TelemetryTrace, scenario: AttackScenario) -> TelemetryTrace:
-    """Replay recorded voltages over the target modules inside the window."""
-    if scenario.kind != "replay":
-        raise ValueError("scenario is not a replay")
-    scenario.validate_for(trace)
-    return replace(trace, v_modules=_replayed(trace, scenario))
-
-
 def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
     """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask).
 
@@ -108,7 +89,10 @@ def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
         v = trace.v_modules.copy()
         v[a:b] = _swap_rows(trace.v_modules[a:b])
     else:
-        v = _replayed(trace, scenario)
+        rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
+        cols = [m - 1 for m in scenario.target_modules]
+        v = trace.v_modules.copy()
+        v[a:b, cols] = trace.v_modules[rec:rec + b - a, cols]
     mask = np.zeros(trace.n_frames, dtype=int)
     mask[a:b] = 1
     out = replace(trace, v_modules=v, attack_mask=mask,

@@ -35,7 +35,15 @@ def base_model(base_bundle):
 
 
 def _pack_bundle(base, config, recipe):
-    traces = pipeline.generate_pack_traces(config)
+    cell = simkit.default_cell()
+
+    def run(c_rate):
+        return simkit.run_cccv_pack(
+            config, cell, pipeline.pack_policy(c_rate), pipeline.PACK_INIT_SOC,
+            name=pipeline.pack_trace_name(config.name, c_rate))
+
+    traces = {"train": [run(c) for c in pipeline.PACK_TRAIN_C_RATES],
+              "test": run(pipeline.PACK_TEST_C_RATE)}
     model, info, seconds = pipeline.finetune_pack(
         base, config, traces["train"], traces["test"], recipe)
     epsilon, nominal_det, preds = pipeline.calibrate_on_trace(model, traces["test"])

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from boost_reference import (_eval_tree, leaf_value, reference_boost_segment,
                              tree_depth)
-from voltsentry import boost, pipeline, transfer
+from voltsentry import boost, transfer
 from voltsentry.boost import (BASE_RECIPE, Ensemble, ModelParseError, NormSpec,
                               Segment, Tree, TrainConfig, TrainingError,
                               _ColumnBlocks, leaf_weight, predict_batch,
@@ -620,7 +620,7 @@ class TestImmutable:
         pack = SupervisedSet(x=x[:80] * [1.0, 0.5], y=y[:80] + 0.002,
                              meta={"norm": norm})
         tuned = transfer.finetune(base, pack, pack, transfer.PACK2_RECIPE, norm)
-        viewed = pipeline.base_with_norm(base, norm)
+        viewed = Ensemble(base.base_score, base.segments, norm=norm)
         loaded = boost.model_from_json(boost.model_to_json(tuned))
         rows = np.column_stack([rng.uniform(300, 420, 20), rng.uniform(40, 120, 20)])
         for ens in (base, tuned, viewed, loaded):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_configio import drop_option
 from voltsentry import cli, datasets, pipeline, simkit
 from voltsentry.configio import SimRunSpec, write_scenario, write_sim_config
 from voltsentry.threatgen import AttackScenario
@@ -396,6 +397,57 @@ class TestErrorPaths:
     def test_overflowing_conductance_pack_rejected(self, tmp_path, capsys, link):
         message = self.simulate_short_pack(tmp_path, capsys, link)
         assert "overflow" in message
+
+
+class TestMissingRequiredKey:
+    """A config without a required key exits 4 with one JSON line, before
+    the command writes anything."""
+
+    @staticmethod
+    def run(tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse-error"
+        assert not out.exists()
+
+    @staticmethod
+    def tiny_model_and_trace(tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"version": 1, "base_score": 3.8,
+             "norm": {"v_scale": 1.0, "i_scale": 1.0}, "segments": []}))
+        trace = tmp_path / "cell.csv"
+        datasets.write_trace(trace, simkit.TelemetryTrace(
+            t_s=np.arange(3.0), i_pack_a=np.full(3, 5.0),
+            v_modules=[[3.7], [3.8], [3.9]]))
+        return str(model), str(trace)
+
+    def test_simulate_pack_without_series_cells(self, tmp_path, capsys):
+        cfg = write_pack_configs(tmp_path)["c100"]
+        drop_option(cfg, "pack", "series_cells")
+        self.run(tmp_path, capsys, ["simulate", "--config", str(cfg)])
+
+    def test_finetune_recipe_without_learning_rate(self, tmp_path, capsys):
+        model, trace = self.tiny_model_and_trace(tmp_path)
+        recipe = tmp_path / "recipe.ini"
+        recipe.write_text("[finetune]\nn_trees = 2\nmax_depth = 2\n")
+        self.run(tmp_path, capsys, [
+            "finetune", "--model", model,
+            "--config", str(write_pack_configs(tmp_path)["c100"]),
+            "--traces", trace, "--test-trace", trace, "--recipe", str(recipe)])
+
+    def test_attack_eval_replay_without_record_end(self, tmp_path, capsys):
+        model, trace = self.tiny_model_and_trace(tmp_path)
+        scenario = tmp_path / "replay.ini"
+        write_scenario(scenario, AttackScenario(
+            kind="replay", k0_s=2, kf_s=3, record_start_s=0, record_end_s=1,
+            target_modules=(1,)))
+        drop_option(scenario, "attack", "record_end_s")
+        self.run(tmp_path, capsys, [
+            "attack-eval", "--model", model, "--trace", trace,
+            "--scenario", str(scenario), "--epsilon", "0.1"])
 
 
 class TestOutDirResolution:

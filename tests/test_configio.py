@@ -1,3 +1,5 @@
+import configparser
+
 import pytest
 
 from voltsentry import configio, simkit
@@ -7,6 +9,15 @@ from voltsentry.configio import (SimRunSpec, read_scenario, read_sim_config,
                                  write_scenario, write_sim_config)
 from voltsentry.threatgen import AttackScenario
 from voltsentry.transfer import PACK1_RECIPE, PACK2_RECIPE
+
+
+def drop_option(path, section, key):
+    """Rewrite an INI file without one of its keys."""
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert parser.remove_option(section, key)
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
 
 
 class TestSimConfig:
@@ -49,6 +60,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="pack"):
             read_sim_config(path)
 
+    @pytest.mark.parametrize("key", ["parallel_modules", "branches_per_module",
+                                     "series_cells", "capacity_ah", "v_max_pack"])
+    def test_missing_required_pack_key(self, tmp_path, key):
+        path = tmp_path / "pack.ini"
+        write_sim_config(path, SimRunSpec(
+            kind="pack", cell=simkit.default_cell(),
+            policy=simkit.CccvPolicy(c_rate=1.0), noise=simkit.NoiseSpec(),
+            pack=simkit.pack1_config()))
+        drop_option(path, "pack", key)
+        with pytest.raises(configparser.NoOptionError, match=key):
+            read_sim_config(path)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nkind = helicopter\n")
@@ -79,6 +102,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             read_scenario(path)
 
+    @pytest.mark.parametrize("kind, key", [
+        ("swap_fdi", "k0_s"), ("swap_fdi", "kf_s"), ("replay", "k0_s"),
+        ("replay", "kf_s"), ("replay", "record_start_s"),
+        ("replay", "record_end_s")])
+    def test_missing_required_key(self, tmp_path, kind, key):
+        path = tmp_path / "scenario.ini"
+        write_scenario(path, AttackScenario(kind, 400, 700, record_start_s=100,
+                                            record_end_s=400, target_modules=(1,)))
+        drop_option(path, "attack", key)
+        with pytest.raises(configparser.NoOptionError, match=key):
+            read_scenario(path)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nkind = cell\n")
@@ -97,6 +132,15 @@ class TestRecipes:
                         "learning_rate = 0.05\n")
         recipe = resolve_recipe(path)
         assert (recipe.n_trees, recipe.max_depth, recipe.learning_rate) == (4, 3, 0.05)
+
+    @pytest.mark.parametrize("key", ["n_trees", "max_depth", "learning_rate"])
+    def test_recipe_file_missing_required_key(self, tmp_path, key):
+        path = tmp_path / "ft.ini"
+        path.write_text("[finetune]\nn_trees = 4\nmax_depth = 3\n"
+                        "learning_rate = 0.05\n")
+        drop_option(path, "finetune", key)
+        with pytest.raises(configparser.NoOptionError, match=key):
+            resolve_recipe(path)
 
     def test_train_config_file(self, tmp_path):
         path = tmp_path / "train.ini"

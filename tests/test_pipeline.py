@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_trace
 from test_boost import GRID, random_tree
-from voltsentry import boost, configio, pipeline, sentinel, simkit
+from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 from voltsentry.boost import Ensemble, Segment
 from voltsentry.cli import check_model_trace_compat
 from voltsentry.datasets import SplitSpec
@@ -19,6 +19,7 @@ class TestCorpusRecipe:
     def test_trace_naming(self):
         assert pipeline.corpus_trace_name(0.5, 0.1, 0.95) == "cell_c050_s010_r095"
         assert pipeline.corpus_trace_name(1.2, 0.3, 1.0) == "cell_c120_s030_r100"
+        assert pipeline.pack_trace_name("pack1", 0.8) == "pack1_c080"
 
     def test_grid_covers_design(self, corpus_dir):
         import os
@@ -53,13 +54,19 @@ class TestPackSets:
             name="tiny", parallel_modules=3, branches_per_module=1,
             series_cells=2, capacity_ah=15.0, v_max_pack=8.5,
             heterogeneity_sigma=0.0, rng_seed=0)
-        cell = simkit.default_cell()
-        out = pipeline.generate_pack_traces(config, cell, out_dir=tmp_path)
-        assert (tmp_path / "tiny_c080.csv").exists()
-        assert (tmp_path / "tiny_c120.csv").exists()
-        assert (tmp_path / "tiny_c100.csv").exists()
-        assert out["test"].name == "tiny_c100"
-        assert out["test"].n_frames == 901
+        ini = tmp_path / "run.ini"
+        for c_rate in pipeline.PACK_TRAIN_C_RATES + (pipeline.PACK_TEST_C_RATE,):
+            configio.write_sim_config(ini, configio.SimRunSpec(
+                kind="pack", cell=simkit.default_cell(),
+                policy=pipeline.pack_policy(c_rate), noise=simkit.NoiseSpec(),
+                pack=config, init_soc=pipeline.PACK_INIT_SOC))
+            assert cli.main(["simulate", "--config", str(ini),
+                             "--out-dir", str(tmp_path)]) == 0
+        assert (sorted(p.name for p in tmp_path.glob("tiny_*.csv"))
+                == ["tiny_c080.csv", "tiny_c100.csv", "tiny_c120.csv"])
+        test = datasets.read_trace(tmp_path / "tiny_c100.csv")
+        assert test.name == "tiny_c100"
+        assert test.n_frames == 901
 
 
 class TestCanonicalConfigs:
@@ -340,12 +347,17 @@ class TestAttackReuse:
         want = full_prediction(model, trace, scenario, 0.5)
         rows = counting_predictions(monkeypatch)
         _, _, preds = pipeline.calibrate_on_trace(model, trace)
+        assert rows == [39 * 3]
+        assert trace._memo is None
+        rows.clear()
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
         assert rows == [39 * 3, absent_rows(want[0], trace)]
-        preds[:] = 0.0  # the caller's copy, not the memo
+        rows.clear()
+        preds[:] = 0.0  # the caller's array, not the memo
         assert_same_outcome(pipeline.evaluate_attack(model, trace, scenario, 0.5),
                             want)
+        assert rows == [absent_rows(want[0], trace)]
 
     def test_swap_predicts_nothing_after_memo(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -354,7 +366,7 @@ class TestAttackReuse:
                            i=rng.uniform(-1.2, 1.2, 40))
         scenario = AttackScenario("swap_fdi", 5, 40)
         want = full_prediction(model, trace, scenario, 0.5)
-        pipeline.calibrate_on_trace(model, trace)
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
         rows = counting_predictions(monkeypatch)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert rows == []
@@ -368,7 +380,7 @@ class TestAttackReuse:
         scenario = AttackScenario("replay", 20, 35, record_start_s=0,
                                   record_end_s=15, target_modules=(1, 3))
         want = full_prediction(model, trace, scenario, 0.5)
-        pipeline.calibrate_on_trace(model, trace)
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
         rows = counting_predictions(monkeypatch)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert rows == []
@@ -384,7 +396,7 @@ class TestAttackReuse:
         scenario = AttackScenario("replay", 20, 32, record_start_s=4,
                                   record_end_s=16, target_modules=(2,))
         want = full_prediction(model, trace, scenario, 0.5)
-        pipeline.calibrate_on_trace(model, trace)
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
         rows = counting_predictions(monkeypatch)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
@@ -414,6 +426,6 @@ class TestAttackReuse:
         rng = np.random.default_rng(12)
         model = random_model(rng, 5, 3)
         trace = random_trace(rng, 20, 2)
-        pipeline.calibrate_on_trace(model, trace)
+        pipeline.evaluate_attack(model, trace, AttackScenario("swap_fdi", 5, 15), 0.5)
         assert trace._memo is not None and trace.copy()._memo is None
         assert all(not a.flags.writeable for a in trace._memo[1:])

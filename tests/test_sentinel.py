@@ -316,7 +316,8 @@ class TestNonFiniteResidual:
         memoized is seen: a predictor input raises in the walk, the last
         frame as a non-finite residual."""
         model, _, nominal = ramp_model_and_trace()
-        pipeline.calibrate_on_trace(model, nominal)
+        run_detector(nominal, model, epsilon=0.1, nominal=nominal)
+        assert nominal._memo is not None
         force_write(nominal.v_modules, (row, 0), bad)
         with pytest.raises(ValueError, match="finite"):
             pipeline.calibrate_on_trace(model, nominal)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from voltsentry.threatgen import AttackScenario, apply_replay, apply_scenario
+from voltsentry.threatgen import AttackScenario, apply_scenario
 
 
 def swap_one_frame(vs, i=100.0):
@@ -87,7 +87,7 @@ class TestApplyReplay:
 
     def test_replayed_values_match_recorded_window(self):
         trace = stair_trace()
-        out = apply_replay(trace, self.paper_scenario())
+        out = apply_scenario(trace, self.paper_scenario())[0]
         assert out.v_modules[400, 0] == trace.v_modules[100, 0]
         assert out.v_modules[699, 1] == trace.v_modules[399, 1]
         # Non-target modules and the current channel are untouched.
@@ -96,14 +96,14 @@ class TestApplyReplay:
 
     def test_outside_window_identity(self):
         trace = stair_trace()
-        out = apply_replay(trace, self.paper_scenario())
+        out = apply_scenario(trace, self.paper_scenario())[0]
         assert np.array_equal(out.v_modules[:400], trace.v_modules[:400])
         assert np.array_equal(out.v_modules[700:], trace.v_modules[700:])
 
     def test_window_outside_trace_rejected(self):
         trace = stair_trace(n=500)
         with pytest.raises(ValueError, match="outside"):
-            apply_replay(trace, self.paper_scenario())
+            apply_scenario(trace, self.paper_scenario())
 
     def test_target_module_beyond_q(self):
         trace = stair_trace(q=2)
@@ -111,7 +111,7 @@ class TestApplyReplay:
                                   record_start_s=100, record_end_s=400,
                                   target_modules=(1, 5))
         with pytest.raises(ValueError, match="module"):
-            apply_replay(trace, scenario)
+            apply_scenario(trace, scenario)
 
 
 class TestApplyScenario:
