@@ -93,7 +93,7 @@ def summary_table(out_dir) -> str:
     """The study's summary, one row per pack, from the CLI's outputs."""
     header = (f"{'pack':6s} {'attack':9s} {'trees':>5s} {'N':>5s} "
               f"{'ft[s]':>7s} {'err%':>6s} {'max r':>6s} {'eps':>5s} "
-              f"{'onset':>5s} {'wdraw':>5s} {'FA':>3s}")
+              f"{'onset':>6s} {'wdraw':>6s} {'FA':>3s}")
     lines = [header, "-" * len(header)]
     for pack, _, kind in STUDIES:
         ft = _read(out_dir, f"report_finetune_{pack}.json")["model"]
@@ -105,8 +105,8 @@ def summary_table(out_dir) -> str:
             f"{ft['train_size']:5d} {seconds:7.3f} "
             f"{100 * ft['test_max_abs_error_fraction']:6.3f} "
             f"{cal['max_nominal_residual_v']:6.2f} {cal['epsilon_v']:5.2f} "
-            f"{det['onset_delay_samples']!s:>5s} "
-            f"{det['withdrawal_delay_samples']!s:>5s} {det['false_alarms']:3d}")
+            f"{det['onset_delay_samples']!s:>6s} "
+            f"{det['withdrawal_delay_samples']!s:>6s} {det['false_alarms']:3d}")
     return "\n".join(lines)
 
 

@@ -220,9 +220,11 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
                     scenario: threatgen.AttackScenario, epsilon: float):
     """Corrupt a nominal trace, run detection, score against the mask.
 
-    Only the predictor input rows found nowhere in the nominal trace are
-    predicted; the others take the nominal trace's predictions, memoized on
-    it per model and looked up by row value.
+    The nominal trace's predictions are memoized on it per model.  Each
+    predictor input row equal to the nominal row at its position takes
+    that row's prediction; only the rows the attack changed are looked up
+    by row value among the nominal rows, and only those found nowhere in
+    the nominal trace are predicted.
     """
     from .reports import score_detection
 

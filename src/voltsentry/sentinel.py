@@ -20,27 +20,32 @@ crossing".  step_detector also rejects a frame whose t_s is not the
 previous frame's plus 1 s; the caller's state is unchanged, so the stream
 continues from the last good frame.
 
-Scoring attacks against a nominal trace reuses its predictions, looked up
-by row value.  Given a ``nominal`` trace, one_step_residuals keeps a memo
-on that trace (one entry: the model object, copies of the trace's
-voltages and currents, the trace's predictor rows as sorted keys and
-their predictions in the same order).  Each predictor row (v_m(k), i(k))
-of the trace being checked is looked up among the keys, wherever it sits:
-a row equal to some nominal row takes that row's prediction, and only
-the rows equal to none are predicted, in one call; r is then computed
-over every row as before.  An attack that permutes a frame's modules or
-replays recorded frames at the same current therefore predicts nothing.
-The memo serves only the same model object and only while the trace's
-arrays equal its copies, so a write forced into the trace never serves
-stale predictions.  Calibration passes no nominal trace, so it predicts
-its trace once and builds no memo; the first attack scored against the
-trace builds it.  The reuse is bit-exact because a prediction depends
-only on the row's two values: predict_batch scales each element on its
-own and the node-table walk compares ``x >= t`` and adds each row's
-leaves in its own column, in tree order.  Keys compare by value, so a
--0.0 takes the prediction made for 0.0, whose branches it takes too
-(-0.0 >= t exactly when 0.0 >= t).  A NaN equals no key, so it still
-reaches the walk, which rejects it.
+Scoring attacks against a nominal trace reuses its predictions, by
+position first and then by row value.  Given a ``nominal`` trace,
+one_step_residuals keeps a memo on that trace (one entry: the model
+object, copies of the trace's voltages and currents, its predictions in
+position order, and its predictor rows as sorted keys with their
+predictions in the same order).  When the trace being checked has the
+nominal trace's shape, each predictor row (v_m(k), i(k)) equal to the
+nominal row at the same position (``v == vn`` and ``i == in``) takes that
+row's prediction.  Only the other rows are looked up among the keys,
+wherever they sit: a row equal to some nominal row takes that row's
+prediction, and only the rows equal to none are predicted, in one call;
+r is then computed over every row as before.  An attack on frames
+[k0, kf) therefore looks up only rows of frames k0..kf-1, and one that
+permutes a frame's modules or replays recorded frames at the same
+current predicts nothing.  A trace of another shape has every row looked
+up by value.  The memo serves only the same model object and only while
+the trace's arrays equal its copies, so a write forced into the trace
+never serves stale predictions.  Calibration passes no nominal trace, so
+it predicts its trace once and builds no memo; the first attack scored
+against the trace builds it.  The reuse is bit-exact because a
+prediction depends only on the row's two values: predict_batch scales
+each element on its own and the node-table walk compares ``x >= t`` and
+adds each row's leaves in its own column, in tree order.  Rows compare
+by value in both stages, so a -0.0 takes the prediction made for 0.0,
+whose branches it takes too (-0.0 >= t exactly when 0.0 >= t).  A NaN
+equals no row, so it still reaches the walk, which rejects it.
 
 The toggle is the paper's pure set/reset rule: the flag is the parity of
 the crossings so far.  It is fragile by construction, since a single
@@ -70,8 +75,9 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
 
 
 def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
-    """The trace's predictor rows as sorted keys and their predictions under
-    ``model`` in the same order, both read-only.
+    """The trace's memo under ``model``: copies of its voltages and currents,
+    its predictions in position order, and its predictor rows as sorted
+    keys with their predictions in the same order, all read-only.
 
     Memoized on the trace: one entry, which serves a call only for the same
     model object and while the trace's arrays still equal the copies taken
@@ -83,13 +89,27 @@ def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
             and np.array_equal(memo[2], trace.i_pack_a)):
         v, i = trace.v_modules.copy(), trace.i_pack_a.copy()
         x = _features(v, i)
+        predicted = predict_batch(model, x)
         keys = _row_keys(x)
         order = np.argsort(keys, kind="stable")
-        keys, predicted = keys[order], predict_batch(model, x)[order]
-        for a in (v, i, keys, predicted):
+        keys, by_key = keys[order], predicted[order]
+        for a in (v, i, predicted, keys, by_key):
             a.flags.writeable = False
-        memo = trace._memo = (model, v, i, keys, predicted)
-    return memo[3], memo[4]
+        memo = trace._memo = (model, v, i, predicted, keys, by_key)
+    return memo[1:]
+
+
+def _lookup_by_value(model: Ensemble, keys: np.ndarray, by_key: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """Predictions of the rows ``x``: a row equal to one of the sorted
+    ``keys`` takes its prediction in ``by_key``, and the others are
+    predicted in one call."""
+    xk = _row_keys(x)
+    pos = np.minimum(np.searchsorted(keys, xk), keys.size - 1)
+    predicted, miss = by_key[pos], keys[pos] != xk
+    if miss.any():
+        predicted[miss] = predict_batch(model, x[miss])
+    return predicted
 
 
 def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
@@ -100,21 +120,26 @@ def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
     Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
     ValueError if a residual is not finite.
 
-    Given a ``nominal`` trace, every predictor input row equal in value to
-    one of the nominal trace's rows takes that row's memoized prediction,
-    and only the other rows are predicted.
+    Given a ``nominal`` trace of the same shape, every predictor input row
+    equal to the nominal row at its position takes that row's memoized
+    prediction; the other rows, and every row given a nominal trace of
+    another shape, are looked up by value among the nominal trace's rows,
+    and only the rows equal to none of them are predicted.
     """
     v = np.asarray(v_modules, dtype=float)
-    x = _features(v, np.asarray(i_pack_a, dtype=float))
+    i = np.asarray(i_pack_a, dtype=float)
+    x = _features(v, i)
     if nominal is None or nominal.n_frames < 2:  # no nominal rows to reuse
         predicted = predict_batch(model, x)
     else:
-        keys, known = _nominal_predictions(model, nominal)
-        xk = _row_keys(x)
-        pos = np.minimum(np.searchsorted(keys, xk), keys.size - 1)
-        predicted, miss = known[pos], keys[pos] != xk
-        if miss.any():
-            predicted[miss] = predict_batch(model, x[miss])
+        vn, i_n, known, keys, by_key = _nominal_predictions(model, nominal)
+        if v.shape == vn.shape:
+            moved = ~((v[:-1] == vn[:-1]) & (i[:-1] == i_n[:-1])[:, None]).ravel()
+            predicted = known.copy()
+            if moved.any():
+                predicted[moved] = _lookup_by_value(model, keys, by_key, x[moved])
+        else:
+            predicted = _lookup_by_value(model, keys, by_key, x)
     predicted = predicted.reshape(-1, v.shape[1])
     r = np.max(np.abs(v[1:] - predicted), axis=1)
     if not np.isfinite(r).all():

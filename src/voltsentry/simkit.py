@@ -88,6 +88,18 @@ def _require_finite_fields(obj, *names: str) -> None:
         _require_finite(name, getattr(obj, name))
 
 
+def _require_finite_drops(cell: "CellParams", i_max: float) -> None:
+    """Reject a cell current ``i_max`` that is not finite, or whose product
+    with r0_ohm or r1_ohm overflows, before any step rather than as
+    non-finite voltages at the end.  Python floats overflow to inf without
+    a warning."""
+    _require_finite("i_cell", i_max)
+    for name in ("r0_ohm", "r1_ohm"):
+        if not math.isfinite(i_max * getattr(cell, name)):
+            raise ValueError(f"cell current {i_max!r} A times {name} "
+                             f"{getattr(cell, name)!r} overflows")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Electrical parameters of a single cell."""
@@ -419,7 +431,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
     i_cc = policy.c_rate * params.capacity_ah
-    _require_finite("i_cell", i_cc)
+    _require_finite_drops(params, i_cc)
     i_cut = policy.taper_cutoff_c * params.capacity_ah
     v_max, r0, r1 = policy.v_max, params.r0_ohm, params.r1_ohm
     capacity, tau_d = params.capacity_ah, params.diff_tau_s
@@ -573,9 +585,11 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
         raise ValueError(
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
+    i_cc = policy.c_rate * config.capacity_ah
+    # At most the whole pack current through one module's branches.
+    _require_finite_drops(cell, i_cc / config.branches_per_module)
     model = _PackModel(config, cell, init_soc, _SUB_DT)
     setpoint = config.series_cells * policy.v_max
-    i_cc = policy.c_rate * config.capacity_ah
     i_cut = policy.taper_cutoff_c * config.capacity_ah
     n_records = int(policy.duration_s) + 1
     phase = "cc"

@@ -73,8 +73,6 @@ def run_pipeline(setup, out):
     for label in ("c080", "c120", "c100"):
         assert cli.main(["simulate", "--config", str(setup["configs"][label]),
                          "--out-dir", str(out)]) == 0
-    traces = {label: out / f"mini_{int(rate * 100):03d}.csv"
-              for label, rate in (("c080", 0.8), ("c120", 1.2), ("c100", 1.0))}
     traces = {label: out / f"mini_c{label[1:]}.csv" for label in ("c080", "c120", "c100")}
     assert cli.main(["finetune", "--model", str(model),
                      "--config", str(setup["configs"]["c100"]),
@@ -397,6 +395,21 @@ class TestErrorPaths:
     def test_overflowing_conductance_pack_rejected(self, tmp_path, capsys, link):
         message = self.simulate_short_pack(tmp_path, capsys, link)
         assert "overflow" in message
+
+    @pytest.mark.parametrize("kind", ["cell", "pack"])
+    def test_overflowing_voltage_drop_rejected(self, tmp_path, capsys, kind):
+        spec = SimRunSpec(kind=kind, cell=replace(MINI_CELL, r1_ohm=1e308),
+                          policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),
+                          noise=simkit.NoiseSpec(), init_soc=0.3,
+                          pack=mini_pack_config() if kind == "pack" else None)
+        cfg = tmp_path / "run.ini"
+        write_sim_config(cfg, spec)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "times r1_ohm 1e+308 overflows" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 class TestMissingRequiredKey:

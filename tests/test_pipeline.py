@@ -232,6 +232,18 @@ def absent_rows(trace, nominal) -> int:
     return sum(row not in known for row in predictor_rows(trace))
 
 
+def counting_lookups(monkeypatch):
+    """The rows passed to each value lookup of the residual function."""
+    rows, lookup = [], sentinel._lookup_by_value
+
+    def counting(model, keys, by_key, x):
+        rows.append(x.copy())
+        return lookup(model, keys, by_key, x)
+
+    monkeypatch.setattr(sentinel, "_lookup_by_value", counting)
+    return rows
+
+
 def counting_predictions(monkeypatch):
     """Rows passed to each predict_batch call of the residual function."""
     rows = []
@@ -245,10 +257,11 @@ def counting_predictions(monkeypatch):
 
 
 class TestAttackReuse:
-    """evaluate_attack predicts only the rows of the corrupted trace that
-    equal no row of the nominal trace, wherever they sit, and takes the
-    others from the nominal trace's memoized predictions; the outcome
-    equals a full prediction of the corrupted trace bit for bit."""
+    """evaluate_attack takes the nominal trace's memoized prediction for
+    each row of the corrupted trace equal to the nominal row at its
+    position, looks the other rows up by value among the nominal rows,
+    wherever they sit, and predicts only the rows equal to none; the
+    outcome equals a full prediction of the corrupted trace bit for bit."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
            n_trees=st.integers(0, 5), depth=st.integers(0, 4),
@@ -309,12 +322,16 @@ class TestAttackReuse:
         outside = random_trace(rng, 40, 2)
         want = [run_detector(t, model, 0.5) for t in (inside, outside)]
         rows = counting_predictions(monkeypatch)
+        lookups = counting_lookups(monkeypatch)
         det = run_detector(inside, model, 0.5, nominal=other)
         assert rows == [40 * 3]  # the nominal trace, into the memo
+        assert [len(x) for x in lookups] == [29 * 2]  # every row, by value
         assert det.r.tobytes() == want[0].r.tobytes()
         rows.clear()
+        lookups.clear()
         det = run_detector(outside, model, 0.5, nominal=other)
         assert rows == [absent_rows(outside, other)]
+        assert [len(x) for x in lookups] == [39 * 2]
         assert 0 < rows[0] < 39 * 2
         assert det.r.tobytes() == want[1].r.tobytes()
         assert other._memo[0] is model
@@ -403,24 +420,134 @@ class TestAttackReuse:
         # Frames 20, 24 and 28 replay frames 4, 8 and 12 at the same current.
         assert rows == [absent_rows(want[0], trace)] == [12 - 3]
 
-    def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
+    @staticmethod
+    def residuals_of_signed_zeros(monkeypatch, frames):
+        """Residuals of a trace whose zeros are -0.0, over its first
+        ``frames`` frames, against a 30-frame nominal trace with 0.0:
+        checks their bytes and returns the (predicted, looked-up) row
+        counts."""
         rng = np.random.default_rng(16)
         model = random_model(rng, 5, 4)
         v = np.where(rng.random((30, 2)) < 0.5, 0.0, rng.choice(GRID, (30, 2)))
         nominal = make_trace(v, i=np.where(np.arange(30) % 2, 0.0, 0.5))
-        flipped = make_trace(np.where(v == 0.0, -0.0, v),
-                             i=np.where(np.arange(30) % 2, -0.0, 0.5))
-        assert np.signbit(flipped.v_modules).any()
+        flipped = make_trace(np.where(v == 0.0, -0.0, v)[:frames],
+                             i=np.where(np.arange(30) % 2, -0.0, 0.5)[:frames])
+        assert np.signbit(flipped.v_modules[:-1]).any()
+        assert np.signbit(flipped.i_pack_a[:-1]).any()
         want = sentinel.one_step_residuals(model, flipped.v_modules,
                                            flipped.i_pack_a)
         sentinel.one_step_residuals(model, nominal.v_modules, nominal.i_pack_a,
                                     nominal)
         rows = counting_predictions(monkeypatch)
+        lookups = counting_lookups(monkeypatch)
         got = sentinel.one_step_residuals(model, flipped.v_modules,
                                           flipped.i_pack_a, nominal)
-        assert rows == []
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+        return sum(rows), sum(len(x) for x in lookups)
+
+    def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
+        """A -0.0 at its position equals the nominal 0.0: it takes the
+        positional prediction, with no lookup and no prediction."""
+        assert self.residuals_of_signed_zeros(monkeypatch, 30) == (0, 0)
+
+    def test_negative_zero_found_by_value(self, monkeypatch):
+        """In a trace of another shape, a -0.0 row takes the prediction of
+        the 0.0 row found by value, and is not predicted."""
+        assert self.residuals_of_signed_zeros(monkeypatch, 29) == (0, 28 * 2)
+
+    @pytest.mark.parametrize("scenario, modules", [
+        (AttackScenario("swap_fdi", 10, 30), (1, 2)),
+        (AttackScenario("swap_fdi", 25, 40), (1, 2)),  # ends at the last frame
+        (AttackScenario("replay", 20, 32, record_start_s=4, record_end_s=16,
+                        target_modules=(1, 2)), (1, 2)),
+        (AttackScenario("replay", 28, 40, record_start_s=3, record_end_s=15,
+                        target_modules=(2,)), (2,)),
+    ])
+    def test_value_lookup_sees_only_the_window(self, monkeypatch, scenario,
+                                               modules):
+        """An attack on frames [k0, kf) changes only the predictor rows of
+        frames k0 .. kf-1 (those that feed r(k0+1) .. r(kf)), and only
+        they are looked up by value: the other rows take the nominal
+        prediction at their position."""
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 5, 3)
+        # Ascending module voltages: a swap reverses every window frame.
+        trace = make_trace(np.sort(rng.uniform(-1.2, 1.2, (40, 2)), axis=1),
+                           i=rng.uniform(-1.2, 1.2, 40))
+        want = full_prediction(model, trace, scenario, 0.5)
+        pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        lookups = counting_lookups(monkeypatch)
+        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
+        assert_same_outcome(got, want)
+        q, k0, kf = 2, scenario.k0_s, scenario.kf_s
+        window = [row for j, row in enumerate(predictor_rows(want[0]))
+                  if k0 <= j // q < kf and j % q + 1 in modules]
+        assert len(lookups) == 1
+        assert [tuple(row) for row in lookups[0].tolist()] == window
+        assert len(window) == len(modules) * (min(kf, 39) - k0)
+
+    @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4),
+           n=st.integers(2, 40), p_v=st.floats(0.0, 1.0),
+           p_i=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_same_shape_equals_full_prediction_property(self, seed, q, n,
+                                                        p_v, p_i):
+        """A trace of the nominal's shape whose voltages and currents are
+        changed anywhere, to values of other nominal rows, new values or
+        signed zeros, gets the full prediction's bytes."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 4, 3)
+        nominal = random_trace(rng, n, q)
+        fresh = random_trace(rng, n, q)
+        v = np.where(rng.random((n, q)) < p_v,
+                     rng.permutation(nominal.v_modules.ravel()).reshape(n, q),
+                     nominal.v_modules)
+        v = np.where(rng.random((n, q)) < p_v / 2, fresh.v_modules, v)
+        i = np.where(rng.random(n) < p_i, rng.permutation(nominal.i_pack_a),
+                     nominal.i_pack_a)
+        i = np.where(rng.random(n) < p_i / 2, fresh.i_pack_a, i)
+        i = np.where(i == 0.0, -0.0, i)
+        want = sentinel.one_step_residuals(model, v, i)
+        got = sentinel.one_step_residuals(model, v, i, nominal)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_changed_current_is_looked_up_by_value(self, monkeypatch):
+        """Rows whose voltage is unchanged but whose current moved are not
+        positional matches: they go to the value lookup."""
+        rng = np.random.default_rng(19)
+        model = random_model(rng, 5, 3)
+        nominal = random_trace(rng, 20, 3)
+        i = nominal.i_pack_a.copy()
+        i[[4, 9]] = i[[9, 4]] + 1.5
+        want = sentinel.one_step_residuals(model, nominal.v_modules, i)
+        sentinel.one_step_residuals(model, nominal.v_modules,
+                                    nominal.i_pack_a, nominal)
+        lookups = counting_lookups(monkeypatch)
+        got = sentinel.one_step_residuals(model, nominal.v_modules, i, nominal)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert [len(x) for x in lookups] == [2 * 3]
+
+    def test_trace_equal_to_nominal_looks_nothing_up(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        model = random_model(rng, 5, 3)
+        trace = random_trace(rng, 40, 3)
+        want = sentinel.one_step_residuals(model, trace.v_modules,
+                                           trace.i_pack_a)
+        sentinel.one_step_residuals(model, trace.v_modules, trace.i_pack_a,
+                                    trace)
+        lookups = counting_lookups(monkeypatch)
+        rows = counting_predictions(monkeypatch)
+        equal = trace.copy()
+        for checked in (trace, equal):
+            got = sentinel.one_step_residuals(model, checked.v_modules,
+                                              checked.i_pack_a, trace)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert (lookups, rows) == ([], [])
+        assert equal._memo is None
 
     def test_copy_does_not_carry_memo(self):
         rng = np.random.default_rng(12)

@@ -615,3 +615,22 @@ class TestNonFiniteParams:
         outcome = _outcome(lambda: run_cccv_cell(*args))
         assert outcome[:3] == ("error", ValueError, "i_cell must be finite, got inf")
         assert outcome == _outcome(lambda: simkit_reference.run_cccv_cell(*args))
+
+    @pytest.mark.parametrize("field", ["r0_ohm", "r1_ohm"])
+    def test_overflowing_voltage_drop_rejected(self, field, monkeypatch):
+        """A finite resistance whose product with the policy's largest cell
+        current overflows is rejected before any step, without a numpy
+        warning (warnings are errors in this suite)."""
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(simkit, "_cell_update", no_step)
+        cell = replace(CELL, **{field: 1e308})
+        policy = CccvPolicy(c_rate=1.0, duration_s=20)
+        with pytest.raises(ValueError, match=f"current 5.0 A times {field} "
+                                             "1e[+]308 overflows"):
+            run_cccv_cell(cell, policy, 0.3)
+        # The whole 30 A of a 3x2 pack through one module's two branches.
+        with pytest.raises(ValueError, match=f"current 15.0 A times {field} "
+                                             "1e[+]308 overflows"):
+            run_cccv_pack(small_pack(), cell, policy, 0.3)

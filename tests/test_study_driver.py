@@ -49,10 +49,10 @@ def test_summary_table_from_reports(driver, tmp_path):
                                   "withdrawal_delay_samples": wdraw,
                                   "false_alarms": fa}})
     assert driver.summary_table(tmp_path).splitlines() == [
-        "pack   attack    trees     N   ft[s]   err%  max r   eps onset wdraw  FA",
-        "-" * 72,
-        "pack1  swap_fdi      3  1800   0.088  0.390   2.25  3.00     0     0   0",
-        "pack2  replay        2  2700   0.111  0.444   1.72  2.29 missed    12   1",
+        "pack   attack    trees     N   ft[s]   err%  max r   eps  onset  wdraw  FA",
+        "-" * 74,
+        "pack1  swap_fdi      3  1800   0.088  0.390   2.25  3.00      0      0   0",
+        "pack2  replay        2  2700   0.111  0.444   1.72  2.29 missed     12   1",
     ]
 
 
