@@ -5,7 +5,8 @@ Times the simulation layer, model loading and the prediction layer on
 the canonical inputs and models of the README's CLI flow (seed 1):
 
 - ``simulate_cell_corpus_s``: the 36 ``run_cccv_cell`` calls of the
-  canonical cell corpus, without writing CSVs
+  canonical cell corpus (``pipeline.cell_corpus_runs``), without writing
+  CSVs
 - ``run_cccv_pack_{pack1,pack2}_ms``: each pack's c100 charge
   (``configs/pack*_c100.ini``)
 - ``load_model_base_ms``: ``boost.load_model`` on the 400-tree base model
@@ -51,28 +52,10 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 PACKS = ("pack1", "pack2")
-
-
-def simulate_cell_corpus(pipeline, simkit) -> None:
-    """The canonical corpus's run_cccv_cell calls, as generate_cell_corpus
-    makes them, without the CSV writes."""
-    cell = simkit.default_cell()
-    run_index = 0
-    for c_rate in pipeline.CELL_C_RATES:
-        for init_soc in pipeline.CELL_INIT_SOCS:
-            for r0_scale in pipeline.CELL_R0_SCALES:
-                simkit.run_cccv_cell(
-                    replace(cell, r0_ohm=cell.r0_ohm * r0_scale),
-                    simkit.CccvPolicy(c_rate=c_rate,
-                                      duration_s=pipeline.CELL_DURATIONS[c_rate]),
-                    init_soc, simkit.NoiseSpec(),
-                    seed=pipeline.CANONICAL_CORPUS_SEED + run_index)
-                run_index += 1
 
 
 def median_ms(fn, repeats: int, make=lambda: ()) -> float:
@@ -114,7 +97,8 @@ def measure(art: str) -> dict:
         if run_attack_studies.run_study(art):
             raise SystemExit("bench: the study driver failed")
     layers = {"simulate_cell_corpus_s": median_ms(
-        lambda: simulate_cell_corpus(pipeline, simkit), 3) / 1e3}
+        lambda: list(pipeline.cell_corpus_runs(
+            seed=pipeline.CANONICAL_CORPUS_SEED)), 3) / 1e3}
     for p in PACKS:
         spec = configio.read_sim_config(os.path.join(CONFIGS, f"{p}_c100.ini"))
         layers[f"run_cccv_pack_{p}_ms"] = median_ms(

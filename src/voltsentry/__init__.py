@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .boost import (BASE_RECIPE, Ensemble, NormSpec, TrainConfig, leaf_weight,
-                    load_model, predict_batch, save_model, train)
+from .boost import (BASE_RECIPE, Ensemble, NormSpec, TrainConfig, load_model,
+                    predict_batch, save_model, train)
 from .datasets import (SplitSpec, SupervisedSet, build_supervised, read_trace,
                        write_trace)
 from .sentinel import (DetectionTrace, DetectorState, calibrate_threshold,
@@ -12,5 +12,4 @@ from .simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
                      TelemetryFrame, TelemetryTrace, default_cell, pack1_config,
                      pack2_config, run_cccv_cell, run_cccv_pack)
 from .threatgen import AttackScenario, apply_scenario
-from .transfer import (PACK1_RECIPE, PACK2_RECIPE, FinetuneConfig, finetune,
-                       norm_for_pack)
+from .transfer import PACK1_RECIPE, PACK2_RECIPE, finetune, norm_for_pack

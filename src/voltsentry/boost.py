@@ -285,7 +285,11 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Boosting hyper-parameters."""
+    """Boosting hyper-parameters, of base training and of fine-tuning.
+
+    n_trees may be 0 (a fine-tune that appends an empty segment); train
+    needs at least one tree.
+    """
 
     n_trees: int = 400
     max_depth: int = 4
@@ -295,8 +299,8 @@ class TrainConfig:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        if self.n_trees < 0:
+            raise ValueError("n_trees must be nonnegative")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -487,6 +491,8 @@ def train(data, val, cfg: TrainConfig) -> Ensemble:
     y = np.asarray(data.y, dtype=float)
     if x.shape[0] == 0:
         raise ValueError("training data is empty")
+    if cfg.n_trees < 1:
+        raise ValueError("base training needs n_trees >= 1")
     norm = data.meta.get("norm", NormSpec()) if hasattr(data, "meta") else NormSpec()
     base_score = float(y.mean())
     preds = np.full(y.shape, base_score)

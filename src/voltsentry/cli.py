@@ -55,13 +55,33 @@ def _provenance(**file_paths) -> dict:
     return prov
 
 
+# Per-cell volts by which a trace may pass the outermost voltage thresholds
+# of its model.  Thresholds are midpoints between neighbouring training
+# voltages, so the training extremes lie just beyond them, and measurement
+# noise (0.1 % of 4.2 V, about 4 mV a cell) moves a trace a little further.
+DOMAIN_TOLERANCE_V = 0.05
+
+
 def check_model_trace_compat(model: boost.Ensemble, trace) -> None:
-    """Scale guard: normalized module voltages must sit in the cell band."""
+    """Domain guard: the trace's per-cell voltages (module voltages over the
+    model's v_scale) must lie within the span of the model's feature-0
+    thresholds, widened by DOMAIN_TOLERANCE_V.  Outside that span every
+    tree is flat, so predictions there are extrapolation, and a trace of
+    the wrong scale lands far outside it.  A model that never splits on
+    voltage has no span and accepts every trace."""
+    table = model.table
+    thresholds = table.threshold[~table.split_i]
+    thresholds = thresholds[np.isfinite(thresholds)]  # leaves hold +inf
+    if not thresholds.size:
+        return
+    lo = thresholds.min() - DOMAIN_TOLERANCE_V
+    hi = thresholds.max() + DOMAIN_TOLERANCE_V
     per_cell = trace.v_modules / model.norm.v_scale
-    if per_cell.min() < 2.0 or per_cell.max() > 5.0:
+    if per_cell.min() < lo or per_cell.max() > hi:
         raise ValueError(
-            "model/trace mismatch: normalized voltages outside the cell band "
-            f"({per_cell.min():.3f}..{per_cell.max():.3f} V per cell)")
+            "model/trace mismatch: per-cell voltages "
+            f"{per_cell.min():.3f}..{per_cell.max():.3f} V outside the "
+            f"model's domain {lo:.3f}..{hi:.3f} V")
 
 
 def cmd_simulate(args) -> int:

@@ -18,9 +18,11 @@ Simulator config sections (all keys optional unless stated):
 
 Scenario files have a single [attack] section with kind, k0_s, kf_s and,
 for replays, record_start_s, record_end_s, target_modules (comma list,
-1-based); all but target_modules are required.  Train/fine-tune recipes
-use [train] / [finetune] sections with the corresponding config fields;
-[finetune] requires n_trees, max_depth and learning_rate.  A missing
+1-based); all but target_modules are required.  Train and fine-tune
+recipes are one boost.TrainConfig, read by one reader from a [train] or
+[finetune] section of its six keys (n_trees max_depth learning_rate
+lambda_l2 gamma_leaf min_child_weight); [finetune] requires the first
+three, and other omitted keys take TrainConfig's defaults.  A missing
 required key raises configparser.NoOptionError (CLI exit 4, parse-error).
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .boost import TrainConfig
 from .simkit import CccvPolicy, CellParams, NoiseSpec, PackConfig
 from .threatgen import AttackScenario
-from .transfer import PACK1_RECIPE, PACK2_RECIPE, FinetuneConfig
+from .transfer import PACK1_RECIPE, PACK2_RECIPE
 
 
 def sha256_of(path) -> str:
@@ -197,36 +199,33 @@ def write_scenario(path, scenario: AttackScenario) -> None:
         parser.write(fh)
 
 
-def read_train_config(path) -> TrainConfig:
+def _read_boosting(path, section: str, required=()) -> TrainConfig:
+    """The TrainConfig of a [train] or [finetune] section; keys it omits
+    take TrainConfig's defaults, except the ``required`` ones."""
     parser = _parse(path)
-    if not parser.has_section("train"):
-        raise ValueError(f"{path}: missing [train] section")
-    sec = parser["train"]
+    if not parser.has_section(section):
+        raise ValueError(f"{path}: missing [{section}] section")
     kwargs = {}
-    for key, conv in (("n_trees", sec.getint), ("max_depth", sec.getint),
-                      ("learning_rate", sec.getfloat), ("lambda_l2", sec.getfloat),
-                      ("gamma_leaf", sec.getfloat),
-                      ("min_child_weight", sec.getfloat)):
-        if key in sec:
-            kwargs[key] = conv(key)
+    for key, get in (("n_trees", parser.getint), ("max_depth", parser.getint),
+                     ("learning_rate", parser.getfloat),
+                     ("lambda_l2", parser.getfloat),
+                     ("gamma_leaf", parser.getfloat),
+                     ("min_child_weight", parser.getfloat)):
+        if key in required or parser.has_option(section, key):
+            kwargs[key] = get(section, key)
     return TrainConfig(**kwargs)
 
 
-def resolve_recipe(name_or_path) -> FinetuneConfig:
+def read_train_config(path) -> TrainConfig:
+    return _read_boosting(path, "train")
+
+
+def resolve_recipe(name_or_path) -> TrainConfig:
     """Named fine-tune recipe or a config file with a [finetune] section."""
     text = str(name_or_path)
     if text == "pack1":
         return PACK1_RECIPE
     if text == "pack2":
         return PACK2_RECIPE
-    parser = _parse(text)
-    if not parser.has_section("finetune"):
-        raise ValueError(f"{text}: missing [finetune] section")
-    sec = parser["finetune"]
-    kwargs = {"n_trees": parser.getint("finetune", "n_trees"),
-              "max_depth": parser.getint("finetune", "max_depth"),
-              "learning_rate": parser.getfloat("finetune", "learning_rate")}
-    for key in ("lambda_l2", "gamma_leaf", "min_child_weight"):
-        if key in sec:
-            kwargs[key] = sec.getfloat(key)
-    return FinetuneConfig(**kwargs)
+    return _read_boosting(text, "finetune",
+                          required=("n_trees", "max_depth", "learning_rate"))

@@ -14,6 +14,7 @@ artifact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -30,9 +31,7 @@ CELL_INIT_SOCS = (0.1, 0.3, 0.5)
 CELL_R0_SCALES = (0.95, 1.0, 1.05)
 CELL_DURATIONS = {0.5: 3600.0, 0.8: 3000.0, 1.0: 2600.0, 1.2: 2200.0}
 
-PACK_TRAIN_C_RATES = (0.8, 1.2)
-PACK_TEST_C_RATE = 1.0
-PACK_INIT_SOC = 0.25
+# Length of the shipped pack charges (configs/pack*_c*.ini).
 PACK_TRACE_DURATION_S = 900.0
 
 # Seed of the canonical cell corpus used by the shipped experiment configs.
@@ -54,28 +53,30 @@ def pack_trace_name(pack_name: str, c_rate: float) -> str:
     return f"{pack_name}_c{int(round(c_rate * 100)):03d}"
 
 
+def cell_corpus_runs(cell: CellParams | None = None, seed: int = 0,
+                     noise: NoiseSpec = NoiseSpec()):
+    """Simulate the cell charging grid: yields one run_cccv_cell trace per
+    run, named by corpus_trace_name, the k-th of them seeded seed + k."""
+    cell = cell or simkit.default_cell()
+    grid = itertools.product(CELL_C_RATES, CELL_INIT_SOCS, CELL_R0_SCALES)
+    for k, (c_rate, init_soc, r0_scale) in enumerate(grid):
+        yield simkit.run_cccv_cell(
+            replace(cell, r0_ohm=cell.r0_ohm * r0_scale),
+            CccvPolicy(c_rate=c_rate, duration_s=CELL_DURATIONS[c_rate]),
+            init_soc, noise, seed=seed + k,
+            name=corpus_trace_name(c_rate, init_soc, r0_scale))
+
+
 def generate_cell_corpus(out_dir, cell: CellParams | None = None,
                          seed: int = 0, noise: NoiseSpec = NoiseSpec()) -> list:
-    """Simulate the cell charging grid and write one CSV per run, then the
-    corpus manifest (write_corpus_manifest); returns the paths written."""
+    """Write one CSV per cell_corpus_runs trace, then the corpus manifest
+    (write_corpus_manifest); returns the paths written."""
     cell = cell or simkit.default_cell()
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    run_index = 0
-    for c_rate in CELL_C_RATES:
-        for init_soc in CELL_INIT_SOCS:
-            for r0_scale in CELL_R0_SCALES:
-                params = replace(cell, r0_ohm=cell.r0_ohm * r0_scale)
-                policy = CccvPolicy(c_rate=c_rate,
-                                    duration_s=CELL_DURATIONS[c_rate])
-                name = corpus_trace_name(c_rate, init_soc, r0_scale)
-                trace = simkit.run_cccv_cell(
-                    params, policy, init_soc, noise,
-                    seed=seed + run_index, name=name)
-                path = os.path.join(out_dir, name + ".csv")
-                datasets.write_trace(path, trace)
-                paths.append(path)
-                run_index += 1
+    for trace in cell_corpus_runs(cell, seed, noise):
+        paths.append(os.path.join(out_dir, trace.name + ".csv"))
+        datasets.write_trace(paths[-1], trace)
     paths.append(write_corpus_manifest(out_dir, cell))
     return paths
 
@@ -124,10 +125,6 @@ def load_cell_corpus(corpus_dir):
     return datasets.concat(train_parts), datasets.concat(val_parts)
 
 
-def pack_policy(c_rate: float) -> CccvPolicy:
-    return CccvPolicy(c_rate=c_rate, duration_s=PACK_TRACE_DURATION_S)
-
-
 def build_pack_sets(train_traces: list, test_trace: TelemetryTrace,
                     split: SplitSpec, norm: boost.NormSpec):
     """Pack supervised sets at the study's budgeted sizes.
@@ -162,7 +159,7 @@ def max_abs_residual(model: boost.Ensemble, data: SupervisedSet) -> float:
 
 
 def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
-                  test_trace: TelemetryTrace, recipe: transfer.FinetuneConfig,
+                  test_trace: TelemetryTrace, recipe: boost.TrainConfig,
                   split: SplitSpec | None = None, cell: CellParams | None = None):
     """Fine-tune the base model for one pack; returns (model, info, seconds).
 
@@ -232,45 +229,6 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
     det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace)
     metrics = score_detection(det, mask)
     return corrupted, det, metrics
-
-
-def write_canonical_configs(out_dir) -> dict:
-    """Write the shipped experiment configs; returns {label: path}.
-
-    Covers the cell corpus, the three charge rates per pack, and the two
-    attack scenarios (module-voltage swap on pack 1, partial replay on
-    pack 2).
-    """
-    from . import configio, threatgen
-
-    os.makedirs(out_dir, exist_ok=True)
-    cell = simkit.default_cell()
-    paths = {}
-
-    spec = configio.SimRunSpec(
-        kind="cell_corpus", cell=cell, policy=CccvPolicy(c_rate=1.0),
-        noise=NoiseSpec(), init_soc=0.3, seed=CANONICAL_CORPUS_SEED)
-    paths["cell_corpus"] = os.path.join(out_dir, "cell_corpus.ini")
-    configio.write_sim_config(paths["cell_corpus"], spec)
-
-    for config in (simkit.pack1_config(), simkit.pack2_config()):
-        for c_rate in PACK_TRAIN_C_RATES + (PACK_TEST_C_RATE,):
-            label = pack_trace_name(config.name, c_rate)
-            spec = configio.SimRunSpec(
-                kind="pack", cell=cell, policy=pack_policy(c_rate),
-                noise=NoiseSpec(), pack=config, init_soc=PACK_INIT_SOC)
-            paths[label] = os.path.join(out_dir, label + ".ini")
-            configio.write_sim_config(paths[label], spec)
-
-    swap = threatgen.AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700)
-    paths["swap_pack1"] = os.path.join(out_dir, "swap_pack1.ini")
-    configio.write_scenario(paths["swap_pack1"], swap)
-    replay = threatgen.AttackScenario(
-        kind="replay", k0_s=400, kf_s=700, record_start_s=100,
-        record_end_s=400, target_modules=(1, 2))
-    paths["replay_pack2"] = os.path.join(out_dir, "replay_pack2.ini")
-    configio.write_scenario(paths["replay_pack2"], replay)
-    return paths
 
 
 def write_prediction_csv(path, trace: TelemetryTrace, preds: np.ndarray,

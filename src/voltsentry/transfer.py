@@ -9,37 +9,15 @@ pack normalization onto the returned ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .boost import (Ensemble, NormSpec, Segment, TrainConfig, _boost_segment,
+from .boost import (Ensemble, NormSpec, TrainConfig, _boost_segment,
                     predict_model_space)
 from .simkit import PackConfig
 
 
-@dataclass(frozen=True)
-class FinetuneConfig:
-    """Hyper-parameters for the appended fine-tune segment."""
-
-    n_trees: int
-    max_depth: int
-    learning_rate: float
-    lambda_l2: float = 1.0
-    gamma_leaf: float = 0.0
-    min_child_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.n_trees < 0:
-            raise ValueError("n_trees must be nonnegative")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-
-
-PACK1_RECIPE = FinetuneConfig(n_trees=3, max_depth=2, learning_rate=0.035)
-PACK2_RECIPE = FinetuneConfig(n_trees=2, max_depth=8, learning_rate=0.02)
+PACK1_RECIPE = TrainConfig(n_trees=3, max_depth=2, learning_rate=0.035)
+PACK2_RECIPE = TrainConfig(n_trees=2, max_depth=8, learning_rate=0.02)
 
 
 def norm_for_pack(config: PackConfig) -> NormSpec:
@@ -49,14 +27,15 @@ def norm_for_pack(config: PackConfig) -> NormSpec:
         i_scale=float(config.parallel_modules * config.branches_per_module))
 
 
-def finetune(base: Ensemble, pack_train, pack_val, cfg: FinetuneConfig,
+def finetune(base: Ensemble, pack_train, pack_val, cfg: TrainConfig,
              norm: NormSpec) -> Ensemble:
     """Continue boosting from the base model's residuals on pack data.
 
     ``pack_train`` and ``pack_val`` must already be normalized with ``norm``
     (their meta records it).  The base segments are reused untouched; the
     result carries the pack normalization, so raw module voltages and pack
-    currents feed the same trees at cell scale.
+    currents feed the same trees at cell scale.  With ``cfg.n_trees == 0``
+    the appended segment is empty: the base model under the pack's norm.
     """
     if len(pack_train) == 0:
         raise ValueError("pack training data is empty")
@@ -74,17 +53,8 @@ def finetune(base: Ensemble, pack_train, pack_val, cfg: FinetuneConfig,
         val_y = np.asarray(pack_val.y, dtype=float)
         val_preds = predict_model_space(base, val_x)
 
-    if cfg.n_trees == 0:
-        segment = Segment("finetune", cfg.learning_rate, ())
-        history = None
-    else:
-        seg_cfg = TrainConfig(
-            n_trees=cfg.n_trees, max_depth=cfg.max_depth,
-            learning_rate=cfg.learning_rate, lambda_l2=cfg.lambda_l2,
-            gamma_leaf=cfg.gamma_leaf, min_child_weight=cfg.min_child_weight)
-        segment, history = _boost_segment(
-            x, y, preds, seg_cfg, "finetune", val_x, val_y, val_preds)
-
+    segment, history = _boost_segment(
+        x, y, preds, cfg, "finetune", val_x, val_y, val_preds)
     return Ensemble(
         base_score=base.base_score,
         segments=base.segments + (segment,),

@@ -1,15 +1,34 @@
 """Shared fixtures: the canonical corpus, base model, and pack bundles.
 
 These are session-scoped because base training takes tens of seconds; the
-acceptance suite and a few integration tests share them.
+acceptance suite and a few integration tests share them.  The pack traces
+are simulated from the shipped configs/ specs, as the study driver's are.
 """
 
+import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from voltsentry import boost, pipeline, simkit, transfer
+from voltsentry import boost, configio, pipeline, simkit, transfer
+
+# Hypothesis imports this module to report a falsifying example.  Its
+# dependencies raise a DeprecationWarning on import, which pyproject.toml's
+# filterwarnings = ["error"] would turn into an INTERNALERROR in place of
+# the example; imported here once, the module is cached without it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
+
+def canonical_config(name: str) -> str:
+    """Path of a shipped config, by its file stem (``pack1_c100``)."""
+    return os.path.join(CONFIGS, name + ".ini")
 
 
 @pytest.fixture(scope="session")
@@ -35,15 +54,14 @@ def base_model(base_bundle):
 
 
 def _pack_bundle(base, config, recipe):
-    cell = simkit.default_cell()
-
-    def run(c_rate):
+    def run(rate):
+        spec = configio.read_sim_config(canonical_config(f"{config.name}_{rate}"))
+        assert spec.pack == config
         return simkit.run_cccv_pack(
-            config, cell, pipeline.pack_policy(c_rate), pipeline.PACK_INIT_SOC,
-            name=pipeline.pack_trace_name(config.name, c_rate))
+            spec.pack, spec.cell, spec.policy, spec.init_soc, spec.noise,
+            name=pipeline.pack_trace_name(config.name, spec.policy.c_rate))
 
-    traces = {"train": [run(c) for c in pipeline.PACK_TRAIN_C_RATES],
-              "test": run(pipeline.PACK_TEST_C_RATE)}
+    traces = {"train": [run("c080"), run("c120")], "test": run("c100")}
     model, info, seconds = pipeline.finetune_pack(
         base, config, traces["train"], traces["test"], recipe)
     epsilon, nominal_det, preds = pipeline.calibrate_on_trace(model, traces["test"])

@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 from boost_reference import tree_depth
+from conftest import canonical_config
 from test_boost import brute_force_best_split, grow_tree, numeric_leaf_weight
-from voltsentry import cli, pipeline, simkit, threatgen
+from voltsentry import cli, configio, pipeline, simkit, threatgen
 from voltsentry.boost import TrainConfig, leaf_weight
 from voltsentry.sentinel import calibrate_threshold
 from voltsentry.simkit import CccvPolicy, NoiseSpec
@@ -185,8 +186,9 @@ def test_08_simulator_conservation(pack1_bundle):
 
     # CC monotonicity on the canonical nominal pack trace (noise-free twin).
     config = pack1_bundle["config"]
-    trace = simkit.run_cccv_pack(config, cell, pipeline.pack_policy(1.0),
-                                 pipeline.PACK_INIT_SOC, NoiseSpec(0.0))
+    spec = configio.read_sim_config(canonical_config("pack1_c100"))
+    trace = simkit.run_cccv_pack(config, cell, spec.policy, spec.init_soc,
+                                 NoiseSpec(0.0))
     cc = trace.i_pack_a == trace.i_pack_a[0]
     assert np.all(np.diff(trace.v_modules[cc], axis=0) >= 0)
 
@@ -214,7 +216,9 @@ def test_08_simulator_conservation(pack1_bundle):
 def test_09_determinism_suite(tmp_path):
     """Two full pack-1 pipeline runs with identical seeds produce
     byte-identical model files, detection CSVs, and reports."""
-    configs = pipeline.write_canonical_configs(tmp_path / "configs")
+    configs = {name: canonical_config(name)
+               for name in ("cell_corpus", "pack1_c080", "pack1_c120",
+                            "pack1_c100", "swap_pack1")}
 
     def run(out):
         out.mkdir()

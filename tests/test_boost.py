@@ -272,6 +272,11 @@ class TestTrain:
             train(dataset(np.empty((0, 2)), np.empty(0)), None,
                   TrainConfig(n_trees=1))
 
+    def test_zero_trees_rejected(self):
+        x = np.column_stack([np.linspace(0, 1, 4), np.zeros(4)])
+        with pytest.raises(ValueError, match="n_trees"):
+            train(dataset(x, x[:, 0]), None, TrainConfig(n_trees=0))
+
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(150, 2))
@@ -750,8 +755,9 @@ class TestSerialization:
 
 class TestTrainConfigValidation:
     def test_bounds(self):
+        assert TrainConfig(n_trees=0).n_trees == 0  # a zero-tree fine-tune
         with pytest.raises(ValueError):
-            TrainConfig(n_trees=0)
+            TrainConfig(n_trees=-1)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from test_configio import drop_option
-from voltsentry import cli, datasets, pipeline, simkit
+from voltsentry import boost, cli, datasets, pipeline, simkit
 from voltsentry.configio import SimRunSpec, write_scenario, write_sim_config
 from voltsentry.threatgen import AttackScenario
+from voltsentry.transfer import norm_for_pack
 
 MINI_CELL = simkit.CellParams(capacity_ah=2.0)
 
@@ -461,6 +462,62 @@ class TestMissingRequiredKey:
         self.run(tmp_path, capsys, [
             "attack-eval", "--model", model, "--trace", trace,
             "--scenario", str(scenario), "--epsilon", "0.1"])
+
+
+class TestBoostingRecipes:
+    """[train] and [finetune] are read into one TrainConfig: a fine-tune
+    may have zero trees, base training may not, and bad values exit 5."""
+
+    def test_zero_tree_finetune_is_base_under_pack_norm(self, mini_setup):
+        out = mini_setup["tmp"] / "out"
+        art = run_pipeline(mini_setup, out)
+        recipe = mini_setup["tmp"] / "zero.ini"
+        recipe.write_text("[finetune]\nn_trees = 0\nmax_depth = 2\n"
+                          "learning_rate = 0.05\n")
+        out_zero = mini_setup["tmp"] / "out_zero"
+        traces = art["traces"]
+        assert cli.main(["finetune", "--model", str(art["model"]),
+                         "--config", str(mini_setup["configs"]["c100"]),
+                         "--traces", str(traces["c080"]), str(traces["c120"]),
+                         "--test-trace", str(traces["c100"]),
+                         "--recipe", str(recipe), "--out-dir", str(out_zero)]) == 0
+        tuned = boost.load_model(out_zero / "model_mini.json")
+        base = boost.load_model(art["model"])
+        assert tuned.tree_counts() == {"base": 15, "finetune": 0}
+        under_norm = boost.Ensemble(base.base_score, base.segments,
+                                    norm_for_pack(mini_pack_config()))
+        test = datasets.read_trace(traces["c100"])
+        x = np.column_stack([test.v_modules[:-1].ravel(),
+                             np.repeat(test.i_pack_a[:-1], test.q)])
+        assert np.array_equal(boost.predict_batch(tuned, x),
+                              boost.predict_batch(under_norm, x))
+
+    def test_bad_finetune_value_rejected_at_zero_trees(self, tmp_path, capsys):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        recipe = tmp_path / "recipe.ini"
+        recipe.write_text("[finetune]\nn_trees = 0\nmax_depth = 2\n"
+                          "learning_rate = 0.05\nlambda_l2 = -1\n")
+        out = tmp_path / "out"
+        assert cli.main([
+            "finetune", "--model", model,
+            "--config", str(write_pack_configs(tmp_path)["c100"]),
+            "--traces", trace, "--test-trace", trace, "--recipe", str(recipe),
+            "--out-dir", str(out)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "regularizers" in err["message"]
+        assert not out.exists()
+
+    def test_zero_tree_base_training_rejected(self, mini_setup, capsys):
+        train_cfg = mini_setup["tmp"] / "zero.ini"
+        train_cfg.write_text("[train]\nn_trees = 0\n")
+        out = mini_setup["tmp"] / "out"
+        assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
+                         "--config", str(train_cfg), "--out-dir", str(out)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "n_trees" in err["message"]
+        assert not (out / "model_base.json").exists()
 
 
 class TestOutDirResolution:

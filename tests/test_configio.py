@@ -133,6 +133,17 @@ class TestRecipes:
         recipe = resolve_recipe(path)
         assert (recipe.n_trees, recipe.max_depth, recipe.learning_rate) == (4, 3, 0.05)
 
+    def test_recipe_file_reads_every_boosting_key(self, tmp_path):
+        keys = ("n_trees = 0\nmax_depth = 3\nlearning_rate = 0.05\n"
+                "lambda_l2 = 2.0\ngamma_leaf = 0.1\nmin_child_weight = 4.0\n")
+        expected = TrainConfig(n_trees=0, max_depth=3, learning_rate=0.05,
+                               lambda_l2=2.0, gamma_leaf=0.1,
+                               min_child_weight=4.0)
+        (tmp_path / "ft.ini").write_text("[finetune]\n" + keys)
+        (tmp_path / "train.ini").write_text("[train]\n" + keys)
+        assert resolve_recipe(tmp_path / "ft.ini") == expected
+        assert read_train_config(tmp_path / "train.ini") == expected
+
     @pytest.mark.parametrize("key", ["n_trees", "max_depth", "learning_rate"])
     def test_recipe_file_missing_required_key(self, tmp_path, key):
         path = tmp_path / "ft.ini"

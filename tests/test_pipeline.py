@@ -1,9 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import canonical_config, make_trace
 from test_boost import GRID, random_tree
 from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 from voltsentry.boost import Ensemble, Segment
@@ -55,11 +58,9 @@ class TestPackSets:
             series_cells=2, capacity_ah=15.0, v_max_pack=8.5,
             heterogeneity_sigma=0.0, rng_seed=0)
         ini = tmp_path / "run.ini"
-        for c_rate in pipeline.PACK_TRAIN_C_RATES + (pipeline.PACK_TEST_C_RATE,):
-            configio.write_sim_config(ini, configio.SimRunSpec(
-                kind="pack", cell=simkit.default_cell(),
-                policy=pipeline.pack_policy(c_rate), noise=simkit.NoiseSpec(),
-                pack=config, init_soc=pipeline.PACK_INIT_SOC))
+        for rate in ("c080", "c120", "c100"):
+            spec = configio.read_sim_config(canonical_config(f"pack1_{rate}"))
+            configio.write_sim_config(ini, replace(spec, pack=config))
             assert cli.main(["simulate", "--config", str(ini),
                              "--out-dir", str(tmp_path)]) == 0
         assert (sorted(p.name for p in tmp_path.glob("tiny_*.csv"))
@@ -70,19 +71,29 @@ class TestPackSets:
 
 
 class TestCanonicalConfigs:
-    def test_files_parse_back(self, tmp_path):
-        paths = pipeline.write_canonical_configs(tmp_path)
-        spec = configio.read_sim_config(paths["pack1_c100"])
-        assert spec.pack == simkit.pack1_config()
-        assert spec.policy.c_rate == 1.0
-        assert spec.init_soc == pipeline.PACK_INIT_SOC
-        corpus = configio.read_sim_config(paths["cell_corpus"])
-        assert corpus.kind == "cell_corpus"
+    def test_files_parse_back(self):
+        """The shipped configs/ hold the canonical packs, corpus seed and
+        attack scenarios; the study driver and the fixtures read them."""
+        cell = simkit.default_cell()
+        for config in (simkit.pack1_config(), simkit.pack2_config()):
+            for rate, c_rate in (("c080", 0.8), ("c120", 1.2), ("c100", 1.0)):
+                spec = configio.read_sim_config(
+                    canonical_config(f"{config.name}_{rate}"))
+                assert spec.kind == "pack"
+                assert (spec.pack, spec.cell) == (config, cell)
+                assert spec.policy == simkit.CccvPolicy(
+                    c_rate=c_rate, duration_s=pipeline.PACK_TRACE_DURATION_S)
+                assert spec.noise == simkit.NoiseSpec()
+                assert spec.init_soc == 0.25
+        corpus = configio.read_sim_config(canonical_config("cell_corpus"))
+        assert (corpus.kind, corpus.cell) == ("cell_corpus", cell)
         assert corpus.seed == pipeline.CANONICAL_CORPUS_SEED
-        swap = configio.read_scenario(paths["swap_pack1"])
-        assert (swap.k0_s, swap.kf_s) == (300, 700)
-        replay = configio.read_scenario(paths["replay_pack2"])
-        assert replay.target_modules == (1, 2)
+        assert configio.read_scenario(canonical_config("swap_pack1")) == (
+            AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700))
+        assert configio.read_scenario(canonical_config("replay_pack2")) == (
+            AttackScenario(kind="replay", k0_s=400, kf_s=700,
+                           record_start_s=100, record_end_s=400,
+                           target_modules=(1, 2)))
 
 
 def detection(flags, t0=1.0):
@@ -153,18 +164,71 @@ class TestReports:
 
 
 class TestModelTraceGuard:
+    @staticmethod
+    def model(thresholds, norm):
+        """Voltage stumps at the given per-cell thresholds."""
+        trees = tuple(boost.Tree([0, -1, -1], [t, 0.0, 0.0], [1, -1, -1],
+                                 [2, -1, -1], [0.0, -0.1, 0.1])
+                      for t in thresholds)
+        return boost.Ensemble(base_score=3.7, norm=norm,
+                              segments=(Segment("base", 0.1, trees),))
+
     def test_pack_model_on_cell_trace_rejected(self):
-        ens = boost.Ensemble(base_score=3.7, segments=(),
-                             norm=boost.NormSpec(v_scale=100.0, i_scale=20.0))
-        trace = make_trace([3.7, 3.8])
+        ens = self.model((3.6, 3.9), boost.NormSpec(v_scale=100.0, i_scale=20.0))
         with pytest.raises(ValueError, match="mismatch"):
-            check_model_trace_compat(ens, trace)
+            check_model_trace_compat(ens, make_trace([3.7, 3.8]))
 
     def test_matching_scales_accepted(self):
-        ens = boost.Ensemble(base_score=3.7, segments=(),
-                             norm=boost.NormSpec(v_scale=100.0, i_scale=20.0))
-        trace = make_trace([[370.0], [380.0]])
-        check_model_trace_compat(ens, trace)
+        ens = self.model((3.6, 3.9), boost.NormSpec(v_scale=100.0, i_scale=20.0))
+        check_model_trace_compat(ens, make_trace([[370.0], [380.0]]))
+
+    def test_span_widened_by_tolerance(self):
+        tol = cli.DOMAIN_TOLERANCE_V
+        ens = self.model((3.6, 3.9), boost.NormSpec())
+        check_model_trace_compat(ens, make_trace([3.6 - 0.9 * tol, 3.9 + 0.9 * tol]))
+        for v in (3.6 - 1.1 * tol, 3.9 + 1.1 * tol):
+            with pytest.raises(ValueError, match="domain"):
+                check_model_trace_compat(ens, make_trace([3.7, v]))
+
+    def test_current_thresholds_ignored(self):
+        stump = boost.Tree([1, -1, -1], [50.0, 0.0, 0.0], [1, -1, -1],
+                           [2, -1, -1], [0.0, -0.1, 0.1])
+        ens = boost.Ensemble(3.7, (Segment("base", 0.1, (stump,)),))
+        check_model_trace_compat(ens, make_trace([3.7, 380.0]))
+
+    def test_canonical_and_phased_charges_accepted(self, pack1_bundle):
+        model = pack1_bundle["model"]
+        check_model_trace_compat(model, pack1_bundle["traces"]["test"])
+        phased = simkit.run_cccv_pack(
+            pack1_bundle["config"], simkit.default_cell(),
+            simkit.CccvPolicy(c_rate=1.0, taper_cutoff_c=0.3,
+                              duration_s=pipeline.PACK_TRACE_DURATION_S), 0.8)
+        assert phased.v_modules.max() / 100.0 > 4.2149
+        check_model_trace_compat(model, phased)
+
+    def test_charge_below_the_corpus_exits_5(self, pack1_bundle, tmp_path,
+                                             capsys):
+        """A pack 1 charge from SOC 0.05 starts below every voltage the
+        corpus holds; calibrate rejects it, as it does a wrong-scale trace."""
+        model_path = tmp_path / "model_pack1.json"
+        boost.save_model(model_path, pack1_bundle["model"])
+        spec = configio.read_sim_config(canonical_config("pack1_c100"))
+        low = simkit.run_cccv_pack(spec.pack, spec.cell, spec.policy, 0.05,
+                                   spec.noise, name="pack1_low")
+        assert low.v_modules.min() / 100.0 < 3.3
+        test = pack1_bundle["traces"]["test"]
+        cell_scale = simkit.TelemetryTrace(
+            t_s=test.t_s, i_pack_a=test.i_pack_a,
+            v_modules=test.v_modules / 100.0, name="cell_scale")
+        for trace in (low, cell_scale):
+            path = tmp_path / f"{trace.name}.csv"
+            datasets.write_trace(path, trace)
+            assert cli.main(["calibrate", "--model", str(model_path),
+                             "--trace", str(path),
+                             "--out-dir", str(tmp_path / "out")]) == 5
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "invalid-input"
+            assert "outside the model's domain" in err["message"]
 
 
 class TestBaseModelCellQuality:

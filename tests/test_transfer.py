@@ -4,7 +4,7 @@ import pytest
 from voltsentry import boost, simkit, transfer
 from voltsentry.boost import NormSpec, TrainConfig, train
 from voltsentry.datasets import SupervisedSet
-from voltsentry.transfer import FinetuneConfig, finetune, norm_for_pack
+from voltsentry.transfer import finetune, norm_for_pack
 
 
 def dataset(x, y, norm=None):
@@ -48,11 +48,13 @@ class TestFinetune:
         x = np.column_stack([rng.uniform(3.0, 4.2, 50), rng.uniform(2, 6, 50)])
         pack = dataset(x, x[:, 0], norm)
         tl = finetune(base, pack, pack,
-                      FinetuneConfig(n_trees=0, max_depth=2, learning_rate=0.1),
+                      TrainConfig(n_trees=0, max_depth=2, learning_rate=0.1),
                       norm)
         pts = np.column_stack([rng.uniform(3.0, 4.2, 30), rng.uniform(2, 6, 30)])
         assert np.array_equal(boost.predict_batch(tl, pts),
                               boost.predict_batch(base, pts))
+        assert tl.segments[-1].trees == ()
+        assert tl.tree_counts() == {"base": 10, "finetune": 0}
 
     def test_base_segments_frozen(self):
         base = small_base()
@@ -75,7 +77,7 @@ class TestFinetune:
         norm = NormSpec()
         pack = dataset(x, x[:, 0] + 0.01 + 0.002 * rng.normal(size=300), norm)
         tl = finetune(base, pack, pack,
-                      FinetuneConfig(n_trees=5, max_depth=2, learning_rate=0.3),
+                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.3),
                       norm)
         losses = tl.history.train_mse
         assert len(losses) == 5
@@ -95,7 +97,7 @@ class TestFinetune:
 
         train_set, val_set = pack_set(400, 1), pack_set(200, 2)
         tl = finetune(base, train_set, val_set,
-                      FinetuneConfig(n_trees=5, max_depth=2, learning_rate=0.2),
+                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.2),
                       NormSpec())
 
         def max_abs(model, ds):
@@ -123,12 +125,3 @@ class TestFinetune:
                 transfer.PACK2_RECIPE.max_depth,
                 transfer.PACK2_RECIPE.learning_rate) == (2, 8, 0.02)
 
-
-class TestFinetuneConfigValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            FinetuneConfig(n_trees=-1, max_depth=2, learning_rate=0.1)
-        with pytest.raises(ValueError):
-            FinetuneConfig(n_trees=1, max_depth=0, learning_rate=0.1)
-        with pytest.raises(ValueError):
-            FinetuneConfig(n_trees=1, max_depth=2, learning_rate=0.0)
