@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Per-layer timing medians for a BENCH_<n>.json file.
 
-Times the simulation layer, model loading and the prediction layer on
-the canonical inputs and models of the README's CLI flow (seed 1):
+Times the simulation, CSV, training and prediction layers on the
+canonical inputs and models of the README's CLI flow (seed 1):
 
 - ``simulate_cell_corpus_s``: the 36 ``run_cccv_cell`` calls of the
   canonical cell corpus (``pipeline.cell_corpus_runs``), without writing
   CSVs
 - ``run_cccv_pack_{pack1,pack2}_ms``: each pack's c100 charge
   (``configs/pack*_c100.ini``)
+- ``read_trace_corpus_ms`` and ``write_trace_corpus_ms``: ``read_trace``
+  of the 36 corpus CSVs, and ``write_trace`` of the 36 traces read
+- ``train_base_s``: ``boost.train`` with ``BASE_RECIPE`` on the corpus
+- ``finetune_{pack1,pack2}_ms``: each pack's fine-tune with its recipe,
+  as ``pipeline.finetune_pack`` times it (``test_03``'s ``finetune_s``)
 - ``load_model_base_ms``: ``boost.load_model`` on the 400-tree base model
 - ``predict_batch`` at N = 4 (one pack 1 frame), 3 600 (pack 1's test
   trace, one row per module and step) and 91 200 (the cell corpus's
@@ -51,6 +56,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -105,11 +111,31 @@ def measure(art: str) -> dict:
             lambda: simkit.run_cccv_pack(spec.pack, spec.cell, spec.policy,
                                          spec.init_soc, spec.noise), 5)
     base_path = os.path.join(art, "model_base.json")
+    corpus = os.path.join(art, "corpus")
+    csvs = sorted(os.path.join(corpus, f) for f in os.listdir(corpus)
+                  if f.endswith(".csv"))
+    layers["read_trace_corpus_ms"] = median_ms(
+        lambda: [datasets.read_trace(f) for f in csvs], 5)
+    corpus_traces = [datasets.read_trace(f) for f in csvs]
+    with tempfile.TemporaryDirectory() as tmp:
+        layers["write_trace_corpus_ms"] = median_ms(
+            lambda: [datasets.write_trace(os.path.join(tmp, f"{k}.csv"), t)
+                     for k, t in enumerate(corpus_traces)], 5)
+    corpus_train, corpus_val = pipeline.load_cell_corpus(corpus)
+    layers["train_base_s"] = median_ms(
+        lambda: boost.train(corpus_train, corpus_val, boost.BASE_RECIPE), 3) / 1e3
     layers["load_model_base_ms"] = median_ms(lambda: boost.load_model(base_path), 30)
     base = boost.load_model(base_path)
     models = {p: boost.load_model(os.path.join(art, f"model_{p}.json")) for p in PACKS}
     traces = {p: datasets.read_trace(os.path.join(art, f"{p}_c100.csv")) for p in PACKS}
-    corpus_train, _ = pipeline.load_cell_corpus(os.path.join(art, "corpus"))
+    for p in PACKS:
+        config = configio.read_sim_config(os.path.join(CONFIGS, f"{p}_c100.ini")).pack
+        train = [datasets.read_trace(os.path.join(art, f"{p}_{rate}.csv"))
+                 for rate in ("c080", "c120")]
+        recipe = configio.resolve_recipe(p)
+        seconds = [pipeline.finetune_pack(base, config, train, traces[p], recipe)[2]
+                   for _ in range(20)]
+        layers[f"finetune_{p}_ms"] = 1e3 * statistics.median(seconds)
     test = traces["pack1"]
     pack_x = np.column_stack([test.v_modules[:-1].reshape(-1),
                               np.repeat(test.i_pack_a[:-1], test.v_modules.shape[1])])

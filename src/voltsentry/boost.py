@@ -11,12 +11,27 @@ Split search runs on presorted column blocks, as in XGBoost's exact greedy
 algorithm (Chen & Guestrin, KDD 2016).  Each feature is sorted once per
 boosting segment, together with the positions where a midpoint threshold
 can separate two neighbours (the candidates).  A node carries, for each
-feature, its rows, their sorted values and their gradients in that
-feature's stable order.  A split on feature f is a prefix/suffix cut of f's
-block; the other feature's block is selected stably, so every child keeps
-the order a fresh stable sort would give.  Because every hessian is 1, H of
-c rows is the count c, and min_child_weight becomes a range of positions.
-Gains are computed at the candidate positions only.
+feature, only its rows and its candidate positions in that feature's
+stable order.  A split on feature f is a prefix/suffix cut of f's rows; the
+other feature's rows are selected stably, so every child keeps the order a
+fresh stable sort would give.  Because every hessian is 1, H of c rows is
+the count c, and min_child_weight becomes a range of positions.  Gains are
+computed at the candidate positions only.
+
+Every per-node temporary lives in one workspace of arrays of the segment's
+row count, allocated once per segment: the node's gradients gathered in a
+feature's order, their cumsum, the gains and their denominators, the
+partition mask and the values gathered for the children's candidates.
+Fresh temporaries of that size at every node make the allocator trim its
+heap and fault the pages back in, node after node.  Gathers write into
+the workspace with take(out=..., mode="clip"): with the default "raise",
+numpy buffers out through a temporary of its own.  Clipping never changes
+an index, because every index is in range by construction: rows are slices
+and mask selections of the segment's argsort, candidate positions of a
+node of m rows are below m - 1, and so are the denominator lookups.  The
+denominators H + lambda are one table, (k + 1) + lambda at k: the left
+child of candidate c reads it at c, the right child, of m - 1 - c rows,
+reads it reversed from m - 2.
 
 The kernel is bit-exact against a scan of every sorted position (the
 reference kept in the tests).  Gradient sums are taken in the same order,
@@ -322,73 +337,106 @@ def leaf_weight(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
     return -grad_sum / denom
 
 
-def _candidates(xs: np.ndarray) -> np.ndarray:
-    """Positions k of sorted values whose midpoint (xs[k] + xs[k+1]) / 2
-    separates xs[k] from xs[k+1]; degenerate midpoints cannot partition."""
-    lo, hi = xs[:-1], xs[1:]
-    return np.flatnonzero((lo < hi) & ((lo + hi) * 0.5 > lo))
-
-
 class _ColumnBlocks:
-    """Both features presorted once per boosting segment.
+    """Both features presorted once per boosting segment, and the workspace.
 
-    A node holds one block per feature: (rows, sorted values, gradients,
-    candidate positions), each in that feature's ascending stable order.
-    Nodes at the depth limit are leaves and carry only feature 0's rows and
-    gradients.  rank[f] maps each row to its position in feature f's sorted
-    order (int32: fewer than 2**31 rows).
+    A node is one (rows, candidate positions) pair per feature, each in
+    that feature's ascending stable order.  Nodes at the depth limit are
+    leaves and carry only feature 0's pair.  rank[f] maps each row to its
+    position in feature f's sorted order (int32: fewer than 2**31 rows).
+    After grow, leaf[r] is the node of the leaf that holds row r.  The
+    underscored arrays are the workspace (see the module docstring); each
+    clip-mode take reads indices that are in range by construction: rows
+    of the segment's argsort, candidate positions below m - 1 of a node of
+    m rows, and node indices of the tree just grown.
     """
 
     def __init__(self, x: np.ndarray, cfg: TrainConfig):
+        n = x.shape[0]
         self.cfg = cfg
-        self.order = []
-        self.rank = []
+        self.g = None
+        self._g, self._cum, self._gl, self._gr, self._den, self._vals = (
+            np.empty(n) for _ in range(6))
+        self._rank = np.empty(n, dtype=np.int32)
+        self.leaf = np.empty(n, dtype=np.intp)
+        self._mask, self._ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        # H + lambda of a child of j + 1 rows is _den_table[j].
+        self._den_table = np.arange(1, n + 1, dtype=float)
+        self._den_table += cfg.lambda_l2
+        self.cols, self.root, self.rank = [], [], []
         for f in (0, 1):
-            rows = np.argsort(x[:, f], kind="stable")
-            xs = x[rows, f]
-            self.order.append((rows, xs, _candidates(xs)))
-            rank = np.empty(rows.shape[0], dtype=np.int32)
-            rank[rows] = np.arange(rows.shape[0], dtype=np.int32)
+            col = np.ascontiguousarray(x[:, f])
+            rows = np.argsort(col, kind="stable")
+            self.cols.append(col)
+            self.root.append((rows, self._candidates(f, rows)))
+            rank = np.empty(n, dtype=np.int32)
+            rank[rows] = np.arange(n, dtype=np.int32)
             self.rank.append(rank)
 
-    def grow(self, g: np.ndarray, leaves: list) -> Tree:
-        """Fit one tree to the gradients g; appends (rows, weight) per leaf."""
-        root = [(rows, xs, g.take(rows), cand) for rows, xs, cand in self.order]
+    def grow(self, g: np.ndarray) -> Tree:
+        """Fit one tree to the gradients g; leaf[r] is the node of row r."""
+        self.g = g
         nodes: list = []
-        self._node(root, 0, leaves, nodes)
+        self._node(self.root, 0, nodes)
         return Tree(*zip(*nodes))
 
-    def _node(self, node, depth: int, leaves: list, nodes: list) -> int:
+    def _candidates(self, f: int, rows: np.ndarray) -> np.ndarray:
+        """Positions k of a block's sorted values whose midpoint
+        (xs[k] + xs[k+1]) / 2 separates xs[k] from xs[k+1]; degenerate
+        midpoints cannot partition."""
+        xs = self.cols[f].take(rows, out=self._vals[:rows.shape[0]], mode="clip")
+        lo, hi = xs[:-1], xs[1:]
+        ok = np.less(lo, hi, out=self._ok[:lo.shape[0]])
+        mid = np.add(lo, hi, out=self._gl[:lo.shape[0]])
+        mid *= 0.5
+        ok &= np.greater(mid, lo, out=self._mask[:lo.shape[0]])
+        return np.flatnonzero(ok)
+
+    def _node(self, node, depth: int, nodes: list) -> int:
         """Append the subtree of a node to nodes, one (feature, threshold,
         left, right, weight) row per node in preorder; returns its index."""
         cfg = self.cfg
         pos = len(nodes)
-        rows0, _, g0, _ = node[0]
+        rows0 = node[0][0]
         m = rows0.shape[0]
-        g_sum = float(g0.sum())
+        # Feature 0's gradients stay in _g for the split search.
+        g_sum = float(self.g.take(rows0, out=self._g[:m], mode="clip").sum())
         best = None
         if depth < cfg.max_depth and m >= 2:
             best = self._split(node, m, g_sum)
         if best is None or best[0] <= 0.0:
-            w = leaf_weight(g_sum, float(m), cfg.lambda_l2)
-            leaves.append((rows0, w))
-            nodes.append((-1, 0.0, -1, -1, w))
+            self.leaf[rows0] = pos
+            nodes.append((-1, 0.0, -1, -1, leaf_weight(g_sum, float(m),
+                                                       cfg.lambda_l2)))
             return pos
         _, f, k = best
-        xs = node[f][1]
-        thr = float((xs[k] + xs[k + 1]) * 0.5)
+        rows, cand = node[f]
+        col = self.cols[f]
+        thr = float((col[rows[k]] + col[rows[k + 1]]) * 0.5)
         full = depth + 1 < cfg.max_depth
-        go_left = None
+        # Rows with x_f < thr are the prefix [0, k] of f's block.
+        children = [[(rows[:k + 1], None)], [(rows[k + 1:], None)]]
+        if full:
+            i = int(cand.searchsorted(k))
+            children = [[(rows[:k + 1], cand[:i])],
+                        [(rows[k + 1:], cand[i + 1:] - (k + 1))]]
         if full or f == 1:  # the children need the other feature's block
             # Within a node, x_f < thr exactly for the rows ranked at or
-            # below the row at sorted position k of feature f.
+            # below the row at sorted position k of feature f; selecting
+            # them keeps the other block's sorted order.
+            other = node[1 - f][0]
             rank = self.rank[f]
-            go_left = rank.take(node[1 - f][0]) <= rank[node[f][0][k]]
+            go_left = np.less_equal(
+                rank.take(other, out=self._rank[:m], mode="clip"),
+                rank[rows[k]], out=self._mask[:m])
+            parts = [other.compress(go_left),
+                     other.compress(np.logical_not(go_left, out=go_left))]
+            for child, part in zip(children, parts):
+                block = (part, self._candidates(1 - f, part) if full else None)
+                child.insert(1 - f, block)
         nodes.append(None)
-        left = self._node(self._child(node, full, f, k, go_left, True),
-                          depth + 1, leaves, nodes)
-        right = self._node(self._child(node, full, f, k, go_left, False),
-                           depth + 1, leaves, nodes)
+        left = self._node(children[0], depth + 1, nodes)
+        right = self._node(children[1], depth + 1, nodes)
         nodes[pos] = (f, thr, left, right, 0.0)
         return pos
 
@@ -397,7 +445,7 @@ class _ColumnBlocks:
 
         Gains are evaluated at valid candidate positions only.  np.argmax
         keeps the lowest threshold among equal gains and the strict > the
-        lower feature index.
+        lower feature index.  Expects feature 0's gradients in _g.
         """
         cfg = self.cfg
         parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
@@ -405,20 +453,23 @@ class _ColumnBlocks:
         need = (math.ceil(cfg.min_child_weight)
                 if cfg.min_child_weight <= m else m + 1)
         best = None
-        for f, (_, _, g, cand) in enumerate(node):
-            c = cand[np.searchsorted(cand, need - 1):
-                     np.searchsorted(cand, m - 1 - need, "right")]
+        for f, (rows, cand) in enumerate(node):
+            c = cand[cand.searchsorted(need - 1):
+                     cand.searchsorted(m - 1 - need, "right")]
             if c.size == 0:
                 continue
-            gl = np.cumsum(g[:c[-1] + 1]).take(c)
-            gr = g_sum - gl
+            top, nc = int(c[-1]) + 1, c.shape[0]
+            g = self._g[:top]
+            if f == 1:
+                self.g.take(rows[:top], out=g, mode="clip")
+            cum = g.cumsum(out=self._cum[:top])
+            gl = cum.take(c, out=self._gl[:nc], mode="clip")
+            gr = np.subtract(g_sum, gl, out=self._gr[:nc])
             # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
-            den = np.add(c, 1, dtype=float)
-            den += cfg.lambda_l2
+            den = self._den_table.take(c, out=self._den[:nc], mode="clip")
             gl *= gl
             gl /= den
-            np.subtract(m - 1, c, out=den, dtype=float)
-            den += cfg.lambda_l2
+            self._den_table[m - 2::-1].take(c, out=den, mode="clip")
             gr *= gr
             gr /= den
             gl += gr
@@ -430,57 +481,39 @@ class _ColumnBlocks:
                 best = (float(gl[j]), f, int(c[j]))
         return best
 
-    @staticmethod
-    def _child(node, full: bool, f: int, k: int, go_left, left: bool) -> list:
-        """Blocks of one child of a split at sorted position k of feature f.
-
-        Rows with x_f < thr are the prefix [0, k] of f's block; the other
-        feature's block is selected stably, so both keep their sorted order.
-        """
-        blocks = []
-        for j in ((0, 1) if full else (0,)):
-            rows, xs, g, cand = node[j]
-            if j == f:
-                part = slice(None, k + 1) if left else slice(k + 1, None)
-                rows, xs, g = rows[part], xs[part], g[part]
-                if full:
-                    i = int(np.searchsorted(cand, k))
-                    cand = cand[:i] if left else cand[i + 1:] - (k + 1)
-            else:
-                pos = np.flatnonzero(go_left if left else ~go_left)
-                rows, g = rows.take(pos), g.take(pos)
-                if full:
-                    xs = xs.take(pos)
-                    cand = _candidates(xs)
-            blocks.append((rows, xs, g, cand) if full else (rows, None, g, None))
-        return blocks
-
 
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
                    val_x=None, val_y=None, val_preds=None):
     """Run cfg.n_trees boosting rounds starting from the given predictions.
 
     Mutates preds / val_preds in place and returns (Segment, BoostHistory).
+    A segment of no trees presorts nothing.
     """
     history = BoostHistory()
-    blocks = _ColumnBlocks(x, cfg)
     trees = []
+    if cfg.n_trees == 0:
+        return Segment(tag, cfg.learning_rate, ()), history
+    blocks = _ColumnBlocks(x, cfg)
+    g, err, step = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    val_err = None if val_x is None else np.empty_like(val_y)
     for rnd in range(cfg.n_trees):
-        g = preds - y
+        np.subtract(preds, y, out=g)
         if not math.isfinite(float(np.dot(g, g))):
             raise TrainingError("non-finite training loss", rnd)
-        leaves: list = []
-        tree = blocks.grow(g, leaves)
-        for rows, w in leaves:
-            preds[rows] += cfg.learning_rate * w
-        loss = float(np.mean((y - preds) ** 2))
+        tree = blocks.grow(g)
+        # Each row gains the lr * w of its leaf.
+        preds += (cfg.learning_rate * tree.weight).take(
+            blocks.leaf, out=step, mode="clip")
+        np.subtract(y, preds, out=err)
+        loss = float(np.mean(np.square(err, out=err)))
         if not math.isfinite(loss):
             raise TrainingError("non-finite training loss", rnd)
         history.train_mse.append(loss)
         if val_x is not None:
             val_preds[:] = _NodeTable([(cfg.learning_rate, tree)]).walk(
                 val_x, val_preds)
-            history.val_mse.append(float(np.mean((val_y - val_preds) ** 2)))
+            np.subtract(val_y, val_preds, out=val_err)
+            history.val_mse.append(float(np.mean(np.square(val_err, out=val_err))))
         trees.append(tree)
     return Segment(tag, cfg.learning_rate, tuple(trees)), history
 

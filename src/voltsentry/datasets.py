@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -151,21 +152,41 @@ def write_trace(path, trace: TelemetryTrace) -> None:
     """Write a trace using the telemetry CSV schema (6 decimal places)."""
     q = trace.q
     cols = ["t_s", "i_pack_a"] + [f"v_m{m}" for m in range(1, q + 1)]
-    mask = trace.attack_mask
-    if mask is not None:
+    columns = [trace.t_s.tolist(), trace.i_pack_a.tolist(), *trace.v_modules.T.tolist()]
+    row = ",".join(["%.6f"] * (q + 2))
+    if trace.attack_mask is not None:
         cols.append("attack_mask")
+        columns.append(trace.attack_mask.tolist())
+        row += ",%d"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(trace.n_frames):
-            row = [f"{trace.t_s[k]:.6f}", f"{trace.i_pack_a[k]:.6f}"]
-            row += [f"{v:.6f}" for v in trace.v_modules[k]]
-            if mask is not None:
-                row.append(str(int(mask[k])))
-            fh.write(",".join(row) + "\n")
+        fh.write("".join(map((row + "\n").__mod__, zip(*columns))))
+
+
+def _unparseable(row: str) -> bool:
+    try:
+        list(map(float, row.split(",")))
+    except ValueError:
+        return True
+    return False
+
+
+def _floats(rows: list, n_fields: int) -> np.ndarray:
+    """The fields of rows of n_fields fields each, as an (n, n_fields) array."""
+    tokens = ",".join(rows).split(",") if rows else []
+    return np.fromiter(map(float, tokens), dtype=float,
+                       count=len(tokens)).reshape(len(rows), n_fields)
 
 
 def read_trace(path) -> TelemetryTrace:
-    """Parse a telemetry CSV, reporting schema violations with line numbers."""
+    """Parse a telemetry CSV, reporting schema violations with line numbers.
+
+    The body is parsed into one array and checked as a whole.  The first
+    offending line is reported, with the first of its faults in this
+    order: field count, an unparseable field, a non-finite value, a break
+    in the 1 Hz cadence, a mask value other than 0 or 1.  Blank lines are
+    skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -178,40 +199,56 @@ def read_trace(path) -> TelemetryTrace:
         raise TraceParseError(f"unexpected header {header!r}", 1)
 
     n_fields = len(header)
-    t, i, v, mask = [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise TraceParseError(
-                f"expected {n_fields} fields, got {len(parts)}", ln)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise TraceParseError(f"unparseable value in {line!r}", ln) from None
-        if not all(np.isfinite(values)):
-            raise TraceParseError("non-finite value", ln)
-        if t and values[0] != t[-1] + 1.0:
-            raise TraceParseError(
-                f"t_s={values[0]!r} does not follow t_s={t[-1]!r} by 1 s", ln)
-        t.append(values[0])
-        i.append(values[1])
-        if has_mask:
-            v.append(values[2:-1])
-            m = values[-1]
-            if m not in (0.0, 1.0):
-                raise TraceParseError(f"attack_mask must be 0 or 1, got {m}", ln)
-            mask.append(int(m))
-        else:
-            v.append(values[2:])
-    if not t:
+    filled = np.fromiter(map(bool, map(str.strip, lines[1:])), dtype=bool,
+                         count=len(lines) - 1)
+    line_of = np.flatnonzero(filled) + 2  # 1-based line number of each row
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
         raise TraceParseError("no data rows", 2)
+    # rows[:n] are checked as arrays; rows[n], if any, raises fault.
+    n, fault = len(rows), None
+    # Counted per row, not in a fixed-width string array that one long
+    # line would blow up to its width times the row count.
+    fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp,
+                         count=len(rows)) + 1
+    ragged = np.flatnonzero(fields != n_fields)
+    if ragged.size:
+        n = int(ragged[0])
+        fault = f"expected {n_fields} fields, got {fields[n]}"
+    try:
+        values = _floats(rows[:n], n_fields)
+    except ValueError:
+        # Only a scan of the rows finds the one with an unparseable field.
+        n = next(k for k in range(n) if _unparseable(rows[k]))
+        fault = f"unparseable value in {rows[n]!r}"
+        values = _floats(rows[:n], n_fields)
+
+    t = values[:, 0]
+    nonfinite = ~np.isfinite(values).all(axis=1)
+    gap = np.zeros(n, dtype=bool)
+    gap[1:] = t[1:] != t[:-1] + 1.0
+    bad_mask = np.zeros(n, dtype=bool)
+    if has_mask:
+        bad_mask = (values[:, -1] != 0.0) & (values[:, -1] != 1.0)
+    bad = np.flatnonzero(nonfinite | gap | bad_mask)
+    if bad.size:
+        k = int(bad[0])
+        if nonfinite[k]:
+            fault = "non-finite value"
+        elif gap[k]:
+            fault = (f"t_s={float(t[k])!r} does not follow "
+                     f"t_s={float(t[k - 1])!r} by 1 s")
+        else:
+            fault = f"attack_mask must be 0 or 1, got {float(values[k, -1])}"
+        n = k
+    if fault is not None:
+        raise TraceParseError(fault, int(line_of[n]))
     name = os.path.splitext(os.path.basename(str(path)))[0]
     try:
         return TelemetryTrace(
-            t_s=np.array(t), i_pack_a=np.array(i), v_modules=np.array(v),
-            attack_mask=np.array(mask, dtype=int) if has_mask else None,
+            t_s=t, i_pack_a=values[:, 1],
+            v_modules=values[:, 2:-1] if has_mask else values[:, 2:],
+            attack_mask=values[:, -1].astype(int) if has_mask else None,
             name=name)
     except ValueError as exc:
         raise TraceParseError(str(exc), 2) from None

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from boost_reference import (_eval_tree, leaf_value, reference_boost_segment,
+from boost_reference import (_eval_tree, column_block_boost_segment,
+                             leaf_value, reference_boost_segment,
                              tree_depth)
 from voltsentry import boost, transfer
 from voltsentry.boost import (BASE_RECIPE, Ensemble, ModelParseError, NormSpec,
@@ -26,7 +30,7 @@ def grow_tree(x, y, pred, cfg):
     """One tree fitted to the residuals of the prediction pred, as a
     boosting round grows it."""
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return _ColumnBlocks(x, cfg).grow(pred - y, [])
+    return _ColumnBlocks(x, cfg).grow(pred - y)
 
 
 def leaf(w):
@@ -301,10 +305,12 @@ def feature_column(rng, style, n):
 
 
 def kernel_and_reference(x, y, preds, cfg, tag, val=None):
-    """(model JSON, history, final predictions) of the column-block kernel
-    and of the reference scan, each run on its own copy of the inputs."""
+    """(model JSON, history, final predictions) of the workspace kernel, of
+    the column-block kernel it replaced and of the reference scan, each run
+    on its own copy of the inputs."""
     runs = []
-    for segment_fn in (boost._boost_segment, reference_boost_segment):
+    for segment_fn in (boost._boost_segment, column_block_boost_segment,
+                       reference_boost_segment):
         val_x = val_y = val_preds = None
         if val is not None:
             val_x, val_y, val_preds = val[0], val[1], val[2].copy()
@@ -316,13 +322,40 @@ def kernel_and_reference(x, y, preds, cfg, tag, val=None):
     return runs
 
 
+# A base training and a fine-tune on a smaller set, run by name.
+SEGMENT_STEPS = """
+import numpy as np
+from voltsentry import boost, transfer
+from voltsentry.datasets import SupervisedSet
+
+def run(name):
+    rng = np.random.default_rng(8)
+    x = np.column_stack([rng.uniform(3.0, 4.2, 600),
+                         rng.integers(0, 9, 600) * 0.5])
+    y = np.sin(4 * x[:, 0]) + 0.1 * x[:, 1] + rng.normal(size=600) * 0.01
+    val = SupervisedSet(x[540:], y[540:])
+    if name == "base":
+        ens = boost.train(SupervisedSet(x[:500], y[:500]), val, boost.TrainConfig(
+            n_trees=25, max_depth=5, learning_rate=0.2))
+    else:
+        stump = boost.Tree([0, -1, -1], [3.6, 0.0, 0.0], [1, -1, -1],
+                           [2, -1, -1], [0.0, -0.5, 0.5])
+        base = boost.Ensemble(0.1, (boost.Segment("base", 1.0, (stump,)),))
+        ens = transfer.finetune(base, SupervisedSet(x[500:540], y[500:540]),
+                                val, transfer.PACK2_RECIPE, boost.NormSpec())
+    return boost.model_to_json(ens) + repr(ens.history)
+"""
+
+
 class TestKernelMatchesReference:
-    """The presorted column-block kernel equals the plain scan bit for bit."""
+    """The workspace kernel equals the column-block kernel it replaced and
+    the plain scan bit for bit."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
            styles=st.tuples(*[st.sampled_from(["constant", "grid", "ulp",
                                                 "uniform"])] * 2),
-           depth=st.integers(1, 8), min_child_weight=st.sampled_from([0.0, 1.0, 3.5]),
+           depth=st.integers(1, 8),
+           min_child_weight=st.sampled_from([0.0, 1.0, 2.0, 3.5]),
            gamma=st.sampled_from([0.0, 0.1]), lam=st.sampled_from([0.0, 1.0]),
            n_trees=st.integers(1, 4), warm=st.booleans(), n_val=st.integers(0, 20))
     @settings(max_examples=150, deadline=None)
@@ -342,11 +375,58 @@ class TestKernelMatchesReference:
         if n_val:
             val_x = rng.uniform(-2.0, 2.0, size=(n_val, 2))
             val = (val_x, rng.normal(size=n_val), np.zeros(n_val))
-        (got, got_hist, got_preds), (want, want_hist, want_preds) = \
-            kernel_and_reference(x, y, preds, cfg, tag, val)
-        assert got == want
-        assert got_hist == want_hist
-        assert np.array_equal(got_preds, want_preds)
+        (got, got_hist, got_preds), *wants = kernel_and_reference(
+            x, y, preds, cfg, tag, val)
+        for want, want_hist, want_preds in wants:
+            assert got == want
+            assert got_hist == want_hist
+            assert np.array_equal(got_preds, want_preds)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 64),
+           depth=st.integers(1, 8), min_child_weight=st.sampled_from([1.0, 2.0, 5.0]),
+           levels=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_ties_and_repeats(self, seed, n, depth, min_child_weight, levels):
+        """Few distinct feature values and grid targets: repeated values,
+        equal gains between positions and between features."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels + 1, size=(n, 2)) * 0.5
+        if seed % 3 == 0:  # the same values on both features
+            x[:, 1] = x[:, 0]
+        y = rng.integers(-2, 3, size=n) * 0.25
+        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.5,
+                          min_child_weight=min_child_weight)
+        runs = kernel_and_reference(x, y, np.zeros(n), cfg, "base")
+        for want, want_hist, want_preds in runs[1:]:
+            assert runs[0][0] == want
+            assert runs[0][1] == want_hist
+            assert np.array_equal(runs[0][2], want_preds)
+
+    def test_workspace_carries_no_state(self):
+        """Base training, a fine-tune on a smaller set and base training
+        again in one process each equal the same step in a fresh process."""
+        namespace: dict = {}
+        exec(SEGMENT_STEPS, namespace)
+        steps = ("base", "finetune", "base")
+        in_process = [namespace["run"](name) for name in steps]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(boost.__file__)))
+        for name, got in zip(steps, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-c", SEGMENT_STEPS + f"print(run({name!r}))"],
+                check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src)).stdout
+            assert got + "\n" == fresh
+
+    def test_zero_tree_segment_presorts_nothing(self):
+        x = np.column_stack([np.linspace(0, 1, 6), np.zeros(6)])
+        preds = np.zeros(6)
+        with mock.patch.object(boost, "_ColumnBlocks",
+                               side_effect=AssertionError("presorted")):
+            segment, history = boost._boost_segment(
+                x, x[:, 0], preds, TrainConfig(n_trees=0), "finetune",
+                x, x[:, 0], np.zeros(6))
+        assert segment.trees == () and history == boost.BoostHistory()
+        assert np.array_equal(preds, np.zeros(6))
 
     def test_fit_tree_matches_reference(self):
         rng = np.random.default_rng(4)
@@ -355,7 +435,7 @@ class TestKernelMatchesReference:
         cfg = TrainConfig(n_trees=1, max_depth=5, learning_rate=1.0)
         pred = np.full(200, 0.25)
         tree = grow_tree(x, y, pred, cfg)
-        (_, _, _), (want, _, _) = kernel_and_reference(x, y, pred, cfg, "base")
+        want = kernel_and_reference(x, y, pred, cfg, "base")[-1][0]
         got = boost.model_to_json(Ensemble(0.5, (Segment("base", 1.0, (tree,)),)))
         assert got == want
 

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import write_sim_config
 from test_configio import drop_option
 from voltsentry import boost, cli, datasets, pipeline, simkit
-from voltsentry.configio import SimRunSpec, write_scenario, write_sim_config
+from voltsentry.configio import SimRunSpec, write_scenario
 from voltsentry.threatgen import AttackScenario
 from voltsentry.transfer import norm_for_pack
 

@@ -2,11 +2,12 @@ import configparser
 
 import pytest
 
+from conftest import write_sim_config
 from voltsentry import configio, simkit
 from voltsentry.boost import TrainConfig
 from voltsentry.configio import (SimRunSpec, read_scenario, read_sim_config,
                                  read_train_config, resolve_recipe,
-                                 write_scenario, write_sim_config)
+                                 write_scenario)
 from voltsentry.threatgen import AttackScenario
 from voltsentry.transfer import PACK1_RECIPE, PACK2_RECIPE
 

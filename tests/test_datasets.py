@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
+from datasets_reference import reference_read_trace, reference_write_trace
 from voltsentry import datasets, pipeline, simkit
 from voltsentry.boost import NormSpec
 from voltsentry.datasets import (SplitSpec, TraceParseError, build_supervised,
@@ -201,3 +202,95 @@ class TestCsvErrors:
         path.write_text("t_s,i_pack_a,v_m1\n")
         with pytest.raises(TraceParseError):
             read_trace(path)
+
+
+def random_trace(rng, n, q, with_mask):
+    """A trace whose values include -0.0, values that round to -0.000000
+    and a mask."""
+    v = rng.uniform(-1.0, 420.0, (n, q))
+    specials = np.array([-0.0, 0.0, -4e-7, 4e-7, 1e6 + 0.5, 3.6999995])
+    pick = rng.random((n, q)) < 0.2
+    v[pick] = rng.choice(specials, int(pick.sum()))
+    i = np.where(rng.random(n) < 0.3, -0.0, rng.uniform(-130.0, 130.0, n))
+    mask = rng.integers(0, 2, n) if with_mask else None
+    return make_trace(v, i=i, t=np.arange(n) + float(rng.integers(0, 5)),
+                      attack_mask=mask)
+
+
+def write_both(tmp, trace):
+    """Path of the CSV the writer makes; asserts it equals the reference's."""
+    path, ref = tmp / "new.csv", tmp / "ref.csv"
+    write_trace(path, trace)
+    reference_write_trace(ref, trace)
+    assert path.read_bytes() == ref.read_bytes()
+    return path
+
+
+def corrupt(rng, lines, has_mask, kind):
+    """Corrupt one data line (index >= 1) of a CSV's lines in place."""
+    k = int(rng.integers(1, len(lines)))
+    fields = lines[k].split(",")
+    if kind == "ragged":
+        fields = fields[:-1] if rng.random() < 0.5 else fields + ["3.7"]
+    elif kind == "token":
+        j = int(rng.integers(0, len(fields)))
+        fields[j] = str(rng.choice(["oops", "", "1.2.3", "0x10", "--1"]))
+    elif kind == "nonfinite":
+        j = int(rng.integers(0, len(fields)))
+        fields[j] = str(rng.choice(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif kind == "cadence":  # a gap, duplicate or reversal, mostly
+        fields[0] = f"{float(rng.integers(-1, 45)) + rng.choice([0.0, 0.5]):.6f}"
+    elif kind == "mask":
+        fields[-1] = str(rng.choice(["2", "-1", "0.5"])) if has_mask else "nan"
+    lines[k] = ",".join(fields)
+
+
+class TestCsvMatchesReference:
+    """The array reader and the %-format writer equal the line-by-line
+    reference reader and writer."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           q=st.integers(1, 6), with_mask=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_files(self, tmp_path_factory, seed, n, q, with_mask):
+        rng = np.random.default_rng(seed)
+        trace = random_trace(rng, n, q, with_mask)
+        path = write_both(tmp_path_factory.mktemp("csv"), trace)
+        got, want = read_trace(path), reference_read_trace(path)
+        assert got == want
+        assert got.name == want.name
+        if with_mask:
+            assert got.attack_mask.dtype == want.attack_mask.dtype
+            assert np.array_equal(got.attack_mask, want.attack_mask)
+        else:
+            assert got.attack_mask is None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+           q=st.integers(1, 5), with_mask=st.booleans(),
+           kinds=st.lists(st.sampled_from(["ragged", "token", "nonfinite",
+                                           "cadence", "mask"]),
+                          min_size=1, max_size=3),
+           blanks=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_files(self, tmp_path_factory, seed, n, q, with_mask,
+                             kinds, blanks):
+        rng = np.random.default_rng(seed)
+        path = write_both(tmp_path_factory.mktemp("bad"),
+                          random_trace(rng, n, q, with_mask))
+        lines = path.read_text().splitlines()
+        for kind in kinds:
+            corrupt(rng, lines, with_mask, kind)
+        for _ in range(blanks):  # blank lines anywhere after the header
+            lines.insert(int(rng.integers(1, len(lines) + 1)),
+                         str(rng.choice(["", "  ", "\t"])))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = reference_read_trace(path)
+        except TraceParseError as exc:
+            with pytest.raises(TraceParseError) as err:
+                read_trace(path)
+            assert str(err.value) == str(exc)
+            assert err.value.line == exc.line
+        else:  # the corruption left a valid file (say, 1.0 to 1.000000)
+            assert read_trace(path) == want
+

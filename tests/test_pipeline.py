@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_config, make_trace
+from conftest import canonical_config, make_trace, write_sim_config
 from test_boost import GRID, random_tree
 from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 from voltsentry.boost import Ensemble, Segment
@@ -60,7 +60,7 @@ class TestPackSets:
         ini = tmp_path / "run.ini"
         for rate in ("c080", "c120", "c100"):
             spec = configio.read_sim_config(canonical_config(f"pack1_{rate}"))
-            configio.write_sim_config(ini, replace(spec, pack=config))
+            write_sim_config(ini, replace(spec, pack=config))
             assert cli.main(["simulate", "--config", str(ini),
                              "--out-dir", str(tmp_path)]) == 0
         assert (sorted(p.name for p in tmp_path.glob("tiny_*.csv"))
