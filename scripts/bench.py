@@ -36,12 +36,17 @@ Each figure is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come
 from runs on the same machine.  Runs of a label accumulate in the output
 file: each layer keeps every run's figure under ``<label>_runs`` and their
-median under ``<label>``.  Alternate the labels, for example:
+median under ``<label>``.  ``--paired`` alternates the two for you:
 
-    for k in 1 2 3; do
-        python scripts/bench.py --src ../parent/src --label before --out BENCH_8.json
-        python scripts/bench.py --label after --out BENCH_8.json
-    done
+    python scripts/bench.py --paired ../parent/src --pairs 5 --out BENCH_13.json
+
+runs this script ``--pairs`` times on the parent's sources (``before``) and
+on ``--src`` (``after``), each in a fresh subprocess, the parent first in
+the odd pairs and second in the even ones, and records every pair: each
+layer also keeps ``pairs``, the [before, after] figures of each pair in
+run order, and ``after_lower``, the number of pairs whose ``after`` figure
+is the lower.  On a busy host a single run's figure moves by tens of
+percent, so read a change off the pairs, not off one run.
 
 ``--src`` picks the voltsentry sources to time (default: this checkout's).
 The canonical artifacts are built into ``--artifacts`` by the study driver
@@ -55,6 +60,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -194,34 +200,92 @@ def cv_replay(pipeline, simkit, threatgen):
     return trace, scenario
 
 
+def load(path) -> dict:
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    return {"layers": {}, "env": {}}
+
+
+def save(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def record(doc: dict, label: str, layers: dict, env: dict) -> None:
+    """Append one run's figures under ``label`` and update their medians."""
+    for name, value in layers.items():
+        entry = doc["layers"].setdefault(name, {})
+        runs = entry.setdefault(f"{label}_runs", [])
+        runs.append(round(value, 4))
+        entry[label] = round(statistics.median(runs), 4)
+    doc["env"][label] = env
+
+
+def run_once(label: str, src: str, artifacts: str) -> tuple:
+    """(layers, env) of one run of this script in a fresh subprocess."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run.json")
+        subprocess.run([sys.executable, os.path.abspath(__file__),
+                        "--label", label, "--src", src, "--out", out,
+                        "--artifacts", artifacts],
+                       check=True, stdout=subprocess.DEVNULL)
+        run = load(out)
+    return ({name: e[f"{label}_runs"][0] for name, e in run["layers"].items()},
+            run["env"][label])
+
+
+def paired(args) -> int:
+    """Alternate parent (before) and child (after) runs, recording each pair."""
+    doc = load(args.out)
+    for k in range(args.pairs):
+        pair = {}
+        sides = [("before", args.paired), ("after", args.src)]
+        for label, src in sides if k % 2 == 0 else sides[::-1]:
+            layers, env = run_once(label, os.path.abspath(src), args.artifacts)
+            record(doc, label, layers, env)
+            pair[label] = layers
+        for name, before in pair["before"].items():
+            entry = doc["layers"][name]
+            entry.setdefault("pairs", []).append(
+                [round(before, 4), round(pair["after"][name], 4)])
+            entry["after_lower"] = sum(a < b for b, a in entry["pairs"])
+        save(args.out, doc)
+        print(f"pair {k + 1}/{args.pairs} recorded in {args.out}", flush=True)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, choices=("before", "after"))
+    parser.add_argument("--label", choices=("before", "after"),
+                        help="record one run under this label")
+    parser.add_argument("--paired", metavar="PARENT_SRC",
+                        help="alternate runs of PARENT_SRC (before) and --src "
+                             "(after) in subprocesses, recording each pair")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="number of pairs for --paired (default 5)")
     parser.add_argument("--out", required=True, help="BENCH JSON to update")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="voltsentry sources to time")
     parser.add_argument("--artifacts", default=os.path.join(ROOT, ".bench_build", "bench"),
                         help="directory of the canonical CLI outputs (built if absent)")
     args = parser.parse_args(argv)
+    if (args.label is None) == (args.paired is None):
+        parser.error("give exactly one of --label and --paired")
+    if args.paired:
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        return paired(args)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
 
     layers = measure(args.artifacts)
-    doc = {"layers": {}, "env": {}}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    for name, value in layers.items():
-        entry = doc["layers"].setdefault(name, {})
-        runs = entry.setdefault(f"{args.label}_runs", [])
-        runs.append(round(value, 4))
-        entry[args.label] = round(statistics.median(runs), 4)
-    doc["env"][args.label] = {"nproc": len(os.sched_getaffinity(0)),
-                              "python": platform.python_version(),
-                              "numpy": np.__version__}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    doc = load(args.out)
+    record(doc, args.label, layers,
+           {"nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": np.__version__})
+    save(args.out, doc)
     print(json.dumps({args.label: layers}, indent=1))
     return 0
 

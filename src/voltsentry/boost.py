@@ -62,9 +62,12 @@ reaches the same leaf, and the leaf values are summed onto the start in
 tree order by np.add.accumulate, the same float additions in the same order
 as adding one tree at a time (np.sum would sum pairwise).  NaN would go the
 other way from the < rule, so the walk rejects non-finite features.
-_NodeTable.walk is the only prediction walk: predict_model_space,
-predict_batch and the validation loss during training (on a table of the
-one new tree) all use it.
+_NodeTable.walk is the only prediction walk: predict_model_space and
+predict_batch use it.  The validation loss during training needs only the
+one new tree: each validation row is routed down it by the same rule
+(_leaf_of) and gains the lr * w of its leaf, the single float addition
+the walk of a one-tree table makes, so the loss curves are the same bytes.
+The validation matrix is checked for finite values once per segment.
 
 An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
@@ -482,6 +485,32 @@ class _ColumnBlocks:
         return best
 
 
+def _leaf_of(tree: Tree, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The leaf node that each finite row (v[r], i[r]) reaches in ``tree``,
+    by the walk's rule: to the right child when x[feature] >= threshold.
+
+    A leaf is its own child with threshold +inf, so a row that reached it
+    stays there for the remaining levels.
+    """
+    feature, left, right = (a.tolist() for a in
+                            (tree.feature, tree.left, tree.right))
+    depth = [0] * len(feature)
+    for j, f in enumerate(feature):  # preorder: parents come first
+        if f >= 0:
+            depth[left[j]] = depth[right[j]] = depth[j] + 1
+    leaf = tree.feature < 0
+    own = np.arange(leaf.size)
+    threshold = np.where(leaf, np.inf, tree.threshold)
+    children = np.column_stack([np.where(leaf, own, tree.left),
+                                np.where(leaf, own, tree.right)]).ravel()
+    split_i = tree.feature == 1
+    node = np.zeros(v.shape[0], dtype=np.intp)
+    for _ in range(max(depth)):
+        x = np.where(split_i.take(node), i, v)
+        node = children.take(2 * node + (x >= threshold.take(node)))
+    return node
+
+
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
                    val_x=None, val_y=None, val_preds=None):
     """Run cfg.n_trees boosting rounds starting from the given predictions.
@@ -494,8 +523,15 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     if cfg.n_trees == 0:
         return Segment(tag, cfg.learning_rate, ()), history
     blocks = _ColumnBlocks(x, cfg)
-    g, err, step = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    val_err = None if val_x is None else np.empty_like(val_y)
+    # g holds the gradients while a tree grows, then serves as the scratch
+    # for its predictions and errors; val_buf is that scratch for the
+    # validation rows.
+    g = np.empty_like(y)
+    if val_x is not None:
+        val_x = np.asarray(val_x, dtype=float)
+        if not np.all(np.isfinite(val_x)):
+            raise ValueError("features must be finite")
+        val_buf = np.empty_like(val_y)
     for rnd in range(cfg.n_trees):
         np.subtract(preds, y, out=g)
         if not math.isfinite(float(np.dot(g, g))):
@@ -503,17 +539,18 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
         tree = blocks.grow(g)
         # Each row gains the lr * w of its leaf.
         preds += (cfg.learning_rate * tree.weight).take(
-            blocks.leaf, out=step, mode="clip")
-        np.subtract(y, preds, out=err)
-        loss = float(np.mean(np.square(err, out=err)))
+            blocks.leaf, out=g, mode="clip")
+        np.subtract(y, preds, out=g)
+        loss = float(np.mean(np.square(g, out=g)))
         if not math.isfinite(loss):
             raise TrainingError("non-finite training loss", rnd)
         history.train_mse.append(loss)
         if val_x is not None:
-            val_preds[:] = _NodeTable([(cfg.learning_rate, tree)]).walk(
-                val_x, val_preds)
-            np.subtract(val_y, val_preds, out=val_err)
-            history.val_mse.append(float(np.mean(np.square(val_err, out=val_err))))
+            val_preds += (cfg.learning_rate * tree.weight).take(
+                _leaf_of(tree, val_x[:, 0], val_x[:, 1]), out=val_buf,
+                mode="clip")
+            np.subtract(val_y, val_preds, out=val_buf)
+            history.val_mse.append(float(np.mean(np.square(val_buf, out=val_buf))))
         trees.append(tree)
     return Segment(tag, cfg.learning_rate, tuple(trees)), history
 

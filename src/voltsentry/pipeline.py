@@ -218,15 +218,15 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
     """Corrupt a nominal trace, run detection, score against the mask.
 
     The nominal trace's predictions are memoized on it per model.  Each
-    predictor input row equal to the nominal row at its position takes
-    that row's prediction; only the rows the attack changed are looked up
-    by row value among the nominal rows, and only those found nowhere in
-    the nominal trace are predicted.
+    predictor input row equal to the nominal row it was copied from (the
+    attack's source map) takes that row's prediction, and only the other
+    rows are predicted.
     """
     from .reports import score_detection
 
-    corrupted, mask = threatgen.apply_scenario(trace, scenario)
-    det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace)
+    corrupted, mask, source = threatgen.apply_scenario(trace, scenario)
+    det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace,
+                                source=source)
     metrics = score_detection(det, mask)
     return corrupted, det, metrics
 

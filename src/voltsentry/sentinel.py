@@ -20,32 +20,36 @@ crossing".  step_detector also rejects a frame whose t_s is not the
 previous frame's plus 1 s; the caller's state is unchanged, so the stream
 continues from the last good frame.
 
-Scoring attacks against a nominal trace reuses its predictions, by
-position first and then by row value.  Given a ``nominal`` trace,
-one_step_residuals keeps a memo on that trace (one entry: the model
-object, copies of the trace's voltages and currents, its predictions in
-position order, and its predictor rows as sorted keys with their
-predictions in the same order).  When the trace being checked has the
-nominal trace's shape, each predictor row (v_m(k), i(k)) equal to the
-nominal row at the same position (``v == vn`` and ``i == in``) takes that
-row's prediction.  Only the other rows are looked up among the keys,
-wherever they sit: a row equal to some nominal row takes that row's
-prediction, and only the rows equal to none are predicted, in one call;
-r is then computed over every row as before.  An attack on frames
-[k0, kf) therefore looks up only rows of frames k0..kf-1, and one that
-permutes a frame's modules or replays recorded frames at the same
-current predicts nothing.  A trace of another shape has every row looked
-up by value.  The memo serves only the same model object and only while
-the trace's arrays equal its copies, so a write forced into the trace
-never serves stale predictions.  Calibration passes no nominal trace, so
-it predicts its trace once and builds no memo; the first attack scored
+Scoring attacks against a nominal trace reuses its predictions through
+the attack's source map.  Given a ``nominal`` trace of the checked
+trace's shape, one_step_residuals keeps a memo on that trace (one entry:
+the model object, copies of the trace's voltages and currents, and its
+predictions, frame-major, so that a flat index into the voltages
+addresses the prediction made from that value).  Predictor row (k, m),
+the input
+(v_m(k), i(k)), takes the memoized prediction of the nominal predictor
+row at ``source[k, m]`` (threatgen.apply_scenario's map; without a
+source, the row at (k, m) itself) when both values equal that row's and
+its frame is below n-1.  Every other row is predicted, all of them in
+one call; r is then computed over every row as before.  A swap takes
+every moved value from a row of the same frame, so it predicts nothing;
+a replay predicts only the replayed rows whose recorded current differs
+from the live one.  A nominal trace of another shape reuses nothing.
+The memo serves only the same model object and only while the trace's
+arrays equal its copies, so a write forced into the trace never serves
+stale predictions; the source map is only a hint, since every reused
+row is compared by value.  Calibration passes no nominal trace, so it
+predicts its trace once and builds no memo; the first attack scored
 against the trace builds it.  The reuse is bit-exact because a
 prediction depends only on the row's two values: predict_batch scales
 each element on its own and the node-table walk compares ``x >= t`` and
 adds each row's leaves in its own column, in tree order.  Rows compare
-by value in both stages, so a -0.0 takes the prediction made for 0.0,
-whose branches it takes too (-0.0 >= t exactly when 0.0 >= t).  A NaN
-equals no row, so it still reaches the walk, which rejects it.
+by value, so a -0.0 takes the prediction made for 0.0, whose branches it
+takes too (-0.0 >= t exactly when 0.0 >= t).  A NaN equals no row, so it
+still reaches the walk, which rejects it.
+
+Predictor rows are module-major, so the predictions form a contiguous
+(q, n-1) array and r is one reduction along its first axis.
 
 The toggle is the paper's pure set/reset rule: the flag is the parity of
 the crossings so far.  It is fragile by construction, since a single
@@ -63,21 +67,20 @@ from .simkit import TelemetryFrame, TelemetryTrace
 
 
 def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Predictor inputs: one (v_m(k), i(k)) row per frame k < n-1 and module
-    m, frame-major."""
-    return np.column_stack([v[:-1].reshape(-1), np.repeat(i[:-1], v.shape[1])])
-
-
-def _row_keys(x: np.ndarray) -> np.ndarray:
-    """One complex key per (v, i) row of a C-contiguous (N, 2) float array,
-    without a copy; numpy orders complex values by (real, imag)."""
-    return x.view(np.complex128).ravel()
+    """Predictor inputs: one (v_m(k), i(k)) row per module m and frame
+    k < n-1, module-major."""
+    q, n = v.shape[1], v.shape[0] - 1
+    x = np.empty((q, n, 2))
+    x[:, :, 0] = v[:-1].T
+    x[:, :, 1] = i[:-1]
+    return x.reshape(q * n, 2)
 
 
 def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
-    """The trace's memo under ``model``: copies of its voltages and currents,
-    its predictions in position order, and its predictor rows as sorted
-    keys with their predictions in the same order, all read-only.
+    """The trace's memo under ``model``: copies of its voltages and currents
+    and its predictions as an (n-1, q) array, frame-major, so that a flat
+    index into the voltages addresses the prediction made from that
+    value; all read-only.
 
     Memoized on the trace: one entry, which serves a call only for the same
     model object and while the trace's arrays still equal the copies taken
@@ -88,32 +91,48 @@ def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
             and np.array_equal(memo[1], trace.v_modules)
             and np.array_equal(memo[2], trace.i_pack_a)):
         v, i = trace.v_modules.copy(), trace.i_pack_a.copy()
-        x = _features(v, i)
-        predicted = predict_batch(model, x)
-        keys = _row_keys(x)
-        order = np.argsort(keys, kind="stable")
-        keys, by_key = keys[order], predicted[order]
-        for a in (v, i, predicted, keys, by_key):
+        predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
+        predicted = predicted.T.copy()
+        for a in (v, i, predicted):
             a.flags.writeable = False
-        memo = trace._memo = (model, v, i, predicted, keys, by_key)
+        memo = trace._memo = (model, v, i, predicted)
     return memo[1:]
 
 
-def _lookup_by_value(model: Ensemble, keys: np.ndarray, by_key: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """Predictions of the rows ``x``: a row equal to one of the sorted
-    ``keys`` takes its prediction in ``by_key``, and the others are
-    predicted in one call."""
-    xk = _row_keys(x)
-    pos = np.minimum(np.searchsorted(keys, xk), keys.size - 1)
-    predicted, miss = by_key[pos], keys[pos] != xk
-    if miss.any():
-        predicted[miss] = predict_batch(model, x[miss])
+def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
+           i: np.ndarray, source) -> np.ndarray:
+    """(q, n-1) predictions of the rows of (v, i): the nominal prediction
+    of each row's source row where both values equal that row's, the
+    others predicted in one call."""
+    vn, i_n, known = _nominal_predictions(model, nominal)
+    n, q = v.shape
+    if source is None:
+        src = np.arange((n - 1) * q).reshape(n - 1, q)
+    else:
+        source = np.asarray(source)
+        if source.shape != v.shape or source.dtype.kind not in "iu":
+            raise ValueError("source must be an integer array of the "
+                             "trace's (n, q) shape")
+        src = source[:-1]
+        if src.min() < 0 or src.max() >= n * q:
+            raise ValueError("source indices must index the nominal voltages")
+    # need[k, m]: row (k, m) is not served by its source row, whose
+    # voltage, current or prediction (none for the last frame) differs.
+    need = v[:-1] != vn.ravel().take(src)
+    need |= i[:-1, None] != np.repeat(i_n, q).take(src)
+    need |= src >= (n - 1) * q
+    predicted = known.ravel().take(src.T, mode="clip")
+    if need.any():
+        m, k = np.nonzero(need.T)
+        x = np.empty((m.size, 2))
+        x[:, 0] = v[k, m]
+        x[:, 1] = i[k]
+        predicted[m, k] = predict_batch(model, x)
     return predicted
 
 
 def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
-                       nominal: TelemetryTrace | None = None):
+                       nominal: TelemetryTrace | None = None, source=None):
     """Predictions vhat(k) from frame k-1 and residuals r(k), k = 1..n-1.
 
     ``v_modules`` is (n, q) and ``i_pack_a`` (n,) over n consecutive frames.
@@ -121,30 +140,22 @@ def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
     ValueError if a residual is not finite.
 
     Given a ``nominal`` trace of the same shape, every predictor input row
-    equal to the nominal row at its position takes that row's memoized
-    prediction; the other rows, and every row given a nominal trace of
-    another shape, are looked up by value among the nominal trace's rows,
-    and only the rows equal to none of them are predicted.
+    equal to the nominal row at its source (``source[k, m]``, a flat index
+    into the nominal voltages; (k, m) itself without a source) takes that
+    row's memoized prediction, and only the other rows are predicted.
+    ``source`` is ignored without such a nominal trace.
     """
     v = np.asarray(v_modules, dtype=float)
     i = np.asarray(i_pack_a, dtype=float)
-    x = _features(v, i)
-    if nominal is None or nominal.n_frames < 2:  # no nominal rows to reuse
-        predicted = predict_batch(model, x)
+    if (nominal is None or nominal.n_frames < 2
+            or nominal.v_modules.shape != v.shape):  # no nominal rows to reuse
+        predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
     else:
-        vn, i_n, known, keys, by_key = _nominal_predictions(model, nominal)
-        if v.shape == vn.shape:
-            moved = ~((v[:-1] == vn[:-1]) & (i[:-1] == i_n[:-1])[:, None]).ravel()
-            predicted = known.copy()
-            if moved.any():
-                predicted[moved] = _lookup_by_value(model, keys, by_key, x[moved])
-        else:
-            predicted = _lookup_by_value(model, keys, by_key, x)
-    predicted = predicted.reshape(-1, v.shape[1])
-    r = np.max(np.abs(v[1:] - predicted), axis=1)
+        predicted = _reuse(model, nominal, v, i, source)
+    r = np.abs(v[1:].T - predicted).max(axis=0)
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
-    return predicted, r
+    return predicted.T, r
 
 
 def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
@@ -237,16 +248,19 @@ class DetectionTrace:
 
 
 def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
-                 nominal: TelemetryTrace | None = None) -> DetectionTrace:
+                 nominal: TelemetryTrace | None = None,
+                 source=None) -> DetectionTrace:
     """Batch detection pass over a trace; bit-equal to streaming step calls.
 
     Predictions are evaluated in one vectorized call (only of the rows
-    absent from ``nominal``'s rows, when given; see one_step_residuals), and
-    the flags are a cumulative count of the crossings.
+    that ``nominal``'s rows at their ``source`` do not serve, when given;
+    see one_step_residuals), and the flags are a cumulative count of the
+    crossings.
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
-    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a, nominal)
+    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a, nominal,
+                              source)
     return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon)
 
 

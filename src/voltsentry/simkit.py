@@ -286,9 +286,9 @@ class TelemetryTrace:
     read-only, so a trace never changes after validation and never freezes
     a caller's array.  ``_memo`` holds the one-step predictions of the trace
     under one model, kept by ``sentinel`` for scoring attacks against this
-    trace: the trace's predictor rows as sorted keys and their predictions
-    in the same order, so any trace's rows can be looked up in it by value.
-    ``copy()`` does not carry it.
+    trace: copies of its voltages and currents and the predictions of its
+    predictor rows, which an attacked trace reuses through the attack's
+    source map.  ``copy()`` does not carry it.
     """
 
     t_s: np.ndarray

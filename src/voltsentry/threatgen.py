@@ -6,6 +6,14 @@ untouched.  The swap reorders each frame's module voltages so the slot of
 module 1 receives the largest value and the last slot the smallest
 (descending sort, ties kept in original module order).  The replay plays a
 previously recorded window of the same trace back over the target modules.
+
+Both are a gather.  apply_scenario first builds the attack's source map:
+one flat index into the nominal (n, q) voltages per corrupted entry, the
+identity outside the window.  A swap permutes a window frame's indices; a
+replay copies the recorded frames' indices into the target columns.  The
+corrupted voltages are the nominal voltages taken at the map, and the map
+is returned too, so that sentinel can reuse the nominal prediction of each
+row the attack moved.
 """
 
 from __future__ import annotations
@@ -63,11 +71,6 @@ class AttackScenario:
                 raise ValueError(f"target module beyond q={trace.q}")
 
 
-def _swap_rows(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(-v, axis=1, kind="stable")
-    return np.take_along_axis(v, order, axis=1)
-
-
 def _window(trace: TelemetryTrace, scenario: AttackScenario) -> tuple:
     """Frame indices [a, b) of the scenario's active window."""
     a, b = np.searchsorted(trace.t_s, [scenario.k0_s, scenario.kf_s])
@@ -75,27 +78,34 @@ def _window(trace: TelemetryTrace, scenario: AttackScenario) -> tuple:
 
 
 def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
-    """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask).
+    """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask,
+    source map).
 
     The input trace is never modified.  The mask is 1 exactly on [k0, kf)
     and is the returned trace's ``attack_mask`` (read-only), for CSV
-    emission.
+    emission.  The source map is a read-only (n, q) integer array:
+    ``source[k, m]`` is the flat index into ``trace.v_modules`` of the value
+    the corrupted trace holds at (k, m), so the corrupted voltages equal
+    ``trace.v_modules.ravel().take(source)``.
     """
     scenario.validate_for(trace)
     a, b = _window(trace, scenario)
+    n, q = trace.v_modules.shape
+    source = np.arange(n * q).reshape(n, q)
     if scenario.kind == "swap_fdi":
-        if trace.q < 2:
+        if q < 2:
             raise ValueError("swap needs at least 2 modules")
-        v = trace.v_modules.copy()
-        v[a:b] = _swap_rows(trace.v_modules[a:b])
+        order = np.argsort(-trace.v_modules[a:b], axis=1, kind="stable")
+        source[a:b] = order + source[a:b, :1]
     else:
         rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
         cols = [m - 1 for m in scenario.target_modules]
-        v = trace.v_modules.copy()
-        v[a:b, cols] = trace.v_modules[rec:rec + b - a, cols]
-    mask = np.zeros(trace.n_frames, dtype=int)
+        source[a:b, cols] = source[rec:rec + b - a, cols]
+    source.flags.writeable = False
+    mask = np.zeros(n, dtype=int)
     mask[a:b] = 1
-    out = replace(trace, v_modules=v, attack_mask=mask,
+    out = replace(trace, v_modules=trace.v_modules.ravel().take(source),
+                  attack_mask=mask,
                   name=(trace.name + "_" + scenario.kind) if trace.name
                   else scenario.kind)
-    return out, out.attack_mask
+    return out, out.attack_mask, source

@@ -646,6 +646,34 @@ class TestCompiledWalk:
         assert got.tobytes() == per_tree_walk(ens, x).tobytes()
         assert got.tobytes() == per_row_walk(ens, x).tobytes()
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 8),
+           n=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_validation_routing_reaches_the_walked_leaf(self, seed, depth, n):
+        """Training routes validation rows down the new tree to the leaf the
+        per-tree walk reaches, with rows on thresholds and signed zeros."""
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth)
+        x = np.where(rng.random((n, 2)) < 0.7, rng.choice(GRID, (n, 2)),
+                     rng.uniform(-1.2, 1.2, (n, 2)))
+        x = np.where(x == 0.0, np.where(rng.random((n, 2)) < 0.5, -0.0, 0.0), x)
+        leaves = boost._leaf_of(tree, np.ascontiguousarray(x[:, 0]),
+                                np.ascontiguousarray(x[:, 1]))
+        assert (tree.feature[leaves] == -1).all()
+        assert tree.weight[leaves].tobytes() == _eval_tree(tree, x).tobytes()
+
+    def test_nonfinite_validation_rejected_before_training(self):
+        x = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])
+        val_x = np.array([[0.5, 0.0], [np.nan, 0.0]])
+        grown = []
+        with mock.patch.object(boost._ColumnBlocks, "grow",
+                               side_effect=lambda g: grown.append(g)), \
+                pytest.raises(ValueError, match="features must be finite"):
+            boost._boost_segment(x, x[:, 0], np.zeros(20),
+                                 TrainConfig(n_trees=3), "base",
+                                 val_x, np.zeros(2), np.zeros(2))
+        assert grown == []
+
     def test_deep_and_shallow_trees_mixed(self):
         # Depth 8 next to stumps and single leaves, in both orders.
         rng = np.random.default_rng(12)

@@ -270,7 +270,7 @@ def draw_scenario(data, n, q):
 
 def full_prediction(model, trace, scenario, epsilon):
     """evaluate_attack without the nominal trace's predictions."""
-    corrupted, mask = apply_scenario(trace, scenario)
+    corrupted, mask, _ = apply_scenario(trace, scenario)
     det = run_detector(corrupted, model, epsilon)
     return corrupted, det, score_detection(det, mask)
 
@@ -284,27 +284,21 @@ def assert_same_outcome(got, want):
     assert m1 == m2
 
 
-def predictor_rows(trace):
-    """The trace's (v_m(k), i(k)) predictor rows, frame-major."""
-    return list(zip(trace.v_modules[:-1].ravel().tolist(),
-                    np.repeat(trace.i_pack_a[:-1], trace.q).tolist()))
-
-
-def absent_rows(trace, nominal) -> int:
-    """How many of the trace's predictor rows equal no nominal row."""
-    known = set(predictor_rows(nominal))
-    return sum(row not in known for row in predictor_rows(trace))
-
-
-def counting_lookups(monkeypatch):
-    """The rows passed to each value lookup of the residual function."""
-    rows, lookup = [], sentinel._lookup_by_value
-
-    def counting(model, keys, by_key, x):
-        rows.append(x.copy())
-        return lookup(model, keys, by_key, x)
-
-    monkeypatch.setattr(sentinel, "_lookup_by_value", counting)
+def unserved_rows(trace, nominal, source=None):
+    """The predictor rows (v_m(k), i(k)) of ``trace`` that the nominal row
+    at their source does not serve, module-major: the source row (by flat
+    index into the nominal voltages; (k, m) itself without a source) is in
+    the last frame or differs in voltage or current.  A loop over the
+    source rule, for the tests."""
+    n, q = trace.v_modules.shape
+    rows = []
+    for m in range(q):
+        for k in range(n - 1):
+            ks, ms = divmod(k * q + m if source is None else int(source[k, m]), q)
+            row = (trace.v_modules[k, m], trace.i_pack_a[k])
+            if not (ks < n - 1 and row == (nominal.v_modules[ks, ms],
+                                           nominal.i_pack_a[ks])):
+                rows.append(row)
     return rows
 
 
@@ -320,12 +314,24 @@ def counting_predictions(monkeypatch):
     return rows
 
 
+def recording_predictions(monkeypatch):
+    """The (v, i) rows of each predict_batch call of the residual function."""
+    calls = []
+
+    def recording(model, x):
+        calls.append([tuple(row) for row in x.tolist()])
+        return boost.predict_batch(model, x)
+
+    monkeypatch.setattr(sentinel, "predict_batch", recording)
+    return calls
+
+
 class TestAttackReuse:
-    """evaluate_attack takes the nominal trace's memoized prediction for
-    each row of the corrupted trace equal to the nominal row at its
-    position, looks the other rows up by value among the nominal rows,
-    wherever they sit, and predicts only the rows equal to none; the
-    outcome equals a full prediction of the corrupted trace bit for bit."""
+    """evaluate_attack takes, for each predictor row of the corrupted
+    trace, the nominal trace's memoized prediction of the row that the
+    attack's source map copied it from, when both values equal that row's,
+    and predicts only the other rows; the outcome equals a full prediction
+    of the corrupted trace bit for bit."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
            n_trees=st.integers(0, 5), depth=st.integers(0, 4),
@@ -377,31 +383,25 @@ class TestAttackReuse:
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, full_prediction(model, trace, scenario, 0.5))
 
-    def test_nominal_of_another_shape_predicts_absent_rows(self, monkeypatch):
+    def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
+        """A nominal trace of another shape serves no row, even one whose
+        rows are all the nominal's, and gets no memo."""
         rng = np.random.default_rng(9)
         model = random_model(rng, 5, 3)
         other = random_trace(rng, 41, 3)
         # Frames 5..34 of the nominal trace, modules 3 and 1: no new row.
         inside = make_trace(other.v_modules[5:35, ::-2], i=other.i_pack_a[5:35])
-        outside = random_trace(rng, 40, 2)
-        want = [run_detector(t, model, 0.5) for t in (inside, outside)]
+        want = run_detector(inside, model, 0.5)
         rows = counting_predictions(monkeypatch)
-        lookups = counting_lookups(monkeypatch)
         det = run_detector(inside, model, 0.5, nominal=other)
-        assert rows == [40 * 3]  # the nominal trace, into the memo
-        assert [len(x) for x in lookups] == [29 * 2]  # every row, by value
-        assert det.r.tobytes() == want[0].r.tobytes()
+        assert rows == [29 * 2]
+        assert det.r.tobytes() == want.r.tobytes()
+        assert other._memo is None
         rows.clear()
-        lookups.clear()
-        det = run_detector(outside, model, 0.5, nominal=other)
-        assert rows == [absent_rows(outside, other)]
-        assert [len(x) for x in lookups] == [39 * 2]
-        assert 0 < rows[0] < 39 * 2
-        assert det.r.tobytes() == want[1].r.tobytes()
-        assert other._memo[0] is model
         one_frame = make_trace(other.v_modules[:1], i=other.i_pack_a[:1])
-        det = run_detector(outside, model, 0.5, nominal=one_frame)
-        assert det.r.tobytes() == want[1].r.tobytes()
+        det = run_detector(inside, model, 0.5, nominal=one_frame)
+        assert rows == [29 * 2]
+        assert det.r.tobytes() == want.r.tobytes()
 
     def test_window_that_changes_no_row(self, monkeypatch):
         """A swap over frames already in descending order changes nothing:
@@ -426,6 +426,8 @@ class TestAttackReuse:
         scenario = AttackScenario("replay", 20, 30, record_start_s=2,
                                   record_end_s=12, target_modules=(2,))
         want = full_prediction(model, trace, scenario, 0.5)
+        source = apply_scenario(trace, scenario)[2]
+        unserved = len(unserved_rows(want[0], trace, source))
         rows = counting_predictions(monkeypatch)
         _, _, preds = pipeline.calibrate_on_trace(model, trace)
         assert rows == [39 * 3]
@@ -433,12 +435,13 @@ class TestAttackReuse:
         rows.clear()
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
-        assert rows == [39 * 3, absent_rows(want[0], trace)]
+        assert rows == [39 * 3, unserved]
+        assert 0 < unserved <= 10
         rows.clear()
         preds[:] = 0.0  # the caller's array, not the memo
         assert_same_outcome(pipeline.evaluate_attack(model, trace, scenario, 0.5),
                             want)
-        assert rows == [absent_rows(want[0], trace)]
+        assert rows == [unserved]
 
     def test_swap_predicts_nothing_after_memo(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -482,20 +485,26 @@ class TestAttackReuse:
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
         # Frames 20, 24 and 28 replay frames 4, 8 and 12 at the same current.
-        assert rows == [absent_rows(want[0], trace)] == [12 - 3]
+        assert rows == [12 - 3]
 
     @staticmethod
-    def residuals_of_signed_zeros(monkeypatch, frames):
-        """Residuals of a trace whose zeros are -0.0, over its first
-        ``frames`` frames, against a 30-frame nominal trace with 0.0:
-        checks their bytes and returns the (predicted, looked-up) row
-        counts."""
+    def residuals_of_signed_zeros(monkeypatch, swap):
+        """Residuals of a 30-frame trace whose zeros are -0.0 against a
+        nominal trace with 0.0, at their position or, with ``swap``, through
+        the source map of a swap of frames 3..26: checks their bytes and
+        returns the predicted row count."""
         rng = np.random.default_rng(16)
         model = random_model(rng, 5, 4)
         v = np.where(rng.random((30, 2)) < 0.5, 0.0, rng.choice(GRID, (30, 2)))
         nominal = make_trace(v, i=np.where(np.arange(30) % 2, 0.0, 0.5))
-        flipped = make_trace(np.where(v == 0.0, -0.0, v)[:frames],
-                             i=np.where(np.arange(30) % 2, -0.0, 0.5)[:frames])
+        source = None
+        if swap:
+            attacked, _, source = apply_scenario(
+                nominal, AttackScenario("swap_fdi", 3, 27))
+            assert (source != np.arange(60).reshape(30, 2)).any()
+            v = attacked.v_modules
+        flipped = make_trace(np.where(v == 0.0, -0.0, v),
+                             i=np.where(np.arange(30) % 2, -0.0, 0.5))
         assert np.signbit(flipped.v_modules[:-1]).any()
         assert np.signbit(flipped.i_pack_a[:-1]).any()
         want = sentinel.one_step_residuals(model, flipped.v_modules,
@@ -503,22 +512,21 @@ class TestAttackReuse:
         sentinel.one_step_residuals(model, nominal.v_modules, nominal.i_pack_a,
                                     nominal)
         rows = counting_predictions(monkeypatch)
-        lookups = counting_lookups(monkeypatch)
         got = sentinel.one_step_residuals(model, flipped.v_modules,
-                                          flipped.i_pack_a, nominal)
+                                          flipped.i_pack_a, nominal, source)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        return sum(rows), sum(len(x) for x in lookups)
+        return sum(rows)
 
     def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
         """A -0.0 at its position equals the nominal 0.0: it takes the
-        positional prediction, with no lookup and no prediction."""
-        assert self.residuals_of_signed_zeros(monkeypatch, 30) == (0, 0)
+        positional prediction and is not predicted."""
+        assert self.residuals_of_signed_zeros(monkeypatch, swap=False) == 0
 
-    def test_negative_zero_found_by_value(self, monkeypatch):
-        """In a trace of another shape, a -0.0 row takes the prediction of
-        the 0.0 row found by value, and is not predicted."""
-        assert self.residuals_of_signed_zeros(monkeypatch, 29) == (0, 28 * 2)
+    def test_negative_zero_reuses_through_its_source(self, monkeypatch):
+        """A -0.0 that a swap moved equals the nominal 0.0 at its source:
+        it takes that row's prediction and is not predicted."""
+        assert self.residuals_of_signed_zeros(monkeypatch, swap=True) == 0
 
     @pytest.mark.parametrize("scenario, modules", [
         (AttackScenario("swap_fdi", 10, 30), (1, 2)),
@@ -528,58 +536,95 @@ class TestAttackReuse:
         (AttackScenario("replay", 28, 40, record_start_s=3, record_end_s=15,
                         target_modules=(2,)), (2,)),
     ])
-    def test_value_lookup_sees_only_the_window(self, monkeypatch, scenario,
-                                               modules):
-        """An attack on frames [k0, kf) changes only the predictor rows of
-        frames k0 .. kf-1 (those that feed r(k0+1) .. r(kf)), and only
-        they are looked up by value: the other rows take the nominal
-        prediction at their position."""
+    def test_only_rows_unserved_by_their_source_are_predicted(
+            self, monkeypatch, scenario, modules):
+        """An attack on frames [k0, kf) moves only entries of those frames
+        in the attacked modules, and exactly the predictor rows whose
+        source row differs from them are predicted, in one call."""
         rng = np.random.default_rng(17)
         model = random_model(rng, 5, 3)
-        # Ascending module voltages: a swap reverses every window frame.
+        # Ascending module voltages, so a swap reverses every window frame,
+        # and currents that differ from frame to frame, so that a replayed
+        # row meets another current.
         trace = make_trace(np.sort(rng.uniform(-1.2, 1.2, (40, 2)), axis=1),
                            i=rng.uniform(-1.2, 1.2, 40))
         want = full_prediction(model, trace, scenario, 0.5)
+        corrupted, _, source = apply_scenario(trace, scenario)
+        k0, kf = scenario.k0_s, scenario.kf_s
+        moved = np.argwhere(source != np.arange(80).reshape(40, 2))
+        assert sorted(map(tuple, moved.tolist())) == [
+            (k, m - 1) for k in range(k0, kf) for m in modules]
         pipeline.evaluate_attack(model, trace, scenario, 0.5)
-        lookups = counting_lookups(monkeypatch)
+        calls = recording_predictions(monkeypatch)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
-        q, k0, kf = 2, scenario.k0_s, scenario.kf_s
-        window = [row for j, row in enumerate(predictor_rows(want[0]))
-                  if k0 <= j // q < kf and j % q + 1 in modules]
-        assert len(lookups) == 1
-        assert [tuple(row) for row in lookups[0].tolist()] == window
-        assert len(window) == len(modules) * (min(kf, 39) - k0)
+        unserved = unserved_rows(corrupted, trace, source)
+        if scenario.kind == "swap_fdi":
+            assert unserved == []
+        else:
+            assert len(unserved) == len(modules) * (min(kf, 39) - k0)
+        assert calls == ([unserved] if unserved else [])
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4),
            n=st.integers(2, 40), p_v=st.floats(0.0, 1.0),
-           p_i=st.floats(0.0, 1.0))
+           p_i=st.floats(0.0, 1.0), with_source=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_same_shape_equals_full_prediction_property(self, seed, q, n,
-                                                        p_v, p_i):
+                                                        p_v, p_i,
+                                                        with_source):
         """A trace of the nominal's shape whose voltages and currents are
         changed anywhere, to values of other nominal rows, new values or
-        signed zeros, gets the full prediction's bytes."""
+        signed zeros, gets the full prediction's bytes, with no source or
+        with any source map, whatever rows it points at."""
         rng = np.random.default_rng(seed)
         model = random_model(rng, 4, 3)
         nominal = random_trace(rng, n, q)
         fresh = random_trace(rng, n, q)
+        source = None
+        if with_source:
+            source = np.where(rng.random((n, q)) < p_v,
+                              rng.integers(0, n * q, (n, q)),
+                              np.arange(n * q).reshape(n, q))
         v = np.where(rng.random((n, q)) < p_v,
                      rng.permutation(nominal.v_modules.ravel()).reshape(n, q),
                      nominal.v_modules)
+        if with_source:
+            v = np.where(rng.random((n, q)) < 0.5,
+                         nominal.v_modules.ravel().take(source), v)
         v = np.where(rng.random((n, q)) < p_v / 2, fresh.v_modules, v)
         i = np.where(rng.random(n) < p_i, rng.permutation(nominal.i_pack_a),
                      nominal.i_pack_a)
         i = np.where(rng.random(n) < p_i / 2, fresh.i_pack_a, i)
         i = np.where(i == 0.0, -0.0, i)
         want = sentinel.one_step_residuals(model, v, i)
-        got = sentinel.one_step_residuals(model, v, i, nominal)
+        got = sentinel.one_step_residuals(model, v, i, nominal, source)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
-    def test_changed_current_is_looked_up_by_value(self, monkeypatch):
+    def test_without_source_reuse_is_by_position(self, monkeypatch):
+        """Without a source map, a row takes only the prediction of the
+        nominal row at its own position: permuted voltages that the
+        nominal trace holds elsewhere are predicted."""
+        rng = np.random.default_rng(20)
+        model = random_model(rng, 5, 3)
+        nominal = make_trace(np.sort(rng.uniform(-1.2, 1.2, (20, 3)), axis=1),
+                             i=rng.uniform(-1.2, 1.2, 20))
+        v = nominal.v_modules.copy()
+        v[5:9] = v[5:9, ::-1]  # module 2 stays in place
+        want = sentinel.one_step_residuals(model, v, nominal.i_pack_a)
+        sentinel.one_step_residuals(model, nominal.v_modules,
+                                    nominal.i_pack_a, nominal)
+        calls = recording_predictions(monkeypatch)
+        got = sentinel.one_step_residuals(model, v, nominal.i_pack_a, nominal)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        trace = make_trace(v, i=nominal.i_pack_a)
+        assert calls == [unserved_rows(trace, nominal)]
+        assert len(calls[0]) == 4 * 2
+
+    def test_changed_current_is_predicted(self, monkeypatch):
         """Rows whose voltage is unchanged but whose current moved are not
-        positional matches: they go to the value lookup."""
+        served by the nominal row at their position: they are predicted."""
         rng = np.random.default_rng(19)
         model = random_model(rng, 5, 3)
         nominal = random_trace(rng, 20, 3)
@@ -588,11 +633,45 @@ class TestAttackReuse:
         want = sentinel.one_step_residuals(model, nominal.v_modules, i)
         sentinel.one_step_residuals(model, nominal.v_modules,
                                     nominal.i_pack_a, nominal)
-        lookups = counting_lookups(monkeypatch)
+        rows = counting_predictions(monkeypatch)
         got = sentinel.one_step_residuals(model, nominal.v_modules, i, nominal)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert [len(x) for x in lookups] == [2 * 3]
+        assert rows == [2 * 3]
+
+    def test_source_in_the_last_frame_is_predicted(self, monkeypatch):
+        """The last nominal frame feeds no prediction, so a row copied from
+        it is predicted even though both its values equal that frame's."""
+        rng = np.random.default_rng(22)
+        model = random_model(rng, 5, 3)
+        nominal = make_trace(rng.uniform(-1.2, 1.2, (10, 2)),
+                             i=rng.uniform(-1.2, 1.2, 10))
+        v, i = nominal.v_modules.copy(), nominal.i_pack_a.copy()
+        source = np.arange(20).reshape(10, 2)
+        v[3, 0], i[3], source[3, 0] = v[9, 1], i[9], 9 * 2 + 1
+        want = sentinel.one_step_residuals(model, v, i)
+        sentinel.one_step_residuals(model, nominal.v_modules,
+                                    nominal.i_pack_a, nominal)
+        calls = recording_predictions(monkeypatch)
+        got = sentinel.one_step_residuals(model, v, i, nominal, source)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        # Module 2 of frame 3 meets the new current at its own position.
+        assert calls == [[(v[3, 0], i[3]), (v[3, 1], i[3])]]
+
+    @pytest.mark.parametrize("source, match", [
+        (np.zeros((20, 2), dtype=float), "integer"),
+        (np.zeros((19, 2), dtype=int), "shape"),
+        (np.full((20, 2), -1), "index"),
+        (np.full((20, 2), 40), "index"),
+    ])
+    def test_bad_source_rejected(self, source, match):
+        rng = np.random.default_rng(21)
+        model = random_model(rng, 5, 3)
+        nominal = random_trace(rng, 20, 2)
+        with pytest.raises(ValueError, match=match):
+            sentinel.one_step_residuals(model, nominal.v_modules,
+                                        nominal.i_pack_a, nominal, source)
 
     def test_trace_equal_to_nominal_looks_nothing_up(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -602,7 +681,6 @@ class TestAttackReuse:
                                            trace.i_pack_a)
         sentinel.one_step_residuals(model, trace.v_modules, trace.i_pack_a,
                                     trace)
-        lookups = counting_lookups(monkeypatch)
         rows = counting_predictions(monkeypatch)
         equal = trace.copy()
         for checked in (trace, equal):
@@ -610,7 +688,7 @@ class TestAttackReuse:
                                               checked.i_pack_a, trace)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        assert (lookups, rows) == ([], [])
+        assert rows == []
         assert equal._memo is None
 
     def test_copy_does_not_carry_memo(self):
