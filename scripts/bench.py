@@ -173,7 +173,7 @@ def measure(art: str) -> dict:
         layers[f"evaluate_attack_cold_{p}_ms"] = median_ms(attack, 20, fresh)
         layers[f"evaluate_attack_warm_{p}_ms"] = median_ms(
             attack, 20, lambda: (trace,))
-    phased, scenario = cv_replay(pipeline, simkit, threatgen)
+    phased, scenario = cv_replay(configio, simkit, threatgen)
     epsilon = pipeline.calibrate_on_trace(models["pack2"], phased)[0]
     layers["evaluate_attack_warm_cv_replay_pack2_ms"] = median_ms(
         lambda: pipeline.evaluate_attack(models["pack2"], phased, scenario,
@@ -181,13 +181,15 @@ def measure(art: str) -> dict:
     return layers
 
 
-def cv_replay(pipeline, simkit, threatgen):
-    """A phased pack 2 charge and a replay of all its modules into the
-    middle half of its CV phase, recorded from the frames just before."""
+def cv_replay(configio, simkit, threatgen):
+    """A phased pack 2 charge, as long as ``configs/pack2_c100.ini``'s, and
+    a replay of all its modules into the middle half of its CV phase,
+    recorded from the frames just before."""
     import numpy as np
 
+    spec = configio.read_sim_config(os.path.join(CONFIGS, "pack2_c100.ini"))
     policy = simkit.CccvPolicy(c_rate=1.0, taper_cutoff_c=0.3,
-                               duration_s=pipeline.PACK_TRACE_DURATION_S)
+                               duration_s=spec.policy.duration_s)
     trace = simkit.run_cccv_pack(simkit.pack2_config(), simkit.default_cell(),
                                  policy, 0.8)
     i = trace.i_pack_a

@@ -148,6 +148,14 @@ def check_no_leakage(*sets: SupervisedSet) -> None:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: list, row: str, columns: list) -> None:
+    """Write a CSV: the ``header`` line, then one line per position of the
+    equally long ``columns``, formatted by the %-format ``row``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(map((row + "\n").__mod__, zip(*columns, strict=True))))
+
+
 def write_trace(path, trace: TelemetryTrace) -> None:
     """Write a trace using the telemetry CSV schema (6 decimal places)."""
     q = trace.q
@@ -158,9 +166,7 @@ def write_trace(path, trace: TelemetryTrace) -> None:
         cols.append("attack_mask")
         columns.append(trace.attack_mask.tolist())
         row += ",%d"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write("".join(map((row + "\n").__mod__, zip(*columns))))
+    write_csv(path, cols, row, columns)
 
 
 def _unparseable(row: str) -> bool:

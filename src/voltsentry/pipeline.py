@@ -24,6 +24,7 @@ import numpy as np
 
 from . import boost, datasets, sentinel, simkit, threatgen, transfer
 from .datasets import SplitSpec, SupervisedSet
+from .reports import score_detection
 from .simkit import CccvPolicy, CellParams, NoiseSpec, PackConfig, TelemetryTrace
 
 CELL_C_RATES = (0.5, 0.8, 1.0, 1.2)
@@ -31,7 +32,8 @@ CELL_INIT_SOCS = (0.1, 0.3, 0.5)
 CELL_R0_SCALES = (0.95, 1.0, 1.05)
 CELL_DURATIONS = {0.5: 3600.0, 0.8: 3000.0, 1.0: 2600.0, 1.2: 2200.0}
 
-# Length of the shipped pack charges (configs/pack*_c*.ini).
+# Length of the shipped pack charges (configs/pack*_c*.ini), which the
+# benchmark workloads read.
 PACK_TRACE_DURATION_S = 900.0
 
 # Seed of the canonical cell corpus used by the shipped experiment configs.
@@ -160,19 +162,19 @@ def max_abs_residual(model: boost.Ensemble, data: SupervisedSet) -> float:
 
 def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
                   test_trace: TelemetryTrace, recipe: boost.TrainConfig,
-                  split: SplitSpec | None = None, cell: CellParams | None = None):
+                  cell: CellParams | None = None):
     """Fine-tune the base model for one pack; returns (model, info, seconds).
 
-    info carries the validation max-abs residual before and after the
-    fine-tune (physical volts) and the test-module error fraction relative
-    to the nominal module voltage, series_cells * cell.v_max (the default
-    cell when ``cell`` is None).
+    The modules split as ``SplitSpec.default_for(config.q)``.  info
+    carries the validation max-abs residual before and after the fine-tune
+    (physical volts) and the test-module error fraction relative to the
+    nominal module voltage, series_cells * cell.v_max (the default cell
+    when ``cell`` is None).
     """
     cell = cell or simkit.default_cell()
-    split = split or SplitSpec.default_for(config.q)
     norm = transfer.norm_for_pack(config)
     train_set, val_set, test_set = build_pack_sets(
-        train_traces, test_trace, split, norm)
+        train_traces, test_trace, SplitSpec.default_for(config.q), norm)
 
     val_before = max_abs_residual(base, val_set)
     t0 = time.perf_counter()
@@ -222,8 +224,6 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
     attack's source map) takes that row's prediction, and only the other
     rows are predicted.
     """
-    from .reports import score_detection
-
     corrupted, mask, source = threatgen.apply_scenario(trace, scenario)
     det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace,
                                 source=source)
@@ -237,11 +237,6 @@ def write_prediction_csv(path, trace: TelemetryTrace, preds: np.ndarray,
     q = trace.q
     cols = (["t_s"] + [f"v_m{m}" for m in range(1, q + 1)]
             + [f"vhat_m{m}" for m in range(1, q + 1)] + ["r_v"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(preds.shape[0]):
-            row = [f"{trace.t_s[k + 1]:.6f}"]
-            row += [f"{v:.6f}" for v in trace.v_modules[k + 1]]
-            row += [f"{v:.6f}" for v in preds[k]]
-            row.append(f"{residuals[k]:.6f}")
-            fh.write(",".join(row) + "\n")
+    datasets.write_csv(path, cols, ",".join(["%.6f"] * (2 * q + 2)),
+                       [trace.t_s[1:].tolist(), *trace.v_modules[1:].T.tolist(),
+                        *preds.T.tolist(), residuals.tolist()])

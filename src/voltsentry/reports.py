@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .boost import BoostHistory
+from .datasets import write_csv
 from .sentinel import DetectionTrace
 
 
@@ -98,11 +99,9 @@ def write_loss_curve(path, history: BoostHistory) -> None:
     """Loss curve CSV: ``round,train_mse,val_mse``, one row per boosting
     round (round r holds the losses after r trees).  Losses are written as
     ``%.16e``, which round-trips every float64 exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("round,train_mse,val_mse\n")
-        rows = zip(history.train_mse, history.val_mse, strict=True)
-        for rnd, (train_mse, val_mse) in enumerate(rows, start=1):
-            fh.write(f"{rnd:d},{train_mse:.16e},{val_mse:.16e}\n")
+    rounds = range(1, len(history.train_mse) + 1)
+    write_csv(path, ["round", "train_mse", "val_mse"], "%d,%.16e,%.16e",
+              [rounds, history.train_mse, history.val_mse])
 
 
 def write_timings(path, timings: dict) -> None:

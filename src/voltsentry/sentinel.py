@@ -14,39 +14,37 @@ one_step_residuals is the only place residuals are computed: streaming
 (step_detector, one row per module), batch detection (run_detector) and
 calibration all call it.  Frames and traces reject NaN and infinite values
 when they are built, and one_step_residuals raises ValueError on a
-non-finite residual, such as one from a value forced into a trace's
-read-only arrays afterwards, so a NaN never reaches the toggle as "no
+non-finite residual, such as one from a raw array it is given or from an
+overflowing prediction, so a NaN never reaches the toggle as "no
 crossing".  step_detector also rejects a frame whose t_s is not the
 previous frame's plus 1 s; the caller's state is unchanged, so the stream
 continues from the last good frame.
 
 Scoring attacks against a nominal trace reuses its predictions through
 the attack's source map.  Given a ``nominal`` trace of the checked
-trace's shape, one_step_residuals keeps a memo on that trace (one entry:
-the model object, copies of the trace's voltages and currents, and its
-predictions, frame-major, so that a flat index into the voltages
-addresses the prediction made from that value).  Predictor row (k, m),
-the input
-(v_m(k), i(k)), takes the memoized prediction of the nominal predictor
-row at ``source[k, m]`` (threatgen.apply_scenario's map; without a
-source, the row at (k, m) itself) when both values equal that row's and
-its frame is below n-1.  Every other row is predicted, all of them in
-one call; r is then computed over every row as before.  A swap takes
-every moved value from a row of the same frame, so it predicts nothing;
-a replay predicts only the replayed rows whose recorded current differs
-from the live one.  A nominal trace of another shape reuses nothing.
-The memo serves only the same model object and only while the trace's
-arrays equal its copies, so a write forced into the trace never serves
-stale predictions; the source map is only a hint, since every reused
-row is compared by value.  Calibration passes no nominal trace, so it
-predicts its trace once and builds no memo; the first attack scored
-against the trace builds it.  The reuse is bit-exact because a
-prediction depends only on the row's two values: predict_batch scales
-each element on its own and the node-table walk compares ``x >= t`` and
-adds each row's leaves in its own column, in tree order.  Rows compare
-by value, so a -0.0 takes the prediction made for 0.0, whose branches it
-takes too (-0.0 >= t exactly when 0.0 >= t).  A NaN equals no row, so it
-still reaches the walk, which rejects it.
+trace's shape, one_step_residuals keeps a memo on that trace: the model
+object and its predictions, frame-major, so that a flat index into the
+voltages addresses the prediction made from that value.  Predictor row
+(k, m), the input (v_m(k), i(k)), takes the memoized prediction of the
+nominal predictor row at ``source[k, m]`` (threatgen.apply_scenario's
+map; without a source, the row at (k, m) itself) when both values equal
+that row's and its frame is below n-1.  Every other row is predicted,
+all of them in one call; r is then computed over every row as before.
+A swap takes every moved value from a row of the same frame, so it
+predicts nothing; a replay predicts only the replayed rows whose
+recorded current differs from the live one.  A nominal trace of another
+shape reuses nothing.  The memo serves only the same model object, and
+a trace never changes (simkit.TelemetryTrace), so its predictions never
+go stale.  The source map is only a hint, since every reused row is
+compared by value.  Calibration passes no nominal trace, so it predicts
+its trace once and builds no memo; the first attack scored against the
+trace builds it.  The reuse is bit-exact because a prediction depends
+only on the row's two values: predict_batch scales each element on its
+own and the node-table walk compares ``x >= t`` and adds each row's
+leaves in its own column, in tree order.  Rows compare by value, so a
+-0.0 takes the prediction made for 0.0, whose branches it takes too
+(-0.0 >= t exactly when 0.0 >= t).  A NaN equals no row, so it still
+reaches the walk, which rejects it.
 
 Predictor rows are module-major, so the predictions form a contiguous
 (q, n-1) array and r is one reduction along its first axis.
@@ -63,6 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boost import Ensemble, predict_batch
+from .datasets import write_csv
 from .simkit import TelemetryFrame, TelemetryTrace
 
 
@@ -76,27 +75,23 @@ def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return x.reshape(q * n, 2)
 
 
-def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
-    """The trace's memo under ``model``: copies of its voltages and currents
-    and its predictions as an (n-1, q) array, frame-major, so that a flat
-    index into the voltages addresses the prediction made from that
-    value; all read-only.
+def _nominal_predictions(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
+    """The trace's predictions under ``model`` as a read-only (n-1, q)
+    array, frame-major, so that a flat index into the voltages addresses
+    the prediction made from that value.
 
-    Memoized on the trace: one entry, which serves a call only for the same
-    model object and while the trace's arrays still equal the copies taken
-    when it was made.
+    Memoized on the trace in one slot, (model, predictions), which serves
+    only the same model object.
     """
     memo = trace._memo
-    if not (memo is not None and memo[0] is model
-            and np.array_equal(memo[1], trace.v_modules)
-            and np.array_equal(memo[2], trace.i_pack_a)):
-        v, i = trace.v_modules.copy(), trace.i_pack_a.copy()
-        predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
-        predicted = predicted.T.copy()
-        for a in (v, i, predicted):
-            a.flags.writeable = False
-        memo = trace._memo = (model, v, i, predicted)
-    return memo[1:]
+    if memo is None or memo[0] is not model:
+        v = trace.v_modules
+        predicted = predict_batch(model, _features(v, trace.i_pack_a))
+        predicted = predicted.reshape(v.shape[1], -1).T.copy()
+        predicted.flags.writeable = False
+        memo = (model, predicted)
+        object.__setattr__(trace, "_memo", memo)  # the trace is frozen
+    return memo[1]
 
 
 def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
@@ -104,7 +99,7 @@ def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
     """(q, n-1) predictions of the rows of (v, i): the nominal prediction
     of each row's source row where both values equal that row's, the
     others predicted in one call."""
-    vn, i_n, known = _nominal_predictions(model, nominal)
+    known = _nominal_predictions(model, nominal)
     n, q = v.shape
     if source is None:
         src = np.arange((n - 1) * q).reshape(n - 1, q)
@@ -118,8 +113,8 @@ def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
             raise ValueError("source indices must index the nominal voltages")
     # need[k, m]: row (k, m) is not served by its source row, whose
     # voltage, current or prediction (none for the last frame) differs.
-    need = v[:-1] != vn.ravel().take(src)
-    need |= i[:-1, None] != np.repeat(i_n, q).take(src)
+    need = v[:-1] != nominal.v_modules.ravel().take(src)
+    need |= i[:-1, None] != np.repeat(nominal.i_pack_a, q).take(src)
     need |= src >= (n - 1) * q
     predicted = known.ravel().take(src.T, mode="clip")
     if need.any():
@@ -266,18 +261,14 @@ def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
 
 def write_detection(path, det: DetectionTrace) -> None:
     """Detection CSV: t_s,r_v,flag rows at 6 decimal places."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s,r_v,flag\n")
-        for k in range(len(det.r)):
-            fh.write(f"{det.t_s[k]:.6f},{det.r[k]:.6f},{det.flag[k]:d}\n")
+    write_csv(path, ["t_s", "r_v", "flag"], "%.6f,%.6f,%d",
+              [det.t_s.tolist(), det.r.tolist(), det.flag.tolist()])
 
 
 def write_events(path, det: DetectionTrace) -> None:
-    """Events log: one t_s,residual,transition line per threshold crossing."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s,residual,transition\n")
-        flag = 0
-        for t, r in det.events:
-            transition = "set" if flag == 0 else "reset"
-            flag = 1 - flag
-            fh.write(f"{t:.6f},{r:.6f},{transition}\n")
+    """Events log: one t_s,residual,transition line per threshold crossing;
+    the crossings alternately set and reset the flag."""
+    events = det.events
+    write_csv(path, ["t_s", "residual", "transition"], "%.6f,%.6f,%s",
+              [[t for t, _ in events], [r for _, r in events],
+               [("set", "reset")[j % 2] for j in range(len(events))]])

@@ -241,10 +241,11 @@ class NoiseSpec:
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
-    """A read-only copy of ``a`` (as ``dtype`` if given)."""
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
+    """An immutable copy of ``a`` (as ``dtype`` if given): backed by a
+    ``bytes`` buffer, so neither it nor any view of it can be made
+    writable."""
+    a = np.asarray(a, dtype=dtype)
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ class TelemetryFrame:
         return len(self.v_modules)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TelemetryTrace:
     """Recorded charging run at 1 Hz.
 
@@ -282,13 +283,13 @@ class TelemetryTrace:
     each value must be the previous one plus 1 s; a gap, a duplicate or a
     reversal raises ValueError.
 
-    The constructor copies every array it is given and makes the copies
-    read-only, so a trace never changes after validation and never freezes
-    a caller's array.  ``_memo`` holds the one-step predictions of the trace
-    under one model, kept by ``sentinel`` for scoring attacks against this
-    trace: copies of its voltages and currents and the predictions of its
-    predictor rows, which an attacked trace reuses through the attack's
-    source map.  ``copy()`` does not carry it.
+    A trace is an immutable value.  The constructor copies every array it
+    is given into an immutable buffer and never freezes a caller's array;
+    neither a trace's arrays nor any view of them can be made writable, and
+    no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
+    set only by ``sentinel``: a model object and its one-step predictions
+    of this trace, which attacks scored against the trace reuse under that
+    same model.  ``copy()`` does not carry it.
     """
 
     t_s: np.ndarray
@@ -301,13 +302,14 @@ class TelemetryTrace:
                                 compare=False)
 
     def __post_init__(self):
-        self.t_s = _frozen(self.t_s, float)
-        self.i_pack_a = _frozen(self.i_pack_a, float)
-        self.v_modules = _frozen(np.atleast_2d(self.v_modules), float)
+        put = object.__setattr__  # the one way to set a frozen field
+        put(self, "t_s", _frozen(self.t_s, float))
+        put(self, "i_pack_a", _frozen(self.i_pack_a, float))
+        put(self, "v_modules", _frozen(np.atleast_2d(self.v_modules), float))
         if self.i_modules is not None:
-            self.i_modules = _frozen(self.i_modules)
+            put(self, "i_modules", _frozen(self.i_modules))
         if self.attack_mask is not None:
-            self.attack_mask = _frozen(self.attack_mask)
+            put(self, "attack_mask", _frozen(self.attack_mask))
         n = self.t_s.shape[0]
         if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
             raise ValueError("trace arrays must have matching lengths")

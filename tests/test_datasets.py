@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
+from writers_reference import (reference_write_detection,
+                               reference_write_events,
+                               reference_write_loss_curve,
+                               reference_write_prediction_csv)
 from datasets_reference import reference_read_trace, reference_write_trace
-from voltsentry import datasets, pipeline, simkit
-from voltsentry.boost import NormSpec
+from voltsentry import datasets, pipeline, reports, sentinel, simkit
+from voltsentry.boost import BoostHistory, NormSpec
 from voltsentry.datasets import (SplitSpec, TraceParseError, build_supervised,
                                  check_no_leakage, concat, read_trace,
                                  write_trace)
@@ -294,3 +298,52 @@ class TestCsvMatchesReference:
         else:  # the corruption left a valid file (say, 1.0 to 1.000000)
             assert read_trace(path) == want
 
+
+
+class TestWritersMatchReference:
+    """The writers built on write_csv give the bytes of the per-row
+    f-string writers they replaced, on Python and numpy scalars alike,
+    -0.0, 1e300 and +-5e-7 (which round to -0.000000 and 0.000000)
+    included."""
+
+    EDGE = [-0.0, 0.0, 1e300, 5e-7, -5e-7, 5e-6, -1e300, 3.7]
+
+    @staticmethod
+    def same_bytes(tmp_path, write, reference, *args):
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write(path, *args)
+        reference(ref, *args)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def detection(self, n_events):
+        r = np.abs(np.array(self.EDGE))
+        r[0] = -0.0
+        events = tuple(zip(self.EDGE[:n_events], self.EDGE[::-1][:n_events]))
+        return sentinel.DetectionTrace(t_s=np.array(self.EDGE), r=r,
+                                       flag=np.array([0, 1, 1, 0, 1, 0, 0, 1]),
+                                       epsilon=1.0, events=events)
+
+    @pytest.mark.parametrize("n_events", [0, 1, 5])
+    def test_detection_and_events(self, tmp_path, n_events):
+        det = self.detection(n_events)
+        self.same_bytes(tmp_path, sentinel.write_detection,
+                        reference_write_detection, det)
+        self.same_bytes(tmp_path, sentinel.write_events,
+                        reference_write_events, det)
+
+    def test_prediction_csv(self, tmp_path):
+        v = np.array(self.EDGE + [1.0]).reshape(3, 3)
+        trace = make_trace(v, i=np.array([0.0, -0.0, -5e-7]))
+        preds = v[1:, ::-1].copy()
+        residuals = np.array([-0.0, 1e300])
+        self.same_bytes(tmp_path, pipeline.write_prediction_csv,
+                        reference_write_prediction_csv, trace, preds,
+                        residuals)
+
+    def test_loss_curve(self, tmp_path):
+        numpy_scalars = list(np.array(self.EDGE[::-1]))
+        for history in (BoostHistory(self.EDGE, self.EDGE[::-1]),
+                        BoostHistory(numpy_scalars, self.EDGE),
+                        BoostHistory()):
+            self.same_bytes(tmp_path, reports.write_loss_curve,
+                            reference_write_loss_curve, history)

@@ -368,20 +368,22 @@ class TestAttackReuse:
         pipeline.evaluate_attack(first, trace, scenario, 0.5)
         got = pipeline.evaluate_attack(second, trace, scenario, 0.5)
         assert_same_outcome(got, full_prediction(second, trace, scenario, 0.5))
-        assert trace._memo[0] is second
+        assert len(trace._memo) == 2 and trace._memo[0] is second
 
-    def test_nominal_written_after_memoization(self):
+    def test_memo_is_the_model_and_its_predictions(self):
+        """The memo is one slot: the model object and the nominal trace's
+        read-only (n-1, q) predictions, those of a full prediction."""
         rng = np.random.default_rng(8)
         trace = random_trace(rng, 40, 3)
         model = random_model(rng, 5, 3)
-        scenario = self.scenario()
-        pipeline.evaluate_attack(model, trace, scenario, 0.5)
-        with pytest.raises(ValueError, match="read-only"):
-            trace.v_modules[35, 0] = 9.0
-        trace.v_modules.flags.writeable = True
-        trace.v_modules[:] = trace.v_modules[:, ::-1] + 0.5
-        got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
-        assert_same_outcome(got, full_prediction(model, trace, scenario, 0.5))
+        pipeline.evaluate_attack(model, trace, self.scenario(), 0.5)
+        held, predicted = trace._memo
+        assert held is model
+        want = sentinel.one_step_residuals(model, trace.v_modules,
+                                           trace.i_pack_a)[0]
+        assert predicted.shape == (39, 3)
+        assert predicted.tobytes() == want.tobytes()
+        assert not predicted.flags.writeable
 
     def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
         """A nominal trace of another shape serves no row, even one whose
@@ -696,5 +698,4 @@ class TestAttackReuse:
         model = random_model(rng, 5, 3)
         trace = random_trace(rng, 20, 2)
         pipeline.evaluate_attack(model, trace, AttackScenario("swap_fdi", 5, 15), 0.5)
-        assert trace._memo is not None and trace.copy()._memo is None
-        assert all(not a.flags.writeable for a in trace._memo[1:])
+        assert trace._memo[0] is model and trace.copy()._memo is None

@@ -282,47 +282,58 @@ class TestNonFiniteInput:
                          epsilon=0.1)
 
 
-def force_write(array, index, value):
-    """Write into a read-only trace array: a plain write raises, so the
-    array is made writable on purpose first."""
+def refused_write(array, index, value):
+    """A write into a trace array after construction is refused, and the
+    array cannot be made writable; returns a writable copy holding
+    ``value`` at ``index``, a raw array for one_step_residuals."""
     with pytest.raises(ValueError, match="read-only"):
         array[index] = value
-    array.flags.writeable = True
-    array[index] = value
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+    raw = array.copy()
+    raw[index] = value
+    return raw
 
 
 class TestNonFiniteResidual:
     """A non-finite residual raises in the one residual function, so stream,
-    batch and calibration never read it as "no crossing"."""
+    batch and calibration never read it as "no crossing".  No trace can
+    come to hold a non-finite value (simkit.TelemetryTrace), but raw arrays
+    given to one_step_residuals can, and a prediction can overflow."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_run_detector_array_written_after_construction(self, bad):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
-        force_write(trace.v_modules, (-1, 0), bad)
+        want = run_detector(trace, model, epsilon=0.1).r.tobytes()
+        v = refused_write(trace.v_modules, (-1, 0), bad)
+        assert run_detector(trace, model, epsilon=0.1).r.tobytes() == want
         with pytest.raises(ValueError, match="finite"):
-            run_detector(trace, model, epsilon=0.1)
+            one_step_residuals(model, v, trace.i_pack_a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_calibrate_array_written_after_construction(self, bad):
         model, _, nominal = ramp_model_and_trace()
-        force_write(nominal.v_modules, (-1, 0), bad)
+        want = pipeline.calibrate_on_trace(model, nominal)[0]
+        v = refused_write(nominal.v_modules, (0, 0), bad)
+        assert pipeline.calibrate_on_trace(model, nominal)[0] == want
         with pytest.raises(ValueError, match="finite"):
-            pipeline.calibrate_on_trace(model, nominal)
+            one_step_residuals(model, v, nominal.i_pack_a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("row", [0, -1])
     def test_memoized_nominal_written_after_construction(self, bad, row):
-        """A value written into a nominal trace after its predictions were
-        memoized is seen: a predictor input raises in the walk, the last
-        frame as a non-finite residual."""
+        """The memo stays that of the trace as built, and a raw array
+        checked against it raises: a non-finite predictor input in the
+        walk, the last frame as a non-finite residual."""
         model, _, nominal = ramp_model_and_trace()
         run_detector(nominal, model, epsilon=0.1, nominal=nominal)
-        assert nominal._memo is not None
-        force_write(nominal.v_modules, (row, 0), bad)
+        memo = nominal._memo
+        assert memo[0] is model
+        v = refused_write(nominal.v_modules, (row, 0), bad)
+        run_detector(nominal, model, epsilon=0.1, nominal=nominal)
+        assert nominal._memo is memo
         with pytest.raises(ValueError, match="finite"):
-            pipeline.calibrate_on_trace(model, nominal)
-        with pytest.raises(ValueError, match="finite"):
-            run_detector(nominal, model, epsilon=0.1, nominal=nominal)
+            one_step_residuals(model, v, nominal.i_pack_a, nominal)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_detector_overflowing_prediction(self):

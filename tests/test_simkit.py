@@ -1,7 +1,7 @@
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import simkit_reference
-from voltsentry import configio, simkit
+from voltsentry import configio, datasets, simkit
 from voltsentry.simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
                                SolverError, run_cccv_cell, run_cccv_pack)
+from voltsentry.threatgen import AttackScenario, apply_scenario
 
 CELL = simkit.default_cell()
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -318,6 +319,29 @@ class TestTelemetryTypes:
                 kept[0] = 1
         v[0, 0] = 7.0
         assert trace.v_modules[0, 0] == 1.0
+
+    def test_trace_immutable(self, tmp_path):
+        """Traces from every source: no array of one, nor any view of it,
+        can be made writable, and no attribute can be reassigned."""
+        policy = CccvPolicy(c_rate=1.0, duration_s=20.0)
+        cell = simkit.run_cccv_cell(simkit.default_cell(), policy, 0.5)
+        pack = simkit.run_cccv_pack(simkit.pack1_config(),
+                                    simkit.default_cell(), policy, 0.5)
+        attacked, _, _ = apply_scenario(pack, AttackScenario("swap_fdi", 5, 15))
+        datasets.write_trace(tmp_path / "attacked.csv", attacked)
+        read = datasets.read_trace(tmp_path / "attacked.csv")
+        assert pack.i_modules is not None and read.attack_mask is not None
+        for trace in (cell, pack, attacked, read):
+            arrays = [getattr(trace, f.name) for f in fields(trace)
+                      if isinstance(getattr(trace, f.name), np.ndarray)]
+            assert len(arrays) >= 3
+            for a in arrays:
+                for view in (a, a[1:], a.T, a.reshape(-1), a[::2]):
+                    with pytest.raises(ValueError):
+                        view.flags.writeable = True
+            for f in fields(trace):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(trace, f.name, getattr(trace, f.name))
 
     def test_trace_shape_checks(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestApplyScenario:
         trace = stair_trace(q=2)
         scenario = AttackScenario(kind="swap_fdi", k0_s=100, kf_s=200)
         once, _, _ = apply_scenario(trace, scenario)
-        once.attack_mask = None
+        once = replace(once, attack_mask=None)
         twice, _, _ = apply_scenario(once, scenario)
         assert np.array_equal(twice.v_modules, once.v_modules)
         inside = once.v_modules[100:200]
@@ -173,7 +174,7 @@ class TestApplyScenario:
     def test_mask_written_and_read_back(self, tmp_path):
         from voltsentry.datasets import read_trace, write_trace
         trace = stair_trace(q=3)
-        trace.v_modules = np.round(trace.v_modules, 6)
+        trace = replace(trace, v_modules=np.round(trace.v_modules, 6))
         out, mask, _ = apply_scenario(
             trace, AttackScenario(kind="swap_fdi", k0_s=5, kf_s=15))
         path = tmp_path / "corrupt.csv"
