@@ -31,6 +31,11 @@ canonical inputs and models of the README's CLI flow (seed 1):
   benchmark's sweep), recorded from the frames just before it.  The CV
   current tapers frame by frame, so no replayed row meets its recorded
   current again, and each of them is predicted.
+- ``evaluate_attack_warm_swap_phased_pack2_ms``: a warm swap over the same
+  window of the same trace.  Every moved value comes from its own frame,
+  so no row is predicted and the time goes to building the attacked
+  trace, the reuse checks and scoring.  The trace carries ``i_modules``,
+  as the benchmark sweep's phased traces do.
 
 Each figure is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come
@@ -173,18 +178,21 @@ def measure(art: str) -> dict:
         layers[f"evaluate_attack_cold_{p}_ms"] = median_ms(attack, 20, fresh)
         layers[f"evaluate_attack_warm_{p}_ms"] = median_ms(
             attack, 20, lambda: (trace,))
-    phased, scenario = cv_replay(configio, simkit, threatgen)
+    phased, replay, swap = phased_pack2_attacks(configio, simkit, threatgen)
     epsilon = pipeline.calibrate_on_trace(models["pack2"], phased)[0]
-    layers["evaluate_attack_warm_cv_replay_pack2_ms"] = median_ms(
-        lambda: pipeline.evaluate_attack(models["pack2"], phased, scenario,
-                                         epsilon), 20)
+    for name, scenario, repeats in (("cv_replay", replay, 20),
+                                    ("swap_phased", swap, 200)):
+        pipeline.evaluate_attack(models["pack2"], phased, scenario, epsilon)
+        layers[f"evaluate_attack_warm_{name}_pack2_ms"] = median_ms(
+            lambda: pipeline.evaluate_attack(models["pack2"], phased, scenario,
+                                             epsilon), repeats)
     return layers
 
 
-def cv_replay(configio, simkit, threatgen):
+def phased_pack2_attacks(configio, simkit, threatgen):
     """A phased pack 2 charge, as long as ``configs/pack2_c100.ini``'s, and
-    a replay of all its modules into the middle half of its CV phase,
-    recorded from the frames just before."""
+    two attacks on the middle half of its CV phase: a replay of all its
+    modules, recorded from the frames just before, and a swap."""
     import numpy as np
 
     spec = configio.read_sim_config(os.path.join(CONFIGS, "pack2_c100.ini"))
@@ -196,10 +204,10 @@ def cv_replay(configio, simkit, threatgen):
     cv = int(np.flatnonzero(i < i[0])[0])
     span = int(np.flatnonzero(i == 0.0)[0]) - cv
     k0, length = cv + span // 4, span // 2
-    scenario = threatgen.AttackScenario(
+    replay = threatgen.AttackScenario(
         "replay", k0, k0 + length, record_start_s=k0 - length,
         record_end_s=k0, target_modules=tuple(range(1, trace.q + 1)))
-    return trace, scenario
+    return trace, replay, threatgen.AttackScenario("swap_fdi", k0, k0 + length)
 
 
 def load(path) -> dict:

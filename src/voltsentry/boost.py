@@ -306,7 +306,8 @@ class TrainConfig:
     """Boosting hyper-parameters, of base training and of fine-tuning.
 
     n_trees may be 0 (a fine-tune that appends an empty segment); train
-    needs at least one tree.
+    needs at least one tree.  The regularizers and min_child_weight must be
+    nonnegative and finite (ValueError otherwise).
     """
 
     n_trees: int = 400
@@ -323,10 +324,11 @@ class TrainConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.lambda_l2 < 0 or self.gamma_leaf < 0:
-            raise ValueError("regularizers must be nonnegative")
-        if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be nonnegative")
+        if not (0.0 <= self.lambda_l2 < math.inf
+                and 0.0 <= self.gamma_leaf < math.inf):
+            raise ValueError("regularizers must be nonnegative and finite")
+        if not 0.0 <= self.min_child_weight < math.inf:
+            raise ValueError("min_child_weight must be nonnegative and finite")
 
 
 BASE_RECIPE = TrainConfig(n_trees=400, max_depth=4, learning_rate=0.12)

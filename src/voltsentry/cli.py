@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -220,8 +221,8 @@ def cmd_attack_eval(args) -> int:
     trace = datasets.read_trace(args.trace)
     check_model_trace_compat(model, trace)
     scenario = configio.read_scenario(args.scenario)
-    if args.epsilon <= 0:
-        raise ValueError("--epsilon must be positive")
+    if not 0.0 < args.epsilon < math.inf:
+        raise ValueError("--epsilon must be positive and finite")
     out_dir = _out_dir(args)
 
     corrupted, det, metrics = pipeline.evaluate_attack(

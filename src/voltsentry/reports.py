@@ -82,7 +82,10 @@ class RunReport:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """Strict JSON: a NaN or infinite value raises ValueError, since
+        JSON has no literal for it."""
+        return json.dumps(asdict(self), sort_keys=True, indent=2,
+                          allow_nan=False)
 
 
 def write_report(path, report: RunReport) -> None:

@@ -56,6 +56,7 @@ nominal spike at or above epsilon inverts the flag for good.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,8 +154,17 @@ def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
     return predicted.T, r
 
 
+def _positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless value is positive and finite; a NaN
+    threshold would never be crossed, an infinite one could not be."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
-    """Threshold as margin times the largest attack-free residual."""
+    """Threshold as margin times the largest attack-free residual; the
+    margin must be positive and finite."""
+    _positive_finite("margin", margin)
     r = np.asarray(nominal_residuals, dtype=float)
     if r.size == 0:
         raise ValueError("cannot calibrate on an empty nominal run")
@@ -166,9 +176,9 @@ def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
 
 def apply_toggle(residuals, epsilon: float) -> np.ndarray:
     """Flag sequence from a residual sequence: the parity of the crossings
-    r >= epsilon up to and including each step."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    r >= epsilon up to and including each step.  epsilon must be positive
+    and finite."""
+    _positive_finite("epsilon", epsilon)
     return np.cumsum(np.asarray(residuals) >= epsilon) & 1
 
 
@@ -182,8 +192,7 @@ class DetectorState:
     events: tuple = ()
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        _positive_finite("epsilon", self.epsilon)
         if self.flag not in (0, 1):
             raise ValueError("flag must be 0 or 1")
 

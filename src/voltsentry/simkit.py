@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -289,7 +290,13 @@ class TelemetryTrace:
     no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
     set only by ``sentinel``: a model object and its one-step predictions
     of this trace, which attacks scored against the trace reuse under that
-    same model.  ``copy()`` does not carry it.
+    same model.  ``copy()`` does not carry it, nor ``descending_order``.
+
+    ``with_voltages`` builds an attacked copy without rebuilding the
+    trace: the copy shares this trace's ``t_s``, ``i_pack_a`` and
+    ``i_modules`` arrays, which are immutable and were checked when this
+    trace was built, so only the new voltages and mask are frozen and
+    checked.
     """
 
     t_s: np.ndarray
@@ -311,7 +318,9 @@ class TelemetryTrace:
         if self.attack_mask is not None:
             put(self, "attack_mask", _frozen(self.attack_mask))
         n = self.t_s.shape[0]
-        if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
+        if (self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n
+                or (self.attack_mask is not None
+                    and self.attack_mask.shape != (n,))):
             raise ValueError("trace arrays must have matching lengths")
         if not (np.isfinite(self.t_s).all() and np.isfinite(self.i_pack_a).all()
                 and np.isfinite(self.v_modules).all()):
@@ -336,6 +345,43 @@ class TelemetryTrace:
 
     def copy(self) -> "TelemetryTrace":
         return replace(self)
+
+    def with_voltages(self, v_modules, attack_mask,
+                      name: str) -> "TelemetryTrace":
+        """This trace with other module voltages, an attack mask and a
+        name: the attacked copy that threatgen builds.
+
+        The copy adopts this trace's ``t_s``, ``i_pack_a`` and ``i_modules``
+        objects without copying them; they are backed by immutable bytes and
+        passed the constructor's checks, which therefore still hold.  Only
+        the new arrays are frozen and checked: ``v_modules`` must have this
+        trace's (n, q) shape and be finite, and ``attack_mask`` must hold
+        one entry per frame (ValueError otherwise).
+        """
+        v = _frozen(v_modules, float)
+        mask = _frozen(attack_mask)
+        if v.shape != self.v_modules.shape:
+            raise ValueError(f"v_modules must have the trace's shape "
+                             f"{self.v_modules.shape}, got {v.shape}")
+        if mask.shape != self.t_s.shape:
+            raise ValueError("attack_mask must hold one entry per frame")
+        if not np.isfinite(v).all():
+            raise ValueError("trace values must be finite")
+        out = object.__new__(type(self))
+        vars(out).update(t_s=self.t_s, i_pack_a=self.i_pack_a, v_modules=v,
+                         i_modules=self.i_modules, attack_mask=mask,
+                         name=name, _memo=None)
+        return out
+
+    @cached_property
+    def descending_order(self) -> np.ndarray:
+        """Each frame's module indices by descending voltage, ties in
+        module order: a read-only (n, q) array, computed once per trace.
+
+        Row k is the stable argsort of ``-v_modules[k]``, so any slice of
+        frames equals the argsort of that slice bit for bit.
+        """
+        return _frozen(np.argsort(-self.v_modules, axis=1, kind="stable"))
 
     def __eq__(self, other):
         if not isinstance(other, TelemetryTrace):

@@ -9,16 +9,19 @@ previously recorded window of the same trace back over the target modules.
 
 Both are a gather.  apply_scenario first builds the attack's source map:
 one flat index into the nominal (n, q) voltages per corrupted entry, the
-identity outside the window.  A swap permutes a window frame's indices; a
+identity outside the window.  A swap permutes a window frame's indices,
+in the order the trace computes once (TelemetryTrace.descending_order); a
 replay copies the recorded frames' indices into the target columns.  The
 corrupted voltages are the nominal voltages taken at the map, and the map
 is returned too, so that sentinel can reuse the nominal prediction of each
-row the attack moved.
+row the attack moved.  The corrupted trace is built by
+TelemetryTrace.with_voltages, so it shares the nominal trace's time,
+current and module-current arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +84,10 @@ def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
     """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask,
     source map).
 
-    The input trace is never modified.  The mask is 1 exactly on [k0, kf)
-    and is the returned trace's ``attack_mask`` (read-only), for CSV
-    emission.  The source map is a read-only (n, q) integer array:
+    The input trace is never modified; the corrupted trace shares its
+    ``t_s``, ``i_pack_a`` and ``i_modules`` arrays.  The mask is 1 exactly
+    on [k0, kf) and is the returned trace's ``attack_mask`` (read-only),
+    for CSV emission.  The source map is a read-only (n, q) integer array:
     ``source[k, m]`` is the flat index into ``trace.v_modules`` of the value
     the corrupted trace holds at (k, m), so the corrupted voltages equal
     ``trace.v_modules.ravel().take(source)``.
@@ -95,8 +99,7 @@ def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
     if scenario.kind == "swap_fdi":
         if q < 2:
             raise ValueError("swap needs at least 2 modules")
-        order = np.argsort(-trace.v_modules[a:b], axis=1, kind="stable")
-        source[a:b] = order + source[a:b, :1]
+        source[a:b] = trace.descending_order[a:b] + source[a:b, :1]
     else:
         rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
         cols = [m - 1 for m in scenario.target_modules]
@@ -104,8 +107,7 @@ def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
     source.flags.writeable = False
     mask = np.zeros(n, dtype=int)
     mask[a:b] = 1
-    out = replace(trace, v_modules=trace.v_modules.ravel().take(source),
-                  attack_mask=mask,
-                  name=(trace.name + "_" + scenario.kind) if trace.name
-                  else scenario.kind)
+    out = trace.with_voltages(
+        trace.v_modules.ravel().take(source), mask,
+        (trace.name + "_" + scenario.kind) if trace.name else scenario.kind)
     return out, out.attack_mask, source

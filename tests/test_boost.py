@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -874,3 +875,11 @@ class TestTrainConfigValidation:
             TrainConfig(lambda_l2=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(max_depth=0)
+
+    @pytest.mark.parametrize("key", ["lambda_l2", "gamma_leaf",
+                                     "min_child_weight"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_regularizers_nonnegative_and_finite(self, key, bad):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            TrainConfig(**{key: bad})
+        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0

@@ -414,6 +414,43 @@ class TestErrorPaths:
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
+class TestNonFiniteThreshold:
+    """A NaN or infinite threshold, or a margin that makes one, exits 5
+    and writes no report: a NaN epsilon is never crossed and would score
+    the attack missed, and JSON has no literal for either value."""
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_attack_eval_epsilon(self, tmp_path, capsys, epsilon):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        scenario = tmp_path / "replay.ini"
+        write_scenario(scenario, AttackScenario(
+            kind="replay", k0_s=2, kf_s=3, record_start_s=0, record_end_s=1,
+            target_modules=(1,)))
+        out = tmp_path / "out"
+        assert cli.main(["attack-eval", "--model", model, "--trace", trace,
+                         "--scenario", str(scenario), "--epsilon", epsilon,
+                         "--out-dir", str(out)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "--epsilon must be positive and finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+    def test_calibrate_margin(self, tmp_path, capsys, margin):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        out = tmp_path / "out"
+        argv = ["calibrate", "--model", model, "--trace", trace,
+                "--out-dir", str(out)]
+        assert cli.main(argv + [f"--margin={margin}"]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "margin must be positive and finite" in err["message"]
+        assert not list(out.glob("report_*"))
+        assert cli.main(argv) == 0  # the same run at the default margin
+        report = json.loads((out / "report_calibrate_cell.json").read_text())
+        assert report["detection"]["epsilon_v"] > 0
+
+
 class TestMissingRequiredKey:
     """A config without a required key exits 4 with one JSON line, before
     the command writes anything."""
@@ -508,6 +545,31 @@ class TestBoostingRecipes:
         assert err["error"] == "invalid-input"
         assert "regularizers" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lambda_l2", "gamma_leaf",
+                                     "min_child_weight"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_regularizer_rejected(self, tmp_path, capsys, key, bad):
+        """A non-finite regularizer in a [train] or [finetune] file exits 5
+        before anything is written."""
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        train_cfg = tmp_path / "train.ini"
+        train_cfg.write_text(f"[train]\n{key} = {bad}\n")
+        recipe = tmp_path / "recipe.ini"
+        recipe.write_text("[finetune]\nn_trees = 1\nmax_depth = 2\n"
+                          f"learning_rate = 0.05\n{key} = {bad}\n")
+        out = tmp_path / "out"
+        for argv in (["train-base", "--corpus-dir", str(tmp_path / "corpus"),
+                      "--config", str(train_cfg)],
+                     ["finetune", "--model", model,
+                      "--config", str(write_pack_configs(tmp_path)["c100"]),
+                      "--traces", trace, "--test-trace", trace,
+                      "--recipe", str(recipe)]):
+            assert cli.main(argv + ["--out-dir", str(out)]) == 5
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "invalid-input"
+            assert "nonnegative and finite" in err["message"]
+            assert not out.exists()
 
     def test_zero_tree_base_training_rejected(self, mini_setup, capsys):
         train_cfg = mini_setup["tmp"] / "zero.ini"

@@ -162,6 +162,14 @@ class TestReports:
         write_report(p2, RunReport(command="x", seed=1, inputs={"a": 1, "b": 2}))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_value_rejected(self, tmp_path, bad):
+        """JSON has no literal for NaN or infinity: a report holding one
+        raises instead of writing a file that is not JSON."""
+        report = RunReport(command="x", detection={"epsilon_v": bad})
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "r.json", report)
+
 
 class TestModelTraceGuard:
     @staticmethod

@@ -82,6 +82,11 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_threshold([])
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_margin_must_be_positive_and_finite(self, margin):
+        with pytest.raises(ValueError, match="margin must be positive and finite"):
+            calibrate_threshold([0.4, 0.7], margin=margin)
+
 
 def toggle_loop(residuals, epsilon):
     """The sequential set/reset loop that apply_toggle replaced (its oracle)."""
@@ -125,6 +130,15 @@ class TestToggle:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             apply_toggle([1.0], 0.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1.0])
+    def test_epsilon_must_be_finite(self, epsilon):
+        """A NaN epsilon is never crossed, so it would score every attack
+        missed; it is rejected, in batch and in the stream."""
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            apply_toggle([1.0, 2.0], epsilon)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            DetectorState.initial(epsilon, TelemetryFrame(0.0, 1.0, (350.0,)))
 
 
 def ramp_model_and_trace(attack_delta=0.0, k0=30, kf=60, n=100):

@@ -348,6 +348,79 @@ class TestTelemetryTypes:
             simkit.TelemetryTrace(t_s=np.array([0.0, 1.0]),
                                   i_pack_a=np.zeros(3),
                                   v_modules=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="matching lengths"):
+            simkit.TelemetryTrace(t_s=np.arange(3.0), i_pack_a=np.zeros(3),
+                                  v_modules=np.ones((3, 1)),
+                                  attack_mask=np.zeros(2, int))
+
+
+def pack_trace(n=12):
+    """A short pack 1 charge: it carries i_modules, as simulated traces do."""
+    return run_cccv_pack(simkit.pack1_config(), CELL,
+                         CccvPolicy(c_rate=1.0, duration_s=float(n - 1)), 0.5,
+                         name="p1")
+
+
+class TestWithVoltages:
+    """The attacked copy shares the nominal's checked, immutable arrays and
+    checks only what is new."""
+
+    def test_adopts_nominal_arrays(self):
+        trace = pack_trace()
+        n, q = trace.v_modules.shape
+        v = trace.v_modules[::-1].copy()
+        mask = np.zeros(n, int)
+        mask[3:7] = 1
+        out = trace.with_voltages(v, mask, "p1_swap_fdi")
+        assert out.t_s is trace.t_s
+        assert out.i_pack_a is trace.i_pack_a
+        assert out.i_modules is trace.i_modules and out.i_modules is not None
+        assert out.name == "p1_swap_fdi" and out._memo is None
+        for given, kept in ((v, out.v_modules), (mask, out.attack_mask)):
+            assert kept.tobytes() == given.tobytes()
+            assert not np.shares_memory(given, kept)
+        for a in (out.t_s, out.i_pack_a, out.i_modules, out.v_modules,
+                  out.attack_mask):
+            for view in (a, a[1:], a.reshape(-1)):
+                with pytest.raises(ValueError):
+                    view.flags.writeable = True
+        v[0, 0] = 0.0
+        assert out.v_modules[0, 0] == trace.v_modules[-1, 0]
+        # The same value the constructor builds from the same arrays.
+        built = simkit.TelemetryTrace(trace.t_s, trace.i_pack_a, v_modules=out.v_modules,
+                                      i_modules=trace.i_modules,
+                                      attack_mask=mask, name="p1_swap_fdi")
+        assert out == built and out.attack_mask.dtype == built.attack_mask.dtype
+        assert out.v_modules.dtype == built.v_modules.dtype
+        assert trace.attack_mask is None and trace.name == "p1"
+
+    @pytest.mark.parametrize("v_shape, mask_len, match", [
+        ((12, 5), 12, "shape"),
+        ((12, 3), 12, "shape"),
+        ((11, 4), 12, "shape"),
+        ((48,), 12, "shape"),
+        ((12, 4), 11, "one entry per frame"),
+        ((12, 4), 13, "one entry per frame"),
+    ])
+    def test_wrong_shape_rejected(self, v_shape, mask_len, match):
+        trace = pack_trace()
+        assert trace.v_modules.shape == (12, 4)
+        with pytest.raises(ValueError, match=match):
+            trace.with_voltages(np.full(v_shape, 350.0), np.zeros(mask_len, int),
+                                "x")
+
+    def test_two_dimensional_mask_rejected(self):
+        trace = pack_trace()
+        with pytest.raises(ValueError, match="one entry per frame"):
+            trace.with_voltages(trace.v_modules, np.zeros((12, 1), int), "x")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_voltage_rejected(self, bad):
+        trace = pack_trace()
+        v = trace.v_modules.copy()
+        v[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            trace.with_voltages(v, np.zeros(12, int), "x")
 
 
 def _outcome(run):

@@ -229,16 +229,20 @@ class TestSourceMapMatchesReference:
 
     @given(data=st.data(), n=st.integers(1, 30), q=st.integers(1, 5),
            replay=st.booleans(), tied=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
+           i_modules=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_gather_equals_reference(self, data, n, q, replay, tied, seed):
+    def test_gather_equals_reference(self, data, n, q, replay, tied,
+                                     i_modules, seed):
         rng = np.random.default_rng(seed)
         if tied:
             v = np.array(data.draw(st.lists(TIED, min_size=n * q,
                                              max_size=n * q))).reshape(n, q)
         else:
             v = rng.uniform(300.0, 400.0, (n, q))
-        trace = make_trace(v, i=rng.uniform(0.0, 100.0, n))
+        trace = make_trace(v, i=rng.uniform(0.0, 100.0, n),
+                           i_modules=rng.uniform(0.0, 25.0, (n, q))
+                           if i_modules else None, name=data.draw(
+                               st.sampled_from(["", "pack1_c100"])))
         if replay:
             # Windows of any length from 0, ending anywhere up to the last
             # frame, on any nonempty target set (all modules included).
@@ -264,6 +268,13 @@ class TestSourceMapMatchesReference:
         assert got.v_modules.tobytes() == want.v_modules.tobytes()
         assert got == want and got.name == want.name
         assert mask.tobytes() == want_mask.tobytes()
+        assert mask.dtype == want_mask.dtype
+        for name in ("t_s", "i_pack_a", "i_modules"):
+            # The nominal's own arrays, equal to the reference's copies.
+            assert getattr(got, name) is getattr(trace, name)
+            assert (getattr(want, name) is None) == (getattr(got, name) is None)
+            if getattr(got, name) is not None:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert source.shape == trace.v_modules.shape
         assert not source.flags.writeable
         gathered = trace.v_modules.ravel().take(source)
@@ -275,6 +286,28 @@ class TestSourceMapMatchesReference:
         assert np.array_equal(source[outside], identity[outside])
         if scenario.kind == "swap_fdi":
             assert np.array_equal(source // q, identity // q)
+
+    @given(data=st.data(), n=st.integers(1, 30), q=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_descending_order_equals_per_window_argsort(self, data, n, q):
+        """The order computed once per trace, sliced to any window, is the
+        stable argsort of that window, ties and -0.0 included."""
+        v = np.array(data.draw(st.lists(TIED, min_size=n * q,
+                                         max_size=n * q))).reshape(n, q)
+        trace = make_trace(v)
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        order = trace.descending_order
+        assert order is trace.descending_order  # computed once
+        assert order.shape == (n, q) and not order.flags.writeable
+        with pytest.raises(ValueError):
+            order.flags.writeable = True
+        want = np.argsort(-trace.v_modules[a:b], axis=1, kind="stable")
+        assert order[a:b].tobytes() == want.tobytes()
+        assert order.dtype == want.dtype
+        # Python's sort is stable and -0.0 == 0.0 there too.
+        assert order.tolist() == [sorted(range(q), key=lambda m: -row[m])
+                                  for row in v.tolist()]
 
     def test_negative_zero_and_ties_keep_module_order(self):
         """-0.0 and 0.0 compare equal, so a swap keeps them in module
