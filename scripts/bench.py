@@ -12,6 +12,10 @@ canonical inputs and models of the README's CLI flow (seed 1):
 - ``read_trace_corpus_ms`` and ``write_trace_corpus_ms``: ``read_trace``
   of the 36 corpus CSVs, and ``write_trace`` of the 36 traces read
 - ``train_base_s``: ``boost.train`` with ``BASE_RECIPE`` on the corpus
+- ``train_base_traced_peak_mb``: the tracemalloc peak of one more such
+  call, in MB of 2**20 bytes (perfbench's unit).  It is a separate call,
+  so tracing does not slow ``train_base_s``; the count is deterministic,
+  unlike the process's RSS.
 - ``finetune_{pack1,pack2}_ms``: each pack's fine-tune with its recipe,
   as ``pipeline.finetune_pack`` times it (``test_03``'s ``finetune_s``)
 - ``load_model_base_ms``: ``boost.load_model`` on the 400-tree base model
@@ -37,7 +41,7 @@ canonical inputs and models of the README's CLI flow (seed 1):
   trace, the reuse checks and scoring.  The trace carries ``i_modules``,
   as the benchmark sweep's phased traces do.
 
-Each figure is the median of repeated calls, in milliseconds unless its
+Each time is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come
 from runs on the same machine.  Runs of a label accumulate in the output
 file: each layer keeps every run's figure under ``<label>_runs`` and their
@@ -69,6 +73,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
@@ -84,6 +89,17 @@ def median_ms(fn, repeats: int, make=lambda: ()) -> float:
         fn(*args)
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak memory that one ``fn()`` call allocates, as tracemalloc traces
+    it, in MB of 2**20 bytes; tracing is off again afterwards."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def step_detector_ms(sentinel, model, trace) -> float:
@@ -135,6 +151,8 @@ def measure(art: str) -> dict:
     corpus_train, corpus_val = pipeline.load_cell_corpus(corpus)
     layers["train_base_s"] = median_ms(
         lambda: boost.train(corpus_train, corpus_val, boost.BASE_RECIPE), 3) / 1e3
+    layers["train_base_traced_peak_mb"] = traced_peak_mb(
+        lambda: boost.train(corpus_train, corpus_val, boost.BASE_RECIPE))
     layers["load_model_base_ms"] = median_ms(lambda: boost.load_model(base_path), 30)
     base = boost.load_model(base_path)
     models = {p: boost.load_model(os.path.join(art, f"model_{p}.json")) for p in PACKS}

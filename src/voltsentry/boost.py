@@ -20,18 +20,22 @@ computed at the candidate positions only.
 
 Every per-node temporary lives in one workspace of arrays of the segment's
 row count, allocated once per segment: the node's gradients gathered in a
-feature's order, their cumsum, the gains and their denominators, the
-partition mask and the values gathered for the children's candidates.
-Fresh temporaries of that size at every node make the allocator trim its
-heap and fault the pages back in, node after node.  Gathers write into
-the workspace with take(out=..., mode="clip"): with the default "raise",
-numpy buffers out through a temporary of its own.  Clipping never changes
-an index, because every index is in range by construction: rows are slices
-and mask selections of the segment's argsort, candidate positions of a
-node of m rows are below m - 1, and so are the denominator lookups.  The
-denominators H + lambda are one table, (k + 1) + lambda at k: the left
-child of candidate c reads it at c, the right child, of m - 1 - c rows,
-reads it reversed from m - 2.
+feature's order, their cumsum, the gains and their denominators, and the
+partition mask.  The cumsum's array also takes the values gathered for the
+children's candidates, which are found after the node's split search is
+done with it.  Fresh temporaries of that size at every node make the
+allocator trim its heap and fault the pages back in, node after node.
+Gathers write into the workspace with take(out=..., mode="clip"): with the
+default "raise", numpy buffers out through a temporary of its own.
+Clipping never changes an index, because every index is in range by
+construction: rows are slices and mask selections of the segment's
+argsort, and candidate positions of a node of m rows are below m - 1.
+Rows, ranks and candidate positions are int32, as the row indices of
+XGBoost's column blocks are, half the size of intp; so a segment has fewer
+than 2**31 rows.  The denominators H + lambda are computed from each
+candidate c's counts, (c + 1) + lambda for the left child and
+(m - 1 - c) + lambda for the right: the count converted to float, then
+lambda added.
 
 The kernel is bit-exact against a scan of every sorted position (the
 reference kept in the tests).  Gradient sums are taken in the same order,
@@ -348,30 +352,31 @@ class _ColumnBlocks:
     A node is one (rows, candidate positions) pair per feature, each in
     that feature's ascending stable order.  Nodes at the depth limit are
     leaves and carry only feature 0's pair.  rank[f] maps each row to its
-    position in feature f's sorted order (int32: fewer than 2**31 rows).
-    After grow, leaf[r] is the node of the leaf that holds row r.  The
-    underscored arrays are the workspace (see the module docstring); each
-    clip-mode take reads indices that are in range by construction: rows
-    of the segment's argsort, candidate positions below m - 1 of a node of
-    m rows, and node indices of the tree just grown.
+    position in feature f's sorted order.  Rows, candidate positions and
+    ranks are int32, so the constructor raises ValueError for 2**31 rows
+    or more, before it allocates anything.  After grow, leaf[r] is the
+    node of the leaf that holds row r.  The underscored arrays are the
+    workspace (see the module docstring); each clip-mode take reads
+    indices that are in range by construction: rows of the segment's
+    argsort, candidate positions below m - 1 of a node of m rows, and node
+    indices of the tree just grown.
     """
 
     def __init__(self, x: np.ndarray, cfg: TrainConfig):
         n = x.shape[0]
+        if n >= 2 ** 31:
+            raise ValueError("training data must have fewer than 2**31 rows")
         self.cfg = cfg
         self.g = None
-        self._g, self._cum, self._gl, self._gr, self._den, self._vals = (
-            np.empty(n) for _ in range(6))
+        self._g, self._cum, self._gl, self._gr, self._den = (
+            np.empty(n) for _ in range(5))
         self._rank = np.empty(n, dtype=np.int32)
         self.leaf = np.empty(n, dtype=np.intp)
         self._mask, self._ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        # H + lambda of a child of j + 1 rows is _den_table[j].
-        self._den_table = np.arange(1, n + 1, dtype=float)
-        self._den_table += cfg.lambda_l2
         self.cols, self.root, self.rank = [], [], []
         for f in (0, 1):
             col = np.ascontiguousarray(x[:, f])
-            rows = np.argsort(col, kind="stable")
+            rows = np.argsort(col, kind="stable").astype(np.int32)
             self.cols.append(col)
             self.root.append((rows, self._candidates(f, rows)))
             rank = np.empty(n, dtype=np.int32)
@@ -389,13 +394,13 @@ class _ColumnBlocks:
         """Positions k of a block's sorted values whose midpoint
         (xs[k] + xs[k+1]) / 2 separates xs[k] from xs[k+1]; degenerate
         midpoints cannot partition."""
-        xs = self.cols[f].take(rows, out=self._vals[:rows.shape[0]], mode="clip")
+        xs = self.cols[f].take(rows, out=self._cum[:rows.shape[0]], mode="clip")
         lo, hi = xs[:-1], xs[1:]
         ok = np.less(lo, hi, out=self._ok[:lo.shape[0]])
         mid = np.add(lo, hi, out=self._gl[:lo.shape[0]])
         mid *= 0.5
         ok &= np.greater(mid, lo, out=self._mask[:lo.shape[0]])
-        return np.flatnonzero(ok)
+        return np.flatnonzero(ok).astype(np.int32)
 
     def _node(self, node, depth: int, nodes: list) -> int:
         """Append the subtree of a node to nodes, one (feature, threshold,
@@ -422,7 +427,7 @@ class _ColumnBlocks:
         # Rows with x_f < thr are the prefix [0, k] of f's block.
         children = [[(rows[:k + 1], None)], [(rows[k + 1:], None)]]
         if full:
-            i = int(cand.searchsorted(k))
+            i = int(cand.searchsorted(np.int32(k)))
             children = [[(rows[:k + 1], cand[:i])],
                         [(rows[k + 1:], cand[i + 1:] - (k + 1))]]
         if full or f == 1:  # the children need the other feature's block
@@ -457,10 +462,12 @@ class _ColumnBlocks:
         # Each child's hessian sum is its row count c: need <= c <= m - need.
         need = (math.ceil(cfg.min_child_weight)
                 if cfg.min_child_weight <= m else m + 1)
+        # int32 keys: with a Python int, searchsorted would first convert
+        # the whole int32 block to int64.
+        lo, hi = np.int32(need - 1), np.int32(m - 1 - need)
         best = None
         for f, (rows, cand) in enumerate(node):
-            c = cand[cand.searchsorted(need - 1):
-                     cand.searchsorted(m - 1 - need, "right")]
+            c = cand[cand.searchsorted(lo):cand.searchsorted(hi, "right")]
             if c.size == 0:
                 continue
             top, nc = int(c[-1]) + 1, c.shape[0]
@@ -471,10 +478,12 @@ class _ColumnBlocks:
             gl = cum.take(c, out=self._gl[:nc], mode="clip")
             gr = np.subtract(g_sum, gl, out=self._gr[:nc])
             # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
-            den = self._den_table.take(c, out=self._den[:nc], mode="clip")
+            den = np.add(c, 1, out=self._den[:nc])
+            den += cfg.lambda_l2
             gl *= gl
             gl /= den
-            self._den_table[m - 2::-1].take(c, out=den, mode="clip")
+            np.subtract(m - 1, c, out=den)
+            den += cfg.lambda_l2
             gr *= gr
             gr /= den
             gl += gr

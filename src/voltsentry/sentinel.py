@@ -239,11 +239,15 @@ class DetectionTrace:
 
     @classmethod
     def from_residuals(cls, t_s, r, epsilon: float) -> "DetectionTrace":
-        """Flags and crossing events of residuals r at frame times t_s."""
+        """Flags and crossing events of residuals r at frame times t_s.
+
+        t_s is kept as given, not copied: the callers pass a slice of a
+        telemetry trace's read-only times.
+        """
         flags = apply_toggle(r, epsilon)
         events = tuple((float(t_s[k]), float(r[k]))
                        for k in np.flatnonzero(r >= epsilon))
-        return cls(t_s=np.array(t_s), r=r, flag=flags, epsilon=epsilon,
+        return cls(t_s=np.asarray(t_s), r=r, flag=flags, epsilon=epsilon,
                    events=events)
 
     @property

@@ -1,4 +1,5 @@
-"""scripts/bench.py --paired: the order of its runs and what it records.
+"""scripts/bench.py: the order of the --paired runs and what they record,
+and the traced-memory figure.
 
 No layer is timed: each run returns fixed figures in place of a
 subprocess.
@@ -7,7 +8,9 @@ subprocess.
 import importlib.util
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -56,3 +59,24 @@ def test_bad_mode_rejected(bench, argv):
     with pytest.raises(SystemExit) as exc:
         bench.main(argv)
     assert exc.value.code == 2
+
+
+def test_traced_peak_of_one_call(bench):
+    """The peak of what the call allocates, not what it keeps; tracing
+    stops afterwards, so it slows no later timing."""
+    def call():
+        a = np.ones(1 << 19)  # 4 MiB, freed before the next one
+        del a
+        return np.ones(1 << 18)  # 2 MiB
+
+    assert 4.0 <= bench.traced_peak_mb(call) < 4.1
+    assert not tracemalloc.is_tracing()
+
+
+def test_traced_peak_stops_tracing_on_error(bench):
+    def fail():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError):
+        bench.traced_peak_mb(fail)
+    assert not tracemalloc.is_tracing()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -459,6 +460,37 @@ class TestKernelMatchesReference:
                 == boost.model_to_json(Ensemble(ens.base_score, (segment,))))
         assert ens.history.train_mse[:20] == history.train_mse
         assert ens.history.val_mse[:20] == history.val_mse
+
+
+class TestColumnBlocksMemory:
+    """The grower's working set: int32 rows and candidate positions, and no
+    n-sized table or temporary beyond the workspace."""
+
+    def test_traced_peak_per_row(self):
+        n = 20_000
+        rng = np.random.default_rng(3)
+        x = np.column_stack([rng.uniform(-2.0, 2.0, n),
+                             rng.integers(0, 50, n) * 0.1])
+        grads = [rng.normal(size=n) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            blocks = boost._ColumnBlocks(x, TrainConfig(max_depth=4))
+            for g in grads:
+                blocks.grow(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 113 bytes per row; 158 with intp positions and a denominator table.
+        assert peak / n <= 125
+        for (rows, cand), rank in zip(blocks.root, blocks.rank):
+            assert rows.dtype == cand.dtype == rank.dtype == np.int32
+
+    def test_row_count_limit(self):
+        """int32 positions and ranks would wrap at 2**31 rows; the check
+        comes before any allocation (the view below holds 16 bytes)."""
+        x = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            boost._ColumnBlocks(x, TrainConfig())
 
 
 GRID = np.arange(-4, 5) * 0.25  # thresholds, and model-space inputs

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -370,6 +372,23 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,r_v,flag"
         assert len(lines) == 1 + len(det.r)
+
+    def test_detection_keeps_the_trace_times(self, tmp_path):
+        """A detection trace's t_s is a read-only view of the telemetry
+        trace's times, not a copy, and writes the same CSV bytes as a copy."""
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        dets = [run_detector(trace, model, epsilon=0.1),
+                pipeline.calibrate_on_trace(model, trace)[1]]
+        for k, det in enumerate(dets):
+            assert np.shares_memory(det.t_s, trace.t_s)
+            assert not det.t_s.flags.writeable
+            with pytest.raises(ValueError):
+                det.t_s[0] = -1.0
+            shared, copied = tmp_path / f"shared{k}.csv", tmp_path / f"copy{k}.csv"
+            sentinel.write_detection(shared, det)
+            sentinel.write_detection(copied, dataclasses.replace(
+                det, t_s=np.array(trace.t_s[1:])))
+            assert shared.read_bytes() == copied.read_bytes()
 
     def test_events_csv(self, tmp_path):
         model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
