@@ -20,11 +20,14 @@ computed at the candidate positions only.
 
 Every per-node temporary lives in one workspace of arrays of the segment's
 row count, allocated once per segment: the node's gradients gathered in a
-feature's order, their cumsum, the gains and their denominators, and the
-partition mask.  The cumsum's array also takes the values gathered for the
-children's candidates, which are found after the node's split search is
-done with it.  Fresh temporaries of that size at every node make the
-allocator trim its heap and fault the pages back in, node after node.
+feature's order, their cumsum, the left sums gathered at the candidates
+(which become the gains), and the partition mask.  An array is reused once
+what it held is spent: once the left sums are gathered, the gradients'
+array takes the right sums and the cumsum's the denominators, and the
+cumsum's array also takes the values gathered for the children's
+candidates, which are found after the node's split search is done with
+it.  Fresh temporaries of that size at every node make the allocator trim
+its heap and fault the pages back in, node after node.
 Gathers write into the workspace with take(out=..., mode="clip"): with the
 default "raise", numpy buffers out through a temporary of its own.
 Clipping never changes an index, because every index is in range by
@@ -265,10 +268,18 @@ class Segment:
 
 @dataclass
 class BoostHistory:
-    """Per-round mean-squared losses recorded during a boosting run."""
+    """Per-round mean-squared losses recorded during a boosting run, and
+    the largest absolute validation error of its starting and of its final
+    predictions (model space; None without validation rows).
+
+    The two maxima summarize the same validation predictions as val_mse,
+    so they take no part in comparisons.
+    """
 
     train_mse: list = field(default_factory=list)
     val_mse: list = field(default_factory=list)
+    val_max_abs_start: float | None = field(default=None, compare=False)
+    val_max_abs_end: float | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -368,8 +379,7 @@ class _ColumnBlocks:
             raise ValueError("training data must have fewer than 2**31 rows")
         self.cfg = cfg
         self.g = None
-        self._g, self._cum, self._gl, self._gr, self._den = (
-            np.empty(n) for _ in range(5))
+        self._g, self._cum, self._gl = (np.empty(n) for _ in range(3))
         self._rank = np.empty(n, dtype=np.int32)
         self.leaf = np.empty(n, dtype=np.intp)
         self._mask, self._ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
@@ -476,9 +486,11 @@ class _ColumnBlocks:
                 self.g.take(rows[:top], out=g, mode="clip")
             cum = g.cumsum(out=self._cum[:top])
             gl = cum.take(c, out=self._gl[:nc], mode="clip")
-            gr = np.subtract(g_sum, gl, out=self._gr[:nc])
+            # g and cum are spent once gl is gathered (nc <= top), so their
+            # arrays take the right sums and the denominators.
+            gr = np.subtract(g_sum, gl, out=self._g[:nc])
             # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
-            den = np.add(c, 1, out=self._den[:nc])
+            den = np.add(c, 1, out=self._cum[:nc])
             den += cfg.lambda_l2
             gl *= gl
             gl /= den
@@ -522,16 +534,26 @@ def _leaf_of(tree: Tree, v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return node
 
 
+def _max_abs_error(y, preds) -> float:
+    return float(np.max(np.abs(y - preds)))
+
+
 def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
                    val_x=None, val_y=None, val_preds=None):
     """Run cfg.n_trees boosting rounds starting from the given predictions.
 
     Mutates preds / val_preds in place and returns (Segment, BoostHistory).
-    A segment of no trees presorts nothing.
+    The history's validation maxima are those a prediction of the
+    validation rows would give, since val_preds gains each tree's lr * w
+    in tree order, as the walk adds them.  A segment of no trees presorts
+    nothing.
     """
     history = BoostHistory()
     trees = []
+    if val_x is not None:
+        history.val_max_abs_start = _max_abs_error(val_y, val_preds)
     if cfg.n_trees == 0:
+        history.val_max_abs_end = history.val_max_abs_start
         return Segment(tag, cfg.learning_rate, ()), history
     blocks = _ColumnBlocks(x, cfg)
     # g holds the gradients while a tree grows, then serves as the scratch
@@ -563,6 +585,8 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
             np.subtract(val_y, val_preds, out=val_buf)
             history.val_mse.append(float(np.mean(np.square(val_buf, out=val_buf))))
         trees.append(tree)
+    if val_x is not None:
+        history.val_max_abs_end = _max_abs_error(val_y, val_preds)
     return Segment(tag, cfg.learning_rate, tuple(trees)), history
 
 

@@ -127,7 +127,7 @@ def cmd_train_base(args) -> int:
     boost.save_model(model_path, model)
     curve_path = os.path.join(out_dir, "loss_curve_base.csv")
     write_loss_curve(curve_path, model.history)
-    val_err = pipeline.max_abs_residual(model, val_set)
+    val_err = model.history.val_max_abs_end
     report = RunReport(
         command="train-base", seed=args.seed,
         inputs={"corpus_dir": _name(args.corpus_dir),

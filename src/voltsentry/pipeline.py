@@ -167,20 +167,20 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
 
     The modules split as ``SplitSpec.default_for(config.q)``.  info
     carries the validation max-abs residual before and after the fine-tune
-    (physical volts) and the test-module error fraction relative to the
-    nominal module voltage, series_cells * cell.v_max (the default cell
-    when ``cell`` is None).
+    (physical volts), read off the fine-tune's history, and the
+    test-module error fraction relative to the nominal module voltage,
+    series_cells * cell.v_max (the default cell when ``cell`` is None).
     """
     cell = cell or simkit.default_cell()
     norm = transfer.norm_for_pack(config)
     train_set, val_set, test_set = build_pack_sets(
         train_traces, test_trace, SplitSpec.default_for(config.q), norm)
 
-    val_before = max_abs_residual(base, val_set)
     t0 = time.perf_counter()
     tl = transfer.finetune(base, train_set, val_set, recipe, norm)
     seconds = time.perf_counter() - t0
 
+    history = tl.history
     nominal_v = config.series_cells * cell.v_max
     test_err = max_abs_residual(tl, test_set) * norm.v_scale
     info = {
@@ -188,8 +188,8 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
         "train_size": len(train_set),
         "val_size": len(val_set),
         "test_size": len(test_set),
-        "val_max_abs_residual_base_v": val_before * norm.v_scale,
-        "val_max_abs_residual_tl_v": max_abs_residual(tl, val_set) * norm.v_scale,
+        "val_max_abs_residual_base_v": history.val_max_abs_start * norm.v_scale,
+        "val_max_abs_residual_tl_v": history.val_max_abs_end * norm.v_scale,
         "test_max_abs_error_v": test_err,
         "test_max_abs_error_fraction": test_err / nominal_v,
         "nominal_module_v": nominal_v,
@@ -210,8 +210,7 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
     preds, residuals = sentinel.one_step_residuals(
         model, trace.v_modules, trace.i_pack_a)
     epsilon = sentinel.calibrate_threshold(residuals, margin)
-    det = sentinel.DetectionTrace.from_residuals(trace.t_s[1:], residuals,
-                                                 epsilon)
+    det = sentinel.DetectionTrace(trace.t_s[1:], residuals, epsilon)
     return epsilon, det, preds
 
 

@@ -3,11 +3,16 @@
 Reports serialize deterministically: sorted keys, fixed float repr, and no
 wall-clock content.  Timings are real but non-reproducible, so they go to a
 sidecar file next to the report instead of into it.
+
+Detection scoring reads a DetectionTrace's threshold crossings: the flag
+rises at crossings 0, 2, 4, ... and falls at crossings 1, 3, 5, ..., one
+frame after the residual's index, so no flag sequence is scanned.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,30 +46,27 @@ class DetectionMetrics:
 
 
 def score_detection(det: DetectionTrace, mask: np.ndarray) -> DetectionMetrics:
-    """Score flags against the mask by frame index.
+    """Score the flags against the mask by frame index.
 
     ``mask`` has one entry per trace frame and ``det`` covers frames 1..n-1,
-    so flag j belongs to frame j + 1.  Delays count frames from the first
-    masked frame (onset) and from the first frame after the window
-    (withdrawal).
+    so residual j belongs to frame j + 1.  The flag rises at the frames of
+    the even crossings (0, 2, 4, ... of det.crossed) and falls at those of
+    the odd ones.  Delays count frames from the first masked frame (onset)
+    and from the first frame after the window (withdrawal).
     """
     mask = np.asarray(mask)
-    if mask.shape != (len(det.flag) + 1,):
+    if mask.shape != (len(det.r) + 1,):
         raise ValueError("mask must have one entry per trace frame")
-    active = np.flatnonzero(mask == 1)
+    active = (mask == 1).nonzero()[0]
     if active.size == 0:
         raise ValueError("mask contains no attack window")
     k0, kf = int(active[0]), int(active[-1]) + 1
 
-    flags = det.flag
-    prev = np.concatenate([[0], flags[:-1]])
-    rises = np.flatnonzero((flags == 1) & (prev == 0)) + 1
-    falls = np.flatnonzero((flags == 0) & (prev == 1)) + 1
-
-    on = rises[rises >= k0]
-    off = falls[falls >= kf]
-    onset = int(on[0] - k0) if on.size else None
-    withdrawal = int(off[0] - kf) if off.size else None
+    frames = (det.crossed + 1).tolist()
+    rises, falls = frames[0::2], frames[1::2]
+    on, off = bisect_left(rises, k0), bisect_left(falls, kf)
+    onset = rises[on] - k0 if on < len(rises) else None
+    withdrawal = falls[off] - kf if off < len(falls) else None
     false_alarms = int(np.count_nonzero(mask[rises] == 0))
     return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings)
 

@@ -23,13 +23,16 @@ continues from the last good frame.
 Scoring attacks against a nominal trace reuses its predictions through
 the attack's source map.  Given a ``nominal`` trace of the checked
 trace's shape, one_step_residuals keeps a memo on that trace: the model
-object and its predictions, frame-major, so that a flat index into the
-voltages addresses the prediction made from that value.  Predictor row
-(k, m), the input (v_m(k), i(k)), takes the memoized prediction of the
-nominal predictor row at ``source[k, m]`` (threatgen.apply_scenario's
-map; without a source, the row at (k, m) itself) when both values equal
-that row's and its frame is below n-1.  Every other row is predicted,
-all of them in one call; r is then computed over every row as before.
+object, its predictions, frame-major, so that a flat index into the
+voltages addresses the prediction made from that value, and the frame
+current of each voltage entry in the same flat order, NaN over the last
+frame.  Predictor row (k, m), the input (v_m(k), i(k)), takes the
+memoized prediction of the nominal predictor row at ``source[k, m]``
+(threatgen.apply_scenario's map; without a source, the row at (k, m)
+itself) when both values equal that row's; a source in the last frame,
+which has no prediction, has current NaN and so equals no row.  Every
+other row is predicted, all of them in one call; r is then computed over
+every row as before.
 A swap takes every moved value from a row of the same frame, so it
 predicts nothing; a replay predicts only the replayed rows whose
 recorded current differs from the live one.  A nominal trace of another
@@ -51,19 +54,24 @@ Predictor rows are module-major, so the predictions form a contiguous
 
 The toggle is the paper's pure set/reset rule: the flag is the parity of
 the crossings so far.  It is fragile by construction, since a single
-nominal spike at or above epsilon inverts the flag for good.
+nominal spike at or above epsilon inverts the flag for good.  A
+DetectionTrace is built from its residuals alone: one comparison
+r >= epsilon gives the crossings, and the flags and events are derived
+from them, so reports.score_detection reads the flag's rises and falls
+straight off the crossings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .boost import Ensemble, predict_batch
 from .datasets import write_csv
-from .simkit import TelemetryFrame, TelemetryTrace
+from .simkit import TelemetryFrame, TelemetryTrace, _frozen
 
 
 def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -76,23 +84,29 @@ def _features(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return x.reshape(q * n, 2)
 
 
-def _nominal_predictions(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
-    """The trace's predictions under ``model`` as a read-only (n-1, q)
-    array, frame-major, so that a flat index into the voltages addresses
-    the prediction made from that value.
+def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
+    """The trace's predictions under ``model`` and the current of each
+    voltage entry's frame, for the reuse in _reuse.
 
-    Memoized on the trace in one slot, (model, predictions), which serves
-    only the same model object.
+    The predictions are an (n-1, q) array, frame-major, so that a flat
+    index into the voltages addresses the prediction made from that value.
+    The currents are an (n*q,) array in the same flat order, NaN over the
+    last frame, which is never a predictor input: a NaN equals no current,
+    so a row whose source lies in that frame is predicted.  Both are
+    immutable.  Memoized on the trace in one slot, (model, predictions,
+    currents), which serves only the same model object.
     """
     memo = trace._memo
     if memo is None or memo[0] is not model:
         v = trace.v_modules
+        n, q = v.shape
         predicted = predict_batch(model, _features(v, trace.i_pack_a))
-        predicted = predicted.reshape(v.shape[1], -1).T.copy()
-        predicted.flags.writeable = False
-        memo = (model, predicted)
+        current = np.repeat(trace.i_pack_a, q)
+        current[(n - 1) * q:] = np.nan
+        memo = (model, _frozen(predicted.reshape(q, -1).T),
+                _frozen(current))
         object.__setattr__(trace, "_memo", memo)  # the trace is frozen
-    return memo[1]
+    return memo[1], memo[2]
 
 
 def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
@@ -100,7 +114,7 @@ def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
     """(q, n-1) predictions of the rows of (v, i): the nominal prediction
     of each row's source row where both values equal that row's, the
     others predicted in one call."""
-    known = _nominal_predictions(model, nominal)
+    known, current = _nominal_predictions(model, nominal)
     n, q = v.shape
     if source is None:
         src = np.arange((n - 1) * q).reshape(n - 1, q)
@@ -113,10 +127,10 @@ def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
         if src.min() < 0 or src.max() >= n * q:
             raise ValueError("source indices must index the nominal voltages")
     # need[k, m]: row (k, m) is not served by its source row, whose
-    # voltage, current or prediction (none for the last frame) differs.
+    # voltage or current differs; a source in the last frame has current
+    # NaN, as it has no prediction.
     need = v[:-1] != nominal.v_modules.ravel().take(src)
-    need |= i[:-1, None] != np.repeat(nominal.i_pack_a, q).take(src)
-    need |= src >= (n - 1) * q
+    need |= i[:-1, None] != current.take(src)
     predicted = known.ravel().take(src.T, mode="clip")
     if need.any():
         m, k = np.nonzero(need.T)
@@ -174,14 +188,6 @@ def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
     return epsilon
 
 
-def apply_toggle(residuals, epsilon: float) -> np.ndarray:
-    """Flag sequence from a residual sequence: the parity of the crossings
-    r >= epsilon up to and including each step.  epsilon must be positive
-    and finite."""
-    _positive_finite("epsilon", epsilon)
-    return np.cumsum(np.asarray(residuals) >= epsilon) & 1
-
-
 @dataclass(frozen=True)
 class DetectorState:
     """Immutable detector state threaded through step_detector."""
@@ -223,36 +229,57 @@ def step_detector(state: DetectorState, measured: TelemetryFrame,
     return replace(state, flag=flag, last_frame=measured, events=events), r, flag
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionTrace:
-    """Residual/flag series for frames 1..n-1 of a telemetry trace."""
+    """Residuals r >= 0 of frames 1..n-1 of a telemetry trace, at their
+    times t_s, and what their threshold crossings make of them.
+
+    Built from (t_s, r, epsilon) alone, so its flags and events cannot
+    disagree with its residuals.  One comparison r >= epsilon finds the
+    crossings, kept as ``crossed`` (ascending indices into r).  The flag
+    is their parity up to and including each step: crossings 0, 2, 4, ...
+    set it and crossings 1, 3, 5, ... reset it.  Each crossing is one
+    event (t_s, r).  The flags and events are derived from the crossings
+    when first read, since scoring needs only the crossings.  epsilon
+    must be positive and finite.  r is copied and, with the crossings and
+    flags, read-only; t_s is kept as given, since the callers pass a slice
+    of a telemetry trace's read-only times.  No field can be reassigned.
+    """
 
     t_s: np.ndarray
     r: np.ndarray
-    flag: np.ndarray
     epsilon: float
-    events: tuple = ()
+    crossed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if np.any(self.r < 0):
+        _positive_finite("epsilon", self.epsilon)
+        r = np.array(self.r, dtype=float)
+        if (r < 0).any():
             raise ValueError("residuals must be nonnegative")
+        crossed = (r >= self.epsilon).nonzero()[0]
+        r.flags.writeable = crossed.flags.writeable = False
+        put = object.__setattr__  # the one way to set a frozen field
+        put(self, "t_s", np.asarray(self.t_s, dtype=float))
+        put(self, "r", r)
+        put(self, "crossed", crossed)
 
-    @classmethod
-    def from_residuals(cls, t_s, r, epsilon: float) -> "DetectionTrace":
-        """Flags and crossing events of residuals r at frame times t_s.
+    @cached_property
+    def flag(self) -> np.ndarray:
+        flag = np.zeros(self.r.size, dtype=np.intp)
+        flag[self.crossed[0::2]] = 1
+        flag[self.crossed[1::2]] = -1
+        np.cumsum(flag, out=flag)
+        flag.flags.writeable = False
+        return flag
 
-        t_s is kept as given, not copied: the callers pass a slice of a
-        telemetry trace's read-only times.
-        """
-        flags = apply_toggle(r, epsilon)
-        events = tuple((float(t_s[k]), float(r[k]))
-                       for k in np.flatnonzero(r >= epsilon))
-        return cls(t_s=np.asarray(t_s), r=r, flag=flags, epsilon=epsilon,
-                   events=events)
+    @cached_property
+    def events(self) -> tuple:
+        return tuple(zip(self.t_s[self.crossed].tolist(),
+                         self.r[self.crossed].tolist()))
 
     @property
     def crossings(self) -> int:
-        return len(self.events)
+        return self.crossed.size
 
 
 def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
@@ -262,14 +289,14 @@ def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
 
     Predictions are evaluated in one vectorized call (only of the rows
     that ``nominal``'s rows at their ``source`` do not serve, when given;
-    see one_step_residuals), and the flags are a cumulative count of the
-    crossings.
+    see one_step_residuals), and the flags are the parity of the
+    crossings (DetectionTrace).
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
     _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a, nominal,
                               source)
-    return DetectionTrace.from_residuals(trace.t_s[1:], r, epsilon)
+    return DetectionTrace(trace.t_s[1:], r, epsilon)
 
 
 def write_detection(path, det: DetectionTrace) -> None:

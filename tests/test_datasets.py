@@ -316,12 +316,14 @@ class TestWritersMatchReference:
         assert path.read_bytes() == ref.read_bytes()
 
     def detection(self, n_events):
-        r = np.abs(np.array(self.EDGE))
-        r[0] = -0.0
-        events = tuple(zip(self.EDGE[:n_events], self.EDGE[::-1][:n_events]))
-        return sentinel.DetectionTrace(t_s=np.array(self.EDGE), r=r,
-                                       flag=np.array([0, 1, 1, 0, 1, 0, 0, 1]),
-                                       epsilon=1.0, events=events)
+        """Residuals that cross epsilon n_events times (0, 1 or 5), on the
+        edge times."""
+        r = np.array([-0.0, 0.0, 1e300, 5e-7, 5e-7, 5e-6, 3.7, 1e-300])
+        epsilon = {0: 1e301, 1: 1e300, 5: 5e-7}[n_events]
+        det = sentinel.DetectionTrace(t_s=np.array(self.EDGE), r=r,
+                                      epsilon=epsilon)
+        assert det.crossings == n_events
+        return det
 
     @pytest.mark.parametrize("n_events", [0, 1, 5])
     def test_detection_and_events(self, tmp_path, n_events):

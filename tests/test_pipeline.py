@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_config, make_trace, write_sim_config
+from reports_reference import reference_score_detection
 from test_boost import GRID, random_tree
 from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 from voltsentry.boost import Ensemble, Segment
@@ -97,12 +98,13 @@ class TestCanonicalConfigs:
 
 
 def detection(flags, t0=1.0):
+    """A detection trace whose residuals cross epsilon where flags change."""
     flags = np.asarray(flags, dtype=int)
     t = np.arange(t0, t0 + len(flags))
     r = np.where(np.diff(np.concatenate([[0], flags])) != 0, 5.0, 0.1)
-    events = tuple((float(t[k]), 5.0)
-                   for k in np.flatnonzero(np.diff(np.concatenate([[0], flags]))))
-    return DetectionTrace(t_s=t, r=r, flag=flags, epsilon=2.0, events=events)
+    det = DetectionTrace(t_s=t, r=r, epsilon=2.0)
+    assert np.array_equal(det.flag, flags)
+    return det
 
 
 class TestScoreDetection:
@@ -152,6 +154,76 @@ class TestScoreDetection:
         det = detection(np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
             score_detection(det, np.zeros(6, dtype=int))
+
+
+class TestCrossingScorer:
+    """score_detection reads rises and falls off the crossings; the
+    flag-based scorer it replaced (reports_reference) is its oracle."""
+
+    @staticmethod
+    def both(r, epsilon, k0, kf):
+        det = DetectionTrace(t_s=np.arange(1.0, len(r) + 1.0), r=r,
+                             epsilon=epsilon)
+        mask = np.zeros(len(r) + 1, dtype=int)
+        mask[k0:kf] = 1
+        got = score_detection(det, mask)
+        assert got == reference_score_detection(det, mask)
+        return det, got
+
+    @given(rs=st.lists(st.tuples(st.floats(0, 5), st.booleans()), min_size=1,
+                       max_size=60),
+           eps=st.floats(0.5, 4.5), a=st.integers(0, 60), b=st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_flag_scorer(self, rs, eps, a, b):
+        """Random residuals (a third of them exactly on epsilon), epsilon
+        and attack windows [k0, kf) anywhere in the trace's n frames."""
+        r = np.array([eps if tie else x for x, tie in rs])
+        n = r.size + 1
+        k0 = a % n
+        kf = k0 + 1 + b % (n - k0)
+        self.both(r, eps, k0, kf)
+
+    def test_window_ending_at_last_frame(self):
+        """A window up to the last frame has no frame to withdraw at."""
+        det, m = self.both(np.array([0.1, 0.1, 3.0, 0.1, 0.1]), 2.0, 3, 6)
+        assert (m.onset_delay, m.withdrawal_delay) == (0, None)
+        assert det.flag[-1] == 1
+
+    def test_no_crossings(self):
+        det, m = self.both(np.full(6, 0.5), 2.0, 2, 4)
+        assert det.crossed.size == 0 and det.events == ()
+        assert (m.onset_delay, m.withdrawal_delay, m.false_alarms,
+                m.crossings) == (None, None, 0, 0)
+
+    def test_crossing_at_first_residual(self):
+        """Residual 0 belongs to frame 1: a rise there before the window
+        is a false alarm, the withdrawal-side crossing resets it."""
+        det, m = self.both(np.array([2.0, 0.1, 2.5, 0.1, 0.1]), 2.0, 3, 5)
+        assert list(det.crossed) == [0, 2] and det.flag[0] == 1
+        assert (m.onset_delay, m.false_alarms) == (None, 1)
+
+    def test_odd_crossing_count_leaves_flag_set(self):
+        """Crossings at frames 2, 4 and 6: a rise in the window, a fall
+        inside it, and a rise after it that is never reset."""
+        det, m = self.both(np.array([0.1, 3.0, 0.1, 3.0, 0.1, 3.0, 0.1]),
+                           2.0, 2, 5)
+        assert det.crossings == 3 and det.flag[-1] == 1
+        assert (m.onset_delay, m.withdrawal_delay, m.false_alarms) == (0, None, 1)
+
+    def test_flags_and_events_follow_the_residuals(self):
+        """A detection trace's crossings are where r >= epsilon, its flags
+        their parity and its events their (t_s, r), all held read-only."""
+        r = np.array([0.1, 2.0, 2.0, 0.3, 5.0, 1.9])
+        det = DetectionTrace(t_s=np.arange(1.0, 7.0), r=r, epsilon=2.0)
+        assert list(det.crossed) == [1, 2, 4]
+        assert list(det.flag) == [0, 1, 0, 0, 1, 1]
+        assert det.events == ((2.0, 2.0), (3.0, 2.0), (5.0, 5.0))
+        for a in (det.r, det.flag, det.crossed):
+            assert not a.flags.writeable
+        r[4] = 0.0  # the trace holds its own copy
+        assert det.r[4] == 5.0
+        with pytest.raises(FrozenInstanceError):
+            det.flag = np.zeros(6, dtype=int)
 
 
 class TestReports:
@@ -244,6 +316,28 @@ class TestBaseModelCellQuality:
         ens, _, _, val_set = base_bundle
         err = pipeline.max_abs_residual(ens, val_set)
         assert err <= 0.005 * 4.2
+
+
+class TestValidationMaximaFromBoosting:
+    """The reports' validation max-abs errors come from the predictions
+    that boosting keeps; they equal a re-prediction bit for bit."""
+
+    def test_base_training(self, base_bundle):
+        ens, _, _, val_set = base_bundle
+        assert ens.history.val_max_abs_end == pipeline.max_abs_residual(
+            ens, val_set)
+
+    @pytest.mark.parametrize("bundle", ["pack1_bundle", "pack2_bundle"])
+    def test_finetune_pack(self, request, base_model, bundle):
+        b = request.getfixturevalue(bundle)
+        norm = norm_for_pack(b["config"])
+        _, val_set, _ = pipeline.build_pack_sets(
+            b["traces"]["train"], b["traces"]["test"],
+            SplitSpec.default_for(b["config"].q), norm)
+        for key, model in (("val_max_abs_residual_base_v", base_model),
+                           ("val_max_abs_residual_tl_v", b["model"])):
+            assert b["info"][key] == (pipeline.max_abs_residual(model, val_set)
+                                      * norm.v_scale)
 
 
 def random_model(rng, n_trees, depth):
@@ -376,22 +470,30 @@ class TestAttackReuse:
         pipeline.evaluate_attack(first, trace, scenario, 0.5)
         got = pipeline.evaluate_attack(second, trace, scenario, 0.5)
         assert_same_outcome(got, full_prediction(second, trace, scenario, 0.5))
-        assert len(trace._memo) == 2 and trace._memo[0] is second
+        assert len(trace._memo) == 3 and trace._memo[0] is second
 
     def test_memo_is_the_model_and_its_predictions(self):
-        """The memo is one slot: the model object and the nominal trace's
-        read-only (n-1, q) predictions, those of a full prediction."""
+        """The memo is one slot: the model object, the nominal trace's
+        immutable (n-1, q) predictions, those of a full prediction, and
+        the immutable frame current of each of its n*q voltages, NaN over
+        the last frame."""
         rng = np.random.default_rng(8)
         trace = random_trace(rng, 40, 3)
         model = random_model(rng, 5, 3)
         pipeline.evaluate_attack(model, trace, self.scenario(), 0.5)
-        held, predicted = trace._memo
+        held, predicted, current = trace._memo
         assert held is model
         want = sentinel.one_step_residuals(model, trace.v_modules,
                                            trace.i_pack_a)[0]
         assert predicted.shape == (39, 3)
         assert predicted.tobytes() == want.tobytes()
-        assert not predicted.flags.writeable
+        assert current.shape == (120,)
+        assert np.array_equal(current[:117],
+                              np.repeat(trace.i_pack_a[:-1], 3))
+        assert np.isnan(current[117:]).all()
+        for a in (predicted, current):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
 
     def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
         """A nominal trace of another shape serves no row, even one whose

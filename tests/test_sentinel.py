@@ -10,7 +10,7 @@ from test_boost import GRID, random_tree
 from voltsentry import boost, pipeline, sentinel
 from voltsentry.boost import Ensemble, NormSpec, Segment, Tree, TrainConfig, train
 from voltsentry.datasets import build_supervised
-from voltsentry.sentinel import (DetectorState, apply_toggle,
+from voltsentry.sentinel import (DetectionTrace, DetectorState,
                                  calibrate_threshold, one_step_residuals,
                                  run_detector, step_detector)
 from voltsentry.simkit import TelemetryFrame
@@ -90,8 +90,15 @@ class TestCalibration:
             calibrate_threshold([0.4, 0.7], margin=margin)
 
 
+def apply_toggle(residuals, epsilon):
+    """The flags a detection trace derives from a residual sequence."""
+    r = np.asarray(residuals, dtype=float)
+    return DetectionTrace(np.arange(1.0, r.size + 1.0), r, epsilon).flag
+
+
 def toggle_loop(residuals, epsilon):
-    """The sequential set/reset loop that apply_toggle replaced (its oracle)."""
+    """The sequential set/reset loop that the detection trace's flags
+    replaced (their oracle)."""
     flags = np.empty(len(residuals), dtype=int)
     flag = 0
     for k, r in enumerate(residuals):

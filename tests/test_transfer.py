@@ -105,6 +105,29 @@ class TestFinetune:
 
         assert max_abs(tl, val_set) < max_abs(base, val_set)
 
+    @pytest.mark.parametrize("n_trees,depth", [(0, 2), (3, 2), (2, 8)])
+    def test_history_val_maxima_equal_reprediction(self, n_trees, depth):
+        """The history's validation maxima before and after the fine-tune
+        are those of predicting the validation rows with the base and the
+        fine-tuned model, bit for bit."""
+        base = small_base()
+        rng = np.random.default_rng(9)
+        x = np.column_stack([rng.uniform(3.0, 4.2, 500), rng.uniform(2, 6, 500)])
+        y = x[:, 0] + 0.02 + 0.003 * rng.normal(size=500)
+        norm = NormSpec()
+        train_set, val_set = dataset(x[:400], y[:400], norm), dataset(
+            x[400:], y[400:], norm)
+        tl = finetune(base, train_set, val_set,
+                      TrainConfig(n_trees=n_trees, max_depth=depth,
+                                  learning_rate=0.1), norm)
+
+        def max_abs(model):
+            return float(np.max(np.abs(
+                val_set.y - boost.predict_model_space(model, val_set.x))))
+
+        assert tl.history.val_max_abs_start == max_abs(base)
+        assert tl.history.val_max_abs_end == max_abs(tl)
+
     def test_empty_pack_data_rejected(self):
         base = small_base()
         empty = dataset(np.empty((0, 2)), np.empty(0), NormSpec())
