@@ -37,9 +37,10 @@ canonical inputs and models of the README's CLI flow (seed 1):
   current again, and each of them is predicted.
 - ``evaluate_attack_warm_swap_phased_pack2_ms``: a warm swap over the same
   window of the same trace.  Every moved value comes from its own frame,
-  so no row is predicted and the time goes to building the attacked
-  trace, the reuse checks and scoring.  The trace carries ``i_modules``,
-  as the benchmark sweep's phased traces do.
+  so no row is predicted and the time goes to gathering the attacked
+  trace (with its one check of the source map and mask), taking the
+  memoized predictions with the current compare, and scoring.  The trace
+  carries ``i_modules``, as the benchmark sweep's phased traces do.
 
 Each time is the median of repeated calls, in milliseconds unless its
 name ends in ``_s``.  One run records one label, so before/after pairs come

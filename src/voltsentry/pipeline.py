@@ -218,16 +218,12 @@ def evaluate_attack(model: boost.Ensemble, trace: TelemetryTrace,
                     scenario: threatgen.AttackScenario, epsilon: float):
     """Corrupt a nominal trace, run detection, score against the mask.
 
-    The nominal trace's predictions are memoized on it per model.  Each
-    predictor input row equal to the nominal row it was copied from (the
-    attack's source map) takes that row's prediction, and only the other
-    rows are predicted.
+    The nominal trace's predictions are memoized on it per model, and the
+    corrupted trace, gathered from it, reuses them (sentinel).
     """
-    corrupted, mask, source = threatgen.apply_scenario(trace, scenario)
-    det = sentinel.run_detector(corrupted, model, epsilon, nominal=trace,
-                                source=source)
-    metrics = score_detection(det, mask)
-    return corrupted, det, metrics
+    corrupted = threatgen.apply_scenario(trace, scenario)
+    det = sentinel.run_detector(corrupted, model, epsilon)
+    return corrupted, det, score_detection(det, corrupted.attack_mask)
 
 
 def write_prediction_csv(path, trace: TelemetryTrace, preds: np.ndarray,

@@ -10,44 +10,36 @@ not).  Every threshold crossing r >= epsilon flips the attack flag, marking
 attack onset and withdrawal.  The first frame only initializes the
 predictor; the first residual appears at k = 1.
 
-one_step_residuals is the only place residuals are computed: streaming
-(step_detector, one row per module), batch detection (run_detector) and
-calibration all call it.  Frames and traces reject NaN and infinite values
-when they are built, and one_step_residuals raises ValueError on a
-non-finite residual, such as one from a raw array it is given or from an
-overflowing prediction, so a NaN never reaches the toggle as "no
-crossing".  step_detector also rejects a frame whose t_s is not the
-previous frame's plus 1 s; the caller's state is unchanged, so the stream
-continues from the last good frame.
+Residuals are computed in one place, _residuals, which raises ValueError
+on a non-finite residual, such as one from a raw array or an overflowing
+prediction, so a NaN never reaches the toggle as "no crossing".
+one_step_residuals, the one public residual function, predicts every row
+of the arrays it is given; streaming (step_detector), calibration and
+run_detector on a trace with no origin use it.  Frames and traces reject
+NaN and infinite values when they are built.  step_detector also rejects
+a frame whose t_s is not the previous frame's plus 1 s; the caller's
+state is unchanged, so the stream continues from the last good frame.
 
-Scoring attacks against a nominal trace reuses its predictions through
-the attack's source map.  Given a ``nominal`` trace of the checked
-trace's shape, one_step_residuals keeps a memo on that trace: the model
-object, its predictions, frame-major, so that a flat index into the
-voltages addresses the prediction made from that value, and the frame
-current of each voltage entry in the same flat order, NaN over the last
-frame.  Predictor row (k, m), the input (v_m(k), i(k)), takes the
-memoized prediction of the nominal predictor row at ``source[k, m]``
-(threatgen.apply_scenario's map; without a source, the row at (k, m)
-itself) when both values equal that row's; a source in the last frame,
-which has no prediction, has current NaN and so equals no row.  Every
-other row is predicted, all of them in one call; r is then computed over
-every row as before.
-A swap takes every moved value from a row of the same frame, so it
-predicts nothing; a replay predicts only the replayed rows whose
-recorded current differs from the live one.  A nominal trace of another
-shape reuses nothing.  The memo serves only the same model object, and
-a trace never changes (simkit.TelemetryTrace), so its predictions never
-go stale.  The source map is only a hint, since every reused row is
-compared by value.  Calibration passes no nominal trace, so it predicts
-its trace once and builds no memo; the first attack scored against the
-trace builds it.  The reuse is bit-exact because a prediction depends
-only on the row's two values: predict_batch scales each element on its
-own and the node-table walk compares ``x >= t`` and adds each row's
-leaves in its own column, in tree order.  Rows compare by value, so a
--0.0 takes the prediction made for 0.0, whose branches it takes too
-(-0.0 >= t exactly when 0.0 >= t).  A NaN equals no row, so it still
-reaches the walk, which rejects it.
+An attacked trace (threatgen.apply_scenario, through
+TelemetryTrace.gathered) carries the nominal trace and the checked source
+map as its ``_origin``, and run_detector reuses the nominal's predictions
+through it.  They are memoized on the nominal trace in one slot: the
+model object, the predictions, frame-major, so that a flat index into the
+voltages addresses the prediction made from that value, and each voltage
+entry's frame current in the same flat order, NaN over the last frame,
+which feeds no prediction.  Row (k, m), the input (v_m(k), i(k)), holds
+the nominal value at ``source[k, m]`` by construction, so it takes that
+value's prediction when its current equals the memoized one; every other
+row is predicted, in one call.  A swap moves values within their frames,
+so it predicts nothing; a replay predicts only the rows whose recorded
+current differs from the live one.  A trace never changes
+(simkit.TelemetryTrace), so the memo never goes stale; it serves only the
+same model object, and calibration builds none.  The reuse is bit-exact
+because a prediction depends only on the row's two values: predict_batch
+scales each element on its own and the node-table walk compares
+``x >= t`` and adds each row's leaves in its own column, in tree order.
+A row at current -0.0 takes the prediction made at 0.0, whose branches
+it takes too.
 
 Predictor rows are module-major, so the predictions form a contiguous
 (q, n-1) array and r is one reduction along its first axis.
@@ -109,63 +101,48 @@ def _nominal_predictions(model: Ensemble, trace: TelemetryTrace):
     return memo[1], memo[2]
 
 
-def _reuse(model: Ensemble, nominal: TelemetryTrace, v: np.ndarray,
-           i: np.ndarray, source) -> np.ndarray:
-    """(q, n-1) predictions of the rows of (v, i): the nominal prediction
-    of each row's source row where both values equal that row's, the
-    others predicted in one call."""
-    known, current = _nominal_predictions(model, nominal)
-    n, q = v.shape
-    if source is None:
-        src = np.arange((n - 1) * q).reshape(n - 1, q)
-    else:
-        source = np.asarray(source)
-        if source.shape != v.shape or source.dtype.kind not in "iu":
-            raise ValueError("source must be an integer array of the "
-                             "trace's (n, q) shape")
-        src = source[:-1]
-        if src.min() < 0 or src.max() >= n * q:
-            raise ValueError("source indices must index the nominal voltages")
-    # need[k, m]: row (k, m) is not served by its source row, whose
-    # voltage or current differs; a source in the last frame has current
-    # NaN, as it has no prediction.
-    need = v[:-1] != nominal.v_modules.ravel().take(src)
-    need |= i[:-1, None] != current.take(src)
+def _reuse(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
+    """(q, n-1) predictions of the rows of a gathered trace: the memoized
+    prediction of each row's source where the current equals the one it
+    was made with, the other rows predicted in one call."""
+    origin, source = trace._origin
+    known, current = _nominal_predictions(model, origin)
+    src = source[:-1]
+    i = trace.i_pack_a
+    # need[k, m]: the source's prediction was made at another current; a
+    # source in the last frame has current NaN, as it has no prediction.
+    need = i[:-1, None] != current.take(src)
     predicted = known.ravel().take(src.T, mode="clip")
     if need.any():
         m, k = np.nonzero(need.T)
         x = np.empty((m.size, 2))
-        x[:, 0] = v[k, m]
+        x[:, 0] = trace.v_modules[k, m]
         x[:, 1] = i[k]
         predicted[m, k] = predict_batch(model, x)
     return predicted
 
 
-def one_step_residuals(model: Ensemble, v_modules, i_pack_a,
-                       nominal: TelemetryTrace | None = None, source=None):
+def _residuals(v: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """r(k) = max_m |v_m(k) - vhat_m(k)| for k = 1..n-1, from (n, q)
+    voltages and (q, n-1) predictions; raises ValueError if one is not
+    finite."""
+    r = np.abs(v[1:].T - predicted).max(axis=0)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
+    return r
+
+
+def one_step_residuals(model: Ensemble, v_modules, i_pack_a):
     """Predictions vhat(k) from frame k-1 and residuals r(k), k = 1..n-1.
 
     ``v_modules`` is (n, q) and ``i_pack_a`` (n,) over n consecutive frames.
     Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
     ValueError if a residual is not finite.
-
-    Given a ``nominal`` trace of the same shape, every predictor input row
-    equal to the nominal row at its source (``source[k, m]``, a flat index
-    into the nominal voltages; (k, m) itself without a source) takes that
-    row's memoized prediction, and only the other rows are predicted.
-    ``source`` is ignored without such a nominal trace.
     """
     v = np.asarray(v_modules, dtype=float)
     i = np.asarray(i_pack_a, dtype=float)
-    if (nominal is None or nominal.n_frames < 2
-            or nominal.v_modules.shape != v.shape):  # no nominal rows to reuse
-        predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
-    else:
-        predicted = _reuse(model, nominal, v, i, source)
-    r = np.abs(v[1:].T - predicted).max(axis=0)
-    if not np.isfinite(r).all():
-        raise ValueError("residuals must be finite")
-    return predicted.T, r
+    predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
+    return predicted.T, _residuals(v, predicted)
 
 
 def _positive_finite(name: str, value: float) -> None:
@@ -175,13 +152,21 @@ def _positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_residuals(r: np.ndarray) -> None:
+    """Raise ValueError unless every residual is finite and nonnegative."""
+    if not (np.isfinite(r).all() and (r >= 0).all()):
+        raise ValueError("residuals must be finite and nonnegative")
+
+
 def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
     """Threshold as margin times the largest attack-free residual; the
-    margin must be positive and finite."""
+    margin must be positive and finite, the residuals finite and
+    nonnegative."""
     _positive_finite("margin", margin)
     r = np.asarray(nominal_residuals, dtype=float)
     if r.size == 0:
         raise ValueError("cannot calibrate on an empty nominal run")
+    _check_residuals(r)
     epsilon = margin * float(np.max(r))
     if epsilon <= 0.0:
         raise ValueError("degenerate calibration: nominal residuals are all zero")
@@ -241,9 +226,11 @@ class DetectionTrace:
     set it and crossings 1, 3, 5, ... reset it.  Each crossing is one
     event (t_s, r).  The flags and events are derived from the crossings
     when first read, since scoring needs only the crossings.  epsilon
-    must be positive and finite.  r is copied and, with the crossings and
-    flags, read-only; t_s is kept as given, since the callers pass a slice
-    of a telemetry trace's read-only times.  No field can be reassigned.
+    must be positive and finite, r one-dimensional, finite and
+    nonnegative, and t_s of r's shape (ValueError otherwise).  r is copied
+    and, with the crossings and flags, read-only; t_s is kept as given,
+    since the callers pass a slice of a telemetry trace's read-only times.
+    No field can be reassigned.
     """
 
     t_s: np.ndarray
@@ -254,12 +241,15 @@ class DetectionTrace:
     def __post_init__(self):
         _positive_finite("epsilon", self.epsilon)
         r = np.array(self.r, dtype=float)
-        if (r < 0).any():
-            raise ValueError("residuals must be nonnegative")
+        t_s = np.asarray(self.t_s, dtype=float)
+        if r.ndim != 1 or t_s.shape != r.shape:
+            raise ValueError("r must be one-dimensional, with one t_s per "
+                             "residual")
+        _check_residuals(r)
         crossed = (r >= self.epsilon).nonzero()[0]
         r.flags.writeable = crossed.flags.writeable = False
         put = object.__setattr__  # the one way to set a frozen field
-        put(self, "t_s", np.asarray(self.t_s, dtype=float))
+        put(self, "t_s", t_s)
         put(self, "r", r)
         put(self, "crossed", crossed)
 
@@ -282,20 +272,21 @@ class DetectionTrace:
         return self.crossed.size
 
 
-def run_detector(trace: TelemetryTrace, model: Ensemble, epsilon: float,
-                 nominal: TelemetryTrace | None = None,
-                 source=None) -> DetectionTrace:
+def run_detector(trace: TelemetryTrace, model: Ensemble,
+                 epsilon: float) -> DetectionTrace:
     """Batch detection pass over a trace; bit-equal to streaming step calls.
 
-    Predictions are evaluated in one vectorized call (only of the rows
-    that ``nominal``'s rows at their ``source`` do not serve, when given;
-    see one_step_residuals), and the flags are the parity of the
-    crossings (DetectionTrace).
+    Predictions are evaluated in one vectorized call (for an attacked
+    trace, only of the rows that its origin's memo does not serve; see the
+    module docstring), and the flags are the parity of the crossings
+    (DetectionTrace).
     """
     if trace.n_frames < 2:
         raise ValueError("trace must have at least 2 frames")
-    _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a, nominal,
-                              source)
+    if trace._origin is None:
+        r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)[1]
+    else:
+        r = _residuals(trace.v_modules, _reuse(model, trace))
     return DetectionTrace(trace.t_s[1:], r, epsilon)
 
 

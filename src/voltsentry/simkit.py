@@ -40,8 +40,9 @@ produced negative pack current") where it should stay in CC, and at
 A recorded step's current and split also drive its first sub-step,
 which starts from the same state.  Every float operation is the one a
 per-call evaluation would make, in the same order, so the traces are
-bit-identical to it; the tests keep the per-call loops as their oracle.  Parameters are checked once, when the dataclasses are
-built: every field must be finite.
+bit-identical to it; the tests keep the per-call loops as their oracle.
+Parameters are checked once, when the dataclasses are built: every field
+must be finite.
 """
 
 from __future__ import annotations
@@ -249,6 +250,19 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
+def _checked_mask(attack_mask, n: int) -> np.ndarray:
+    """An immutable copy of an attack mask; ValueError unless it holds
+    one 0 or 1 per frame of n."""
+    mask = _frozen(attack_mask)
+    if mask.shape != (n,):
+        raise ValueError("trace arrays must have matching lengths: "
+                         "attack_mask needs one entry per frame")
+    # Every nonzero entry must be 1; a NaN is nonzero and equals nothing.
+    if np.count_nonzero(mask) != np.count_nonzero(mask == 1):
+        raise ValueError("attack_mask must be 0 or 1")
+    return mask
+
+
 @dataclass(frozen=True)
 class TelemetryFrame:
     """One recorded sample: time, pack current, q module voltages.
@@ -278,10 +292,11 @@ class TelemetryTrace:
 
     ``v_modules`` has shape (n, q).  ``i_modules`` is a noise-free per-module
     current diagnostic kept for balance checks; it is not part of the CSV
-    schema.  ``attack_mask`` is set on corrupted traces (1 inside the attack
-    window).  ``t_s``, ``i_pack_a`` and ``v_modules`` must be finite; a NaN
-    or infinite value raises ValueError.  ``t_s`` must be nonnegative and
-    each value must be the previous one plus 1 s; a gap, a duplicate or a
+    schema.  ``attack_mask`` is set on corrupted traces: one 0 or 1 per
+    frame, 1 inside the attack window; any other value raises ValueError.
+    ``t_s``, ``i_pack_a`` and ``v_modules`` must be finite; a NaN or
+    infinite value raises ValueError.  ``t_s`` must be nonnegative and each
+    value must be the previous one plus 1 s; a gap, a duplicate or a
     reversal raises ValueError.
 
     A trace is an immutable value.  The constructor copies every array it
@@ -289,14 +304,10 @@ class TelemetryTrace:
     neither a trace's arrays nor any view of them can be made writable, and
     no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
     set only by ``sentinel``: a model object and its one-step predictions
-    of this trace, which attacks scored against the trace reuse under that
-    same model.  ``copy()`` does not carry it, nor ``descending_order``.
-
-    ``with_voltages`` builds an attacked copy without rebuilding the
-    trace: the copy shares this trace's ``t_s``, ``i_pack_a`` and
-    ``i_modules`` arrays, which are immutable and were checked when this
-    trace was built, so only the new voltages and mask are frozen and
-    checked.
+    of this trace, which attacked traces gathered from it reuse under that
+    same model.  ``_origin`` is set only by ``gathered``: the trace and the
+    source map that an attacked trace was gathered from.  ``copy()``
+    carries neither, nor ``descending_order``.
     """
 
     t_s: np.ndarray
@@ -307,6 +318,8 @@ class TelemetryTrace:
     name: str = ""
     _memo: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    _origin: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         put = object.__setattr__  # the one way to set a frozen field
@@ -315,13 +328,11 @@ class TelemetryTrace:
         put(self, "v_modules", _frozen(np.atleast_2d(self.v_modules), float))
         if self.i_modules is not None:
             put(self, "i_modules", _frozen(self.i_modules))
-        if self.attack_mask is not None:
-            put(self, "attack_mask", _frozen(self.attack_mask))
         n = self.t_s.shape[0]
-        if (self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n
-                or (self.attack_mask is not None
-                    and self.attack_mask.shape != (n,))):
+        if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
             raise ValueError("trace arrays must have matching lengths")
+        if self.attack_mask is not None:
+            put(self, "attack_mask", _checked_mask(self.attack_mask, n))
         if not (np.isfinite(self.t_s).all() and np.isfinite(self.i_pack_a).all()
                 and np.isfinite(self.v_modules).all()):
             raise ValueError("trace values must be finite")
@@ -346,31 +357,30 @@ class TelemetryTrace:
     def copy(self) -> "TelemetryTrace":
         return replace(self)
 
-    def with_voltages(self, v_modules, attack_mask,
-                      name: str) -> "TelemetryTrace":
-        """This trace with other module voltages, an attack mask and a
-        name: the attacked copy that threatgen builds.
+    def gathered(self, source, attack_mask, name: str) -> "TelemetryTrace":
+        """The attacked trace that threatgen builds: this trace's voltages
+        taken at ``source``, with an attack mask and a name.
 
-        The copy adopts this trace's ``t_s``, ``i_pack_a`` and ``i_modules``
-        objects without copying them; they are backed by immutable bytes and
-        passed the constructor's checks, which therefore still hold.  Only
-        the new arrays are frozen and checked: ``v_modules`` must have this
-        trace's (n, q) shape and be finite, and ``attack_mask`` must hold
-        one entry per frame (ValueError otherwise).
+        ``source`` holds flat indices into ``v_modules`` in an integer
+        array of its (n, q) shape, the mask one 0 or 1 per frame; both are
+        checked (ValueError) and frozen.  The voltages, values of this
+        checked trace, need no check, and ``t_s``, ``i_pack_a`` and
+        ``i_modules`` are this trace's own immutable, checked objects.
+        ``_origin`` is ``(self, source)``, through which sentinel reuses
+        this trace's predictions.
         """
-        v = _frozen(v_modules, float)
-        mask = _frozen(attack_mask)
-        if v.shape != self.v_modules.shape:
-            raise ValueError(f"v_modules must have the trace's shape "
-                             f"{self.v_modules.shape}, got {v.shape}")
-        if mask.shape != self.t_s.shape:
-            raise ValueError("attack_mask must hold one entry per frame")
-        if not np.isfinite(v).all():
-            raise ValueError("trace values must be finite")
+        source = _frozen(source)
+        if source.dtype.kind not in "iu" or source.shape != self.v_modules.shape:
+            raise ValueError(f"source must be an integer array of the "
+                             f"trace's shape {self.v_modules.shape}")
+        if source.size and (source.min() < 0 or source.max() >= source.size):
+            raise ValueError("source indices must index the trace's voltages")
+        mask = _checked_mask(attack_mask, self.n_frames)
         out = object.__new__(type(self))
-        vars(out).update(t_s=self.t_s, i_pack_a=self.i_pack_a, v_modules=v,
-                         i_modules=self.i_modules, attack_mask=mask,
-                         name=name, _memo=None)
+        vars(out).update(t_s=self.t_s, i_pack_a=self.i_pack_a,
+                         v_modules=_frozen(self.v_modules.ravel().take(source)),
+                         i_modules=self.i_modules, attack_mask=mask, name=name,
+                         _memo=None, _origin=(self, source))
         return out
 
     @cached_property

@@ -7,16 +7,16 @@ module 1 receives the largest value and the last slot the smallest
 (descending sort, ties kept in original module order).  The replay plays a
 previously recorded window of the same trace back over the target modules.
 
-Both are a gather.  apply_scenario first builds the attack's source map:
-one flat index into the nominal (n, q) voltages per corrupted entry, the
+Both are a gather.  apply_scenario builds the attack's source map: one
+flat index into the nominal (n, q) voltages per corrupted entry, the
 identity outside the window.  A swap permutes a window frame's indices,
 in the order the trace computes once (TelemetryTrace.descending_order); a
 replay copies the recorded frames' indices into the target columns.  The
-corrupted voltages are the nominal voltages taken at the map, and the map
-is returned too, so that sentinel can reuse the nominal prediction of each
-row the attack moved.  The corrupted trace is built by
-TelemetryTrace.with_voltages, so it shares the nominal trace's time,
-current and module-current arrays.
+corrupted trace is TelemetryTrace.gathered through that map: its voltages
+are the nominal voltages taken at the map, it shares the nominal trace's
+time, current and module-current arrays, and it carries the nominal trace
+and the map as its origin, from which sentinel reuses the nominal
+prediction of each row the attack moved.
 """
 
 from __future__ import annotations
@@ -80,17 +80,16 @@ def _window(trace: TelemetryTrace, scenario: AttackScenario) -> tuple:
     return int(a), int(b)
 
 
-def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
-    """Corrupt a trace per scenario; returns (corrupted trace, 0/1 mask,
-    source map).
+def apply_scenario(trace: TelemetryTrace,
+                   scenario: AttackScenario) -> TelemetryTrace:
+    """Corrupt a trace per scenario; returns the corrupted trace.
 
     The input trace is never modified; the corrupted trace shares its
-    ``t_s``, ``i_pack_a`` and ``i_modules`` arrays.  The mask is 1 exactly
-    on [k0, kf) and is the returned trace's ``attack_mask`` (read-only),
-    for CSV emission.  The source map is a read-only (n, q) integer array:
-    ``source[k, m]`` is the flat index into ``trace.v_modules`` of the value
-    the corrupted trace holds at (k, m), so the corrupted voltages equal
-    ``trace.v_modules.ravel().take(source)``.
+    ``t_s``, ``i_pack_a`` and ``i_modules`` arrays.  Its ``attack_mask``
+    (read-only) is 1 exactly on [k0, kf).  It is gathered
+    (TelemetryTrace.gathered) through the attack's source map, so that
+    ``source[k, m]`` is the flat index into ``trace.v_modules`` of the
+    value it holds at (k, m).
     """
     scenario.validate_for(trace)
     a, b = _window(trace, scenario)
@@ -104,10 +103,8 @@ def apply_scenario(trace: TelemetryTrace, scenario: AttackScenario):
         rec = int(np.searchsorted(trace.t_s, scenario.record_start_s))
         cols = [m - 1 for m in scenario.target_modules]
         source[a:b, cols] = source[rec:rec + b - a, cols]
-    source.flags.writeable = False
     mask = np.zeros(n, dtype=int)
     mask[a:b] = 1
-    out = trace.with_voltages(
-        trace.v_modules.ravel().take(source), mask,
+    return trace.gathered(
+        source, mask,
         (trace.name + "_" + scenario.kind) if trace.name else scenario.kind)
-    return out, out.attack_mask, source

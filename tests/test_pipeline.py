@@ -371,10 +371,11 @@ def draw_scenario(data, n, q):
 
 
 def full_prediction(model, trace, scenario, epsilon):
-    """evaluate_attack without the nominal trace's predictions."""
-    corrupted, mask, _ = apply_scenario(trace, scenario)
-    det = run_detector(corrupted, model, epsilon)
-    return corrupted, det, score_detection(det, mask)
+    """evaluate_attack without the nominal trace's predictions: the
+    corrupted trace's copy has no origin, so every row is predicted."""
+    corrupted = apply_scenario(trace, scenario)
+    det = run_detector(corrupted.copy(), model, epsilon)
+    return corrupted, det, score_detection(det, corrupted.attack_mask)
 
 
 def assert_same_outcome(got, want):
@@ -386,22 +387,31 @@ def assert_same_outcome(got, want):
     assert m1 == m2
 
 
-def unserved_rows(trace, nominal, source=None):
-    """The predictor rows (v_m(k), i(k)) of ``trace`` that the nominal row
-    at their source does not serve, module-major: the source row (by flat
-    index into the nominal voltages; (k, m) itself without a source) is in
-    the last frame or differs in voltage or current.  A loop over the
-    source rule, for the tests."""
+def unserved_rows(trace):
+    """The predictor rows (v_m(k), i(k)) of a gathered trace that the row
+    of its origin at their source (a flat index into the origin's
+    voltages) does not serve, module-major: the source row is in the last
+    frame or differs in voltage or current.  A loop over the source rule,
+    for the tests."""
+    nominal, source = trace._origin
     n, q = trace.v_modules.shape
     rows = []
     for m in range(q):
         for k in range(n - 1):
-            ks, ms = divmod(k * q + m if source is None else int(source[k, m]), q)
+            ks, ms = divmod(int(source[k, m]), q)
             row = (trace.v_modules[k, m], trace.i_pack_a[k])
             if not (ks < n - 1 and row == (nominal.v_modules[ks, ms],
                                            nominal.i_pack_a[ks])):
                 rows.append(row)
     return rows
+
+
+def assert_full_prediction_bytes(model, trace):
+    """run_detector of a gathered trace, through its origin's memo, has
+    the residual and prediction bytes of a full prediction."""
+    want = sentinel.one_step_residuals(model, trace.v_modules, trace.i_pack_a)
+    assert run_detector(trace, model, 0.5).r.tobytes() == want[1].tobytes()
+    assert sentinel._reuse(model, trace).T.tobytes() == want[0].tobytes()
 
 
 def counting_predictions(monkeypatch):
@@ -430,10 +440,10 @@ def recording_predictions(monkeypatch):
 
 class TestAttackReuse:
     """evaluate_attack takes, for each predictor row of the corrupted
-    trace, the nominal trace's memoized prediction of the row that the
-    attack's source map copied it from, when both values equal that row's,
-    and predicts only the other rows; the outcome equals a full prediction
-    of the corrupted trace bit for bit."""
+    trace, the memoized prediction of the nominal row that the attack
+    gathered it from, when the current equals that row's, and predicts
+    only the other rows; the outcome equals a full prediction of the
+    corrupted trace bit for bit."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
            n_trees=st.integers(0, 5), depth=st.integers(0, 4),
@@ -495,25 +505,26 @@ class TestAttackReuse:
             with pytest.raises(ValueError):
                 a.flags.writeable = True
 
-    def test_nominal_of_another_shape_predicts_every_row(self, monkeypatch):
-        """A nominal trace of another shape serves no row, even one whose
-        rows are all the nominal's, and gets no memo."""
+    def test_trace_without_origin_predicts_every_row(self, monkeypatch):
+        """A trace that was not gathered, even one whose rows are all the
+        nominal's (a slice with its modules reordered, or the copy of an
+        attacked trace), serves no row from a memo and builds none."""
         rng = np.random.default_rng(9)
         model = random_model(rng, 5, 3)
-        other = random_trace(rng, 41, 3)
+        nominal = random_trace(rng, 41, 3)
         # Frames 5..34 of the nominal trace, modules 3 and 1: no new row.
-        inside = make_trace(other.v_modules[5:35, ::-2], i=other.i_pack_a[5:35])
-        want = run_detector(inside, model, 0.5)
+        inside = make_trace(nominal.v_modules[5:35, ::-2],
+                            i=nominal.i_pack_a[5:35])
+        copied = apply_scenario(nominal, self.scenario()).copy()
         rows = counting_predictions(monkeypatch)
-        det = run_detector(inside, model, 0.5, nominal=other)
-        assert rows == [29 * 2]
-        assert det.r.tobytes() == want.r.tobytes()
-        assert other._memo is None
-        rows.clear()
-        one_frame = make_trace(other.v_modules[:1], i=other.i_pack_a[:1])
-        det = run_detector(inside, model, 0.5, nominal=one_frame)
-        assert rows == [29 * 2]
-        assert det.r.tobytes() == want.r.tobytes()
+        for trace in (inside, copied, nominal):
+            want = sentinel.one_step_residuals(model, trace.v_modules,
+                                               trace.i_pack_a)
+            rows.clear()
+            det = run_detector(trace, model, 0.5)
+            assert rows == [want[0].size]
+            assert det.r.tobytes() == want[1].tobytes()
+            assert trace._origin is None and trace._memo is None
 
     def test_window_that_changes_no_row(self, monkeypatch):
         """A swap over frames already in descending order changes nothing:
@@ -538,8 +549,7 @@ class TestAttackReuse:
         scenario = AttackScenario("replay", 20, 30, record_start_s=2,
                                   record_end_s=12, target_modules=(2,))
         want = full_prediction(model, trace, scenario, 0.5)
-        source = apply_scenario(trace, scenario)[2]
-        unserved = len(unserved_rows(want[0], trace, source))
+        unserved = len(unserved_rows(want[0]))
         rows = counting_predictions(monkeypatch)
         _, _, preds = pipeline.calibrate_on_trace(model, trace)
         assert rows == [39 * 3]
@@ -599,46 +609,45 @@ class TestAttackReuse:
         # Frames 20, 24 and 28 replay frames 4, 8 and 12 at the same current.
         assert rows == [12 - 3]
 
-    @staticmethod
-    def residuals_of_signed_zeros(monkeypatch, swap):
-        """Residuals of a 30-frame trace whose zeros are -0.0 against a
-        nominal trace with 0.0, at their position or, with ``swap``, through
-        the source map of a swap of frames 3..26: checks their bytes and
-        returns the predicted row count."""
+    def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
+        """A replayed row whose live current is -0.0 is served by its
+        source row, recorded at 0.0: it takes that row's prediction and is
+        not predicted."""
         rng = np.random.default_rng(16)
         model = random_model(rng, 5, 4)
-        v = np.where(rng.random((30, 2)) < 0.5, 0.0, rng.choice(GRID, (30, 2)))
-        nominal = make_trace(v, i=np.where(np.arange(30) % 2, 0.0, 0.5))
-        source = None
-        if swap:
-            attacked, _, source = apply_scenario(
-                nominal, AttackScenario("swap_fdi", 3, 27))
-            assert (source != np.arange(60).reshape(30, 2)).any()
-            v = attacked.v_modules
-        flipped = make_trace(np.where(v == 0.0, -0.0, v),
-                             i=np.where(np.arange(30) % 2, -0.0, 0.5))
-        assert np.signbit(flipped.v_modules[:-1]).any()
-        assert np.signbit(flipped.i_pack_a[:-1]).any()
-        want = sentinel.one_step_residuals(model, flipped.v_modules,
-                                           flipped.i_pack_a)
-        sentinel.one_step_residuals(model, nominal.v_modules, nominal.i_pack_a,
-                                    nominal)
+        k = np.arange(30)
+        i = np.where(k % 2, 0.5, np.where(k < 15, 0.0, -0.0))
+        nominal = make_trace(rng.choice(GRID, (30, 2)), i=i)
+        attacked = apply_scenario(nominal, AttackScenario(
+            "replay", 16, 28, record_start_s=2, record_end_s=14,
+            target_modules=(1, 2)))
+        assert np.signbit(attacked.i_pack_a[16:28:2]).all()
+        assert not np.signbit(attacked.i_pack_a[2:14]).any()
+        assert unserved_rows(attacked) == []
+        run_detector(attacked, model, 0.5)
         rows = counting_predictions(monkeypatch)
-        got = sentinel.one_step_residuals(model, flipped.v_modules,
-                                          flipped.i_pack_a, nominal, source)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        return sum(rows)
-
-    def test_negative_zero_takes_the_prediction_of_zero(self, monkeypatch):
-        """A -0.0 at its position equals the nominal 0.0: it takes the
-        positional prediction and is not predicted."""
-        assert self.residuals_of_signed_zeros(monkeypatch, swap=False) == 0
+        assert_full_prediction_bytes(model, attacked)
+        assert rows == [29 * 2]  # the full prediction only
 
     def test_negative_zero_reuses_through_its_source(self, monkeypatch):
-        """A -0.0 that a swap moved equals the nominal 0.0 at its source:
-        it takes that row's prediction and is not predicted."""
-        assert self.residuals_of_signed_zeros(monkeypatch, swap=True) == 0
+        """A -0.0 voltage that a swap moved, beside the 0.0 it ties with,
+        keeps its sign and takes the prediction made from it at its source:
+        no row is predicted."""
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 5, 4)
+        v = np.where(rng.random((30, 3)) < 0.5, rng.choice([0.0, -0.0], (30, 3)),
+                     rng.choice(GRID, (30, 3)))
+        nominal = make_trace(v, i=np.where(np.arange(30) % 2, -0.0, 0.5))
+        attacked = apply_scenario(nominal, AttackScenario("swap_fdi", 3, 27))
+        source = attacked._origin[1]
+        assert (source != np.arange(90).reshape(30, 3)).any()
+        moved = np.signbit(nominal.v_modules.ravel().take(source))
+        assert moved[3:27].any()
+        assert np.array_equal(np.signbit(attacked.v_modules), moved)
+        run_detector(attacked, model, 0.5)
+        rows = counting_predictions(monkeypatch)
+        assert_full_prediction_bytes(model, attacked)
+        assert rows == [29 * 3]  # the full prediction only
 
     @pytest.mark.parametrize("scenario, modules", [
         (AttackScenario("swap_fdi", 10, 30), (1, 2)),
@@ -661,7 +670,8 @@ class TestAttackReuse:
         trace = make_trace(np.sort(rng.uniform(-1.2, 1.2, (40, 2)), axis=1),
                            i=rng.uniform(-1.2, 1.2, 40))
         want = full_prediction(model, trace, scenario, 0.5)
-        corrupted, _, source = apply_scenario(trace, scenario)
+        corrupted = apply_scenario(trace, scenario)
+        source = corrupted._origin[1]
         k0, kf = scenario.k0_s, scenario.kf_s
         moved = np.argwhere(source != np.arange(80).reshape(40, 2))
         assert sorted(map(tuple, moved.tolist())) == [
@@ -670,7 +680,7 @@ class TestAttackReuse:
         calls = recording_predictions(monkeypatch)
         got = pipeline.evaluate_attack(model, trace, scenario, 0.5)
         assert_same_outcome(got, want)
-        unserved = unserved_rows(corrupted, trace, source)
+        unserved = unserved_rows(corrupted)
         if scenario.kind == "swap_fdi":
             assert unserved == []
         else:
@@ -679,133 +689,103 @@ class TestAttackReuse:
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4),
            n=st.integers(2, 40), p_v=st.floats(0.0, 1.0),
-           p_i=st.floats(0.0, 1.0), with_source=st.booleans())
+           p_i=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_same_shape_equals_full_prediction_property(self, seed, q, n,
-                                                        p_v, p_i,
-                                                        with_source):
-        """A trace of the nominal's shape whose voltages and currents are
-        changed anywhere, to values of other nominal rows, new values or
-        signed zeros, gets the full prediction's bytes, with no source or
-        with any source map, whatever rows it points at."""
+                                                        p_v, p_i):
+        """A trace gathered through any source map, whatever rows it points
+        at, the last frame's included, from a nominal trace whose currents
+        repeat and hold signed zeros, gets the full prediction's bytes and
+        predicts exactly the rows that its source does not serve."""
         rng = np.random.default_rng(seed)
         model = random_model(rng, 4, 3)
         nominal = random_trace(rng, n, q)
-        fresh = random_trace(rng, n, q)
-        source = None
-        if with_source:
-            source = np.where(rng.random((n, q)) < p_v,
-                              rng.integers(0, n * q, (n, q)),
-                              np.arange(n * q).reshape(n, q))
-        v = np.where(rng.random((n, q)) < p_v,
-                     rng.permutation(nominal.v_modules.ravel()).reshape(n, q),
-                     nominal.v_modules)
-        if with_source:
-            v = np.where(rng.random((n, q)) < 0.5,
-                         nominal.v_modules.ravel().take(source), v)
-        v = np.where(rng.random((n, q)) < p_v / 2, fresh.v_modules, v)
-        i = np.where(rng.random(n) < p_i, rng.permutation(nominal.i_pack_a),
+        i = np.where(rng.random(n) < p_i, rng.choice([0.0, -0.0, 0.5], n),
                      nominal.i_pack_a)
-        i = np.where(rng.random(n) < p_i / 2, fresh.i_pack_a, i)
-        i = np.where(i == 0.0, -0.0, i)
-        want = sentinel.one_step_residuals(model, v, i)
-        got = sentinel.one_step_residuals(model, v, i, nominal, source)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-
-    def test_without_source_reuse_is_by_position(self, monkeypatch):
-        """Without a source map, a row takes only the prediction of the
-        nominal row at its own position: permuted voltages that the
-        nominal trace holds elsewhere are predicted."""
-        rng = np.random.default_rng(20)
-        model = random_model(rng, 5, 3)
-        nominal = make_trace(np.sort(rng.uniform(-1.2, 1.2, (20, 3)), axis=1),
-                             i=rng.uniform(-1.2, 1.2, 20))
-        v = nominal.v_modules.copy()
-        v[5:9] = v[5:9, ::-1]  # module 2 stays in place
-        want = sentinel.one_step_residuals(model, v, nominal.i_pack_a)
-        sentinel.one_step_residuals(model, nominal.v_modules,
-                                    nominal.i_pack_a, nominal)
-        calls = recording_predictions(monkeypatch)
-        got = sentinel.one_step_residuals(model, v, nominal.i_pack_a, nominal)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        trace = make_trace(v, i=nominal.i_pack_a)
-        assert calls == [unserved_rows(trace, nominal)]
-        assert len(calls[0]) == 4 * 2
+        nominal = replace(nominal, i_pack_a=i)
+        source = np.where(rng.random((n, q)) < p_v,
+                          rng.integers(0, n * q, (n, q)),
+                          np.arange(n * q).reshape(n, q))
+        trace = nominal.gathered(source, np.zeros(n, int), "x")
+        assert_full_prediction_bytes(model, trace)
+        unserved = unserved_rows(trace)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recording_predictions(patch)
+            sentinel._reuse(model, trace)
+        assert calls == ([unserved] if unserved else [])
 
     def test_changed_current_is_predicted(self, monkeypatch):
-        """Rows whose voltage is unchanged but whose current moved are not
-        served by the nominal row at their position: they are predicted."""
+        """Rows gathered from a frame of another current are not served by
+        their source row, although their voltages are its own: they are
+        predicted."""
         rng = np.random.default_rng(19)
         model = random_model(rng, 5, 3)
-        nominal = random_trace(rng, 20, 3)
-        i = nominal.i_pack_a.copy()
+        i = rng.uniform(-1.2, 1.2, 20)
         i[[4, 9]] = i[[9, 4]] + 1.5
-        want = sentinel.one_step_residuals(model, nominal.v_modules, i)
-        sentinel.one_step_residuals(model, nominal.v_modules,
-                                    nominal.i_pack_a, nominal)
-        rows = counting_predictions(monkeypatch)
-        got = sentinel.one_step_residuals(model, nominal.v_modules, i, nominal)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert rows == [2 * 3]
+        nominal = make_trace(rng.uniform(-1.2, 1.2, (20, 3)), i=i)
+        source = np.arange(60).reshape(20, 3)
+        source[[4, 9]] = source[[9, 4]]
+        trace = nominal.gathered(source, np.zeros(20, int), "x")
+        run_detector(trace, model, 0.5)
+        calls = recording_predictions(monkeypatch)
+        assert_full_prediction_bytes(model, trace)
+        assert calls[1:] == [unserved_rows(trace)] * 2
+        assert len(calls[1]) == 2 * 3
 
     def test_source_in_the_last_frame_is_predicted(self, monkeypatch):
-        """The last nominal frame feeds no prediction, so a row copied from
-        it is predicted even though both its values equal that frame's."""
+        """The last nominal frame feeds no prediction, so a row gathered
+        from it is predicted even though both its values equal that
+        frame's."""
         rng = np.random.default_rng(22)
         model = random_model(rng, 5, 3)
-        nominal = make_trace(rng.uniform(-1.2, 1.2, (10, 2)),
-                             i=rng.uniform(-1.2, 1.2, 10))
-        v, i = nominal.v_modules.copy(), nominal.i_pack_a.copy()
+        nominal = make_trace(rng.uniform(-1.2, 1.2, (10, 2)), i=0.25)
         source = np.arange(20).reshape(10, 2)
-        v[3, 0], i[3], source[3, 0] = v[9, 1], i[9], 9 * 2 + 1
-        want = sentinel.one_step_residuals(model, v, i)
-        sentinel.one_step_residuals(model, nominal.v_modules,
-                                    nominal.i_pack_a, nominal)
+        source[3, 0] = 9 * 2 + 1
+        trace = nominal.gathered(source, np.zeros(10, int), "x")
+        run_detector(trace, model, 0.5)
         calls = recording_predictions(monkeypatch)
-        got = sentinel.one_step_residuals(model, v, i, nominal, source)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        # Module 2 of frame 3 meets the new current at its own position.
-        assert calls == [[(v[3, 0], i[3]), (v[3, 1], i[3])]]
+        assert_full_prediction_bytes(model, trace)
+        assert calls[1:] == [[(nominal.v_modules[9, 1], 0.25)]] * 2
 
     @pytest.mark.parametrize("source, match", [
         (np.zeros((20, 2), dtype=float), "integer"),
         (np.zeros((19, 2), dtype=int), "shape"),
         (np.full((20, 2), -1), "index"),
         (np.full((20, 2), 40), "index"),
+        (np.zeros((20, 2), dtype=bool), "integer"),
     ])
     def test_bad_source_rejected(self, source, match):
-        rng = np.random.default_rng(21)
-        model = random_model(rng, 5, 3)
-        nominal = random_trace(rng, 20, 2)
+        """The source map is checked once, when the attacked trace is
+        gathered; no caller can hand one to the detector."""
+        nominal = random_trace(np.random.default_rng(21), 20, 2)
         with pytest.raises(ValueError, match=match):
-            sentinel.one_step_residuals(model, nominal.v_modules,
-                                        nominal.i_pack_a, nominal, source)
+            nominal.gathered(source, np.zeros(20, int), "x")
 
     def test_trace_equal_to_nominal_looks_nothing_up(self, monkeypatch):
+        """An attack that moves nothing (a zero-length window) takes every
+        row from the memo; its copy, equal but with no origin, is
+        predicted in full and gets no memo."""
         rng = np.random.default_rng(18)
         model = random_model(rng, 5, 3)
         trace = random_trace(rng, 40, 3)
+        equal = apply_scenario(trace, AttackScenario("swap_fdi", 10, 10))
+        assert equal == replace(trace, attack_mask=np.zeros(40, int))
         want = sentinel.one_step_residuals(model, trace.v_modules,
                                            trace.i_pack_a)
-        sentinel.one_step_residuals(model, trace.v_modules, trace.i_pack_a,
-                                    trace)
+        run_detector(equal, model, 0.5)
         rows = counting_predictions(monkeypatch)
-        equal = trace.copy()
-        for checked in (trace, equal):
-            got = sentinel.one_step_residuals(model, checked.v_modules,
-                                              checked.i_pack_a, trace)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        assert run_detector(equal, model, 0.5).r.tobytes() == want[1].tobytes()
         assert rows == []
-        assert equal._memo is None
+        copied = equal.copy()
+        assert run_detector(copied, model, 0.5).r.tobytes() == want[1].tobytes()
+        assert rows == [39 * 3]
+        assert copied._memo is None and equal._memo is None
 
     def test_copy_does_not_carry_memo(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, 5, 3)
         trace = random_trace(rng, 20, 2)
-        pipeline.evaluate_attack(model, trace, AttackScenario("swap_fdi", 5, 15), 0.5)
+        attacked = pipeline.evaluate_attack(
+            model, trace, AttackScenario("swap_fdi", 5, 15), 0.5)[0]
         assert trace._memo[0] is model and trace.copy()._memo is None
+        assert attacked._origin[0] is trace and attacked.copy()._origin is None

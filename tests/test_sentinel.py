@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_trace
 from test_boost import GRID, random_tree
+from test_pipeline import draw_scenario
 from voltsentry import boost, pipeline, sentinel
 from voltsentry.boost import Ensemble, NormSpec, Segment, Tree, TrainConfig, train
 from voltsentry.datasets import build_supervised
@@ -14,6 +15,7 @@ from voltsentry.sentinel import (DetectionTrace, DetectorState,
                                  calibrate_threshold, one_step_residuals,
                                  run_detector, step_detector)
 from voltsentry.simkit import TelemetryFrame
+from voltsentry.threatgen import AttackScenario, apply_scenario
 
 
 def constant_model(v, v_scale=1.0):
@@ -88,6 +90,45 @@ class TestCalibration:
     def test_margin_must_be_positive_and_finite(self, margin):
         with pytest.raises(ValueError, match="margin must be positive and finite"):
             calibrate_threshold([0.4, 0.7], margin=margin)
+
+    @pytest.mark.parametrize("residuals", [[0.5, np.nan], [np.nan, 0.5],
+                                           [0.5, np.inf], [-0.5, 0.25],
+                                           [0.25, -0.0, -1e-300]])
+    def test_nonfinite_or_negative_residuals_rejected(self, residuals):
+        """A NaN would make epsilon NaN, and a negative value is no
+        residual: both are rejected, not calibrated on."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            calibrate_threshold(residuals)
+
+    def test_negative_zero_residual_accepted(self):
+        assert calibrate_threshold([-0.0, 0.75]) == 1.0
+
+
+class TestDetectionTraceChecks:
+    """A detection trace is built only from one t_s per residual and
+    residuals that are one-dimensional, finite and nonnegative."""
+
+    @pytest.mark.parametrize("t_s", [np.arange(3.0), np.arange(6.0),
+                                     np.arange(5.0).reshape(5, 1)])
+    def test_times_of_another_shape_rejected(self, t_s):
+        with pytest.raises(ValueError, match="one t_s per residual"):
+            DetectionTrace(t_s, [0.1, 0.2, 0.3, 0.4, 5.0], 1.0)
+
+    def test_residuals_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            DetectionTrace(np.arange(4.0).reshape(2, 2), np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            DetectionTrace(np.float64(1.0), np.float64(0.5), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_nonfinite_or_negative_residual_rejected(self, bad):
+        """A NaN is not read as "no crossing", nor an infinity as one."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DetectionTrace(np.arange(1.0, 4.0), [0.1, bad, 0.3], 1.0)
+
+    def test_empty_residuals_accepted(self):
+        det = DetectionTrace(np.empty(0), np.empty(0), 1.0)
+        assert det.crossings == 0 and det.events == ()
 
 
 def apply_toggle(residuals, epsilon):
@@ -181,15 +222,19 @@ class TestStepDetector:
         assert np.array_equal(np.array(flags), det.flag)
         assert tuple(state.events) == det.events
 
-    @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(0, 5),
-           depth=st.integers(0, 4), q=st.integers(1, 5), n=st.integers(2, 60),
-           tie=st.booleans())
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n_trees=st.integers(0, 5), depth=st.integers(0, 4),
+           q=st.integers(1, 5), n=st.integers(2, 60), tie=st.booleans(),
+           attacked=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_streaming_equals_batch_property(self, seed, n_trees, depth, q, n,
-                                             tie):
+    def test_streaming_equals_batch_property(self, data, seed, n_trees, depth,
+                                             q, n, tie, attacked):
         """Random small ensembles on random traces: step_detector's
         residuals, flags and events equal run_detector's bit for bit, with
-        epsilon set on one of the residuals in half of the draws."""
+        epsilon set on one of the residuals in half of the draws.  In half
+        of the draws the trace is an apply_scenario attack, which
+        run_detector scores through its origin's memo, built on the first
+        call and read on the second."""
         rng = np.random.default_rng(seed)
         trees = tuple(random_tree(rng, depth) for _ in range(n_trees))
         model = Ensemble(float(rng.normal()),
@@ -198,11 +243,20 @@ class TestStepDetector:
         v = np.where(rng.random((n, q)) < 0.7, rng.choice(GRID, (n, q)),
                      rng.uniform(-1.2, 1.2, (n, q)))
         trace = make_trace(v, i=rng.choice(GRID, n))
+        scenario = draw_scenario(data, n, q) if attacked else None
+        if scenario is not None:
+            nominal = trace
+            trace = apply_scenario(nominal, scenario)
+            assert trace._origin[0] is nominal
         _, r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)
         positive = r[r > 0]
         epsilon = (float(rng.choice(positive)) if tie and positive.size
                    else float(rng.uniform(0.01, 2.0)))
         det = run_detector(trace, model, epsilon)
+        if scenario is not None:
+            assert nominal._memo[0] is model
+            again = run_detector(trace, model, epsilon)
+            assert again.r.tobytes() == det.r.tobytes()
         state = DetectorState.initial(epsilon, trace.frame(0))
         rs, flags = [], []
         for k in range(1, n):
@@ -345,18 +399,22 @@ class TestNonFiniteResidual:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("row", [0, -1])
     def test_memoized_nominal_written_after_construction(self, bad, row):
-        """The memo stays that of the trace as built, and a raw array
-        checked against it raises: a non-finite predictor input in the
-        walk, the last frame as a non-finite residual."""
+        """The memo stays that of the trace as built, which an attack
+        gathered from it reuses, and a raw array holding the refused value
+        raises: a non-finite predictor input in the walk, the last frame as
+        a non-finite residual."""
         model, _, nominal = ramp_model_and_trace()
-        run_detector(nominal, model, epsilon=0.1, nominal=nominal)
+        attacked = apply_scenario(nominal, AttackScenario(
+            "replay", 60, 75, record_start_s=10, record_end_s=25,
+            target_modules=(1,)))
+        want = run_detector(attacked, model, epsilon=0.1).r.tobytes()
         memo = nominal._memo
         assert memo[0] is model
         v = refused_write(nominal.v_modules, (row, 0), bad)
-        run_detector(nominal, model, epsilon=0.1, nominal=nominal)
+        assert run_detector(attacked, model, epsilon=0.1).r.tobytes() == want
         assert nominal._memo is memo
         with pytest.raises(ValueError, match="finite"):
-            one_step_residuals(model, v, nominal.i_pack_a, nominal)
+            one_step_residuals(model, v, nominal.i_pack_a)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_detector_overflowing_prediction(self):

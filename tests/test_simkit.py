@@ -9,6 +9,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import simkit_reference
+from conftest import make_trace
 from voltsentry import configio, datasets, simkit
 from voltsentry.simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,
                                SolverError, run_cccv_cell, run_cccv_pack)
@@ -327,7 +328,7 @@ class TestTelemetryTypes:
         cell = simkit.run_cccv_cell(simkit.default_cell(), policy, 0.5)
         pack = simkit.run_cccv_pack(simkit.pack1_config(),
                                     simkit.default_cell(), policy, 0.5)
-        attacked, _, _ = apply_scenario(pack, AttackScenario("swap_fdi", 5, 15))
+        attacked = apply_scenario(pack, AttackScenario("swap_fdi", 5, 15))
         datasets.write_trace(tmp_path / "attacked.csv", attacked)
         read = datasets.read_trace(tmp_path / "attacked.csv")
         assert pack.i_modules is not None and read.attack_mask is not None
@@ -342,6 +343,8 @@ class TestTelemetryTypes:
             for f in fields(trace):
                 with pytest.raises(FrozenInstanceError):
                     setattr(trace, f.name, getattr(trace, f.name))
+        with pytest.raises(ValueError):
+            attacked._origin[1].flags.writeable = True
 
     def test_trace_shape_checks(self):
         with pytest.raises(ValueError):
@@ -353,6 +356,21 @@ class TestTelemetryTypes:
                                   v_modules=np.ones((3, 1)),
                                   attack_mask=np.zeros(2, int))
 
+    @pytest.mark.parametrize("mask", [[0, 2, 1], [0, 0.5, 1], [0, -1, 1],
+                                      [0, np.nan, 1]])
+    def test_attack_mask_other_than_zero_or_one_rejected(self, mask):
+        """A mask value other than 0 and 1 would write a CSV that
+        read_trace refuses, or be written truncated (0.5 as 0)."""
+        trace = make_trace(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="attack_mask must be 0 or 1"):
+            replace(trace, attack_mask=np.array(mask))
+        with pytest.raises(ValueError, match="attack_mask must be 0 or 1"):
+            trace.gathered(np.arange(6).reshape(3, 2), np.array(mask), "x")
+        for ok in ([0, 1, 1], [0.0, 1.0, 0.0], [False, True, False]):
+            assert replace(trace, attack_mask=np.array(ok)).attack_mask.tolist() == ok
+            assert trace.gathered(np.arange(6).reshape(3, 2), np.array(ok),
+                                  "x").attack_mask.tolist() == ok
+
 
 def pack_trace(n=12):
     """A short pack 1 charge: it carries i_modules, as simulated traces do."""
@@ -362,36 +380,44 @@ def pack_trace(n=12):
 
 
 class TestWithVoltages:
-    """The attacked copy shares the nominal's checked, immutable arrays and
-    checks only what is new."""
+    """The attacked trace, this trace with gathered voltages
+    (``TelemetryTrace.gathered``), shares the nominal's checked, immutable
+    arrays, checks the source map and the mask once, and keeps the nominal
+    and the map as its origin."""
 
     def test_adopts_nominal_arrays(self):
         trace = pack_trace()
         n, q = trace.v_modules.shape
-        v = trace.v_modules[::-1].copy()
+        source = np.arange(n * q).reshape(n, q)[::-1].copy()
         mask = np.zeros(n, int)
         mask[3:7] = 1
-        out = trace.with_voltages(v, mask, "p1_swap_fdi")
+        out = trace.gathered(source, mask, "p1_swap_fdi")
         assert out.t_s is trace.t_s
         assert out.i_pack_a is trace.i_pack_a
         assert out.i_modules is trace.i_modules and out.i_modules is not None
         assert out.name == "p1_swap_fdi" and out._memo is None
-        for given, kept in ((v, out.v_modules), (mask, out.attack_mask)):
+        assert out.v_modules.tobytes() == trace.v_modules[::-1].tobytes()
+        origin, kept_source = out._origin
+        assert origin is trace and trace._origin is None
+        for given, kept in ((source, kept_source), (mask, out.attack_mask)):
             assert kept.tobytes() == given.tobytes()
             assert not np.shares_memory(given, kept)
         for a in (out.t_s, out.i_pack_a, out.i_modules, out.v_modules,
-                  out.attack_mask):
+                  out.attack_mask, kept_source):
             for view in (a, a[1:], a.reshape(-1)):
                 with pytest.raises(ValueError):
                     view.flags.writeable = True
-        v[0, 0] = 0.0
-        assert out.v_modules[0, 0] == trace.v_modules[-1, 0]
-        # The same value the constructor builds from the same arrays.
-        built = simkit.TelemetryTrace(trace.t_s, trace.i_pack_a, v_modules=out.v_modules,
+        source[0, 0] = 0
+        assert kept_source[0, 0] == n * q - q
+        # The same value the constructor builds from the same arrays, with
+        # no origin; a copy carries none either.
+        built = simkit.TelemetryTrace(trace.t_s, trace.i_pack_a,
+                                      v_modules=trace.v_modules[::-1],
                                       i_modules=trace.i_modules,
                                       attack_mask=mask, name="p1_swap_fdi")
         assert out == built and out.attack_mask.dtype == built.attack_mask.dtype
         assert out.v_modules.dtype == built.v_modules.dtype
+        assert built._origin is None and out.copy()._origin is None
         assert trace.attack_mask is None and trace.name == "p1"
 
     @pytest.mark.parametrize("v_shape, mask_len, match", [
@@ -403,24 +429,37 @@ class TestWithVoltages:
         ((12, 4), 13, "one entry per frame"),
     ])
     def test_wrong_shape_rejected(self, v_shape, mask_len, match):
+        """The source map, whose shape the gathered voltages take, must
+        have the trace's (n, q) shape, and the mask one entry per frame."""
         trace = pack_trace()
         assert trace.v_modules.shape == (12, 4)
         with pytest.raises(ValueError, match=match):
-            trace.with_voltages(np.full(v_shape, 350.0), np.zeros(mask_len, int),
-                                "x")
+            trace.gathered(np.zeros(v_shape, int), np.zeros(mask_len, int), "x")
 
     def test_two_dimensional_mask_rejected(self):
         trace = pack_trace()
         with pytest.raises(ValueError, match="one entry per frame"):
-            trace.with_voltages(trace.v_modules, np.zeros((12, 1), int), "x")
+            trace.gathered(np.zeros((12, 4), int), np.zeros((12, 1), int), "x")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_voltage_rejected(self, bad):
+        """A gather cannot hold a non-finite voltage: the trace it gathers
+        from rejects one when it is built and refuses one written after."""
         trace = pack_trace()
         v = trace.v_modules.copy()
         v[5, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            trace.with_voltages(v, np.zeros(12, int), "x")
+            replace(trace, v_modules=v)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.v_modules[5, 1] = bad
+        out = trace.gathered(np.full((12, 4), 5 * 4 + 1), np.zeros(12, int), "x")
+        assert np.isfinite(out.v_modules).all()
+
+    def test_unsigned_source_accepted(self):
+        trace = pack_trace()
+        source = np.arange(48, dtype=np.uint32).reshape(12, 4)
+        out = trace.gathered(source, np.zeros(12, int), "x")
+        assert out.v_modules.tobytes() == trace.v_modules.tobytes()
 
 
 def _outcome(run):

@@ -13,9 +13,8 @@ from voltsentry.threatgen import AttackScenario, apply_scenario
 
 def swap_one_frame(vs, i=100.0):
     """A one-frame trace after a swap attack over that frame."""
-    out, _, _ = apply_scenario(make_trace([vs], i=i),
-                               AttackScenario(kind="swap_fdi", k0_s=0, kf_s=1))
-    return out
+    return apply_scenario(make_trace([vs], i=i),
+                          AttackScenario(kind="swap_fdi", k0_s=0, kf_s=1))
 
 
 class TestApplySwap:
@@ -91,7 +90,7 @@ class TestApplyReplay:
 
     def test_replayed_values_match_recorded_window(self):
         trace = stair_trace()
-        out = apply_scenario(trace, self.paper_scenario())[0]
+        out = apply_scenario(trace, self.paper_scenario())
         assert out.v_modules[400, 0] == trace.v_modules[100, 0]
         assert out.v_modules[699, 1] == trace.v_modules[399, 1]
         # Non-target modules and the current channel are untouched.
@@ -100,7 +99,7 @@ class TestApplyReplay:
 
     def test_outside_window_identity(self):
         trace = stair_trace()
-        out = apply_scenario(trace, self.paper_scenario())[0]
+        out = apply_scenario(trace, self.paper_scenario())
         assert np.array_equal(out.v_modules[:400], trace.v_modules[:400])
         assert np.array_equal(out.v_modules[700:], trace.v_modules[700:])
 
@@ -122,15 +121,14 @@ class TestApplyScenario:
     def test_swap_mask_covers_window_exactly(self):
         trace = stair_trace(q=4)
         scenario = AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700)
-        out, mask, _ = apply_scenario(trace, scenario)
+        mask = apply_scenario(trace, scenario).attack_mask
         assert mask.sum() == 400
         assert np.all(mask[300:700] == 1)
         assert np.all(mask[:300] == 0) and np.all(mask[700:] == 0)
-        assert out.attack_mask is mask
 
     def test_swap_rows_descending_inside_window(self):
         trace = stair_trace(q=4)
-        out, mask, _ = apply_scenario(
+        out = apply_scenario(
             trace, AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700))
         inside = out.v_modules[300:700]
         assert np.all(np.diff(inside, axis=1) <= 0)
@@ -146,10 +144,12 @@ class TestApplyScenario:
 
     def test_zero_length_window_identity(self):
         trace = stair_trace(q=4)
-        out, mask, source = apply_scenario(
+        out = apply_scenario(
             trace, AttackScenario(kind="swap_fdi", k0_s=300, kf_s=300))
         assert np.array_equal(out.v_modules, trace.v_modules)
-        assert mask.sum() == 0
+        assert out.attack_mask.sum() == 0
+        origin, source = out._origin
+        assert origin is trace
         assert np.array_equal(source.ravel(), np.arange(trace.v_modules.size))
 
     def test_double_swap_restores_when_strictly_ordered(self):
@@ -158,9 +158,8 @@ class TestApplyScenario:
         # and the second application leaves it unchanged.
         trace = stair_trace(q=2)
         scenario = AttackScenario(kind="swap_fdi", k0_s=100, kf_s=200)
-        once, _, _ = apply_scenario(trace, scenario)
-        once = replace(once, attack_mask=None)
-        twice, _, _ = apply_scenario(once, scenario)
+        once = replace(apply_scenario(trace, scenario), attack_mask=None)
+        twice = apply_scenario(once, scenario)
         assert np.array_equal(twice.v_modules, once.v_modules)
         inside = once.v_modules[100:200]
         assert np.all(inside[:, 0] >= inside[:, 1])
@@ -175,12 +174,12 @@ class TestApplyScenario:
         from voltsentry.datasets import read_trace, write_trace
         trace = stair_trace(q=3)
         trace = replace(trace, v_modules=np.round(trace.v_modules, 6))
-        out, mask, _ = apply_scenario(
+        out = apply_scenario(
             trace, AttackScenario(kind="swap_fdi", k0_s=5, kf_s=15))
         path = tmp_path / "corrupt.csv"
         write_trace(path, out)
         back = read_trace(path)
-        assert np.array_equal(back.attack_mask, mask)
+        assert np.array_equal(back.attack_mask, out.attack_mask)
         assert back == out
 
 
@@ -208,10 +207,9 @@ class TestAttackWindowProperty:
             k0 = data.draw(st.integers(0, n))
             scenario = AttackScenario(kind="swap_fdi", k0_s=k0,
                                       kf_s=data.draw(st.integers(k0, n)))
-        out, mask, _ = apply_scenario(trace, scenario)
+        out = apply_scenario(trace, scenario)
         window = (trace.t_s >= scenario.k0_s) & (trace.t_s < scenario.kf_s)
-        assert np.array_equal(mask, window.astype(int))
-        assert out.attack_mask is mask
+        assert np.array_equal(out.attack_mask, window.astype(int))
         assert out.i_pack_a.tobytes() == trace.i_pack_a.tobytes()
         assert out.t_s.tobytes() == trace.t_s.tobytes()
         assert out.v_modules[~window].tobytes() == trace.v_modules[~window].tobytes()
@@ -264,7 +262,10 @@ class TestSourceMapMatchesReference:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 apply_scenario(trace, scenario)
             return
-        got, mask, source = apply_scenario(trace, scenario)
+        got = apply_scenario(trace, scenario)
+        mask = got.attack_mask
+        origin, source = got._origin
+        assert origin is trace
         assert got.v_modules.tobytes() == want.v_modules.tobytes()
         assert got == want and got.name == want.name
         assert mask.tobytes() == want_mask.tobytes()
@@ -313,8 +314,9 @@ class TestSourceMapMatchesReference:
         """-0.0 and 0.0 compare equal, so a swap keeps them in module
         order, as a stable descending sort does."""
         trace = make_trace([[0.0, -0.0, 1.0, -0.0, 0.0]], i=1.0)
-        out, _, source = apply_scenario(
+        out = apply_scenario(
             trace, AttackScenario(kind="swap_fdi", k0_s=0, kf_s=1))
+        source = out._origin[1]
         assert source.tolist() == [[2, 0, 1, 3, 4]]
         assert np.signbit(out.v_modules[0]).tolist() == [
             False, False, True, True, False]
