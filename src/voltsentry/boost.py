@@ -69,12 +69,15 @@ reaches the same leaf, and the leaf values are summed onto the start in
 tree order by np.add.accumulate, the same float additions in the same order
 as adding one tree at a time (np.sum would sum pairwise).  NaN would go the
 other way from the < rule, so the walk rejects non-finite features.
-_NodeTable.walk is the only prediction walk: predict_model_space and
-predict_batch use it.  The validation loss during training needs only the
-one new tree: each validation row is routed down it by the same rule
-(_leaf_of) and gains the lr * w of its leaf, the single float addition
-the walk of a one-tree table makes, so the loss curves are the same bytes.
-The validation matrix is checked for finite values once per segment.
+_NodeTable.walk is the only walk of a finished tree: predict_model_space
+and predict_batch use it.  While a tree grows, the grower routes both the
+training and the validation rows down each split it chooses; a
+validation row goes left iff x_f < thr, which for finite x is exactly not
+the walk's x_f >= thr, so it reaches the leaf the walk would.  Each
+validation row then gains the lr * w of its leaf, the single float
+addition the walk of a one-tree table makes, so the loss curves are the
+same bytes.  The validation matrix is checked for finite values once per
+segment, before the grower takes it.
 
 An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
@@ -371,14 +374,23 @@ class _ColumnBlocks:
     indices that are in range by construction: rows of the segment's
     argsort, candidate positions below m - 1 of a node of m rows, and node
     indices of the tree just grown.
+
+    Validation rows (intp indices into the finite matrix val_x) start every
+    grow at the root and go down each chosen split, left iff x_f < thr, the
+    walk's rule; val_leaf[r] is then the leaf of validation row r.
     """
 
-    def __init__(self, x: np.ndarray, cfg: TrainConfig):
+    def __init__(self, x: np.ndarray, cfg: TrainConfig, val_x=None):
         n = x.shape[0]
         if n >= 2 ** 31:
             raise ValueError("training data must have fewer than 2**31 rows")
+        if val_x is None:
+            val_x = np.empty((0, 2))
         self.cfg = cfg
         self.g = None
+        self.val_cols = [np.ascontiguousarray(val_x[:, f]) for f in (0, 1)]
+        self.val_root = np.arange(val_x.shape[0])
+        self.val_leaf = np.empty(val_x.shape[0], dtype=np.intp)
         self._g, self._cum, self._gl = (np.empty(n) for _ in range(3))
         self._rank = np.empty(n, dtype=np.int32)
         self.leaf = np.empty(n, dtype=np.intp)
@@ -394,10 +406,10 @@ class _ColumnBlocks:
             self.rank.append(rank)
 
     def grow(self, g: np.ndarray) -> Tree:
-        """Fit one tree to the gradients g; leaf[r] is the node of row r."""
+        """Fit one tree to the gradients g; see leaf and val_leaf."""
         self.g = g
         nodes: list = []
-        self._node(self.root, 0, nodes)
+        self._node(self.root, self.val_root, 0, nodes)
         return Tree(*zip(*nodes))
 
     def _candidates(self, f: int, rows: np.ndarray) -> np.ndarray:
@@ -412,9 +424,10 @@ class _ColumnBlocks:
         ok &= np.greater(mid, lo, out=self._mask[:lo.shape[0]])
         return np.flatnonzero(ok).astype(np.int32)
 
-    def _node(self, node, depth: int, nodes: list) -> int:
-        """Append the subtree of a node to nodes, one (feature, threshold,
-        left, right, weight) row per node in preorder; returns its index."""
+    def _node(self, node, val, depth: int, nodes: list) -> int:
+        """Append the subtree of a node, which holds the validation rows
+        val, to nodes, one (feature, threshold, left, right, weight) row per
+        node in preorder; returns its index."""
         cfg = self.cfg
         pos = len(nodes)
         rows0 = node[0][0]
@@ -426,6 +439,7 @@ class _ColumnBlocks:
             best = self._split(node, m, g_sum)
         if best is None or best[0] <= 0.0:
             self.leaf[rows0] = pos
+            self.val_leaf[val] = pos
             nodes.append((-1, 0.0, -1, -1, leaf_weight(g_sum, float(m),
                                                        cfg.lambda_l2)))
             return pos
@@ -454,9 +468,10 @@ class _ColumnBlocks:
             for child, part in zip(children, parts):
                 block = (part, self._candidates(1 - f, part) if full else None)
                 child.insert(1 - f, block)
+        below = self.val_cols[f].take(val) < thr
         nodes.append(None)
-        left = self._node(children[0], depth + 1, nodes)
-        right = self._node(children[1], depth + 1, nodes)
+        left = self._node(children[0], val.compress(below), depth + 1, nodes)
+        right = self._node(children[1], val.compress(~below), depth + 1, nodes)
         nodes[pos] = (f, thr, left, right, 0.0)
         return pos
 
@@ -508,32 +523,6 @@ class _ColumnBlocks:
         return best
 
 
-def _leaf_of(tree: Tree, v: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The leaf node that each finite row (v[r], i[r]) reaches in ``tree``,
-    by the walk's rule: to the right child when x[feature] >= threshold.
-
-    A leaf is its own child with threshold +inf, so a row that reached it
-    stays there for the remaining levels.
-    """
-    feature, left, right = (a.tolist() for a in
-                            (tree.feature, tree.left, tree.right))
-    depth = [0] * len(feature)
-    for j, f in enumerate(feature):  # preorder: parents come first
-        if f >= 0:
-            depth[left[j]] = depth[right[j]] = depth[j] + 1
-    leaf = tree.feature < 0
-    own = np.arange(leaf.size)
-    threshold = np.where(leaf, np.inf, tree.threshold)
-    children = np.column_stack([np.where(leaf, own, tree.left),
-                                np.where(leaf, own, tree.right)]).ravel()
-    split_i = tree.feature == 1
-    node = np.zeros(v.shape[0], dtype=np.intp)
-    for _ in range(max(depth)):
-        x = np.where(split_i.take(node), i, v)
-        node = children.take(2 * node + (x >= threshold.take(node)))
-    return node
-
-
 def _max_abs_error(y, preds) -> float:
     return float(np.max(np.abs(y - preds)))
 
@@ -555,16 +544,16 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     if cfg.n_trees == 0:
         history.val_max_abs_end = history.val_max_abs_start
         return Segment(tag, cfg.learning_rate, ()), history
-    blocks = _ColumnBlocks(x, cfg)
-    # g holds the gradients while a tree grows, then serves as the scratch
-    # for its predictions and errors; val_buf is that scratch for the
-    # validation rows.
-    g = np.empty_like(y)
     if val_x is not None:
         val_x = np.asarray(val_x, dtype=float)
         if not np.all(np.isfinite(val_x)):
             raise ValueError("features must be finite")
         val_buf = np.empty_like(val_y)
+    blocks = _ColumnBlocks(x, cfg, val_x)
+    # g holds the gradients while a tree grows, then serves as the scratch
+    # for its predictions and errors; val_buf is that scratch for the
+    # validation rows.
+    g = np.empty_like(y)
     for rnd in range(cfg.n_trees):
         np.subtract(preds, y, out=g)
         if not math.isfinite(float(np.dot(g, g))):
@@ -580,8 +569,7 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
         history.train_mse.append(loss)
         if val_x is not None:
             val_preds += (cfg.learning_rate * tree.weight).take(
-                _leaf_of(tree, val_x[:, 0], val_x[:, 1]), out=val_buf,
-                mode="clip")
+                blocks.val_leaf, out=val_buf, mode="clip")
             np.subtract(val_y, val_preds, out=val_buf)
             history.val_mse.append(float(np.mean(np.square(val_buf, out=val_buf))))
         trees.append(tree)

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import __version__, boost, configio, datasets, pipeline, sentinel
+from . import __version__, boost, configio, datasets, pipeline, sentinel, transfer
 from .boost import ModelParseError, TrainingError
 from .datasets import TraceParseError
 from .reports import (RunReport, read_report, write_loss_curve, write_report,
@@ -162,6 +162,12 @@ def cmd_finetune(args) -> int:
     out_dir = _out_dir(args)
     train_traces = [datasets.read_trace(p) for p in args.traces]
     test_trace = datasets.read_trace(args.test_trace)
+    # The base model under the pack's normalization reads the traces at
+    # cell scale, as the fine-tune will.
+    under_pack = boost.Ensemble(base.base_score, base.segments,
+                                transfer.norm_for_pack(spec.pack))
+    for trace in (*train_traces, test_trace):
+        check_model_trace_compat(under_pack, trace)
     model, info, seconds = pipeline.finetune_pack(
         base, spec.pack, train_traces, test_trace, recipe, cell=spec.cell)
 

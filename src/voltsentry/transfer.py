@@ -36,11 +36,13 @@ def finetune(base: Ensemble, pack_train, pack_val, cfg: TrainConfig,
     result carries the pack normalization, so raw module voltages and pack
     currents feed the same trees at cell scale.  With ``cfg.n_trees == 0``
     the appended segment is empty: the base model under the pack's norm.
+    Without ``pack_val`` (None or no rows) it trains without validation, as
+    ``boost.train`` does: the history's val_mse is empty, its maxima None.
     """
     if len(pack_train) == 0:
         raise ValueError("pack training data is empty")
     for name, ds in (("train", pack_train), ("val", pack_val)):
-        ds_norm = ds.meta.get("norm")
+        ds_norm = ds.meta.get("norm") if ds is not None else None
         if ds_norm is not None and ds_norm != norm:
             raise ValueError(f"pack {name} set normalized with {ds_norm}, expected {norm}")
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -295,10 +295,13 @@ class TestTrain:
 
 
 def feature_column(rng, style, n):
-    """One feature column: constant, few distinct values, neighbours one
-    float apart (degenerate midpoints), or continuous."""
+    """One feature column: constant, few distinct values (signed: around 0,
+    so that 0.0 is a threshold), neighbours one float apart (degenerate
+    midpoints), or continuous."""
     if style == "constant":
         return np.full(n, 0.75)
+    if style == "signed":
+        return (rng.integers(0, 4, size=n) - 1.5) * 0.5
     if style == "grid":
         return rng.integers(0, 5, size=n) * 0.25
     if style == "ulp":
@@ -403,6 +406,73 @@ class TestKernelMatchesReference:
             assert runs[0][0] == want
             assert runs[0][1] == want_hist
             assert np.array_equal(runs[0][2], want_preds)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+           styles=st.tuples(*[st.sampled_from(["signed", "grid", "ulp",
+                                                "uniform"])] * 2),
+           depth=st.integers(1, 8),
+           min_child_weight=st.sampled_from([0.0, 1.0, 3.5]),
+           warm=st.booleans(), n_val=st.integers(0, 40))
+    @example(seed=0, n=3, styles=("signed", "uniform"), depth=2,
+             min_child_weight=3.5, warm=False, n_val=8)  # the root is a leaf
+    @example(seed=1, n=50, styles=("signed", "grid"), depth=3,
+             min_child_weight=1.0, warm=True, n_val=0)
+    @settings(max_examples=150, deadline=None)
+    def test_validation_routing_reaches_the_walked_leaf(
+            self, seed, n, styles, depth, min_child_weight, warm, n_val):
+        """The grower routes each validation row to the leaf the walk of
+        the new tree reaches, with most rows on the grown thresholds and
+        signed zeros: every round adds what a one-tree node table adds."""
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([feature_column(rng, s, n) for s in styles])
+        y = rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n) * (seed % 2)
+        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.3,
+                          min_child_weight=min_child_weight)
+        if warm:  # a fine-tune segment continues from non-constant predictions
+            preds, tag = y + rng.normal(size=n), "finetune"
+            val_start = rng.normal(size=n_val)
+        else:
+            preds, tag = np.full(n, float(y.mean())), "base"
+            val_start = np.full(n_val, float(y.mean()))
+        # Trees do not depend on the validation rows: grow them first and
+        # put about 70 % of the validation values on their thresholds.
+        trees = boost._boost_segment(x, y, preds.copy(), cfg, tag)[0].trees
+        val_x = rng.uniform(-1.0, 1.0, size=(n_val, 2))
+        for f in (0, 1):
+            thresholds = np.concatenate([t.threshold[t.feature == f] for t in trees])
+            on = rng.random(n_val) < 0.7
+            val_x[on, f] = rng.choice(
+                thresholds if thresholds.size else x[:, f], on.sum())
+        val_x = np.where(val_x == 0.0,
+                         np.where(rng.random((n_val, 2)) < 0.5, -0.0, 0.0), val_x)
+        val_y = rng.normal(size=n_val)
+        # train and finetune pass a set of no rows as None; the grower
+        # then routes a matrix of no rows.
+        val_preds = val_start.copy()
+        val = (val_x, val_y, val_preds) if n_val else (None,) * 3
+        seen = []
+        grow = boost._ColumnBlocks.grow
+
+        def spy(blocks, g):
+            seen.append(val_preds.copy())
+            return grow(blocks, g)
+
+        with mock.patch.object(boost._ColumnBlocks, "grow", spy):
+            segment, history = boost._boost_segment(
+                x, y, preds.copy(), cfg, tag, *val)
+        seen.append(val_preds)
+        for tree, before, after in zip(segment.trees, seen, seen[1:]):
+            want = boost._NodeTable([(cfg.learning_rate, tree)]).walk(val_x, before)
+            assert after.tobytes() == want.tobytes()
+        assert len(seen) == cfg.n_trees + 1
+        want_val = (val_x, val_y, val_start.copy()) if n_val else (None,) * 3
+        want_segment, want_history = column_block_boost_segment(
+            x, y, preds.copy(), cfg, tag, *want_val)
+        assert history == want_history
+        assert (boost.model_to_json(Ensemble(0.0, (segment,)))
+                == boost.model_to_json(Ensemble(0.0, (want_segment,))))
+        if n_val:
+            assert history.val_max_abs_end == np.max(np.abs(val_y - val_preds))
 
     def test_workspace_carries_no_state(self):
         """Base training, a fine-tune on a smaller set and base training
@@ -680,22 +750,6 @@ class TestCompiledWalk:
         assert got.shape == (n,)
         assert got.tobytes() == per_tree_walk(ens, x).tobytes()
         assert got.tobytes() == per_row_walk(ens, x).tobytes()
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 8),
-           n=st.integers(0, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_validation_routing_reaches_the_walked_leaf(self, seed, depth, n):
-        """Training routes validation rows down the new tree to the leaf the
-        per-tree walk reaches, with rows on thresholds and signed zeros."""
-        rng = np.random.default_rng(seed)
-        tree = random_tree(rng, depth)
-        x = np.where(rng.random((n, 2)) < 0.7, rng.choice(GRID, (n, 2)),
-                     rng.uniform(-1.2, 1.2, (n, 2)))
-        x = np.where(x == 0.0, np.where(rng.random((n, 2)) < 0.5, -0.0, 0.0), x)
-        leaves = boost._leaf_of(tree, np.ascontiguousarray(x[:, 0]),
-                                np.ascontiguousarray(x[:, 1]))
-        assert (tree.feature[leaves] == -1).all()
-        assert tree.weight[leaves].tobytes() == _eval_tree(tree, x).tobytes()
 
     def test_nonfinite_validation_rejected_before_training(self):
         x = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import write_sim_config
+from conftest import canonical_config, write_sim_config
 from test_configio import drop_option
 from voltsentry import boost, cli, datasets, pipeline, simkit
 from voltsentry.configio import SimRunSpec, write_scenario
@@ -170,6 +170,43 @@ class TestFinetuneNominalVoltage:
         assert info["test_max_abs_error_fraction"] == (
             info["test_max_abs_error_v"] / (4 * 4.1))
         assert info["test_max_abs_error_v"] == default["model"]["test_max_abs_error_v"]
+
+
+class TestFinetuneDomainGuard:
+    def test_wrong_scale_trace_exits_5(self, base_model, pack1_bundle,
+                                       tmp_path, capsys):
+        """finetune checks every trace against the base model under the
+        pack's normalization before it builds a set: the canonical pack 1
+        charges pass, and each of them with its module voltages ten times
+        too large exits 5 and writes no model."""
+        model = tmp_path / "model_base.json"
+        boost.save_model(model, base_model)
+        traces = [*pack1_bundle["traces"]["train"], pack1_bundle["traces"]["test"]]
+        paths = []
+        for trace in traces:
+            paths.append(tmp_path / f"{trace.name}.csv")
+            datasets.write_trace(paths[-1], trace)
+
+        def finetune(paths, out):
+            return cli.main(["finetune", "--model", str(model),
+                             "--config", canonical_config("pack1_c100"),
+                             "--traces", str(paths[0]), str(paths[1]),
+                             "--test-trace", str(paths[2]), "--recipe", "pack1",
+                             "--out-dir", str(tmp_path / out)])
+
+        assert finetune(paths, "ok") == 0
+        capsys.readouterr()
+        for k, trace in enumerate(traces):
+            scaled = tmp_path / f"{trace.name}_x10.csv"
+            datasets.write_trace(scaled, simkit.TelemetryTrace(
+                t_s=trace.t_s, i_pack_a=trace.i_pack_a,
+                v_modules=trace.v_modules * 10.0))
+            out = f"x10_{k}"
+            assert finetune(paths[:k] + [scaled] + paths[k + 1:], out) == 5
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "invalid-input"
+            assert "model/trace mismatch" in err["message"]
+            assert not (tmp_path / out / "model_pack1.json").exists()
 
 
 class TestTrainBaseNominalVoltage:

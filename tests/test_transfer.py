@@ -128,6 +128,26 @@ class TestFinetune:
         assert tl.history.val_max_abs_start == max_abs(base)
         assert tl.history.val_max_abs_end == max_abs(tl)
 
+    def test_without_validation_set(self):
+        """No validation set, None or of no rows, trains the same trees
+        and records no validation loss."""
+        base = small_base()
+        rng = np.random.default_rng(10)
+        x = np.column_stack([rng.uniform(3.0, 4.2, 300), rng.uniform(2, 6, 300)])
+        y = x[:, 0] + 0.02 + 0.003 * rng.normal(size=300)
+        norm = NormSpec()
+        train_set = dataset(x[:250], y[:250], norm)
+        cfg = TrainConfig(n_trees=3, max_depth=3, learning_rate=0.1)
+        with_val = finetune(base, train_set, dataset(x[250:], y[250:], norm),
+                            cfg, norm)
+        for val in (None, dataset(np.empty((0, 2)), np.empty(0), norm)):
+            tl = finetune(base, train_set, val, cfg, norm)
+            assert boost.model_to_json(tl) == boost.model_to_json(with_val)
+            assert tl.history.train_mse == with_val.history.train_mse
+            assert tl.history.val_mse == []
+            assert tl.history.val_max_abs_start is None
+            assert tl.history.val_max_abs_end is None
+
     def test_empty_pack_data_rejected(self):
         base = small_base()
         empty = dataset(np.empty((0, 2)), np.empty(0), NormSpec())
