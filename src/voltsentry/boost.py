@@ -83,6 +83,9 @@ An Ensemble is an ordered list of segments (base first, then fine-tune),
 each a list of trees sharing one learning rate.  The NormSpec stored on the
 ensemble maps physical inputs to model space: voltages divide by v_scale,
 currents by i_scale, and predictions multiply back by v_scale.
+Training is continued boosting, as in XGBoost: train boosts one segment
+onto the empty ensemble at the mean target, transfer.finetune onto the
+base model, both through _boost_onto.
 """
 
 from __future__ import annotations
@@ -532,15 +535,17 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     """Run cfg.n_trees boosting rounds starting from the given predictions.
 
     Mutates preds / val_preds in place and returns (Segment, BoostHistory).
-    The history's validation maxima are those a prediction of the
-    validation rows would give, since val_preds gains each tree's lr * w
-    in tree order, as the walk adds them.  A segment of no trees presorts
-    nothing.
+    Validation rows, if any (a val_x of no rows is none), give the history's
+    val_mse and maxima, those a prediction of them would give: val_preds
+    gains each tree's lr * w in tree order, as the walk adds them.  A
+    segment of no trees presorts nothing.
     """
     history = BoostHistory()
     trees = []
-    if val_x is not None:
+    if val_x is not None and len(val_x):
         history.val_max_abs_start = _max_abs_error(val_y, val_preds)
+    else:
+        val_x = None
     if cfg.n_trees == 0:
         history.val_max_abs_end = history.val_max_abs_start
         return Segment(tag, cfg.learning_rate, ()), history
@@ -578,26 +583,31 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     return Segment(tag, cfg.learning_rate, tuple(trees)), history
 
 
+def _boost_onto(prior: Ensemble, data, val, cfg: TrainConfig,
+                tag: str) -> Ensemble:
+    """prior plus a segment tagged tag, boosted from prior's predictions of
+    the supervised sets data and val (None: no validation), under data's
+    normalization, which val must share.  The walk rejects non-finite
+    features before any tree grows."""
+    if val is not None and val.norm != data.norm:
+        raise ValueError(f"validation set normalized with {val.norm}, "
+                         f"training set with {data.norm}")
+    preds = predict_model_space(prior, data.x)
+    vals = () if val is None else (val.x, val.y, predict_model_space(prior, val.x))
+    segment, history = _boost_segment(data.x, data.y, preds, cfg, tag, *vals)
+    return Ensemble(prior.base_score, prior.segments + (segment,), data.norm,
+                    history)
+
+
 def train(data, val, cfg: TrainConfig) -> Ensemble:
-    """Train a base ensemble; loss curves land on ensemble.history."""
-    x = np.asarray(data.x, dtype=float)
-    y = np.asarray(data.y, dtype=float)
-    if x.shape[0] == 0:
+    """Train a base ensemble from the mean target; loss curves land on
+    ensemble.history."""
+    if len(data) == 0:
         raise ValueError("training data is empty")
     if cfg.n_trees < 1:
         raise ValueError("base training needs n_trees >= 1")
-    norm = data.meta.get("norm", NormSpec()) if hasattr(data, "meta") else NormSpec()
-    base_score = float(y.mean())
-    preds = np.full(y.shape, base_score)
-    val_x = val_y = val_preds = None
-    if val is not None and len(val.y):
-        val_x = np.asarray(val.x, dtype=float)
-        val_y = np.asarray(val.y, dtype=float)
-        val_preds = np.full(val_y.shape, base_score)
-    segment, history = _boost_segment(
-        x, y, preds, cfg, "base", val_x, val_y, val_preds)
-    return Ensemble(base_score=base_score, segments=(segment,), norm=norm,
-                    history=history)
+    return _boost_onto(Ensemble(float(data.y.mean()), ()), data, val, cfg,
+                       "base")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ report.  Every command exits 0 on success; failures print a one-line JSON
 object {"error": <category>, "message": ...} to stderr and exit nonzero:
 
     3  missing-file      referenced file does not exist
-    4  parse-error       config / CSV / model file malformed
+    4  parse-error       config / CSV / model / report file malformed
     5  invalid-input     values violate a contract (ranges, q mismatch, ...)
     6  runtime-error     solver or training abort
 
@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__, boost, configio, datasets, pipeline, sentinel, transfer
 from .boost import ModelParseError, TrainingError
 from .datasets import TraceParseError
-from .reports import (RunReport, read_report, write_loss_curve, write_report,
-                      write_timings)
+from .reports import (ReportParseError, RunReport, read_report,
+                      write_loss_curve, write_report, write_timings)
 from .simkit import SolverError
 
 
@@ -63,13 +63,14 @@ def _provenance(**file_paths) -> dict:
 DOMAIN_TOLERANCE_V = 0.05
 
 
-def check_model_trace_compat(model: boost.Ensemble, trace) -> None:
-    """Domain guard: the trace's per-cell voltages (module voltages over the
-    model's v_scale) must lie within the span of the model's feature-0
-    thresholds, widened by DOMAIN_TOLERANCE_V.  Outside that span every
-    tree is flat, so predictions there are extrapolation, and a trace of
-    the wrong scale lands far outside it.  A model that never splits on
-    voltage has no span and accepts every trace."""
+def check_model_trace_compat(model: boost.Ensemble, trace, v_scale: float) -> None:
+    """Domain guard: the trace's per-cell voltages (module voltages over
+    v_scale, the scale the model will read the trace at) must lie within
+    the span of the model's feature-0 thresholds, widened by
+    DOMAIN_TOLERANCE_V.  Outside that span every tree is flat, so
+    predictions there are extrapolation, and a trace of the wrong scale
+    lands far outside it.  A model that never splits on voltage has no
+    span and accepts every trace."""
     table = model.table
     thresholds = table.threshold[~table.split_i]
     thresholds = thresholds[np.isfinite(thresholds)]  # leaves hold +inf
@@ -77,7 +78,7 @@ def check_model_trace_compat(model: boost.Ensemble, trace) -> None:
         return
     lo = thresholds.min() - DOMAIN_TOLERANCE_V
     hi = thresholds.max() + DOMAIN_TOLERANCE_V
-    per_cell = trace.v_modules / model.norm.v_scale
+    per_cell = trace.v_modules / v_scale
     if per_cell.min() < lo or per_cell.max() > hi:
         raise ValueError(
             "model/trace mismatch: per-cell voltages "
@@ -162,12 +163,10 @@ def cmd_finetune(args) -> int:
     out_dir = _out_dir(args)
     train_traces = [datasets.read_trace(p) for p in args.traces]
     test_trace = datasets.read_trace(args.test_trace)
-    # The base model under the pack's normalization reads the traces at
-    # cell scale, as the fine-tune will.
-    under_pack = boost.Ensemble(base.base_score, base.segments,
-                                transfer.norm_for_pack(spec.pack))
+    # The fine-tune reads the traces at the pack's cell scale.
+    v_scale = transfer.norm_for_pack(spec.pack).v_scale
     for trace in (*train_traces, test_trace):
-        check_model_trace_compat(under_pack, trace)
+        check_model_trace_compat(base, trace, v_scale)
     model, info, seconds = pipeline.finetune_pack(
         base, spec.pack, train_traces, test_trace, recipe, cell=spec.cell)
 
@@ -197,7 +196,7 @@ def cmd_finetune(args) -> int:
 def cmd_calibrate(args) -> int:
     model = boost.load_model(args.model)
     trace = datasets.read_trace(args.trace)
-    check_model_trace_compat(model, trace)
+    check_model_trace_compat(model, trace, model.norm.v_scale)
     out_dir = _out_dir(args)
     epsilon, det, preds = pipeline.calibrate_on_trace(model, trace, args.margin)
 
@@ -225,7 +224,7 @@ def cmd_calibrate(args) -> int:
 def cmd_attack_eval(args) -> int:
     model = boost.load_model(args.model)
     trace = datasets.read_trace(args.trace)
-    check_model_trace_compat(model, trace)
+    check_model_trace_compat(model, trace, model.norm.v_scale)
     scenario = configio.read_scenario(args.scenario)
     if not 0.0 < args.epsilon < math.inf:
         raise ValueError("--epsilon must be positive and finite")
@@ -329,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_EXITS = (
     (FileNotFoundError, "missing-file", 3),
-    ((TraceParseError, ModelParseError, configparser.Error, json.JSONDecodeError),
-     "parse-error", 4),
+    ((TraceParseError, ModelParseError, ReportParseError, configparser.Error,
+      json.JSONDecodeError), "parse-error", 4),
     ((SolverError, TrainingError), "runtime-error", 6),
     (ValueError, "invalid-input", 5),
 )

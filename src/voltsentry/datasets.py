@@ -6,13 +6,15 @@ with 6 decimal places.
 
 Supervised pairs map the frame at step k to the voltage at step k+1 of the
 same module: x = [v(k), i(k)], y = v(k+1).  Module indices are 1-based
-throughout the public API, matching the CSV header.
+throughout the public API, matching the CSV header.  A SupervisedSet
+carries the NormSpec it was built with and the (trace name, module) keys
+of its pairs as typed fields; boosting reads its normalization there.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -34,14 +36,15 @@ class SupervisedSet:
     """Feature/target pairs for one-step-ahead voltage prediction.
 
     ``x`` has shape (N, 2) with columns (voltage, current); ``y`` has shape
-    (N,).  When built with a non-identity NormSpec both are already in model
-    space.  ``meta`` records provenance: the (trace name, module) keys the
-    pairs came from and the normalization applied.
+    (N,).  ``norm`` is the normalization they were built with: under a
+    non-identity NormSpec both are already in model space.  ``sources`` are
+    the (trace name, module) keys the pairs came from.
     """
 
     x: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
+    norm: NormSpec = NormSpec()
+    sources: tuple = ()
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -53,14 +56,6 @@ class SupervisedSet:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def norm(self) -> NormSpec:
-        return self.meta.get("norm", NormSpec())
-
-    @property
-    def sources(self) -> set:
-        return set(self.meta.get("sources", ()))
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,7 @@ def build_supervised(trace: TelemetryTrace, module: int,
     if trace.attack_mask is not None:
         keep = trace.attack_mask[:-1] == trace.attack_mask[1:]
         x, y = x[keep], y[keep]
-    return SupervisedSet(
-        x=x, y=y,
-        meta={"norm": norm, "sources": ((trace.name, module),)})
+    return SupervisedSet(x, y, norm, ((trace.name, module),))
 
 
 def concat(sets: list) -> SupervisedSet:
@@ -126,18 +119,16 @@ def concat(sets: list) -> SupervisedSet:
     norm = sets[0].norm
     if any(s.norm != norm for s in sets):
         raise ValueError("cannot pool sets with different normalizations")
-    sources = tuple(key for s in sets for key in s.meta.get("sources", ()))
     return SupervisedSet(
-        x=np.concatenate([s.x for s in sets]),
-        y=np.concatenate([s.y for s in sets]),
-        meta={"norm": norm, "sources": sources})
+        np.concatenate([s.x for s in sets]), np.concatenate([s.y for s in sets]),
+        norm, tuple(key for s in sets for key in s.sources))
 
 
 def check_no_leakage(*sets: SupervisedSet) -> None:
     """Assert that no (trace, module) key appears in more than one set."""
     seen: set = set()
     for s in sets:
-        keys = s.sources
+        keys = set(s.sources)
         overlap = seen & keys
         if overlap:
             raise ValueError(f"leakage: {sorted(overlap)} in multiple sets")

@@ -165,19 +165,24 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
                   cell: CellParams | None = None):
     """Fine-tune the base model for one pack; returns (model, info, seconds).
 
-    The modules split as ``SplitSpec.default_for(config.q)``.  info
-    carries the validation max-abs residual before and after the fine-tune
-    (physical volts), read off the fine-tune's history, and the
-    test-module error fraction relative to the nominal module voltage,
-    series_cells * cell.v_max (the default cell when ``cell`` is None).
+    Every trace must have config.q modules (ValueError otherwise).  The
+    modules split as ``SplitSpec.default_for(config.q)``.  info carries the
+    validation max-abs residual before and after the fine-tune (physical
+    volts), read off the fine-tune's history, and the test-module error
+    fraction relative to the nominal module voltage, series_cells *
+    cell.v_max (the default cell when ``cell`` is None).
     """
+    for trace in (*train_traces, test_trace):
+        if trace.q != config.q:
+            raise ValueError(f"trace {trace.name!r} has {trace.q} modules, "
+                             f"pack {config.name!r} has {config.q}")
     cell = cell or simkit.default_cell()
     norm = transfer.norm_for_pack(config)
     train_set, val_set, test_set = build_pack_sets(
         train_traces, test_trace, SplitSpec.default_for(config.q), norm)
 
     t0 = time.perf_counter()
-    tl = transfer.finetune(base, train_set, val_set, recipe, norm)
+    tl = transfer.finetune(base, train_set, val_set, recipe)
     seconds = time.perf_counter() - t0
 
     history = tl.history

@@ -95,9 +95,19 @@ def write_report(path, report: RunReport) -> None:
         fh.write(report.to_json() + "\n")
 
 
+class ReportParseError(ValueError):
+    """A JSON file that is not a report object."""
+
+
 def read_report(path) -> dict:
+    """A report object; its model and detection sections, if any, are
+    objects (ReportParseError otherwise)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if type(doc) is not dict or any(type(doc.get(s, {})) is not dict
+                                    for s in ("model", "detection")):
+        raise ReportParseError(f"{path}: not a report object")
+    return doc
 
 
 def write_loss_curve(path, history: BoostHistory) -> None:

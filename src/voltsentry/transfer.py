@@ -2,17 +2,18 @@
 
 Module voltages and pack currents are mapped to per-cell scale before they
 reach the shared trees: v_scale is the series cell count, i_scale the number
-of parallel strings (modules times branches).  Fine-tuning appends one
-segment of freshly boosted trees to the frozen base segments and stamps the
-pack normalization onto the returned ensemble.
+of parallel strings (modules times branches).  Fine-tuning is boost's one
+boosting entry run on the base model: it appends one segment of freshly
+boosted trees to the frozen base segments, and the returned ensemble takes
+the normalization the pack's supervised sets carry.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .boost import (Ensemble, NormSpec, TrainConfig, _boost_segment,
-                    predict_model_space)
+from .boost import Ensemble, NormSpec, TrainConfig, _boost_onto
+# Unused here; perfbench's test_install_patches_every_binding checks that
+# its tracer rebinds this imported binding.
+from .boost import predict_model_space  # noqa: F401
 from .simkit import PackConfig
 
 
@@ -27,13 +28,13 @@ def norm_for_pack(config: PackConfig) -> NormSpec:
         i_scale=float(config.parallel_modules * config.branches_per_module))
 
 
-def finetune(base: Ensemble, pack_train, pack_val, cfg: TrainConfig,
-             norm: NormSpec) -> Ensemble:
-    """Continue boosting from the base model's residuals on pack data.
+def finetune(base: Ensemble, pack_train, pack_val, cfg: TrainConfig) -> Ensemble:
+    """Continue boosting from the base model's predictions on pack data.
 
-    ``pack_train`` and ``pack_val`` must already be normalized with ``norm``
-    (their meta records it).  The base segments are reused untouched; the
-    result carries the pack normalization, so raw module voltages and pack
+    ``pack_train`` and ``pack_val`` are supervised sets built with the
+    pack's normalization (``norm_for_pack``), which they carry and the
+    result takes; a validation set of another normalization is rejected.
+    The base segments are reused untouched, so raw module voltages and pack
     currents feed the same trees at cell scale.  With ``cfg.n_trees == 0``
     the appended segment is empty: the base model under the pack's norm.
     Without ``pack_val`` (None or no rows) it trains without validation, as
@@ -41,23 +42,4 @@ def finetune(base: Ensemble, pack_train, pack_val, cfg: TrainConfig,
     """
     if len(pack_train) == 0:
         raise ValueError("pack training data is empty")
-    for name, ds in (("train", pack_train), ("val", pack_val)):
-        ds_norm = ds.meta.get("norm") if ds is not None else None
-        if ds_norm is not None and ds_norm != norm:
-            raise ValueError(f"pack {name} set normalized with {ds_norm}, expected {norm}")
-
-    x = np.asarray(pack_train.x, dtype=float)
-    y = np.asarray(pack_train.y, dtype=float)
-    preds = predict_model_space(base, x)
-    val_x = val_y = val_preds = None
-    if pack_val is not None and len(pack_val):
-        val_x = np.asarray(pack_val.x, dtype=float)
-        val_y = np.asarray(pack_val.y, dtype=float)
-        val_preds = predict_model_space(base, val_x)
-
-    segment, history = _boost_segment(
-        x, y, preds, cfg, "finetune", val_x, val_y, val_preds)
-    return Ensemble(
-        base_score=base.base_score,
-        segments=base.segments + (segment,),
-        norm=norm, history=history)
+    return _boost_onto(base, pack_train, pack_val, cfg, "finetune")

@@ -283,6 +283,37 @@ class TestTrain:
         with pytest.raises(ValueError, match="n_trees"):
             train(dataset(x, x[:, 0]), None, TrainConfig(n_trees=0))
 
+    def test_validation_of_another_norm_rejected(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=(50, 2))
+        data = SupervisedSet(x[:40], x[:40, 0], NormSpec(1.0, 1.0))
+        val = SupervisedSet(x[40:], x[40:, 0], NormSpec(100.0, 5.0))
+        with pytest.raises(ValueError, match="normalized"):
+            train(data, val, TrainConfig(n_trees=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_rejected_before_training(self, bad):
+        x = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])
+        x[7, 1] = bad
+        with mock.patch.object(boost, "_boost_segment",
+                               side_effect=AssertionError("boosted")), \
+                pytest.raises(ValueError, match="features must be finite"):
+            train(dataset(x, np.linspace(0.0, 1.0, 20)), None,
+                  TrainConfig(n_trees=2))
+
+    def test_validation_set_of_no_rows_is_none(self):
+        """A validation set of no rows trains what no validation set
+        trains: the same model, losses and an empty validation history."""
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(60, 2))
+        data = dataset(x, np.sin(4 * x[:, 0]))
+        cfg = TrainConfig(n_trees=4, max_depth=3, learning_rate=0.3)
+        want = train(data, None, cfg)
+        got = train(data, dataset(np.empty((0, 2)), np.empty(0)), cfg)
+        assert boost.model_to_json(got) == boost.model_to_json(want)
+        assert got.history == want.history
+        assert got.history.val_max_abs_start is got.history.val_max_abs_end is None
+
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(150, 2))
@@ -347,7 +378,7 @@ def run(name):
                            [2, -1, -1], [0.0, -0.5, 0.5])
         base = boost.Ensemble(0.1, (boost.Segment("base", 1.0, (stump,)),))
         ens = transfer.finetune(base, SupervisedSet(x[500:540], y[500:540]),
-                                val, transfer.PACK2_RECIPE, boost.NormSpec())
+                                val, transfer.PACK2_RECIPE)
     return boost.model_to_json(ens) + repr(ens.history)
 """
 
@@ -446,10 +477,9 @@ class TestKernelMatchesReference:
         val_x = np.where(val_x == 0.0,
                          np.where(rng.random((n_val, 2)) < 0.5, -0.0, 0.0), val_x)
         val_y = rng.normal(size=n_val)
-        # train and finetune pass a set of no rows as None; the grower
-        # then routes a matrix of no rows.
+        # The kernel takes a matrix of no rows as no validation; the
+        # column-block kernel is given None for it.
         val_preds = val_start.copy()
-        val = (val_x, val_y, val_preds) if n_val else (None,) * 3
         seen = []
         grow = boost._ColumnBlocks.grow
 
@@ -459,7 +489,7 @@ class TestKernelMatchesReference:
 
         with mock.patch.object(boost._ColumnBlocks, "grow", spy):
             segment, history = boost._boost_segment(
-                x, y, preds.copy(), cfg, tag, *val)
+                x, y, preds.copy(), cfg, tag, val_x, val_y, val_preds)
         seen.append(val_preds)
         for tree, before, after in zip(segment.trees, seen, seen[1:]):
             want = boost._NodeTable([(cfg.learning_rate, tree)]).walk(val_x, before)
@@ -488,6 +518,26 @@ class TestKernelMatchesReference:
                 check=True, capture_output=True, text=True,
                 env=dict(os.environ, PYTHONPATH=src)).stdout
             assert got + "\n" == fresh
+
+    @pytest.mark.parametrize("n_trees", [0, 3])
+    def test_validation_of_no_rows_is_no_validation(self, n_trees):
+        """(0, 2) validation arrays train the trees that no validation
+        trains, with no validation loss and no validation maxima."""
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(40, 2))
+        y = x[:, 0] + 0.1 * rng.normal(size=40)
+        cfg = TrainConfig(n_trees=n_trees, max_depth=3, learning_rate=0.3)
+        runs = []
+        for val in ((np.empty((0, 2)), np.empty(0), np.empty(0)), (None,) * 3):
+            preds = np.full(40, 0.5)
+            segment, history = boost._boost_segment(x, y, preds, cfg, "base",
+                                                    *val)
+            runs.append((boost.model_to_json(Ensemble(0.5, (segment,))),
+                         history, preds.tobytes()))
+            assert history.val_mse == []
+            assert history.val_max_abs_start is None
+            assert history.val_max_abs_end is None
+        assert runs[0] == runs[1]
 
     def test_zero_tree_segment_presorts_nothing(self):
         x = np.column_stack([np.linspace(0, 1, 6), np.zeros(6)])
@@ -819,9 +869,8 @@ class TestImmutable:
         base = train(dataset(x, y), dataset(x[:50], y[:50]),
                      TrainConfig(n_trees=5, max_depth=3, learning_rate=0.3))
         norm = NormSpec(v_scale=100.0, i_scale=20.0)
-        pack = SupervisedSet(x=x[:80] * [1.0, 0.5], y=y[:80] + 0.002,
-                             meta={"norm": norm})
-        tuned = transfer.finetune(base, pack, pack, transfer.PACK2_RECIPE, norm)
+        pack = SupervisedSet(x[:80] * [1.0, 0.5], y[:80] + 0.002, norm)
+        tuned = transfer.finetune(base, pack, pack, transfer.PACK2_RECIPE)
         viewed = Ensemble(base.base_score, base.segments, norm=norm)
         loaded = boost.model_from_json(boost.model_to_json(tuned))
         rows = np.column_stack([rng.uniform(300, 420, 20), rng.uniform(40, 120, 20)])

@@ -173,12 +173,11 @@ class TestFinetuneNominalVoltage:
 
 
 class TestFinetuneDomainGuard:
-    def test_wrong_scale_trace_exits_5(self, base_model, pack1_bundle,
-                                       tmp_path, capsys):
-        """finetune checks every trace against the base model under the
-        pack's normalization before it builds a set: the canonical pack 1
-        charges pass, and each of them with its module voltages ten times
-        too large exits 5 and writes no model."""
+    @pytest.fixture()
+    def pack1_files(self, base_model, pack1_bundle, tmp_path):
+        """(traces, their CSV paths, finetune(paths, out) -> exit code) for
+        the canonical pack 1 charges, fine-tuned from the session base
+        model with the pack 1 config and recipe."""
         model = tmp_path / "model_base.json"
         boost.save_model(model, base_model)
         traces = [*pack1_bundle["traces"]["train"], pack1_bundle["traces"]["test"]]
@@ -194,6 +193,14 @@ class TestFinetuneDomainGuard:
                              "--test-trace", str(paths[2]), "--recipe", "pack1",
                              "--out-dir", str(tmp_path / out)])
 
+        return traces, paths, finetune
+
+    def test_wrong_scale_trace_exits_5(self, pack1_files, tmp_path, capsys):
+        """finetune checks every trace against the base model at the
+        pack's v_scale before it builds a set: the canonical pack 1
+        charges pass, and each of them with its module voltages ten times
+        too large exits 5 and writes no model."""
+        traces, paths, finetune = pack1_files
         assert finetune(paths, "ok") == 0
         capsys.readouterr()
         for k, trace in enumerate(traces):
@@ -207,6 +214,49 @@ class TestFinetuneDomainGuard:
             assert err["error"] == "invalid-input"
             assert "model/trace mismatch" in err["message"]
             assert not (tmp_path / out / "model_pack1.json").exists()
+
+    def test_trace_of_another_module_count_exits_5(self, pack1_files,
+                                                   tmp_path, capsys):
+        """Pack 1 has 4 modules: its charges with a fifth module (a copy of
+        the fourth), all three or any one of them, exit 5 and write no
+        model."""
+        traces, paths, finetune = pack1_files
+        wide = []
+        for trace in traces:
+            wide.append(tmp_path / f"{trace.name}_q5.csv")
+            datasets.write_trace(wide[-1], simkit.TelemetryTrace(
+                t_s=trace.t_s, i_pack_a=trace.i_pack_a,
+                v_modules=trace.v_modules[:, [0, 1, 2, 3, 3]]))
+        cases = [wide] + [paths[:k] + [wide[k]] + paths[k + 1:] for k in range(3)]
+        for k, case in enumerate(cases):
+            out = f"q5_{k}"
+            assert finetune(case, out) == 5
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "invalid-input"
+            assert "has 5 modules, pack 'pack1' has 4" in err["message"]
+            assert not (tmp_path / out / "model_pack1.json").exists()
+
+
+class TestReportCommand:
+    @pytest.mark.parametrize("text", [
+        "[]", "3", '"report"', "null", '{"model": [1]}', '{"detection": 2.5}',
+        '{"command": "calibrate", "model": {}, "detection": null}'])
+    def test_json_that_is_not_a_report_exits_4(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert cli.main(["report", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "parse-error", "message": f"{path}: not a report object"}
+
+    def test_report_object_without_sections_is_summarized(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"command": "train-base"}')
+        assert cli.main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == f"== {path} (train-base) ==\n"
 
 
 class TestTrainBaseNominalVoltage:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestPackSets:
         assert {src[0] for src in val.sources} == {"pack1_c080"}
         assert {src[0] for src in test.sources} == {"pack1_c100"}
         assert (len(train), len(val), len(test)) == (1800, 900, 900)
+
+    def test_trace_of_another_module_count_rejected(self):
+        """finetune_pack rejects a training or test trace whose module
+        count differs from the pack's before it builds any set."""
+        config = simkit.pack1_config()
+        good = make_trace(np.full((5, config.q), 380.0), name="good")
+        wide = make_trace(np.full((5, config.q + 1), 380.0), name="wide")
+        narrow = make_trace(np.full((5, config.q - 1), 380.0), name="narrow")
+        with mock.patch.object(pipeline, "build_pack_sets",
+                               side_effect=AssertionError("built")):
+            for train, test in (([wide, good], good), ([good, narrow], good),
+                                ([good, good], wide)):
+                with pytest.raises(ValueError, match="modules, pack 'pack1' has 4"):
+                    pipeline.finetune_pack(Ensemble(3.7, ()), config, train,
+                                           test, boost.TrainConfig(n_trees=1))
 
     def test_traces_written_and_reloaded(self, tmp_path):
         config = simkit.PackConfig(
@@ -245,46 +261,52 @@ class TestReports:
 
 class TestModelTraceGuard:
     @staticmethod
-    def model(thresholds, norm):
+    def model(thresholds):
         """Voltage stumps at the given per-cell thresholds."""
         trees = tuple(boost.Tree([0, -1, -1], [t, 0.0, 0.0], [1, -1, -1],
                                  [2, -1, -1], [0.0, -0.1, 0.1])
                       for t in thresholds)
-        return boost.Ensemble(base_score=3.7, norm=norm,
+        return boost.Ensemble(base_score=3.7,
                               segments=(Segment("base", 0.1, trees),))
 
     def test_pack_model_on_cell_trace_rejected(self):
-        ens = self.model((3.6, 3.9), boost.NormSpec(v_scale=100.0, i_scale=20.0))
+        ens = self.model((3.6, 3.9))
         with pytest.raises(ValueError, match="mismatch"):
-            check_model_trace_compat(ens, make_trace([3.7, 3.8]))
+            check_model_trace_compat(ens, make_trace([3.7, 3.8]), 100.0)
 
     def test_matching_scales_accepted(self):
-        ens = self.model((3.6, 3.9), boost.NormSpec(v_scale=100.0, i_scale=20.0))
-        check_model_trace_compat(ens, make_trace([[370.0], [380.0]]))
+        """The trace is read at the scale given, not at the model's norm."""
+        ens = self.model((3.6, 3.9))
+        assert ens.norm == boost.NormSpec()
+        check_model_trace_compat(ens, make_trace([[370.0], [380.0]]), 100.0)
+        with pytest.raises(ValueError, match="mismatch"):
+            check_model_trace_compat(ens, make_trace([[370.0], [380.0]]), 1.0)
 
     def test_span_widened_by_tolerance(self):
         tol = cli.DOMAIN_TOLERANCE_V
-        ens = self.model((3.6, 3.9), boost.NormSpec())
-        check_model_trace_compat(ens, make_trace([3.6 - 0.9 * tol, 3.9 + 0.9 * tol]))
+        ens = self.model((3.6, 3.9))
+        check_model_trace_compat(
+            ens, make_trace([3.6 - 0.9 * tol, 3.9 + 0.9 * tol]), 1.0)
         for v in (3.6 - 1.1 * tol, 3.9 + 1.1 * tol):
             with pytest.raises(ValueError, match="domain"):
-                check_model_trace_compat(ens, make_trace([3.7, v]))
+                check_model_trace_compat(ens, make_trace([3.7, v]), 1.0)
 
     def test_current_thresholds_ignored(self):
         stump = boost.Tree([1, -1, -1], [50.0, 0.0, 0.0], [1, -1, -1],
                            [2, -1, -1], [0.0, -0.1, 0.1])
         ens = boost.Ensemble(3.7, (Segment("base", 0.1, (stump,)),))
-        check_model_trace_compat(ens, make_trace([3.7, 380.0]))
+        check_model_trace_compat(ens, make_trace([3.7, 380.0]), 1.0)
 
     def test_canonical_and_phased_charges_accepted(self, pack1_bundle):
         model = pack1_bundle["model"]
-        check_model_trace_compat(model, pack1_bundle["traces"]["test"])
+        v_scale = model.norm.v_scale
+        check_model_trace_compat(model, pack1_bundle["traces"]["test"], v_scale)
         phased = simkit.run_cccv_pack(
             pack1_bundle["config"], simkit.default_cell(),
             simkit.CccvPolicy(c_rate=1.0, taper_cutoff_c=0.3,
                               duration_s=pipeline.PACK_TRACE_DURATION_S), 0.8)
         assert phased.v_modules.max() / 100.0 > 4.2149
-        check_model_trace_compat(model, phased)
+        check_model_trace_compat(model, phased, v_scale)
 
     def test_charge_below_the_corpus_exits_5(self, pack1_bundle, tmp_path,
                                              capsys):

@@ -7,10 +7,8 @@ from voltsentry.datasets import SupervisedSet
 from voltsentry.transfer import finetune, norm_for_pack
 
 
-def dataset(x, y, norm=None):
-    meta = {"norm": norm} if norm else {}
-    return SupervisedSet(x=np.asarray(x, float), y=np.asarray(y, float),
-                         meta=meta)
+def dataset(x, y, norm=NormSpec()):
+    return SupervisedSet(x, y, norm)
 
 
 class TestNormSpec:
@@ -48,8 +46,7 @@ class TestFinetune:
         x = np.column_stack([rng.uniform(3.0, 4.2, 50), rng.uniform(2, 6, 50)])
         pack = dataset(x, x[:, 0], norm)
         tl = finetune(base, pack, pack,
-                      TrainConfig(n_trees=0, max_depth=2, learning_rate=0.1),
-                      norm)
+                      TrainConfig(n_trees=0, max_depth=2, learning_rate=0.1))
         pts = np.column_stack([rng.uniform(3.0, 4.2, 30), rng.uniform(2, 6, 30)])
         assert np.array_equal(boost.predict_batch(tl, pts),
                               boost.predict_batch(base, pts))
@@ -63,7 +60,7 @@ class TestFinetune:
         x = np.column_stack([rng.uniform(3.0, 4.2, 200), rng.uniform(2, 6, 200)])
         norm = NormSpec(v_scale=100.0, i_scale=20.0)
         pack = dataset(x, x[:, 0] + 0.005, norm)
-        tl = finetune(base, pack, pack, transfer.PACK1_RECIPE, norm)
+        tl = finetune(base, pack, pack, transfer.PACK1_RECIPE)
         assert boost.model_to_json(base) == before
         assert tl.segments[:-1] == base.segments
         assert tl.base_score == base.base_score
@@ -77,8 +74,7 @@ class TestFinetune:
         norm = NormSpec()
         pack = dataset(x, x[:, 0] + 0.01 + 0.002 * rng.normal(size=300), norm)
         tl = finetune(base, pack, pack,
-                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.3),
-                      norm)
+                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.3))
         losses = tl.history.train_mse
         assert len(losses) == 5
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -97,8 +93,7 @@ class TestFinetune:
 
         train_set, val_set = pack_set(400, 1), pack_set(200, 2)
         tl = finetune(base, train_set, val_set,
-                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.2),
-                      NormSpec())
+                      TrainConfig(n_trees=5, max_depth=2, learning_rate=0.2))
 
         def max_abs(model, ds):
             return np.max(np.abs(ds.y - boost.predict_model_space(model, ds.x)))
@@ -119,7 +114,7 @@ class TestFinetune:
             x[400:], y[400:], norm)
         tl = finetune(base, train_set, val_set,
                       TrainConfig(n_trees=n_trees, max_depth=depth,
-                                  learning_rate=0.1), norm)
+                                  learning_rate=0.1))
 
         def max_abs(model):
             return float(np.max(np.abs(
@@ -139,9 +134,9 @@ class TestFinetune:
         train_set = dataset(x[:250], y[:250], norm)
         cfg = TrainConfig(n_trees=3, max_depth=3, learning_rate=0.1)
         with_val = finetune(base, train_set, dataset(x[250:], y[250:], norm),
-                            cfg, norm)
+                            cfg)
         for val in (None, dataset(np.empty((0, 2)), np.empty(0), norm)):
-            tl = finetune(base, train_set, val, cfg, norm)
+            tl = finetune(base, train_set, val, cfg)
             assert boost.model_to_json(tl) == boost.model_to_json(with_val)
             assert tl.history.train_mse == with_val.history.train_mse
             assert tl.history.val_mse == []
@@ -152,13 +147,25 @@ class TestFinetune:
         base = small_base()
         empty = dataset(np.empty((0, 2)), np.empty(0), NormSpec())
         with pytest.raises(ValueError):
-            finetune(base, empty, empty, transfer.PACK1_RECIPE, NormSpec())
+            finetune(base, empty, empty, transfer.PACK1_RECIPE)
 
-    def test_norm_mismatch_rejected(self):
+    def test_validation_and_training_norms_differ(self):
+        """A validation set of another normalization than the training
+        set's is rejected, for a fine-tune as for a base training."""
         base = small_base()
         pack = dataset([[3.7, 5.0]], [3.8], NormSpec(v_scale=2.0))
-        with pytest.raises(ValueError, match="normalized"):
-            finetune(base, pack, pack, transfer.PACK1_RECIPE, NormSpec())
+        for val in (dataset([[3.7, 5.0]], [3.8]),
+                    dataset(np.empty((0, 2)), np.empty(0), NormSpec(1.0, 2.0))):
+            with pytest.raises(ValueError, match="normalized"):
+                finetune(base, pack, val, transfer.PACK1_RECIPE)
+            with pytest.raises(ValueError, match="normalized"):
+                train(pack, val, transfer.PACK1_RECIPE)
+
+    def test_result_takes_the_sets_normalization(self):
+        base = small_base()
+        norm = NormSpec(v_scale=100.0, i_scale=20.0)
+        pack = dataset([[3.7, 5.0], [3.8, 5.0]], [3.8, 3.9], norm)
+        assert finetune(base, pack, None, transfer.PACK1_RECIPE).norm == norm
 
     def test_recipes_match_published_budgets(self):
         assert (transfer.PACK1_RECIPE.n_trees,
