@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .boost import (BASE_RECIPE, Ensemble, NormSpec, TrainConfig, load_model,
                     predict_batch, save_model, train)
-from .datasets import (SplitSpec, SupervisedSet, build_supervised, read_trace,
-                       write_trace)
+from .datasets import SupervisedSet, build_supervised, read_trace, write_trace
 from .sentinel import (DetectionTrace, DetectorState, calibrate_threshold,
                        one_step_residuals, run_detector, step_detector)
 from .simkit import (CccvPolicy, CellParams, NoiseSpec, PackConfig,

@@ -587,11 +587,13 @@ def _boost_onto(prior: Ensemble, data, val, cfg: TrainConfig,
                 tag: str) -> Ensemble:
     """prior plus a segment tagged tag, boosted from prior's predictions of
     the supervised sets data and val (None: no validation), under data's
-    normalization, which val must share.  The walk rejects non-finite
-    features before any tree grows."""
+    normalization, which val must share.  Non-finite features (the walk)
+    and validation targets are rejected before any tree grows."""
     if val is not None and val.norm != data.norm:
         raise ValueError(f"validation set normalized with {val.norm}, "
                          f"training set with {data.norm}")
+    if val is not None and not np.isfinite(val.y).all():
+        raise ValueError("validation targets must be finite")
     preds = predict_model_space(prior, data.x)
     vals = () if val is None else (val.x, val.y, predict_model_space(prior, val.x))
     segment, history = _boost_segment(data.x, data.y, preds, cfg, tag, *vals)

@@ -88,8 +88,11 @@ def check_model_trace_compat(model: boost.Ensemble, trace, v_scale: float) -> No
 
 def cmd_simulate(args) -> int:
     spec = configio.read_sim_config(args.config)
-    out_dir = _out_dir(args)
     seed = args.seed if args.seed is not None else spec.seed
+    if spec.kind == "pack" and seed != 0:
+        raise ValueError(f"seed {seed} given for a pack run: pack noise is "
+                         "seeded from [pack] rng_seed, so the seed must be 0")
+    out_dir = _out_dir(args)
     written = []
     if spec.kind == "cell_corpus":
         written = pipeline.generate_cell_corpus(

@@ -1,29 +1,22 @@
 """INI-style config files for simulator runs, attack scenarios, and recipes.
 
-Simulator config sections (all keys optional unless stated):
+SCHEMA lists every section a config file may hold, its keys and the parser
+of each value.  Every reader parses its file through _read, which raises
+configparser.Error (CLI exit 4, parse-error) for a section or a key that
+SCHEMA does not list; a file may hold other readers' sections, such as
+[train] in a recipe file.
 
-    [cell]    capacity_ah r0_ohm r1_ohm c1_f diff_tau_s v_max v_min
-              ocv_soc ocv_v           (comma lists, same length)
-    [pack]    parallel_modules branches_per_module series_cells
-              capacity_ah v_max_pack (required for pack runs)
-              name heterogeneity_sigma rng_seed
-              interconnect_ohm       (scalar or comma list, one per module)
-    [policy]  c_rate v_max taper_cutoff_c duration_s
-    [noise]   rel_sigma
-    [run]     kind = cell | pack | cell_corpus   (required)
-              init_soc seed
-              (cell_corpus runs sweep the built-in charging grid; [policy]
-              and init_soc apply to single cell/pack runs, and pack noise
-              is seeded from the pack's rng_seed rather than [run] seed)
-
-Scenario files have a single [attack] section with kind, k0_s, kf_s and,
-for replays, record_start_s, record_end_s, target_modules (comma list,
-1-based); all but target_modules are required.  Train and fine-tune
-recipes are one boost.TrainConfig, read by one reader from a [train] or
-[finetune] section of its six keys (n_trees max_depth learning_rate
-lambda_l2 gamma_leaf min_child_weight); [finetune] requires the first
-three, and other omitted keys take TrainConfig's defaults.  A missing
-required key raises configparser.NoOptionError (CLI exit 4, parse-error).
+Required: [run] kind (cell | pack | cell_corpus); for a pack run, [pack]
+parallel_modules branches_per_module series_cells capacity_ah v_max_pack;
+[attack] k0_s kf_s, and for a replay record_start_s record_end_s;
+[finetune] n_trees max_depth learning_rate.  A missing required key raises
+configparser.NoOptionError (exit 4); other keys default as their dataclass
+does, a [pack] name to "pack" and a [policy] c_rate to 1.0.  ocv_soc and
+ocv_v are comma lists of one length, interconnect_ohm is one value or one
+per module, target_modules is a comma list of 1-based modules.
+cell_corpus runs sweep the built-in charging grid; [policy] and init_soc
+apply to single cell and pack runs.  Pack noise is seeded from [pack]
+rng_seed, so simulate rejects a nonzero seed for a pack run.
 """
 
 from __future__ import annotations
@@ -51,6 +44,34 @@ def _ints(text: str) -> tuple:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
+def _float_or_floats(text: str):
+    values = _floats(text)
+    return values[0] if len(values) == 1 else values
+
+
+_BOOSTING = {"n_trees": int, "max_depth": int, "learning_rate": float,
+             "lambda_l2": float, "gamma_leaf": float, "min_child_weight": float}
+
+# Every section a config file may hold: its keys and the parser of each.
+SCHEMA = {
+    "run": {"kind": str, "init_soc": float, "seed": int},
+    "cell": {"capacity_ah": float, "r0_ohm": float, "r1_ohm": float,
+             "c1_f": float, "diff_tau_s": float, "v_max": float,
+             "v_min": float, "ocv_soc": _floats, "ocv_v": _floats},
+    "pack": {"name": str, "parallel_modules": int, "branches_per_module": int,
+             "series_cells": int, "capacity_ah": float, "v_max_pack": float,
+             "heterogeneity_sigma": float, "rng_seed": int,
+             "interconnect_ohm": _float_or_floats},
+    "policy": {"c_rate": float, "v_max": float, "taper_cutoff_c": float,
+               "duration_s": float},
+    "noise": {"rel_sigma": float},
+    "attack": {"kind": str, "k0_s": int, "kf_s": int, "record_start_s": int,
+               "record_end_s": int, "target_modules": _ints},
+    "train": _BOOSTING,
+    "finetune": _BOOSTING,
+}
+
+
 @dataclass
 class SimRunSpec:
     """Everything a simulate command needs."""
@@ -64,88 +85,72 @@ class SimRunSpec:
     seed: int = 0
 
 
-def _parse(path) -> configparser.ConfigParser:
+def _read(path) -> dict:
+    """{section: {key: text}} of an INI file whose every section and key
+    SCHEMA lists (configparser.Error otherwise)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    return parser
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise configparser.Error(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in SCHEMA[section]:
+                raise configparser.Error(
+                    f"{path}: unknown key {key!r} in section [{section}]")
+    return {section: dict(parser[section]) for section in parser.sections()}
+
+
+def _values(ini: dict, section: str, required=()) -> dict:
+    """The keys a section gives, parsed as SCHEMA says; an absent section
+    gives none."""
+    text = ini.get(section, {})
+    for key in required:
+        if key not in text:
+            raise configparser.NoOptionError(key, section)
+    return {key: SCHEMA[section][key](value) for key, value in text.items()}
+
+
+def _section(ini: dict, path, section: str, required=()) -> dict:
+    """_values of a section the file must hold (ValueError otherwise)."""
+    if section not in ini:
+        raise ValueError(f"{path}: missing [{section}] section")
+    return _values(ini, section, required)
 
 
 def read_sim_config(path) -> SimRunSpec:
-    parser = _parse(path)
-    if not parser.has_section("run") or not parser.has_option("run", "kind"):
+    ini = _read(path)
+    run = _values(ini, "run")
+    if "kind" not in run:
         raise ValueError(f"{path}: missing [run] kind")
-    kind = parser.get("run", "kind").strip()
-    if kind not in ("cell", "pack", "cell_corpus"):
-        raise ValueError(f"{path}: unknown run kind {kind!r}")
+    if run["kind"] not in ("cell", "pack", "cell_corpus"):
+        raise ValueError(f"{path}: unknown run kind {run['kind']!r}")
 
-    cell_kwargs: dict = {}
-    if parser.has_section("cell"):
-        sec = parser["cell"]
-        for key in ("capacity_ah", "r0_ohm", "r1_ohm", "c1_f", "diff_tau_s",
-                    "v_max", "v_min"):
-            if key in sec:
-                cell_kwargs[key] = sec.getfloat(key)
-        if "ocv_soc" in sec or "ocv_v" in sec:
-            socs = _floats(sec.get("ocv_soc", ""))
-            volts = _floats(sec.get("ocv_v", ""))
-            if len(socs) != len(volts):
-                raise ValueError(f"{path}: ocv_soc and ocv_v length mismatch")
-            cell_kwargs["ocv_knots"] = tuple(zip(socs, volts))
-    cell = CellParams(**cell_kwargs)
-
-    policy_kwargs: dict = {}
-    if parser.has_section("policy"):
-        sec = parser["policy"]
-        for key in ("c_rate", "v_max", "taper_cutoff_c", "duration_s"):
-            if key in sec:
-                policy_kwargs[key] = sec.getfloat(key)
-    if "c_rate" not in policy_kwargs:
-        policy_kwargs.setdefault("c_rate", 1.0)
-    policy = CccvPolicy(**policy_kwargs)
-
-    noise = NoiseSpec()
-    if parser.has_section("noise") and parser.has_option("noise", "rel_sigma"):
-        noise = NoiseSpec(rel_sigma=parser.getfloat("noise", "rel_sigma"))
-
+    cell = _values(ini, "cell")
+    if "ocv_soc" in cell or "ocv_v" in cell:
+        socs, volts = cell.pop("ocv_soc", ()), cell.pop("ocv_v", ())
+        if len(socs) != len(volts):
+            raise ValueError(f"{path}: ocv_soc and ocv_v length mismatch")
+        cell["ocv_knots"] = tuple(zip(socs, volts))
+    cell = CellParams(**cell)
+    policy = CccvPolicy(**{"c_rate": 1.0, **_values(ini, "policy")})
+    noise = NoiseSpec(**_values(ini, "noise"))
     pack = None
-    if kind == "pack":
-        if not parser.has_section("pack"):
-            raise ValueError(f"{path}: pack run needs a [pack] section")
-        sec = parser["pack"]
-        link = sec.get("interconnect_ohm", "0")
-        values = _floats(link)
-        pack = PackConfig(
-            name=sec.get("name", "pack"),
-            parallel_modules=parser.getint("pack", "parallel_modules"),
-            branches_per_module=parser.getint("pack", "branches_per_module"),
-            series_cells=parser.getint("pack", "series_cells"),
-            capacity_ah=parser.getfloat("pack", "capacity_ah"),
-            v_max_pack=parser.getfloat("pack", "v_max_pack"),
-            heterogeneity_sigma=sec.getfloat("heterogeneity_sigma", fallback=0.01),
-            rng_seed=sec.getint("rng_seed", fallback=0),
-            interconnect_ohm=values[0] if len(values) == 1 else values)
-
-    run = parser["run"]
-    return SimRunSpec(
-        kind=kind, cell=cell, policy=policy, noise=noise, pack=pack,
-        init_soc=run.getfloat("init_soc", fallback=0.25),
-        seed=run.getint("seed", fallback=0))
+    if run["kind"] == "pack":
+        pack = PackConfig(**{"name": "pack", **_section(
+            ini, path, "pack", ("parallel_modules", "branches_per_module",
+                                "series_cells", "capacity_ah", "v_max_pack"))})
+    return SimRunSpec(cell=cell, policy=policy, noise=noise, pack=pack, **run)
 
 
 def read_scenario(path) -> AttackScenario:
-    parser = _parse(path)
-    if not parser.has_section("attack"):
-        raise ValueError(f"{path}: missing [attack] section")
-    sec = parser["attack"]
-    kind = sec.get("kind", "").strip()
-    kwargs: dict = {"kind": kind, "k0_s": parser.getint("attack", "k0_s"),
-                    "kf_s": parser.getint("attack", "kf_s")}
-    if kind == "replay":
-        kwargs["record_start_s"] = parser.getint("attack", "record_start_s")
-        kwargs["record_end_s"] = parser.getint("attack", "record_end_s")
-        kwargs["target_modules"] = _ints(sec.get("target_modules", ""))
-    return AttackScenario(**kwargs)
+    ini = _read(path)
+    if ini.get("attack", {}).get("kind") != "replay":
+        attack = _section(ini, path, "attack", ("k0_s", "kf_s"))
+        return AttackScenario(attack.get("kind", ""), attack["k0_s"],
+                              attack["kf_s"])
+    return AttackScenario(**{"target_modules": (), **_section(
+        ini, path, "attack", ("k0_s", "kf_s", "record_start_s", "record_end_s"))})
 
 
 def write_scenario(path, scenario: AttackScenario) -> None:
@@ -161,25 +166,8 @@ def write_scenario(path, scenario: AttackScenario) -> None:
         parser.write(fh)
 
 
-def _read_boosting(path, section: str, required=()) -> TrainConfig:
-    """The TrainConfig of a [train] or [finetune] section; keys it omits
-    take TrainConfig's defaults, except the ``required`` ones."""
-    parser = _parse(path)
-    if not parser.has_section(section):
-        raise ValueError(f"{path}: missing [{section}] section")
-    kwargs = {}
-    for key, get in (("n_trees", parser.getint), ("max_depth", parser.getint),
-                     ("learning_rate", parser.getfloat),
-                     ("lambda_l2", parser.getfloat),
-                     ("gamma_leaf", parser.getfloat),
-                     ("min_child_weight", parser.getfloat)):
-        if key in required or parser.has_option(section, key):
-            kwargs[key] = get(section, key)
-    return TrainConfig(**kwargs)
-
-
 def read_train_config(path) -> TrainConfig:
-    return _read_boosting(path, "train")
+    return TrainConfig(**_section(_read(path), path, "train"))
 
 
 def resolve_recipe(name_or_path) -> TrainConfig:
@@ -189,5 +177,5 @@ def resolve_recipe(name_or_path) -> TrainConfig:
         return PACK1_RECIPE
     if text == "pack2":
         return PACK2_RECIPE
-    return _read_boosting(text, "finetune",
-                          required=("n_trees", "max_depth", "learning_rate"))
+    return TrainConfig(**_section(_read(text), text, "finetune",
+                                  ("n_trees", "max_depth", "learning_rate")))

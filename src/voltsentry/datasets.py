@@ -58,38 +58,6 @@ class SupervisedSet:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint 1-based module index sets for train/validation/test."""
-
-    train_modules: tuple
-    val_modules: tuple
-    test_modules: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_modules", tuple(self.train_modules))
-        object.__setattr__(self, "val_modules", tuple(self.val_modules))
-        object.__setattr__(self, "test_modules", tuple(self.test_modules))
-        groups = (self.train_modules, self.val_modules, self.test_modules)
-        flat = [m for g in groups for m in g]
-        if len(set(flat)) != len(flat):
-            raise ValueError("split module sets must be disjoint")
-        if any(m < 1 for m in flat):
-            raise ValueError("module indices are 1-based")
-
-    def validate_for(self, q: int) -> None:
-        used = set(self.train_modules) | set(self.val_modules) | set(self.test_modules)
-        if any(m > q for m in used):
-            raise ValueError(f"split references module beyond q={q}")
-
-    @classmethod
-    def default_for(cls, q: int) -> "SplitSpec":
-        """Lowest indices train, next one validates, highest one tests."""
-        if q < 3:
-            raise ValueError("default split needs at least 3 modules")
-        return cls(tuple(range(1, q - 1)), (q - 1,), (q,))
-
-
 def build_supervised(trace: TelemetryTrace, module: int,
                      normalization: NormSpec | None = None) -> SupervisedSet:
     """Consecutive-frame pairs for one module of a trace.

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import boost, datasets, sentinel, simkit, threatgen, transfer
-from .datasets import SplitSpec, SupervisedSet
+from .datasets import SupervisedSet
 from .reports import score_detection
 from .simkit import CccvPolicy, CellParams, NoiseSpec, PackConfig, TelemetryTrace
 
@@ -128,28 +128,23 @@ def load_cell_corpus(corpus_dir):
 
 
 def build_pack_sets(train_traces: list, test_trace: TelemetryTrace,
-                    split: SplitSpec, norm: boost.NormSpec):
-    """Pack supervised sets at the study's budgeted sizes.
+                    norm: boost.NormSpec):
+    """Pack supervised sets at the study's budgeted sizes, split by module.
 
-    Training modules are assigned round-robin over the training traces, so
-    both charge rates contribute while each module appears exactly once.
-    Validation pairs come from the first training trace, test pairs from the
-    test trace.
+    With q the test trace's module count (ValueError if q < 3), modules
+    1..q-2 train, assigned round-robin over the training traces so that
+    both charge rates contribute while each module appears exactly once;
+    module q-1 validates, from the first training trace; module q tests,
+    from the test trace.
     """
-    split.validate_for(test_trace.q)
-    train_parts = [
+    q = test_trace.q
+    if q < 3:
+        raise ValueError(f"a pack split needs at least 3 modules, got {q}")
+    train = datasets.concat([
         datasets.build_supervised(train_traces[j % len(train_traces)], m, norm)
-        for j, m in enumerate(split.train_modules)
-    ]
-    train = datasets.concat(train_parts)
-    val = datasets.concat([
-        datasets.build_supervised(train_traces[0], m, norm)
-        for m in split.val_modules
-    ])
-    test = datasets.concat([
-        datasets.build_supervised(test_trace, m, norm)
-        for m in split.test_modules
-    ])
+        for j, m in enumerate(range(1, q - 1))])
+    val = datasets.build_supervised(train_traces[0], q - 1, norm)
+    test = datasets.build_supervised(test_trace, q, norm)
     datasets.check_no_leakage(train, val, test)
     return train, val, test
 
@@ -165,12 +160,12 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
                   cell: CellParams | None = None):
     """Fine-tune the base model for one pack; returns (model, info, seconds).
 
-    Every trace must have config.q modules (ValueError otherwise).  The
-    modules split as ``SplitSpec.default_for(config.q)``.  info carries the
-    validation max-abs residual before and after the fine-tune (physical
-    volts), read off the fine-tune's history, and the test-module error
-    fraction relative to the nominal module voltage, series_cells *
-    cell.v_max (the default cell when ``cell`` is None).
+    Every trace must have config.q modules (ValueError otherwise).
+    build_pack_sets splits the modules: 1..q-2 train, q-1 validates, q
+    tests.  info carries the validation max-abs residual before and after
+    the fine-tune (physical volts), read off the fine-tune's history, and
+    the test-module error fraction relative to the nominal module voltage,
+    series_cells * cell.v_max (the default cell when ``cell`` is None).
     """
     for trace in (*train_traces, test_trace):
         if trace.q != config.q:
@@ -178,8 +173,8 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
                              f"pack {config.name!r} has {config.q}")
     cell = cell or simkit.default_cell()
     norm = transfer.norm_for_pack(config)
-    train_set, val_set, test_set = build_pack_sets(
-        train_traces, test_trace, SplitSpec.default_for(config.q), norm)
+    train_set, val_set, test_set = build_pack_sets(train_traces, test_trace,
+                                                   norm)
 
     t0 = time.perf_counter()
     tl = transfer.finetune(base, train_set, val_set, recipe)

@@ -301,6 +301,17 @@ class TestTrain:
             train(dataset(x, np.linspace(0.0, 1.0, 20)), None,
                   TrainConfig(n_trees=2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_validation_target_rejected_before_training(self, bad):
+        x = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])
+        vy = x[:10, 0].copy()
+        vy[3] = bad
+        with mock.patch.object(boost, "_boost_segment",
+                               side_effect=AssertionError("boosted")), \
+                pytest.raises(ValueError, match="validation targets"):
+            train(dataset(x, x[:, 0]), dataset(x[:10], vy),
+                  TrainConfig(n_trees=3))
+
     def test_validation_set_of_no_rows_is_none(self):
         """A validation set of no rows trains what no validation set
         trains: the same model, losses and an empty validation history."""

@@ -548,8 +548,10 @@ class TestMissingRequiredKey:
         assert cli.main(argv + ["--out-dir", str(out)]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "parse-error"
+        err = json.loads(lines[0])
+        assert err["error"] == "parse-error"
         assert not out.exists()
+        return err["message"]
 
     @staticmethod
     def tiny_model_and_trace(tmp_path):
@@ -587,6 +589,57 @@ class TestMissingRequiredKey:
         self.run(tmp_path, capsys, [
             "attack-eval", "--model", model, "--trace", trace,
             "--scenario", str(scenario), "--epsilon", "0.1"])
+
+
+class TestUnknownKeyOrSection:
+    """A misspelled key, and then a section that no reader knows, each exit
+    4 with a message naming the file and the key or section, before the
+    command writes anything; one test per reader."""
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, path, section, key):
+        text = path.read_text()
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        message = TestMissingRequiredKey.run(tmp_path, capsys, argv)
+        assert message == f"{path}: unknown key {key!r} in section [{section}]"
+        path.write_text(text + "\n[polcy]\nc_rate = 1.2\n")
+        message = TestMissingRequiredKey.run(tmp_path, capsys, argv)
+        assert message == f"{path}: unknown section [polcy]"
+
+    @pytest.mark.parametrize("section, key", [("policy", "c_rat"),
+                                              ("pack", "rng_sed"),
+                                              ("run", "sed")])
+    def test_sim_config(self, tmp_path, capsys, section, key):
+        cfg = write_pack_configs(tmp_path)["c100"]
+        self.run(tmp_path, capsys, ["simulate", "--config", str(cfg)],
+                 cfg, section, key)
+
+    def test_scenario(self, tmp_path, capsys):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        scenario = tmp_path / "swap.ini"
+        write_scenario(scenario, AttackScenario(kind="swap_fdi", k0_s=1, kf_s=2))
+        self.run(tmp_path, capsys, [
+            "attack-eval", "--model", model, "--trace", trace,
+            "--scenario", str(scenario), "--epsilon", "0.1"],
+            scenario, "attack", "k0")
+
+    def test_train_config(self, tmp_path, capsys):
+        train_cfg = tmp_path / "train.ini"
+        train_cfg.write_text("[train]\nn_trees = 3\n")
+        self.run(tmp_path, capsys, [
+            "train-base", "--corpus-dir", str(tmp_path / "corpus"),
+            "--config", str(train_cfg)], train_cfg, "train", "ntrees")
+
+    def test_finetune_recipe(self, tmp_path, capsys):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        recipe = tmp_path / "recipe.ini"
+        recipe.write_text("[finetune]\nn_trees = 2\nmax_depth = 2\n"
+                          "learning_rate = 0.05\n")
+        self.run(tmp_path, capsys, [
+            "finetune", "--model", model,
+            "--config", str(write_pack_configs(tmp_path)["c100"]),
+            "--traces", trace, "--test-trace", trace, "--recipe", str(recipe)],
+            recipe, "finetune", "lamda_l2")
 
 
 class TestBoostingRecipes:
@@ -689,6 +742,25 @@ class TestOutDirResolution:
 
 
 class TestSimulateKinds:
+    @pytest.mark.parametrize("run_seed, flag", [(7, []), (0, ["--seed", "7"])])
+    def test_pack_seed_rejected(self, tmp_path, capsys, run_seed, flag):
+        """Pack noise is seeded from [pack] rng_seed: a nonzero effective
+        seed, from [run] seed or --seed, exits 5 and writes nothing, and
+        --seed 0 overrides [run] seed."""
+        cfg = tmp_path / "pack.ini"
+        write_sim_config(cfg, SimRunSpec(
+            kind="pack", cell=MINI_CELL,
+            policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),
+            noise=simkit.NoiseSpec(), pack=mini_pack_config(), seed=run_seed))
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + flag) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "[pack] rng_seed" in err["message"]
+        assert not (tmp_path / "out").exists()
+        assert cli.main(argv + ["--seed", "0"]) == 0
+        assert (tmp_path / "out" / "mini_c100.csv").exists()
+
     def test_cell_kind(self, tmp_path):
         spec = SimRunSpec(kind="cell", cell=MINI_CELL,
                           policy=simkit.CccvPolicy(c_rate=1.0, duration_s=60),

@@ -1,4 +1,5 @@
 import configparser
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from voltsentry.boost import TrainConfig
 from voltsentry.configio import (SimRunSpec, read_scenario, read_sim_config,
                                  read_train_config, resolve_recipe,
                                  write_scenario)
+from voltsentry.simkit import CccvPolicy, CellParams, NoiseSpec, PackConfig
 from voltsentry.threatgen import AttackScenario
 from voltsentry.transfer import PACK1_RECIPE, PACK2_RECIPE
 
@@ -19,6 +21,33 @@ def drop_option(path, section, key):
     assert parser.remove_option(section, key)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
+
+
+class TestSchema:
+    def test_keys_are_the_dataclass_fields(self):
+        """Each section's keys are the fields of the dataclass it sets, so
+        no field is left unreadable: ocv_soc and ocv_v stand for ocv_knots,
+        and [run] holds SimRunSpec's fields other than its four parts."""
+        def names(cls, *others):
+            return {f.name for f in fields(cls)} - set(others)
+
+        assert {section: set(keys) for section, keys in configio.SCHEMA.items()} == {
+            "run": names(SimRunSpec, "cell", "policy", "noise", "pack"),
+            "cell": names(CellParams, "ocv_knots") | {"ocv_soc", "ocv_v"},
+            "pack": names(PackConfig),
+            "policy": names(CccvPolicy),
+            "noise": names(NoiseSpec),
+            "attack": names(AttackScenario),
+            "train": names(TrainConfig),
+            "finetune": names(TrainConfig),
+        }
+
+    def test_other_readers_sections_allowed(self, tmp_path):
+        path = tmp_path / "recipe.ini"
+        path.write_text("[train]\nn_trees = 5\n[finetune]\nn_trees = 4\n"
+                        "max_depth = 3\nlearning_rate = 0.05\n")
+        assert read_train_config(path) == TrainConfig(n_trees=5)
+        assert resolve_recipe(path) == TrainConfig(4, 3, 0.05)
 
 
 class TestSimConfig:

@@ -11,7 +11,7 @@ from writers_reference import (reference_write_detection,
 from datasets_reference import reference_read_trace, reference_write_trace
 from voltsentry import datasets, pipeline, reports, sentinel, simkit
 from voltsentry.boost import BoostHistory, NormSpec
-from voltsentry.datasets import (SplitSpec, TraceParseError, build_supervised,
+from voltsentry.datasets import (TraceParseError, build_supervised,
                                  check_no_leakage, concat, read_trace,
                                  write_trace)
 
@@ -67,34 +67,32 @@ class TestSplits:
         v = base + np.arange(q) + np.cumsum(rng.uniform(0, 0.01, (n, q)), axis=0)
         return make_trace(v, i=100.0, name=name)
 
-    def _pack_sets(self, q, split):
+    def _pack_sets(self, q):
         """Pack sets from two training charges and one test charge."""
         train = [self._pack_trace(q, name=f"c{j}") for j in (80, 120)]
         return pipeline.build_pack_sets(train, self._pack_trace(q, name="c100"),
-                                        split, NormSpec())
+                                        NormSpec())
 
     def test_default_split_sizes_pack1(self):
-        spec = SplitSpec.default_for(4)
-        assert spec.train_modules == (1, 2)
-        train, val, test = self._pack_sets(4, spec)
+        train, val, test = self._pack_sets(4)
+        assert train.sources == (("c80", 1), ("c120", 2))
+        assert val.sources == (("c80", 3),)
+        assert test.sources == (("c100", 4),)
         assert (len(train), len(val), len(test)) == (1800, 900, 900)
 
     def test_default_split_sizes_pack2(self):
-        train, val, test = self._pack_sets(5, SplitSpec.default_for(5))
+        train, val, test = self._pack_sets(5)
+        assert train.sources == (("c80", 1), ("c120", 2), ("c80", 3))
+        assert (val.sources, test.sources) == ((("c80", 4),), (("c100", 5),))
         assert (len(train), len(val), len(test)) == (2700, 900, 900)
 
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(ValueError):
-            SplitSpec((1, 2), (2,), (3,))
-
     def test_cell_trace_with_pack_spec_errors(self):
-        trace = make_trace([3.7, 3.8, 3.9])
-        with pytest.raises(ValueError):
-            pipeline.build_pack_sets([trace], trace, SplitSpec.default_for(4),
-                                     NormSpec())
+        for trace in (make_trace([3.7, 3.8, 3.9]), self._pack_trace(2)):
+            with pytest.raises(ValueError, match="at least 3 modules"):
+                pipeline.build_pack_sets([trace, trace], trace, NormSpec())
 
     def test_no_leakage(self):
-        train, val, test = self._pack_sets(4, SplitSpec.default_for(4))
+        train, val, test = self._pack_sets(4)
         check_no_leakage(train, val, test)
         with pytest.raises(ValueError, match="leakage"):
             check_no_leakage(train, train)

@@ -13,7 +13,6 @@ from test_boost import GRID, random_tree
 from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
 from voltsentry.boost import Ensemble, Segment
 from voltsentry.cli import check_model_trace_compat
-from voltsentry.datasets import SplitSpec
 from voltsentry.reports import RunReport, score_detection, write_report
 from voltsentry.sentinel import DetectionTrace, run_detector
 from voltsentry.threatgen import AttackScenario, apply_scenario
@@ -45,9 +44,8 @@ class TestPackSets:
     def test_round_robin_uses_both_rates(self, pack1_bundle):
         config = pack1_bundle["config"]
         traces = pack1_bundle["traces"]
-        split = SplitSpec.default_for(config.q)
         train, val, test = pipeline.build_pack_sets(
-            traces["train"], traces["test"], split, norm_for_pack(config))
+            traces["train"], traces["test"], norm_for_pack(config))
         train_traces = {src[0] for src in train.sources}
         assert train_traces == {"pack1_c080", "pack1_c120"}
         assert {src[0] for src in val.sources} == {"pack1_c080"}
@@ -354,8 +352,7 @@ class TestValidationMaximaFromBoosting:
         b = request.getfixturevalue(bundle)
         norm = norm_for_pack(b["config"])
         _, val_set, _ = pipeline.build_pack_sets(
-            b["traces"]["train"], b["traces"]["test"],
-            SplitSpec.default_for(b["config"].q), norm)
+            b["traces"]["train"], b["traces"]["test"], norm)
         for key, model in (("val_max_abs_residual_base_v", base_model),
                            ("val_max_abs_residual_tl_v", b["model"])):
             assert b["info"][key] == (pipeline.max_abs_residual(model, val_set)

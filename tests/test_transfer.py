@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,15 @@ class TestFinetune:
                 finetune(base, pack, val, transfer.PACK1_RECIPE)
             with pytest.raises(ValueError, match="normalized"):
                 train(pack, val, transfer.PACK1_RECIPE)
+
+    def test_nonfinite_validation_target_rejected(self):
+        base = small_base()
+        x = np.array([[3.7, 5.0], [3.8, 5.0]])
+        val = dataset(x, [3.8, np.nan])
+        with mock.patch.object(boost, "_boost_segment",
+                               side_effect=AssertionError("boosted")), \
+                pytest.raises(ValueError, match="validation targets"):
+            finetune(base, dataset(x, [3.8, 3.9]), val, transfer.PACK1_RECIPE)
 
     def test_result_takes_the_sets_normalization(self):
         base = small_base()
