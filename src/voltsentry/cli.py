@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,6 +55,11 @@ def _provenance(**file_paths) -> dict:
         if path is not None:
             prov[f"{label}_sha256"] = configio.sha256_of(path)
     return prov
+
+
+def _with_base(label: str, path) -> dict:
+    """A config file and the base file it names, as label_base."""
+    return {label: path, f"{label}_base": path and configio.base_of(path)}
 
 
 # Per-cell volts by which a trace may pass the outermost voltage thresholds
@@ -93,26 +99,22 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"seed {seed} given for a pack run: pack noise is "
                          "seeded from [pack] rng_seed, so the seed must be 0")
     out_dir = _out_dir(args)
-    written = []
     if spec.kind == "cell_corpus":
         written = pipeline.generate_cell_corpus(
             out_dir, cell=spec.cell, seed=seed, noise=spec.noise)
-    elif spec.kind == "cell":
-        from .simkit import run_cccv_cell
-        stem = os.path.splitext(os.path.basename(args.config))[0]
-        trace = run_cccv_cell(spec.cell, spec.policy, spec.init_soc,
-                              spec.noise, seed=seed, name=stem)
-        path = os.path.join(out_dir, stem + ".csv")
-        datasets.write_trace(path, trace)
-        written = [path]
     else:
-        from .simkit import run_cccv_pack
-        name = pipeline.pack_trace_name(spec.pack.name, spec.policy.c_rate)
-        trace = run_cccv_pack(spec.pack, spec.cell, spec.policy,
-                              spec.init_soc, spec.noise, name=name)
-        path = os.path.join(out_dir, name + ".csv")
-        datasets.write_trace(path, trace)
-        written = [path]
+        if spec.kind == "cell":
+            from .simkit import run_cccv_cell
+            stem = os.path.splitext(os.path.basename(args.config))[0]
+            trace = run_cccv_cell(spec.cell, spec.policy, spec.init_soc,
+                                  spec.noise, seed=seed, name=stem)
+        else:
+            from .simkit import run_cccv_pack
+            name = pipeline.pack_trace_name(spec.pack.name, spec.policy.c_rate)
+            trace = run_cccv_pack(spec.pack, spec.cell, spec.policy,
+                                  spec.init_soc, spec.noise, name=name)
+        written = [os.path.join(out_dir, trace.name + ".csv")]
+        datasets.write_trace(written[0], trace)
     for path in written:
         print(path)
     return 0
@@ -133,14 +135,12 @@ def cmd_train_base(args) -> int:
     write_loss_curve(curve_path, model.history)
     val_err = model.history.val_max_abs_end
     report = RunReport(
-        command="train-base", seed=args.seed,
+        command="train-base",
         inputs={"corpus_dir": _name(args.corpus_dir),
                 "n_train": len(train_set), "n_val": len(val_set)},
         model={
             "tree_counts": model.tree_counts(),
-            "config": {"n_trees": cfg.n_trees, "max_depth": cfg.max_depth,
-                       "learning_rate": cfg.learning_rate,
-                       "lambda_l2": cfg.lambda_l2},
+            "config": asdict(cfg),
             "final_train_mse": model.history.train_mse[-1],
             "final_val_mse": model.history.val_mse[-1],
             "val_max_abs_error_v": val_err,
@@ -148,7 +148,7 @@ def cmd_train_base(args) -> int:
         },
         artifacts={"model": _name(model_path),
                    "loss_curve": _name(curve_path)},
-        provenance=_provenance(config=args.config))
+        provenance=_provenance(**_with_base("config", args.config)))
     report_path = os.path.join(out_dir, "report_train_base.json")
     write_report(report_path, report)
     write_timings(os.path.join(out_dir, "timings_train_base.json"),
@@ -176,18 +176,18 @@ def cmd_finetune(args) -> int:
     model_path = os.path.join(out_dir, f"model_{spec.pack.name}.json")
     boost.save_model(model_path, model)
     report = RunReport(
-        command="finetune", seed=args.seed,
+        command="finetune",
         inputs={"base_model": _name(args.model),
                 "traces": [_name(p) for p in args.traces],
                 "test_trace": _name(args.test_trace)},
         model={
             "tree_counts": model.tree_counts(),
-            "recipe": {"n_trees": recipe.n_trees, "max_depth": recipe.max_depth,
-                       "learning_rate": recipe.learning_rate},
+            "recipe": asdict(recipe),
             **info,
         },
         artifacts={"model": _name(model_path)},
-        provenance=_provenance(config=args.config, base_model=args.model))
+        provenance=_provenance(**_with_base("config", args.config),
+                               base_model=args.model))
     report_path = os.path.join(out_dir, f"report_finetune_{spec.pack.name}.json")
     write_report(report_path, report)
     write_timings(os.path.join(out_dir, f"timings_finetune_{spec.pack.name}.json"),
@@ -208,7 +208,7 @@ def cmd_calibrate(args) -> int:
     det_path = os.path.join(out_dir, f"detection_nominal_{trace.name}.csv")
     sentinel.write_detection(det_path, det)
     report = RunReport(
-        command="calibrate", seed=args.seed,
+        command="calibrate",
         inputs={"model": _name(args.model), "trace": _name(args.trace)},
         detection={
             "epsilon_v": epsilon,
@@ -244,7 +244,7 @@ def cmd_attack_eval(args) -> int:
     sentinel.write_events(events_path, det)
 
     report = RunReport(
-        command="attack-eval", seed=args.seed,
+        command="attack-eval",
         inputs={"model": _name(args.model), "trace": _name(args.trace),
                 "scenario": _name(args.scenario), "epsilon_v": args.epsilon},
         detection={
@@ -255,7 +255,7 @@ def cmd_attack_eval(args) -> int:
         artifacts={"corrupted_trace": _name(corrupted_path),
                    "detection": _name(det_path), "events": _name(events_path)},
         provenance=_provenance(model=args.model, trace=args.trace,
-                               scenario=args.scenario))
+                               **_with_base("scenario", args.scenario)))
     report_path = os.path.join(out_dir, f"report_{stem}.json")
     write_report(report_path, report)
     print(report_path)
@@ -283,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out-dir", default=None,
                        help="output directory (default $VOLTSENTRY_OUT_DIR or ./out)")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="generate telemetry CSVs from a config")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -76,7 +76,6 @@ class RunReport:
     """Deterministic record of one CLI command run."""
 
     command: str
-    seed: int | None = None
     inputs: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
     detection: dict = field(default_factory=dict)

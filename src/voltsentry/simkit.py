@@ -113,11 +113,10 @@ class CellParams:
     diff_tau_s: float = 45.0
     ocv_knots: tuple = DEFAULT_OCV_KNOTS
     v_max: float = 4.2
-    v_min: float = 2.5
 
     def __post_init__(self):
         _require_finite_fields(self, "capacity_ah", "r0_ohm", "r1_ohm", "c1_f",
-                               "diff_tau_s", "v_max", "v_min")
+                               "diff_tau_s", "v_max")
         _require_finite("ocv_knots", *(x for knot in self.ocv_knots for x in knot))
         if not self.capacity_ah > 0:
             raise ValueError("capacity_ah must be positive")
@@ -127,8 +126,6 @@ class CellParams:
             raise ValueError("c1_f must be positive")
         if not self.diff_tau_s > 0:
             raise ValueError("diff_tau_s must be positive")
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
         socs = [s for s, _ in self.ocv_knots]
         volts = [v for _, v in self.ocv_knots]
         if len(socs) < 2 or socs[0] != 0.0 or socs[-1] != 1.0:
@@ -173,14 +170,12 @@ class PackConfig:
     parallel_modules: int
     branches_per_module: int
     series_cells: int
-    capacity_ah: float
-    v_max_pack: float
     heterogeneity_sigma: float = 0.01
     rng_seed: int = 0
     interconnect_ohm: float | tuple = 0.0
 
     def __post_init__(self):
-        _require_finite_fields(self, "capacity_ah", "v_max_pack", "heterogeneity_sigma")
+        _require_finite_fields(self, "heterogeneity_sigma")
         if self.parallel_modules < 1 or self.branches_per_module < 1 or self.series_cells < 1:
             raise ValueError("pack topology counts must be >= 1")
         if self.heterogeneity_sigma < 0:
@@ -200,15 +195,6 @@ class PackConfig:
     @property
     def q(self) -> int:
         return self.parallel_modules
-
-    def validate_capacity(self, cell: CellParams) -> None:
-        """Pack capacity must equal cell capacity times parallel string count."""
-        expected = cell.capacity_ah * self.parallel_modules * self.branches_per_module
-        if abs(self.capacity_ah - expected) > 1e-9 * expected:
-            raise ValueError(
-                f"pack capacity {self.capacity_ah} Ah inconsistent with "
-                f"{self.parallel_modules}x{self.branches_per_module} strings of "
-                f"{cell.capacity_ah} Ah cells")
 
 
 @dataclass(frozen=True)
@@ -566,7 +552,6 @@ class _PackModel:
 
     def __init__(self, config: PackConfig, cell: CellParams, init_soc: float,
                  dt: float):
-        config.validate_capacity(cell)
         q, s = config.q, config.series_cells
         rng = np.random.default_rng(config.rng_seed)
         sigma = config.heterogeneity_sigma
@@ -630,8 +615,9 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
                   name: str = "") -> TelemetryTrace:
     """Simulate a CCCV charge of a pack, recorded at 1 Hz.
 
-    CC applies ``c_rate * pack capacity`` until the bus voltage reaches the
-    pack setpoint ``series_cells * policy.v_max``; CV then holds the bus at
+    CC applies ``c_rate`` times the pack capacity (cell capacity times
+    ``parallel_modules * branches_per_module``) until the bus voltage reaches
+    the pack setpoint ``series_cells * policy.v_max``; CV then holds the bus at
     the setpoint until the pack current tapers to the cutoff C-rate.  The
     noise seed derives from (rng_seed, policy, init_soc) so that identical
     inputs reproduce byte-identical traces while distinct policies on the
@@ -643,12 +629,14 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
         raise ValueError(
             f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
 
-    i_cc = policy.c_rate * config.capacity_ah
+    capacity = (cell.capacity_ah * config.parallel_modules
+                * config.branches_per_module)
+    i_cc = policy.c_rate * capacity
     # At most the whole pack current through one module's branches.
     _require_finite_drops(cell, i_cc / config.branches_per_module)
     model = _PackModel(config, cell, init_soc, _SUB_DT)
     setpoint = config.series_cells * policy.v_max
-    i_cut = policy.taper_cutoff_c * config.capacity_ah
+    i_cut = policy.taper_cutoff_c * capacity
     n_records = int(policy.duration_s) + 1
     phase = "cc"
 
@@ -723,21 +711,17 @@ def pack1_config(rng_seed: int = 77) -> PackConfig:
     The interconnect ladder leaves module 1 farthest from the charger bus,
     so nominal module voltages come out ascending in module index.
     """
-    cell = default_cell()
-    r_nom = 100 * cell.r0_ohm / 5
+    r_nom = 100 * default_cell().r0_ohm / 5
     return PackConfig(
         name="pack1", parallel_modules=4, branches_per_module=5,
-        series_cells=100, capacity_ah=100.0, v_max_pack=424.0,
-        heterogeneity_sigma=0.01, rng_seed=rng_seed,
+        series_cells=100, heterogeneity_sigma=0.01, rng_seed=rng_seed,
         interconnect_ohm=_ladder((0.55, 1.12, 1.15, 1.18), r_nom))
 
 
 def pack2_config(rng_seed: int = 54) -> PackConfig:
     """5 parallel modules, 5 branches each, 80 series cells (25p80s)."""
-    cell = default_cell()
-    r_nom = 80 * cell.r0_ohm / 5
+    r_nom = 80 * default_cell().r0_ohm / 5
     return PackConfig(
         name="pack2", parallel_modules=5, branches_per_module=5,
-        series_cells=80, capacity_ah=125.0, v_max_pack=338.0,
-        heterogeneity_sigma=0.01, rng_seed=rng_seed,
+        series_cells=80, heterogeneity_sigma=0.01, rng_seed=rng_seed,
         interconnect_ohm=_ladder((0.60, 1.04, 1.10, 1.10, 1.16), r_nom))

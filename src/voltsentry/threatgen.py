@@ -61,6 +61,9 @@ class AttackScenario:
             if any(m < 1 for m in mods):
                 raise ValueError("module indices are 1-based")
             object.__setattr__(self, "target_modules", mods)
+        elif (self.record_start_s, self.record_end_s,
+              self.target_modules) != (None, None, None):
+            raise ValueError("a swap takes no record window or target modules")
 
     def validate_for(self, trace: TelemetryTrace) -> None:
         t0, t_end = trace.t_s[0], trace.t_s[-1]

@@ -35,10 +35,13 @@ def canonical_config(name: str) -> str:
 
 
 def write_sim_config(path, spec: configio.SimRunSpec) -> None:
-    """Write a simulator run as the INI that configio.read_sim_config reads."""
+    """Write a simulator run as the INI that configio.read_sim_config reads:
+    a cell_corpus run without the [policy] and init_soc it never reads."""
+    corpus = spec.kind == "cell_corpus"
     parser = configparser.ConfigParser()
-    parser["run"] = {"kind": spec.kind, "init_soc": repr(spec.init_soc),
-                     "seed": str(spec.seed)}
+    parser["run"] = {"kind": spec.kind, "seed": str(spec.seed)}
+    if not corpus:
+        parser["run"]["init_soc"] = repr(spec.init_soc)
     parser["cell"] = {
         "capacity_ah": repr(spec.cell.capacity_ah),
         "r0_ohm": repr(spec.cell.r0_ohm),
@@ -46,16 +49,16 @@ def write_sim_config(path, spec: configio.SimRunSpec) -> None:
         "c1_f": repr(spec.cell.c1_f),
         "diff_tau_s": repr(spec.cell.diff_tau_s),
         "v_max": repr(spec.cell.v_max),
-        "v_min": repr(spec.cell.v_min),
         "ocv_soc": ", ".join(repr(s) for s, _ in spec.cell.ocv_knots),
         "ocv_v": ", ".join(repr(v) for _, v in spec.cell.ocv_knots),
     }
-    parser["policy"] = {
-        "c_rate": repr(spec.policy.c_rate),
-        "v_max": repr(spec.policy.v_max),
-        "taper_cutoff_c": repr(spec.policy.taper_cutoff_c),
-        "duration_s": repr(spec.policy.duration_s),
-    }
+    if not corpus:
+        parser["policy"] = {
+            "c_rate": repr(spec.policy.c_rate),
+            "v_max": repr(spec.policy.v_max),
+            "taper_cutoff_c": repr(spec.policy.taper_cutoff_c),
+            "duration_s": repr(spec.policy.duration_s),
+        }
     parser["noise"] = {"rel_sigma": repr(spec.noise.rel_sigma)}
     if spec.pack is not None:
         parser["pack"] = {
@@ -63,8 +66,6 @@ def write_sim_config(path, spec: configio.SimRunSpec) -> None:
             "parallel_modules": str(spec.pack.parallel_modules),
             "branches_per_module": str(spec.pack.branches_per_module),
             "series_cells": str(spec.pack.series_cells),
-            "capacity_ah": repr(spec.pack.capacity_ah),
-            "v_max_pack": repr(spec.pack.v_max_pack),
             "heterogeneity_sigma": repr(spec.pack.heterogeneity_sigma),
             "rng_seed": str(spec.pack.rng_seed),
             "interconnect_ohm": ", ".join(repr(r) for r in spec.pack.interconnect_ohm),

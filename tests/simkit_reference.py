@@ -146,7 +146,6 @@ class _PackModel:
     """Vectorized state of q representative branches of series cells."""
 
     def __init__(self, config: PackConfig, cell: CellParams, init_soc: float):
-        config.validate_capacity(cell)
         q, s = config.q, config.series_cells
         rng = np.random.default_rng(config.rng_seed)
         sigma = config.heterogeneity_sigma
@@ -234,8 +233,10 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
 
     model = _PackModel(config, cell, init_soc)
     setpoint = config.series_cells * policy.v_max
-    i_cc = policy.c_rate * config.capacity_ah
-    i_cut = policy.taper_cutoff_c * config.capacity_ah
+    capacity = (cell.capacity_ah * config.parallel_modules
+                * config.branches_per_module)
+    i_cc = policy.c_rate * capacity
+    i_cut = policy.taper_cutoff_c * capacity
     n_records = int(policy.duration_s) + 1
     sub_dt = 0.1
     phase = "cc"

@@ -1,14 +1,14 @@
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import canonical_config, write_sim_config
 from test_configio import drop_option
-from voltsentry import boost, cli, datasets, pipeline, simkit
+from voltsentry import boost, cli, configio, datasets, pipeline, simkit
 from voltsentry.configio import SimRunSpec, write_scenario
 from voltsentry.threatgen import AttackScenario
 from voltsentry.transfer import norm_for_pack
@@ -19,8 +19,7 @@ MINI_CELL = simkit.CellParams(capacity_ah=2.0)
 def mini_pack_config(seed=3):
     return simkit.PackConfig(
         name="mini", parallel_modules=3, branches_per_module=2,
-        series_cells=4, capacity_ah=12.0, v_max_pack=17.0,
-        heterogeneity_sigma=0.01, rng_seed=seed,
+        series_cells=4, heterogeneity_sigma=0.01, rng_seed=seed,
         interconnect_ohm=(0.15, 0.01, 0.0))
 
 
@@ -127,6 +126,18 @@ class TestPipeline:
         assert last[0] == "15"
         assert float(last[1]) == base["model"]["final_train_mse"]
         assert float(last[2]) == base["model"]["final_val_mse"]
+
+        # Each report names every hyper-parameter its model was trained
+        # with, and no report carries a seed.
+        assert base["model"]["config"] == asdict(
+            configio.read_train_config(mini_setup["train_cfg"]))
+        finetune = json.loads((out / "report_finetune_mini.json").read_text())
+        assert finetune["model"]["recipe"] == asdict(
+            configio.resolve_recipe(mini_setup["recipe"]))
+        assert sorted(finetune["model"]["recipe"]) == sorted(
+            f.name for f in boost.TrainConfig.__dataclass_fields__.values())
+        for path in out.glob("report_*.json"):
+            assert "seed" not in json.loads(path.read_text())
 
         assert cli.main(["report", str(out / "report_mini_c100_swap_fdi.json")]) == 0
         printed = capsys.readouterr().out
@@ -464,7 +475,6 @@ class TestErrorPaths:
             noise=simkit.NoiseSpec(), init_soc=0.3,
             pack=simkit.PackConfig(name="short", parallel_modules=2,
                                    branches_per_module=1, series_cells=2,
-                                   capacity_ah=4.0, v_max_pack=9.0,
                                    interconnect_ohm=link))
         cfg = tmp_path / "run.ini"
         write_sim_config(cfg, spec)
@@ -589,6 +599,109 @@ class TestMissingRequiredKey:
         self.run(tmp_path, capsys, [
             "attack-eval", "--model", model, "--trace", trace,
             "--scenario", str(scenario), "--epsilon", "0.1"])
+
+
+class TestConfigOverlays:
+    """A config that names [run] base is read over that file: the CLI
+    reads the pair as one config, and a report pins both files."""
+
+    def test_finetune_on_an_overlay_records_its_base(self, mini_setup):
+        out = mini_setup["tmp"] / "out"
+        art = run_pipeline(mini_setup, out)
+        overlay = mini_setup["tmp"] / "over" / "c100.ini"
+        overlay.parent.mkdir()
+        overlay.write_text("[run]\nbase = ../mini_c100.ini\n")
+        out_over = mini_setup["tmp"] / "out_over"
+        traces = art["traces"]
+        assert cli.main(["finetune", "--model", str(art["model"]),
+                         "--config", str(overlay),
+                         "--traces", str(traces["c080"]), str(traces["c120"]),
+                         "--test-trace", str(traces["c100"]),
+                         "--recipe", str(mini_setup["recipe"]),
+                         "--out-dir", str(out_over)]) == 0
+        assert ((out_over / "model_mini.json").read_bytes()
+                == (out / "model_mini.json").read_bytes())
+        prov = json.loads((out_over / "report_finetune_mini.json")
+                          .read_text())["provenance"]
+        assert prov["config_sha256"] == configio.sha256_of(overlay)
+        assert prov["config_base_sha256"] == configio.sha256_of(
+            mini_setup["configs"]["c100"])
+        plain = json.loads((out / "report_finetune_mini.json").read_text())
+        assert "config_base_sha256" not in plain["provenance"]
+
+    def test_misspelled_override_exits_4_naming_the_overlay(self, tmp_path,
+                                                             capsys):
+        write_pack_configs(tmp_path)
+        overlay = tmp_path / "c080.ini"
+        overlay.write_text("[run]\nbase = mini_c100.ini\n\n[policy]\nc_rat = 0.8\n")
+        message = TestMissingRequiredKey.run(
+            tmp_path, capsys, ["simulate", "--config", str(overlay)])
+        assert message == f"{overlay}: unknown key 'c_rat' in section [policy]"
+
+    def test_base_that_names_a_base_exits_4(self, tmp_path, capsys):
+        write_pack_configs(tmp_path)
+        (tmp_path / "middle.ini").write_text("[run]\nbase = mini_c100.ini\n")
+        overlay = tmp_path / "top.ini"
+        overlay.write_text("[run]\nbase = middle.ini\n")
+        message = TestMissingRequiredKey.run(
+            tmp_path, capsys, ["simulate", "--config", str(overlay)])
+        assert "names a base" in message
+
+    def test_missing_base_exits_3(self, tmp_path, capsys):
+        overlay = tmp_path / "over.ini"
+        overlay.write_text("[run]\nbase = absent.ini\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(overlay),
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert "absent.ini" in err["message"]
+        assert not out.exists()
+
+
+class TestIgnoredInputsRejected:
+    """Config content that a command would not read is an error, not a
+    silent no-op."""
+
+    def test_corpus_config_with_policy_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "corpus.ini"
+        write_sim_config(cfg, SimRunSpec(
+            kind="cell_corpus", cell=MINI_CELL, policy=simkit.CccvPolicy(1.0),
+            noise=simkit.NoiseSpec(), seed=1))
+        cfg.write_text(cfg.read_text() + "\n[policy]\nv_max = 4.0\n")
+        message = TestMissingRequiredKey.run(
+            tmp_path, capsys, ["simulate", "--config", str(cfg)])
+        assert message == (f"{cfg}: a cell_corpus run reads no [policy] "
+                           "or [run] init_soc")
+
+    def test_swap_scenario_with_targets_exits_5(self, tmp_path, capsys):
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        scenario = tmp_path / "swap.ini"
+        scenario.write_text("[attack]\nkind = swap_fdi\nk0_s = 1\nkf_s = 2\n"
+                            "target_modules = 1, 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["attack-eval", "--model", model, "--trace", trace,
+                         "--scenario", str(scenario), "--epsilon", "0.1",
+                         "--out-dir", str(out)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "swap takes no" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-base", "--corpus-dir", "c"],
+        ["finetune", "--model", "m", "--config", "c", "--traces", "t",
+         "--test-trace", "t"],
+        ["calibrate", "--model", "m", "--trace", "t"],
+        ["attack-eval", "--model", "m", "--trace", "t", "--scenario", "s",
+         "--epsilon", "1"]])
+    def test_seed_is_a_simulate_option_only(self, argv, capsys):
+        parser = cli.build_parser()
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv + ["--seed", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestUnknownKeyOrSection:

@@ -70,8 +70,7 @@ class TestPackSets:
     def test_traces_written_and_reloaded(self, tmp_path):
         config = simkit.PackConfig(
             name="tiny", parallel_modules=3, branches_per_module=1,
-            series_cells=2, capacity_ah=15.0, v_max_pack=8.5,
-            heterogeneity_sigma=0.0, rng_seed=0)
+            series_cells=2, heterogeneity_sigma=0.0, rng_seed=0)
         ini = tmp_path / "run.ini"
         for rate in ("c080", "c120", "c100"):
             spec = configio.read_sim_config(canonical_config(f"pack1_{rate}"))
@@ -242,10 +241,10 @@ class TestCrossingScorer:
 
 class TestReports:
     def test_deterministic_serialization(self, tmp_path):
-        report = RunReport(command="x", seed=1, inputs={"b": 2, "a": 1})
+        report = RunReport(command="x", inputs={"b": 2, "a": 1})
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         write_report(p1, report)
-        write_report(p2, RunReport(command="x", seed=1, inputs={"a": 1, "b": 2}))
+        write_report(p2, RunReport(command="x", inputs={"a": 1, "b": 2}))
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -112,8 +112,6 @@ class TestParamValidation:
             CellParams(capacity_ah=0.0)
         with pytest.raises(ValueError):
             CellParams(c1_f=-1.0)
-        with pytest.raises(ValueError):
-            CellParams(v_min=4.5)
 
 
 class TestRunCccvCell:
@@ -179,8 +177,7 @@ class TestPolicyValidation:
 def small_pack(sigma=0.0, interconnect=0.0, seed=5):
     return PackConfig(
         name="mini", parallel_modules=3, branches_per_module=2,
-        series_cells=4, capacity_ah=CELL.capacity_ah * 6, v_max_pack=17.0,
-        heterogeneity_sigma=sigma, rng_seed=seed,
+        series_cells=4, heterogeneity_sigma=sigma, rng_seed=seed,
         interconnect_ohm=interconnect)
 
 
@@ -195,7 +192,6 @@ class TestRunCccvPack:
     def test_matches_cell_for_trivial_pack(self):
         config = PackConfig(name="one", parallel_modules=1,
                             branches_per_module=1, series_cells=1,
-                            capacity_ah=CELL.capacity_ah, v_max_pack=4.25,
                             heterogeneity_sigma=0.0, rng_seed=0)
         policy = CccvPolicy(c_rate=1.0, duration_s=200)
         pack = run_cccv_pack(config, CELL, policy, 0.3, NoiseSpec(0.0))
@@ -233,26 +229,20 @@ class TestRunCccvPack:
     def test_pack1_table_row(self):
         config = simkit.pack1_config()
         assert (config.q, config.branches_per_module, config.series_cells) == (4, 5, 100)
-        config.validate_capacity(CELL)
         trace = run_cccv_pack(config, CELL, CccvPolicy(c_rate=1.0, duration_s=60),
                               0.25, NoiseSpec(0.0))
         assert trace.v_modules.shape[1] == 4
-        assert trace.v_modules.max() < config.v_max_pack
-        assert 100 * 4.2 <= config.v_max_pack
+        # 1C of the pack's 20 strings of 5 Ah cells is 100 A.
+        assert trace.i_pack_a[0] == 100.0
+        assert trace.v_modules.max() < 100 * 4.2
 
     def test_pack2_table_row(self):
         config = simkit.pack2_config()
         assert (config.q, config.branches_per_module, config.series_cells) == (5, 5, 80)
-        config.validate_capacity(CELL)
-        assert config.capacity_ah == 125.0
-
-    def test_capacity_consistency_enforced(self):
-        config = PackConfig(name="bad", parallel_modules=2,
-                            branches_per_module=2, series_cells=3,
-                            capacity_ah=47.0, v_max_pack=13.0)
-        with pytest.raises(ValueError, match="capacity"):
-            run_cccv_pack(config, CELL, CccvPolicy(c_rate=1.0, duration_s=30),
-                          0.3, NoiseSpec(0.0))
+        trace = run_cccv_pack(config, CELL, CccvPolicy(c_rate=0.8, duration_s=5),
+                              0.25, NoiseSpec(0.0))
+        # 0.8C of the pack's 25 strings of 5 Ah cells is 100 A.
+        assert trace.i_pack_a[0] == 0.8 * 125.0
 
     def test_module_voltages_stably_ordered_with_ladder(self):
         config = simkit.pack1_config()
@@ -538,8 +528,7 @@ def _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed):
             if ladder else data.draw(links))
     return PackConfig(
         name="prop", parallel_modules=q, branches_per_module=branches,
-        series_cells=s, capacity_ah=cell.capacity_ah * q * branches,
-        v_max_pack=s * 4.4, heterogeneity_sigma=sigma, rng_seed=rng_seed,
+        series_cells=s, heterogeneity_sigma=sigma, rng_seed=rng_seed,
         interconnect_ohm=link)
 
 
@@ -636,7 +625,7 @@ class TestMatchesReference:
                       init_soc, rng_seed):
         config = _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed)
         new = _outcome(lambda: run_cccv_pack(config, cell, policy, init_soc))
-        event(_phases(new, policy.c_rate * config.capacity_ah))
+        event(_phases(new, policy.c_rate * (cell.capacity_ah * q * branches)))
         # A module with zero cell and link resistance is rejected before
         # any division (after the policy's feasibility check).
         if (cell.r0_ohm == 0.0 and min(config.interconnect_ohm) == 0.0
@@ -687,7 +676,8 @@ class TestPackProperties:
         assume(cell.ocv(init_soc) < policy.v_max)
         config = _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed)
         trace = run_cccv_pack(config, cell, policy, init_soc)
-        event(_phases(_outcome(lambda: trace), policy.c_rate * config.capacity_ah))
+        event(_phases(_outcome(lambda: trace),
+                      policy.c_rate * (cell.capacity_ah * q * branches)))
         total = trace.i_modules.sum(axis=1)
         scale = np.maximum(np.abs(trace.i_pack_a), 1.0)
         assert np.max(np.abs(total - trace.i_pack_a) / scale) <= 1e-9
@@ -724,7 +714,6 @@ class TestNonFiniteParams:
         (lambda x: CellParams(c1_f=x), "c1_f"),
         (lambda x: CellParams(diff_tau_s=x), "diff_tau_s"),
         (lambda x: CellParams(v_max=x), "v_max"),
-        (lambda x: CellParams(v_min=x), "v_min"),
         (lambda x: CellParams(ocv_knots=((0.0, 3.0), (0.5, x), (1.0, 4.2))),
          "ocv_knots"),
         (lambda x: CellParams(ocv_knots=((0.0, 3.0), (x, 3.7), (1.0, 4.2))),
@@ -734,8 +723,6 @@ class TestNonFiniteParams:
         (lambda x: CccvPolicy(c_rate=1.0, taper_cutoff_c=x), "taper_cutoff_c"),
         (lambda x: CccvPolicy(c_rate=1.0, duration_s=x), "duration_s"),
         (lambda x: NoiseSpec(rel_sigma=x), "rel_sigma"),
-        (lambda x: replace(small_pack(), capacity_ah=x), "capacity_ah"),
-        (lambda x: replace(small_pack(), v_max_pack=x), "v_max_pack"),
         (lambda x: replace(small_pack(), heterogeneity_sigma=x),
          "heterogeneity_sigma"),
         (lambda x: small_pack(interconnect=x), "interconnect_ohm"),

@@ -75,6 +75,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             AttackScenario(kind="swap_fdi", k0_s=700, kf_s=300)
 
+    @pytest.mark.parametrize("replay_key", [
+        {"record_start_s": 100}, {"record_end_s": 200},
+        {"target_modules": (1, 2)}, {"target_modules": []}])
+    def test_swap_with_replay_key_rejected(self, replay_key):
+        """A swap reads no record window and no targets, so one that names
+        either is rejected rather than silently dropping it."""
+        with pytest.raises(ValueError, match="swap takes no"):
+            AttackScenario(kind="swap_fdi", k0_s=300, kf_s=700, **replay_key)
+
 
 def stair_trace(n=900, q=5, base=300.0):
     t = np.arange(n, dtype=float)
