@@ -38,8 +38,9 @@ canonical inputs and models of the README's CLI flow (seed 1):
 - ``evaluate_attack_warm_swap_phased_pack2_ms``: a warm swap over the same
   window of the same trace.  Every moved value comes from its own frame,
   so no row is predicted and the time goes to gathering the attacked
-  trace (with its one check of the source map and mask), taking the
-  memoized predictions with the current compare, and scoring.  The trace
+  trace (its source map and mask, valid by construction, are frozen but
+  not re-checked), taking the memoized predictions with the current
+  compare, and scoring.  The trace
   carries ``i_modules``, as the benchmark sweep's phased traces do.
 
 Each time is the median of repeated calls, in milliseconds unless its

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _ERROR_EXITS = (
-    (FileNotFoundError, "missing-file", 3),
+    ((FileNotFoundError, IsADirectoryError), "missing-file", 3),
     ((TraceParseError, ModelParseError, ReportParseError, configparser.Error,
       json.JSONDecodeError), "parse-error", 4),
     ((SolverError, TrainingError), "runtime-error", 6),

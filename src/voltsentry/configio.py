@@ -7,7 +7,9 @@ SCHEMA does not list; a file may hold other readers' sections.  A file may
 name [run] base = <path>, relative to its own directory: the base is read
 first, then the file's keys win, key by key.  Each file is checked on its
 own, so an error names the file that holds the bad key; a base that names
-a base raises configparser.Error, a missing base FileNotFoundError (exit 3).
+a base raises configparser.Error, a missing or empty base
+FileNotFoundError (exit 3), one that names a directory IsADirectoryError
+(also exit 3).
 
 Required: [run] kind (cell | pack | cell_corpus); for a pack run, [pack]
 parallel_modules branches_per_module series_cells; [attack] kind k0_s kf_s,
@@ -105,8 +107,11 @@ def _parse(path) -> dict:
 
 
 def _base(path, ini: dict) -> str | None:
-    """Path of the base file a parsed file names, popped from [run]."""
+    """Path of the base file a parsed file names, popped from [run];
+    FileNotFoundError naming the file if it names an empty path."""
     base = ini.get("run", {}).pop("base", None)
+    if base == "":
+        raise FileNotFoundError(f"{path}: [run] base names no file")
     return base and os.path.join(os.path.dirname(str(path)), base)
 
 

@@ -210,7 +210,8 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
     preds, residuals = sentinel.one_step_residuals(
         model, trace.v_modules, trace.i_pack_a)
     epsilon = sentinel.calibrate_threshold(residuals, margin)
-    det = sentinel.DetectionTrace(trace.t_s[1:], residuals, epsilon)
+    det = sentinel.DetectionTrace._of_residuals(trace.t_s[1:], residuals,
+                                                epsilon)
     return epsilon, det, preds
 
 

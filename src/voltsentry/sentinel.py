@@ -20,17 +20,20 @@ NaN and infinite values when they are built.  step_detector also rejects
 a frame whose t_s is not the previous frame's plus 1 s; the caller's
 state is unchanged, so the stream continues from the last good frame.
 
-An attacked trace (threatgen.apply_scenario, through
-TelemetryTrace.gathered) carries the nominal trace and the checked source
-map as its ``_origin``, and run_detector reuses the nominal's predictions
-through it.  They are memoized on the nominal trace in one slot: the
+An attacked trace (threatgen.apply_scenario, or TelemetryTrace.gathered)
+carries the nominal trace and a source map, in range by construction or
+by check, as its ``_origin``, and run_detector reuses the nominal's
+predictions through it.  They are memoized on the nominal trace in one slot: the
 model object, the predictions, frame-major, so that a flat index into the
 voltages addresses the prediction made from that value, and each voltage
 entry's frame current in the same flat order, NaN over the last frame,
 which feeds no prediction.  Row (k, m), the input (v_m(k), i(k)), holds
 the nominal value at ``source[k, m]`` by construction, so it takes that
 value's prediction when its current equals the memoized one; every other
-row is predicted, in one call.  A swap moves values within their frames,
+row is predicted, in one call.  The currents are compared in the memo's
+flat order: a gathered trace shares its origin's ``i_pack_a``, so row
+(k, m)'s own current is the memo's entry at k*q + m, and no current is
+broadcast over the rows.  A swap moves values within their frames,
 so it predicts nothing; a replay predicts only the rows whose recorded
 current differs from the live one.  A trace never changes
 (simkit.TelemetryTrace), so the memo never goes stale; it serves only the
@@ -51,6 +54,13 @@ DetectionTrace is built from its residuals alone: one comparison
 r >= epsilon gives the crossings, and the flags and events are derived
 from them, so reports.score_detection reads the flag's rises and falls
 straight off the crossings.
+
+Each value is checked once, where it comes in.  The DetectionTrace
+constructor checks and copies what a caller gives it.  run_detector and
+pipeline.calibrate_on_trace build theirs (DetectionTrace._of_residuals)
+from residuals that _residuals has just checked and a read-only slice of
+the trace's times, so they check only the caller's epsilon and neither
+copy nor re-scan r.
 """
 
 from __future__ import annotations
@@ -107,17 +117,19 @@ def _reuse(model: Ensemble, trace: TelemetryTrace) -> np.ndarray:
     was made with, the other rows predicted in one call."""
     origin, source = trace._origin
     known, current = _nominal_predictions(model, origin)
-    src = source[:-1]
-    i = trace.i_pack_a
-    # need[k, m]: the source's prediction was made at another current; a
-    # source in the last frame has current NaN, as it has no prediction.
-    need = i[:-1, None] != current.take(src)
-    predicted = known.ravel().take(src.T, mode="clip")
+    n, q = source.shape
+    rows = source.ravel()[:(n - 1) * q]
+    # need[j]: flat row j's source prediction was made at another current
+    # than row j's own, which is current[j], since a gathered trace shares
+    # its origin's i_pack_a; a source in the last frame has current NaN, as
+    # it has no prediction.
+    need = current.take(rows) != current[:rows.size]
+    predicted = known.ravel().take(source[:-1].T, mode="clip")
     if need.any():
-        m, k = np.nonzero(need.T)
+        m, k = np.nonzero(need.reshape(n - 1, q).T)
         x = np.empty((m.size, 2))
         x[:, 0] = trace.v_modules[k, m]
-        x[:, 1] = i[k]
+        x[:, 1] = trace.i_pack_a[k]
         predicted[m, k] = predict_batch(model, x)
     return predicted
 
@@ -225,12 +237,14 @@ class DetectionTrace:
     is their parity up to and including each step: crossings 0, 2, 4, ...
     set it and crossings 1, 3, 5, ... reset it.  Each crossing is one
     event (t_s, r).  The flags and events are derived from the crossings
-    when first read, since scoring needs only the crossings.  epsilon
-    must be positive and finite, r one-dimensional, finite and
-    nonnegative, and t_s of r's shape (ValueError otherwise).  r is copied
-    and, with the crossings and flags, read-only; t_s is kept as given,
-    since the callers pass a slice of a telemetry trace's read-only times.
-    No field can be reassigned.
+    when first read, since scoring needs only the crossings.  The
+    constructor checks what a caller gives it: epsilon must be positive
+    and finite, r one-dimensional, finite and nonnegative, and t_s of r's
+    shape (ValueError otherwise).  r is copied and, with the crossings and
+    flags, read-only; t_s is an immutable copy, which no later write to
+    the caller's array reaches.  run_detector and
+    pipeline.calibrate_on_trace build theirs with ``_of_residuals``, which
+    checks epsilon only.  No field can be reassigned.
     """
 
     t_s: np.ndarray
@@ -241,11 +255,29 @@ class DetectionTrace:
     def __post_init__(self):
         _positive_finite("epsilon", self.epsilon)
         r = np.array(self.r, dtype=float)
-        t_s = np.asarray(self.t_s, dtype=float)
+        t_s = _frozen(self.t_s, float)
         if r.ndim != 1 or t_s.shape != r.shape:
             raise ValueError("r must be one-dimensional, with one t_s per "
                              "residual")
         _check_residuals(r)
+        self._cross(t_s, r)
+
+    @classmethod
+    def _of_residuals(cls, t_s: np.ndarray, r: np.ndarray,
+                      epsilon: float) -> "DetectionTrace":
+        """The detection trace of residuals that _residuals has just
+        computed, finite and nonnegative by construction, at their times,
+        a read-only slice of a telemetry trace's; only epsilon, which the
+        caller gives, is checked.  r is kept, not copied, and made
+        read-only."""
+        _positive_finite("epsilon", epsilon)
+        out = object.__new__(cls)
+        object.__setattr__(out, "epsilon", epsilon)
+        out._cross(t_s, r)
+        return out
+
+    def _cross(self, t_s: np.ndarray, r: np.ndarray) -> None:
+        """Set t_s, r and the crossings of r at epsilon; freeze r."""
         crossed = (r >= self.epsilon).nonzero()[0]
         r.flags.writeable = crossed.flags.writeable = False
         put = object.__setattr__  # the one way to set a frozen field
@@ -287,7 +319,7 @@ def run_detector(trace: TelemetryTrace, model: Ensemble,
         r = one_step_residuals(model, trace.v_modules, trace.i_pack_a)[1]
     else:
         r = _residuals(trace.v_modules, _reuse(model, trace))
-    return DetectionTrace(trace.t_s[1:], r, epsilon)
+    return DetectionTrace._of_residuals(trace.t_s[1:], r, epsilon)
 
 
 def write_detection(path, det: DetectionTrace) -> None:

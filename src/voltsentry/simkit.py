@@ -291,9 +291,9 @@ class TelemetryTrace:
     no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
     set only by ``sentinel``: a model object and its one-step predictions
     of this trace, which attacked traces gathered from it reuse under that
-    same model.  ``_origin`` is set only by ``gathered``: the trace and the
-    source map that an attacked trace was gathered from.  ``copy()``
-    carries neither, nor ``descending_order``.
+    same model.  ``_origin`` is set only by ``gathered`` (or its builder
+    ``_gather``): the trace and the source map that an attacked trace was
+    gathered from.  ``copy()`` carries neither, nor ``descending_order``.
     """
 
     t_s: np.ndarray
@@ -344,16 +344,12 @@ class TelemetryTrace:
         return replace(self)
 
     def gathered(self, source, attack_mask, name: str) -> "TelemetryTrace":
-        """The attacked trace that threatgen builds: this trace's voltages
-        taken at ``source``, with an attack mask and a name.
+        """The attacked trace: this trace's voltages taken at ``source``,
+        with an attack mask and a name.
 
         ``source`` holds flat indices into ``v_modules`` in an integer
         array of its (n, q) shape, the mask one 0 or 1 per frame; both are
-        checked (ValueError) and frozen.  The voltages, values of this
-        checked trace, need no check, and ``t_s``, ``i_pack_a`` and
-        ``i_modules`` are this trace's own immutable, checked objects.
-        ``_origin`` is ``(self, source)``, through which sentinel reuses
-        this trace's predictions.
+        checked (ValueError) and frozen, then built by ``_gather``.
         """
         source = _frozen(source)
         if source.dtype.kind not in "iu" or source.shape != self.v_modules.shape:
@@ -361,7 +357,19 @@ class TelemetryTrace:
                              f"trace's shape {self.v_modules.shape}")
         if source.size and (source.min() < 0 or source.max() >= source.size):
             raise ValueError("source indices must index the trace's voltages")
-        mask = _checked_mask(attack_mask, self.n_frames)
+        return self._gather(source, _checked_mask(attack_mask, self.n_frames),
+                            name)
+
+    def _gather(self, source: np.ndarray, mask: np.ndarray,
+                name: str) -> "TelemetryTrace":
+        """``gathered`` without its checks, for a frozen ``source`` and
+        ``mask`` that are valid by construction (threatgen.apply_scenario).
+
+        The voltages, values of this checked trace, need no check, and
+        ``t_s``, ``i_pack_a`` and ``i_modules`` are this trace's own
+        immutable, checked objects.  ``_origin`` is ``(self, source)``,
+        through which sentinel reuses this trace's predictions.
+        """
         out = object.__new__(type(self))
         vars(out).update(t_s=self.t_s, i_pack_a=self.i_pack_a,
                          v_modules=_frozen(self.v_modules.ravel().take(source)),

@@ -12,11 +12,18 @@ flat index into the nominal (n, q) voltages per corrupted entry, the
 identity outside the window.  A swap permutes a window frame's indices,
 in the order the trace computes once (TelemetryTrace.descending_order); a
 replay copies the recorded frames' indices into the target columns.  The
-corrupted trace is TelemetryTrace.gathered through that map: its voltages
-are the nominal voltages taken at the map, it shares the nominal trace's
-time, current and module-current arrays, and it carries the nominal trace
-and the map as its origin, from which sentinel reuses the nominal
-prediction of each row the attack moved.
+corrupted trace is the gather of the nominal trace through that map: its
+voltages are the nominal voltages taken at the map, it shares the nominal
+trace's time, current and module-current arrays, and it carries the
+nominal trace and the map as its origin, from which sentinel reuses the
+nominal prediction of each row the attack moved.
+
+The checks run where the values come in.  AttackScenario checks its own
+fields and validate_for checks them against the trace; the map and the
+mask built from them are then in range and 0 or 1 by construction, so
+apply_scenario freezes each once and hands them to the gather's builder
+(TelemetryTrace._gather) without the public gather's re-checks
+(TelemetryTrace.gathered, for maps from elsewhere).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simkit import TelemetryTrace
+from .simkit import TelemetryTrace, _frozen
 
 ATTACK_KINDS = ("swap_fdi", "replay")
 
@@ -89,10 +96,11 @@ def apply_scenario(trace: TelemetryTrace,
 
     The input trace is never modified; the corrupted trace shares its
     ``t_s``, ``i_pack_a`` and ``i_modules`` arrays.  Its ``attack_mask``
-    (read-only) is 1 exactly on [k0, kf).  It is gathered
-    (TelemetryTrace.gathered) through the attack's source map, so that
-    ``source[k, m]`` is the flat index into ``trace.v_modules`` of the
-    value it holds at (k, m).
+    (read-only) is 1 exactly on [k0, kf).  It is gathered through the
+    attack's source map, so that ``source[k, m]`` is the flat index into
+    ``trace.v_modules`` of the value it holds at (k, m); the map and the
+    mask, valid by construction once validate_for has passed, are not
+    re-checked.
     """
     scenario.validate_for(trace)
     a, b = _window(trace, scenario)
@@ -108,6 +116,6 @@ def apply_scenario(trace: TelemetryTrace,
         source[a:b, cols] = source[rec:rec + b - a, cols]
     mask = np.zeros(n, dtype=int)
     mask[a:b] = 1
-    return trace.gathered(
-        source, mask,
+    return trace._gather(
+        _frozen(source), _frozen(mask),
         (trace.name + "_" + scenario.kind) if trace.name else scenario.kind)

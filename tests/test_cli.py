@@ -332,6 +332,33 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "missing-file"
 
+    @pytest.mark.parametrize("flag", ["--model", "--trace"])
+    def test_directory_path_is_missing_file(self, mini_setup, capsys, flag):
+        """A directory where a file is expected exits 3 naming it, not
+        with a traceback."""
+        out = mini_setup["tmp"] / "out_dir_path"
+        assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
+                         "--config", str(mini_setup["train_cfg"]),
+                         "--out-dir", str(out)]) == 0
+        trace = mini_setup["corpus"] / "cell_c100_s010_r100.csv"
+        argv = {"--model": str(out / "model_base.json"), "--trace": str(trace)}
+        argv[flag] = str(mini_setup["corpus"])
+        assert cli.main(["calibrate", "--model", argv["--model"],
+                         "--trace", argv["--trace"],
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert str(mini_setup["corpus"]) in err["message"]
+
+    def test_directory_config_is_missing_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(tmp_path),
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert str(tmp_path) in err["message"]
+        assert not out.exists()
+
     def test_parse_error_category(self, mini_setup, tmp_path, capsys):
         out = mini_setup["tmp"] / "out_err"
         assert cli.main(["train-base", "--corpus-dir", str(mini_setup["corpus"]),
@@ -656,6 +683,30 @@ class TestConfigOverlays:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "missing-file"
         assert "absent.ini" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base", [".", "sub"])
+    def test_base_naming_a_directory_exits_3(self, tmp_path, capsys, base):
+        (tmp_path / "sub").mkdir()
+        overlay = tmp_path / "over.ini"
+        overlay.write_text(f"[run]\nbase = {base}\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(overlay),
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert str(tmp_path / base) in err["message"]
+        assert not out.exists()
+
+    def test_empty_base_exits_3_naming_the_config(self, tmp_path, capsys):
+        overlay = tmp_path / "over.ini"
+        overlay.write_text("[run]\nbase =\n\n[policy]\nc_rate = 0.8\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(overlay),
+                         "--out-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "missing-file"
+        assert err["message"] == f"{overlay}: [run] base names no file"
         assert not out.exists()
 
 

@@ -807,3 +807,68 @@ class TestAttackReuse:
             model, trace, AttackScenario("swap_fdi", 5, 15), 0.5)[0]
         assert trace._memo[0] is model and trace.copy()._memo is None
         assert attacked._origin[0] is trace and attacked.copy()._origin is None
+
+
+def assert_same_arrays(got, want):
+    """Equal bytes, dtype and shape, and neither array can be written."""
+    assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert not got.flags.writeable and not want.flags.writeable
+
+
+class TestAttackPathBuildsFromCheckedValues:
+    """apply_scenario and run_detector build the attacked trace and its
+    detection trace without the checks of the public gather and the
+    DetectionTrace constructor, since validate_for and _residuals have
+    checked what they start from.  What those checks would test holds by
+    construction, and the values equal those the checked paths build."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           q=st.integers(2, 5), n=st.integers(2, 60),
+           half_second=st.booleans(), i_modules=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_checked_build_property(self, data, seed, q, n,
+                                           half_second, i_modules):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 4, 3)
+        trace = random_trace(rng, n, q)
+        if half_second:  # window bounds fall between the frame times
+            trace = replace(trace, t_s=trace.t_s + 0.5)
+        if i_modules:
+            trace = replace(trace, i_modules=rng.uniform(0.0, 25.0, (n, q)))
+        scenario = draw_scenario(data, n, q)
+        if scenario is None:
+            return
+        try:
+            scenario.validate_for(trace)
+        except ValueError:
+            return
+        got = apply_scenario(trace, scenario)
+
+        origin, source = got._origin
+        assert origin is trace
+        assert source.dtype.kind in "iu" and source.shape == (n, q)
+        assert 0 <= source.min() and source.max() < n * q
+        window = (scenario.k0_s <= trace.t_s) & (trace.t_s < scenario.kf_s)
+        assert got.attack_mask.tolist() == window.astype(int).tolist()
+
+        checked = trace.gathered(source, got.attack_mask, got.name)
+        for name in ("t_s", "i_pack_a", "v_modules", "attack_mask"):
+            assert_same_arrays(getattr(got, name), getattr(checked, name))
+        assert got.i_modules is checked.i_modules is trace.i_modules
+        assert_same_arrays(source, checked._origin[1])
+        assert got == checked and got.name == checked.name
+
+        epsilon = float(rng.uniform(0.01, 2.0))
+        r = sentinel.one_step_residuals(model, checked.v_modules,
+                                        checked.i_pack_a)[1]
+        if data.draw(st.booleans()) and (r > 0).any():
+            epsilon = float(rng.choice(r[r > 0]))  # epsilon on a residual
+        det = run_detector(got, model, epsilon)
+        want = DetectionTrace(checked.t_s[1:], r, epsilon)
+        for name in ("t_s", "r", "crossed", "flag"):
+            assert_same_arrays(getattr(det, name), getattr(want, name))
+        assert det.epsilon == want.epsilon and det.events == want.events
+        for view in (det.t_s, det.t_s[1:]):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True

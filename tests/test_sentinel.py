@@ -130,6 +130,18 @@ class TestDetectionTraceChecks:
         det = DetectionTrace(np.empty(0), np.empty(0), 1.0)
         assert det.crossings == 0 and det.events == ()
 
+    def test_caller_times_are_copied(self):
+        """A later write to the caller's times reaches neither t_s nor the
+        events, and t_s cannot be made writable."""
+        t = np.arange(1.0, 6.0)
+        det = DetectionTrace(t, [0.1, 3, 0.2, 3, 0.1], 1.0)
+        t[1] = 99.0
+        assert det.t_s.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert det.events == ((2.0, 3.0), (4.0, 3.0))
+        for view in (det.t_s, det.t_s[1:]):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+
 
 def apply_toggle(residuals, epsilon):
     """The flags a detection trace derives from a residual sequence."""
@@ -189,6 +201,20 @@ class TestToggle:
             apply_toggle([1.0, 2.0], epsilon)
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             DetectorState.initial(epsilon, TelemetryFrame(0.0, 1.0, (350.0,)))
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_run_detector_epsilon_checked(self, epsilon):
+        """run_detector does not re-check the residuals it has just
+        computed, but it checks the caller's epsilon, on a nominal trace
+        and on one gathered from it."""
+        model, _, nominal = ramp_model_and_trace()
+        attacked = apply_scenario(nominal, AttackScenario(
+            "replay", 60, 75, record_start_s=10, record_end_s=25,
+            target_modules=(1,)))
+        for trace in (nominal, attacked):
+            with pytest.raises(ValueError,
+                               match="epsilon must be positive and finite"):
+                run_detector(trace, model, epsilon)
 
 
 def ramp_model_and_trace(attack_delta=0.0, k0=30, kf=60, n=100):
