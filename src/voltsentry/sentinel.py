@@ -20,17 +20,17 @@ NaN and infinite values when they are built.  step_detector also rejects
 a frame whose t_s is not the previous frame's plus 1 s; the caller's
 state is unchanged, so the stream continues from the last good frame.
 
-An attacked trace (threatgen.apply_scenario, or TelemetryTrace.gathered)
-carries the nominal trace and a source map, in range by construction or
-by check, as its ``_origin``, and run_detector reuses the nominal's
-predictions through it.  They are memoized on the nominal trace in one slot: the
-model object, the predictions, frame-major, so that a flat index into the
-voltages addresses the prediction made from that value, and each voltage
-entry's frame current in the same flat order, NaN over the last frame,
-which feeds no prediction.  Row (k, m), the input (v_m(k), i(k)), holds
-the nominal value at ``source[k, m]`` by construction, so it takes that
-value's prediction when its current equals the memoized one; every other
-row is predicted, in one call.  The currents are compared in the memo's
+An attacked trace (threatgen.apply_scenario, through
+TelemetryTrace._gather) carries the nominal trace and a source map, in
+range by construction, as its ``_origin``, and run_detector reuses the
+nominal's predictions through it.  They are memoized on the nominal trace
+in one slot: the model object, the predictions, frame-major, so that a
+flat index into the voltages addresses the prediction made from that
+value, and each voltage entry's frame current in the same flat order, NaN
+over the last frame, which feeds no prediction.  Row (k, m), the input
+(v_m(k), i(k)), holds the nominal value at ``source[k, m]`` by
+construction, so it takes that value's prediction when its current equals
+the memoized one; every other row is predicted, in one call.  The currents are compared in the memo's
 flat order: a gathered trace shares its origin's ``i_pack_a``, so row
 (k, m)'s own current is the memo's entry at k*q + m, and no current is
 broadcast over the rows.  A swap moves values within their frames,
@@ -56,11 +56,12 @@ from them, so reports.score_detection reads the flag's rises and falls
 straight off the crossings.
 
 Each value is checked once, where it comes in.  The DetectionTrace
-constructor checks and copies what a caller gives it.  run_detector and
+constructor checks what a caller gives it.  run_detector and
 pipeline.calibrate_on_trace build theirs (DetectionTrace._of_residuals)
 from residuals that _residuals has just checked and a read-only slice of
-the trace's times, so they check only the caller's epsilon and neither
-copy nor re-scan r.
+the trace's times, so they check only the caller's epsilon and do not
+re-scan r.  Either way r is copied once, into the immutable buffer it is
+kept in.
 """
 
 from __future__ import annotations
@@ -240,11 +241,12 @@ class DetectionTrace:
     when first read, since scoring needs only the crossings.  The
     constructor checks what a caller gives it: epsilon must be positive
     and finite, r one-dimensional, finite and nonnegative, and t_s of r's
-    shape (ValueError otherwise).  r is copied and, with the crossings and
-    flags, read-only; t_s is an immutable copy, which no later write to
-    the caller's array reaches.  run_detector and
-    pipeline.calibrate_on_trace build theirs with ``_of_residuals``, which
-    checks epsilon only.  No field can be reassigned.
+    shape (ValueError otherwise).  t_s, r, the crossings and the flags are
+    immutable copies backed by ``bytes``, as simkit._frozen makes them, so
+    no later write to a caller's array reaches them and none of them can
+    be made writable.  run_detector and pipeline.calibrate_on_trace build theirs
+    with ``_of_residuals``, which checks epsilon only.  No field can be
+    reassigned.
     """
 
     t_s: np.ndarray
@@ -254,7 +256,7 @@ class DetectionTrace:
 
     def __post_init__(self):
         _positive_finite("epsilon", self.epsilon)
-        r = np.array(self.r, dtype=float)
+        r = np.asarray(self.r, dtype=float)
         t_s = _frozen(self.t_s, float)
         if r.ndim != 1 or t_s.shape != r.shape:
             raise ValueError("r must be one-dimensional, with one t_s per "
@@ -268,8 +270,7 @@ class DetectionTrace:
         """The detection trace of residuals that _residuals has just
         computed, finite and nonnegative by construction, at their times,
         a read-only slice of a telemetry trace's; only epsilon, which the
-        caller gives, is checked.  r is kept, not copied, and made
-        read-only."""
+        caller gives, is checked."""
         _positive_finite("epsilon", epsilon)
         out = object.__new__(cls)
         object.__setattr__(out, "epsilon", epsilon)
@@ -277,13 +278,15 @@ class DetectionTrace:
         return out
 
     def _cross(self, t_s: np.ndarray, r: np.ndarray) -> None:
-        """Set t_s, r and the crossings of r at epsilon; freeze r."""
-        crossed = (r >= self.epsilon).nonzero()[0]
-        r.flags.writeable = crossed.flags.writeable = False
+        """Set t_s, and r and its crossings at epsilon, each backed by
+        ``bytes`` as simkit._frozen's arrays are.  r, one-dimensional
+        float64, is copied once; _frozen's shape and dtype handling would
+        double the cost on the warm attack path."""
         put = object.__setattr__  # the one way to set a frozen field
         put(self, "t_s", t_s)
-        put(self, "r", r)
-        put(self, "crossed", crossed)
+        put(self, "r", np.frombuffer(r.tobytes()))
+        put(self, "crossed", np.frombuffer(
+            (r >= self.epsilon).nonzero()[0].tobytes(), np.intp))
 
     @cached_property
     def flag(self) -> np.ndarray:
@@ -291,8 +294,7 @@ class DetectionTrace:
         flag[self.crossed[0::2]] = 1
         flag[self.crossed[1::2]] = -1
         np.cumsum(flag, out=flag)
-        flag.flags.writeable = False
-        return flag
+        return _frozen(flag)
 
     @cached_property
     def events(self) -> tuple:

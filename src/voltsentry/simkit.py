@@ -20,13 +20,17 @@ series sum of one representative branch, i.e. the bus voltage minus that
 module's interconnect drop, which is what gives packs their stable module
 voltage ordering.
 
-Both CCCV loops compute each 0.1 s sub-step's state once, through one
-cell update kernel, ``_cell_update``.  The cell loop calls it on local
-floats, with the decay factors and the OCV knot table taken out of the
-loop; it evaluates the OCV and solves the current once per sub-step.  The
-pack calls it on its (q, s) state arrays with one branch current per
-module: the augmented assignments that rebind a float update the pack's
-arrays in place, and only the final clamp to [0, 1] is chosen by form.
+Both CCCV loops compute each step's state once, through one cell update
+kernel, ``_cell_update``, and record at 1 Hz.  The cell loop calls it on
+local floats, with the decay factors and the OCV knot table taken out of
+the loop; it evaluates the OCV and solves the current once per step.  It
+steps 1 s at a time in CC and rest, where the current is constant and the
+update is exact, and 0.1 s at a time in the second that switches to CV
+and in CV (run_cccv_cell).  The pack steps 0.1 s at a time throughout,
+since its current split changes at every sub-step; it calls the kernel
+on its (q, s) state arrays with one branch current per module: the
+augmented assignments that rebind a float update the pack's arrays in
+place, and only the final clamp to [0, 1] is chosen by form.
 The pack model fixes its module and total resistances per run, rejects a
 module whose total resistance is not positive and finite, or a pack whose
 conductances overflow, and computes the module offsets once per state,
@@ -39,8 +43,12 @@ produced negative pack current") where it should stay in CC, and at
 1e-4 ohm the Kirchhoff error grows to about 5e-12 (3e-15 at 0.2 ohm).
 A recorded step's current and split also drive its first sub-step,
 which starts from the same state.  Every float operation is the one a
-per-call evaluation would make, in the same order, so the traces are
-bit-identical to it; the tests keep the per-call loops as their oracle.
+per-call evaluation of the same stepping rule would make, in the same
+order, so the traces are bit-identical to it; the tests keep the
+per-call loops as their oracle.  Against sub-stepping every second, the
+cell's recorded voltages and the corpus CSVs are byte-identical, and
+only its in-memory CV currents differ, by under 6e-11 A; the pack is
+unchanged and bit-identical.
 Parameters are checked once, when the dataclasses are built: every field
 must be finite.
 """
@@ -291,9 +299,9 @@ class TelemetryTrace:
     no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
     set only by ``sentinel``: a model object and its one-step predictions
     of this trace, which attacked traces gathered from it reuse under that
-    same model.  ``_origin`` is set only by ``gathered`` (or its builder
-    ``_gather``): the trace and the source map that an attacked trace was
-    gathered from.  ``copy()`` carries neither, nor ``descending_order``.
+    same model.  ``_origin`` is set only by ``_gather``: the trace and the
+    source map that an attacked trace was gathered from.  ``copy()``
+    carries neither, nor ``descending_order``.
     """
 
     t_s: np.ndarray
@@ -343,32 +351,19 @@ class TelemetryTrace:
     def copy(self) -> "TelemetryTrace":
         return replace(self)
 
-    def gathered(self, source, attack_mask, name: str) -> "TelemetryTrace":
+    def _gather(self, source: np.ndarray, mask: np.ndarray,
+                name: str) -> "TelemetryTrace":
         """The attacked trace: this trace's voltages taken at ``source``,
         with an attack mask and a name.
 
         ``source`` holds flat indices into ``v_modules`` in an integer
-        array of its (n, q) shape, the mask one 0 or 1 per frame; both are
-        checked (ValueError) and frozen, then built by ``_gather``.
-        """
-        source = _frozen(source)
-        if source.dtype.kind not in "iu" or source.shape != self.v_modules.shape:
-            raise ValueError(f"source must be an integer array of the "
-                             f"trace's shape {self.v_modules.shape}")
-        if source.size and (source.min() < 0 or source.max() >= source.size):
-            raise ValueError("source indices must index the trace's voltages")
-        return self._gather(source, _checked_mask(attack_mask, self.n_frames),
-                            name)
-
-    def _gather(self, source: np.ndarray, mask: np.ndarray,
-                name: str) -> "TelemetryTrace":
-        """``gathered`` without its checks, for a frozen ``source`` and
-        ``mask`` that are valid by construction (threatgen.apply_scenario).
-
-        The voltages, values of this checked trace, need no check, and
-        ``t_s``, ``i_pack_a`` and ``i_modules`` are this trace's own
-        immutable, checked objects.  ``_origin`` is ``(self, source)``,
-        through which sentinel reuses this trace's predictions.
+        array of its (n, q) shape, and ``mask`` one 0 or 1 per frame; both
+        are frozen and valid by construction (threatgen.apply_scenario),
+        so neither is checked.  The voltages, values of this checked trace,
+        need no check, and ``t_s``, ``i_pack_a`` and ``i_modules`` are this
+        trace's own immutable, checked objects.  ``_origin`` is
+        ``(self, source)``, through which sentinel reuses this trace's
+        predictions.
         """
         out = object.__new__(type(self))
         vars(out).update(t_s=self.t_s, i_pack_a=self.i_pack_a,
@@ -472,9 +467,17 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     after which the cell rests at zero current for the remaining duration.
     Measurement noise only touches the recorded voltages.
 
-    The loop steps on local floats: each 0.1 s sub-step evaluates the OCV
-    and solves the current once, and a recorded step's current also drives
-    its first sub-step.
+    The loop steps on local floats and evaluates the OCV and solves the
+    current once per step.  A second in CC or rest is one 1 s step,
+    kept when no clamp engages (both SOCs end strictly inside (0, 1)) and,
+    in CC, the terminal voltage at the end of the second is below v_max;
+    in CC it only rises, so no sub-step in that second would have
+    switched.  Otherwise the second is redone from its starting state in
+    ten 0.1 s sub-steps, as is every second in CV, and the recorded step's
+    current drives the first of them.  Sub-step indices (SolverError) count
+    ten per second either way.  The corpus CSVs are byte-identical to
+    those of sub-stepping every second; in-memory CV currents differ from
+    them by under 6e-11 A.
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
@@ -488,6 +491,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     v_max, r0, r1 = policy.v_max, params.r0_ohm, params.r1_ohm
     capacity, tau_d = params.capacity_ah, params.diff_tau_s
     rc_decay, diff_decay = _decays(params, _SUB_DT)
+    rc_decay_1s, diff_decay_1s = _decays(params, 1.0)
     socs, volts = params._ocv_socs, params._ocv_volts
     n_records = int(policy.duration_s) + 1
     phase = "cc"
@@ -514,21 +518,35 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
 
     soc = surf = float(init_soc)
     v_rc = 0.0
+    ocv = _interp(socs, volts, surf)
     i_out, v_out = [], []
     sub_step = 0
     for k in range(n_records):
-        ocv = _interp(socs, volts, surf)
         i_sub = current_now(ocv, v_rc, sub_step)
         i_out.append(i_sub)
         v_out.append(ocv + i_sub * r0 + v_rc)
         if k == n_records - 1:
             break
+        if phase != "cv":
+            # CC or rest: the current holds for the whole second.  In CC
+            # the terminal voltage only rises, so if it is below v_max at
+            # the end of the second, no sub-step would have switched.
+            soc_1, v_rc_1, surf_1 = _cell_update(
+                soc, v_rc, surf, i_sub, 1.0, capacity, r1, rc_decay_1s, tau_d,
+                diff_decay_1s)
+            ocv = _interp(socs, volts, surf_1)
+            if (0.0 < soc_1 < 1.0 and 0.0 < surf_1 < 1.0
+                    and (phase == "rest" or ocv + i_cc * r0 + v_rc_1 < v_max)):
+                soc, v_rc, surf = soc_1, v_rc_1, surf_1
+                sub_step += 10
+                continue
         for j in range(10):
             if j:
                 i_sub = current_now(_interp(socs, volts, surf), v_rc, sub_step)
             soc, v_rc, surf = _cell_update(soc, v_rc, surf, i_sub, _SUB_DT, capacity,
                                            r1, rc_decay, tau_d, diff_decay)
             sub_step += 1
+        ocv = _interp(socs, volts, surf)
 
     i_out = np.array(i_out)
     rng = np.random.default_rng(seed)

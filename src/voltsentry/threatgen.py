@@ -21,9 +21,8 @@ nominal prediction of each row the attack moved.
 The checks run where the values come in.  AttackScenario checks its own
 fields and validate_for checks them against the trace; the map and the
 mask built from them are then in range and 0 or 1 by construction, so
-apply_scenario freezes each once and hands them to the gather's builder
-(TelemetryTrace._gather) without the public gather's re-checks
-(TelemetryTrace.gathered, for maps from elsewhere).
+apply_scenario freezes each once and hands them to the gather
+(TelemetryTrace._gather), which does not re-check them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ These are session-scoped because base training takes tens of seconds; the
 acceptance suite and a few integration tests share them.  The pack traces
 are simulated from the shipped configs/ specs, as the study driver's are.
 write_sim_config writes a simulator INI for tests that need one of their
-own.
+own, and gather builds an attacked trace from a source map of their own.
 """
 
 import configparser
@@ -150,3 +150,11 @@ def make_trace(v, i=None, t=None, **kwargs):
     return simkit.TelemetryTrace(t_s=np.asarray(t, float),
                                  i_pack_a=np.asarray(i, float),
                                  v_modules=v, **kwargs)
+
+
+def gather(trace, source, attack_mask, name="x"):
+    """The trace gathered from ``trace`` through an integer ``source`` map
+    of its (n, q) shape, with a 0/1 mask: ``TelemetryTrace._gather``, which
+    threatgen.apply_scenario calls, on frozen copies of the two arrays."""
+    return trace._gather(simkit._frozen(source), simkit._frozen(attack_mask),
+                         name)

@@ -1,14 +1,18 @@
 """Reference implementations the simkit module must match bit for bit.
 
 These are the simulator loops that ``voltsentry.simkit`` replaced with its
-once-per-sub-step loops, kept verbatim: ``step_cell`` and ``cell_voltage``
-(with their finiteness checks), ``run_cccv_cell``, which builds a frozen
-``CellState`` on every 0.1 s sub-step and solves the charging current twice
-on each recorded step's state, and ``_PackModel``/``run_cccv_pack``, which
-recompute the module offsets up to four times per sub-step state.  They are
-the oracles of the equivalence properties in ``test_simkit.py``.
+once-per-step loops, in their per-call style: ``step_cell`` and
+``cell_voltage`` (with their finiteness checks), ``run_cccv_cell``, which
+builds a frozen ``CellState`` on every step and solves the charging current
+twice on each recorded step's state, and ``_PackModel``/``run_cccv_pack``,
+which recompute the module offsets up to four times per sub-step state.
+They are the oracles of the equivalence properties in ``test_simkit.py``.
+``run_cccv_cell`` steps a second in CC or rest as one 1 s step where that
+is exact; ``run_cccv_cell_substeps``, the rule before it, steps every
+second in ten 0.1 s sub-steps and is the oracle of the corpus's bytes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +88,32 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     terminal voltage sits at the setpoint, tapering until the cutoff C-rate,
     after which the cell rests at zero current for the remaining duration.
     Measurement noise only touches the recorded voltages.
+
+    A second in CC or rest is one 1 s step, kept when both SOCs stay
+    strictly inside (0, 1) and, in CC, the terminal voltage at the end of
+    the second is below v_max; any other second is ten 0.1 s sub-steps
+    from its starting state, as in ``run_cccv_cell_substeps``.
+    """
+    return _recorded(*_cell_charge(params, policy, init_soc, True),
+                     noise, seed, name)
+
+
+def run_cccv_cell_substeps(params: CellParams, policy: CccvPolicy,
+                           init_soc: float, noise: NoiseSpec = NoiseSpec(),
+                           seed: int = 0, name: str = "") -> TelemetryTrace:
+    """``run_cccv_cell`` with every second ten 0.1 s sub-steps."""
+    return _recorded(*_cell_charge(params, policy, init_soc, False),
+                     noise, seed, name)
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_charge(params: CellParams, policy: CccvPolicy, init_soc: float,
+                 one_second_steps: bool) -> tuple:
+    """The noise-free recorded currents and voltages of a CCCV cell charge.
+
+    Cached, since it is a pure function of its arguments and the corpus
+    tests draw several seeds' noise on the same 36 charges; the arrays are
+    never written.
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
@@ -98,7 +128,6 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     state = CellState(soc=init_soc)
     phase = "cc"
 
-    t_out = np.arange(n_records, dtype=float)
     i_out = np.empty(n_records)
     v_out = np.empty(n_records)
 
@@ -129,16 +158,31 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
         v_out[k] = cell_voltage(state, params, i_k)
         if k == n_records - 1:
             break
+        if one_second_steps and phase != "cv":
+            whole = step_cell(state, params, i_k, 1.0)
+            if (0.0 < whole.soc < 1.0 and 0.0 < whole.soc_surf < 1.0
+                    and (phase == "rest"
+                         or cell_voltage(whole, params, i_cc) < policy.v_max)):
+                state = whole
+                sub_step += 10
+                continue
         for _ in range(10):
             i_sub = current_now(state, sub_step)
             state = step_cell(state, params, i_sub, sub_dt)
             sub_step += 1
+    return i_out, v_out
 
+
+def _recorded(i_out: np.ndarray, v_out: np.ndarray, noise: NoiseSpec,
+              seed: int, name: str) -> TelemetryTrace:
+    """The trace of a noise-free charge, its voltages noised and quantized."""
+    n_records = i_out.size
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_records)
     v_rec = v_out * (1.0 + noise.rel_sigma * z)
     return TelemetryTrace(
-        t_s=t_out, i_pack_a=i_out, v_modules=_quantize(v_rec)[:, None],
+        t_s=np.arange(n_records, dtype=float), i_pack_a=i_out,
+        v_modules=_quantize(v_rec)[:, None],
         i_modules=i_out[:, None].copy(), name=name)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_config, make_trace, write_sim_config
+from conftest import canonical_config, gather, make_trace, write_sim_config
 from reports_reference import reference_score_detection
 from test_boost import GRID, random_tree
 from voltsentry import boost, cli, configio, datasets, pipeline, sentinel, simkit
@@ -724,7 +724,7 @@ class TestAttackReuse:
         source = np.where(rng.random((n, q)) < p_v,
                           rng.integers(0, n * q, (n, q)),
                           np.arange(n * q).reshape(n, q))
-        trace = nominal.gathered(source, np.zeros(n, int), "x")
+        trace = gather(nominal, source, np.zeros(n, int))
         assert_full_prediction_bytes(model, trace)
         unserved = unserved_rows(trace)
         with pytest.MonkeyPatch.context() as patch:
@@ -743,7 +743,7 @@ class TestAttackReuse:
         nominal = make_trace(rng.uniform(-1.2, 1.2, (20, 3)), i=i)
         source = np.arange(60).reshape(20, 3)
         source[[4, 9]] = source[[9, 4]]
-        trace = nominal.gathered(source, np.zeros(20, int), "x")
+        trace = gather(nominal, source, np.zeros(20, int))
         run_detector(trace, model, 0.5)
         calls = recording_predictions(monkeypatch)
         assert_full_prediction_bytes(model, trace)
@@ -759,25 +759,11 @@ class TestAttackReuse:
         nominal = make_trace(rng.uniform(-1.2, 1.2, (10, 2)), i=0.25)
         source = np.arange(20).reshape(10, 2)
         source[3, 0] = 9 * 2 + 1
-        trace = nominal.gathered(source, np.zeros(10, int), "x")
+        trace = gather(nominal, source, np.zeros(10, int))
         run_detector(trace, model, 0.5)
         calls = recording_predictions(monkeypatch)
         assert_full_prediction_bytes(model, trace)
         assert calls[1:] == [[(nominal.v_modules[9, 1], 0.25)]] * 2
-
-    @pytest.mark.parametrize("source, match", [
-        (np.zeros((20, 2), dtype=float), "integer"),
-        (np.zeros((19, 2), dtype=int), "shape"),
-        (np.full((20, 2), -1), "index"),
-        (np.full((20, 2), 40), "index"),
-        (np.zeros((20, 2), dtype=bool), "integer"),
-    ])
-    def test_bad_source_rejected(self, source, match):
-        """The source map is checked once, when the attacked trace is
-        gathered; no caller can hand one to the detector."""
-        nominal = random_trace(np.random.default_rng(21), 20, 2)
-        with pytest.raises(ValueError, match=match):
-            nominal.gathered(source, np.zeros(20, int), "x")
 
     def test_trace_equal_to_nominal_looks_nothing_up(self, monkeypatch):
         """An attack that moves nothing (a zero-length window) takes every
@@ -818,8 +804,8 @@ def assert_same_arrays(got, want):
 
 class TestAttackPathBuildsFromCheckedValues:
     """apply_scenario and run_detector build the attacked trace and its
-    detection trace without the checks of the public gather and the
-    DetectionTrace constructor, since validate_for and _residuals have
+    detection trace without the checks of the TelemetryTrace and
+    DetectionTrace constructors, since validate_for and _residuals have
     checked what they start from.  What those checks would test holds by
     construction, and the values equal those the checked paths build."""
 
@@ -852,12 +838,16 @@ class TestAttackPathBuildsFromCheckedValues:
         window = (scenario.k0_s <= trace.t_s) & (trace.t_s < scenario.kf_s)
         assert got.attack_mask.tolist() == window.astype(int).tolist()
 
-        checked = trace.gathered(source, got.attack_mask, got.name)
+        checked = simkit.TelemetryTrace(
+            trace.t_s, trace.i_pack_a,
+            v_modules=trace.v_modules.ravel().take(source),
+            i_modules=trace.i_modules, attack_mask=window.astype(int),
+            name=got.name)
         for name in ("t_s", "i_pack_a", "v_modules", "attack_mask"):
             assert_same_arrays(getattr(got, name), getattr(checked, name))
-        assert got.i_modules is checked.i_modules is trace.i_modules
-        assert_same_arrays(source, checked._origin[1])
-        assert got == checked and got.name == checked.name
+        assert got.i_modules is trace.i_modules
+        assert not source.flags.writeable
+        assert got == checked
 
         epsilon = float(rng.uniform(0.01, 2.0))
         r = sentinel.one_step_residuals(model, checked.v_modules,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_trace
 from test_boost import GRID, random_tree
-from test_pipeline import draw_scenario
+from test_pipeline import draw_scenario, random_model, random_trace
 from voltsentry import boost, pipeline, sentinel
 from voltsentry.boost import Ensemble, NormSpec, Segment, Tree, TrainConfig, train
 from voltsentry.datasets import build_supervised
@@ -141,6 +141,48 @@ class TestDetectionTraceChecks:
         for view in (det.t_s, det.t_s[1:]):
             with pytest.raises(ValueError):
                 view.flags.writeable = True
+
+
+def assert_immutable(det):
+    """r, the crossings and the flags, and every view of them, cannot be
+    made writable, so the events cannot come to disagree with them."""
+    events = det.events
+    for a in (det.r, det.crossed, det.flag):
+        assert a.size
+        for view in (a, a[1:], a.reshape(-1)):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+    assert det.events == events
+
+
+class TestDetectionTraceImmutable:
+    """However a detection trace is built, its arrays are backed by bytes:
+    none of them can be made writable and written."""
+
+    def test_constructor(self):
+        r = np.array([0.1, 3, 0.2, 3, 0.1])
+        det = DetectionTrace(np.arange(1.0, 6.0), r, 1.0)
+        r[1] = 0.0
+        assert det.r.tolist() == [0.1, 3, 0.2, 3, 0.1]
+        assert det.events == ((2.0, 3.0), (4.0, 3.0))
+        assert_immutable(det)
+
+    def test_run_detector(self):
+        model, trace, _ = ramp_model_and_trace(attack_delta=0.3)
+        assert_immutable(run_detector(trace, model, 0.1))
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 5, 3)
+        attacked = apply_scenario(random_trace(rng, 40, 3),
+                                  AttackScenario("swap_fdi", 10, 30))
+        assert attacked._origin is not None
+        assert_immutable(run_detector(attacked, model, 0.05))
+
+    def test_calibrate_on_trace(self):
+        model, _, nominal = ramp_model_and_trace()
+        epsilon, det, _ = pipeline.calibrate_on_trace(model, nominal,
+                                                      margin=0.5)
+        assert det.crossings and det.epsilon == epsilon
+        assert_immutable(det)
 
 
 def apply_toggle(residuals, epsilon):
