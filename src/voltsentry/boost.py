@@ -12,77 +12,59 @@ algorithm (Chen & Guestrin, KDD 2016).  Each feature is sorted once per
 boosting segment, together with the positions where a midpoint threshold
 can separate two neighbours (the candidates).  A node carries, for each
 feature, only its rows and its candidate positions in that feature's
-stable order.  A split on feature f is a prefix/suffix cut of f's rows; the
-other feature's rows are selected stably, so every child keeps the order a
-fresh stable sort would give.  Because every hessian is 1, H of c rows is
-the count c, and min_child_weight becomes a range of positions.  Gains are
-computed at the candidate positions only.
+stable order.  Every row, training or validation, goes left at a split iff
+x_f < thr.  For the split feature that is a prefix/suffix cut of its
+block: at a valid candidate k, xs[k] < thr because the candidate check
+needs mid > lo, thr <= xs[k+1] because rounding is monotone (an overflowing
+midpoint is +inf, which Tree rejects), and equal values never straddle a
+candidate.  The other feature's rows keep their stable order through the
+selection, so every child keeps the order a fresh stable sort would give.
+Because every hessian is 1, H of c rows is the count c, and
+min_child_weight becomes a range of positions.
 
 Every per-node temporary lives in one workspace of arrays of the segment's
-row count, allocated once per segment: the node's gradients gathered in a
-feature's order, their cumsum, the left sums gathered at the candidates
-(which become the gains), and the partition mask.  An array is reused once
-what it held is spent: once the left sums are gathered, the gradients'
-array takes the right sums and the cumsum's the denominators, and the
-cumsum's array also takes the values gathered for the children's
-candidates, which are found after the node's split search is done with
-it.  Fresh temporaries of that size at every node make the allocator trim
-its heap and fault the pages back in, node after node.
-Gathers write into the workspace with take(out=..., mode="clip"): with the
-default "raise", numpy buffers out through a temporary of its own.
-Clipping never changes an index, because every index is in range by
-construction: rows are slices and mask selections of the segment's
-argsort, and candidate positions of a node of m rows are below m - 1.
-Rows, ranks and candidate positions are int32, as the row indices of
-XGBoost's column blocks are, half the size of intp; so a segment has fewer
-than 2**31 rows.  The denominators H + lambda are computed from each
-candidate c's counts, (c + 1) + lambda for the left child and
-(m - 1 - c) + lambda for the right: the count converted to float, then
-lambda added.
+row count, allocated once per segment: fresh temporaries of that size at
+every node make the allocator trim its heap and fault the pages back in,
+node after node.  An array is reused once what it held is spent (see the
+comments in _ColumnBlocks).  Gathers write into the workspace with
+take(out=..., mode="clip"): with the default "raise", numpy buffers out
+through a temporary of its own.  Clipping never changes an index, because
+every index is in range by construction.  Rows and candidate positions are
+int32, as the row indices of XGBoost's column blocks are, half the size of
+intp; so a segment has fewer than 2**31 rows.  The denominators H + lambda
+are computed from each candidate c's counts, (c + 1) + lambda for the left
+child and (m - 1 - c) + lambda for the right: the count converted to
+float, then lambda added.
 
 The kernel is bit-exact against a scan of every sorted position (the
 reference kept in the tests).  Gradient sums are taken in the same order,
 over the same rows: a pairwise sum in feature-0 order for G, and a running
 cumsum in each feature's order for the left sums.  Each gain is the same
-expression evaluated in the same order, and the first maximum wins.  Trees,
-leaf weights and loss histories are therefore identical to the scan's.
+expression evaluated in the same order, and the first maximum wins.
 
 A tree is its preorder node arrays (feature, threshold, left, right,
-weight), the layout the model JSON stores and the flat node layout of
-XGBoost and Treelite.  The kernel appends nodes in preorder as it grows
-them, and model_from_json builds trees through the same validating Tree
-constructor.  Tree arrays are read-only and an Ensemble's fields cannot be
-reassigned, so what an ensemble compiled at construction never goes stale.
+weight), the layout the model JSON stores.  Tree arrays are read-only and
+an Ensemble's fields cannot be reassigned, so what an ensemble compiled at
+construction never goes stale.
 
 Prediction compiles the trees once into one node table, as QuickScorer
 (Lucchese et al., SIGIR 2015) and Treelite (Cho & Li, 2018) compile an
-ensemble: one array each of split feature, threshold, first child and leaf
-value lr * w over all trees.  The table is laid out level by level, and the
-two children of a node sit side by side, so a row moves with
-node = child[node] + (x[feature] >= threshold); a leaf is its own child with
-threshold +inf, so it stays put.  The walk moves every (tree, row) pair one
-level per step, for all trees at once.  Trees are walked deepest first, so
-level L moves only the trees deeper than L, and rows go in chunks of about
-_CHUNK tree-row pairs to stay in cache.  The walk is bit-exact against a
-per-tree walk: x >= t is exactly not x < t for finite x, so every row
-reaches the same leaf, and the leaf values are summed onto the start in
-tree order by np.add.accumulate, the same float additions in the same order
-as adding one tree at a time (np.sum would sum pairwise).  NaN would go the
-other way from the < rule, so the walk rejects non-finite features.
-_NodeTable.walk is the only walk of a finished tree: predict_model_space
-and predict_batch use it.  While a tree grows, the grower routes both the
-training and the validation rows down each split it chooses; a
-validation row goes left iff x_f < thr, which for finite x is exactly not
-the walk's x_f >= thr, so it reaches the leaf the walk would.  Each
-validation row then gains the lr * w of its leaf, the single float
-addition the walk of a one-tree table makes, so the loss curves are the
+ensemble, laid out level by level with the two children of a node side by
+side, so a row moves with node = child[node] + (x[feature] >= threshold);
+a leaf is its own child with threshold +inf.  Trees are walked deepest
+first, so level L moves only the trees deeper than L, and rows go in
+chunks of about _CHUNK tree-row pairs to stay in cache.  The walk is
+bit-exact against a per-tree walk: x >= t is exactly not x < t for finite
+x, and np.add.accumulate sums the leaf values in tree order, as adding one
+tree at a time does (np.sum would sum pairwise).  NaN would go the other
+way from the < rule, so the walk rejects non-finite features.
+_NodeTable.walk is the only walk of a finished tree.  While a tree grows,
+the grower's x_f < thr is exactly not the walk's x >= t, so a validation
+row reaches the leaf the walk would and gains its lr * w, the single float
+addition the walk of a one-tree table makes, and the loss curves are the
 same bytes.  The validation matrix is checked for finite values once per
 segment, before the grower takes it.
 
-An Ensemble is an ordered list of segments (base first, then fine-tune),
-each a list of trees sharing one learning rate.  The NormSpec stored on the
-ensemble maps physical inputs to model space: voltages divide by v_scale,
-currents by i_scale, and predictions multiply back by v_scale.
 Training is continued boosting, as in XGBoost: train boosts one segment
 onto the empty ensemble at the mean target, transfer.finetune onto the
 base model, both through _boost_onto.
@@ -363,24 +345,30 @@ def leaf_weight(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
     return -grad_sum / denom
 
 
+def _below(col, rows, thr: float, values=None, out=None) -> np.ndarray:
+    """Whether each of rows goes left at thr: col[row] < thr, the one split
+    rule of the grower, for training and validation rows alike; values and
+    out are optional buffers for the gathered values and the result."""
+    return np.less(col.take(rows, out=values, mode="clip"), thr, out=out)
+
+
 class _ColumnBlocks:
     """Both features presorted once per boosting segment, and the workspace.
 
     A node is one (rows, candidate positions) pair per feature, each in
     that feature's ascending stable order.  Nodes at the depth limit are
-    leaves and carry only feature 0's pair.  rank[f] maps each row to its
-    position in feature f's sorted order.  Rows, candidate positions and
-    ranks are int32, so the constructor raises ValueError for 2**31 rows
-    or more, before it allocates anything.  After grow, leaf[r] is the
-    node of the leaf that holds row r.  The underscored arrays are the
-    workspace (see the module docstring); each clip-mode take reads
-    indices that are in range by construction: rows of the segment's
-    argsort, candidate positions below m - 1 of a node of m rows, and node
+    leaves and carry only feature 0's pair.  Rows and candidate positions
+    are int32, so the constructor raises ValueError for 2**31 rows or more,
+    before it allocates anything.  After grow, leaf[r] is the node of the
+    leaf that holds row r.  The underscored arrays are the workspace (see
+    the module docstring); each clip-mode take reads indices that are in
+    range by construction: rows of the segment's argsort, candidate
+    positions below m - 1 of a node of m rows, validation rows, and node
     indices of the tree just grown.
 
     Validation rows (intp indices into the finite matrix val_x) start every
-    grow at the root and go down each chosen split, left iff x_f < thr, the
-    walk's rule; val_leaf[r] is then the leaf of validation row r.
+    grow at the root and go down each chosen split by the training rows'
+    rule, _below; val_leaf[r] is then the leaf of validation row r.
     """
 
     def __init__(self, x: np.ndarray, cfg: TrainConfig, val_x=None):
@@ -395,18 +383,14 @@ class _ColumnBlocks:
         self.val_root = np.arange(val_x.shape[0])
         self.val_leaf = np.empty(val_x.shape[0], dtype=np.intp)
         self._g, self._cum, self._gl = (np.empty(n) for _ in range(3))
-        self._rank = np.empty(n, dtype=np.int32)
         self.leaf = np.empty(n, dtype=np.intp)
         self._mask, self._ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        self.cols, self.root, self.rank = [], [], []
+        self.cols, self.root = [], []
         for f in (0, 1):
             col = np.ascontiguousarray(x[:, f])
             rows = np.argsort(col, kind="stable").astype(np.int32)
             self.cols.append(col)
             self.root.append((rows, self._candidates(f, rows)))
-            rank = np.empty(n, dtype=np.int32)
-            rank[rows] = np.arange(n, dtype=np.int32)
-            self.rank.append(rank)
 
     def grow(self, g: np.ndarray) -> Tree:
         """Fit one tree to the gradients g; see leaf and val_leaf."""
@@ -419,6 +403,8 @@ class _ColumnBlocks:
         """Positions k of a block's sorted values whose midpoint
         (xs[k] + xs[k+1]) / 2 separates xs[k] from xs[k+1]; degenerate
         midpoints cannot partition."""
+        # A node calls this for its children once its split search is done
+        # with _cum, _gl and _mask.
         xs = self.cols[f].take(rows, out=self._cum[:rows.shape[0]], mode="clip")
         lo, hi = xs[:-1], xs[1:]
         ok = np.less(lo, hi, out=self._ok[:lo.shape[0]])
@@ -458,20 +444,15 @@ class _ColumnBlocks:
             children = [[(rows[:k + 1], cand[:i])],
                         [(rows[k + 1:], cand[i + 1:] - (k + 1))]]
         if full or f == 1:  # the children need the other feature's block
-            # Within a node, x_f < thr exactly for the rows ranked at or
-            # below the row at sorted position k of feature f; selecting
-            # them keeps the other block's sorted order.
+            # _g's gradients are spent; compress keeps the sorted order.
             other = node[1 - f][0]
-            rank = self.rank[f]
-            go_left = np.less_equal(
-                rank.take(other, out=self._rank[:m], mode="clip"),
-                rank[rows[k]], out=self._mask[:m])
-            parts = [other.compress(go_left),
-                     other.compress(np.logical_not(go_left, out=go_left))]
+            below = _below(col, other, thr, self._g[:m], self._mask[:m])
+            parts = [other.compress(below),
+                     other.compress(np.logical_not(below, out=below))]
             for child, part in zip(children, parts):
                 block = (part, self._candidates(1 - f, part) if full else None)
                 child.insert(1 - f, block)
-        below = self.val_cols[f].take(val) < thr
+        below = _below(self.val_cols[f], val, thr)
         nodes.append(None)
         left = self._node(children[0], val.compress(below), depth + 1, nodes)
         right = self._node(children[1], val.compress(~below), depth + 1, nodes)

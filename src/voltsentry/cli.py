@@ -77,9 +77,9 @@ def check_model_trace_compat(model: boost.Ensemble, trace, v_scale: float) -> No
     predictions there are extrapolation, and a trace of the wrong scale
     lands far outside it.  A model that never splits on voltage has no
     span and accepts every trace."""
-    table = model.table
-    thresholds = table.threshold[~table.split_i]
-    thresholds = thresholds[np.isfinite(thresholds)]  # leaves hold +inf
+    thresholds = np.concatenate([t.threshold[t.feature == 0]
+                                 for s in model.segments for t in s.trees]
+                                or [np.empty(0)])
     if not thresholds.size:
         return
     lo = thresholds.min() - DOMAIN_TOLERANCE_V

@@ -14,35 +14,28 @@ Residuals are computed in one place, _residuals, which raises ValueError
 on a non-finite residual, such as one from a raw array or an overflowing
 prediction, so a NaN never reaches the toggle as "no crossing".
 one_step_residuals, the one public residual function, predicts every row
-of the arrays it is given; streaming (step_detector), calibration and
-run_detector on a trace with no origin use it.  Frames and traces reject
-NaN and infinite values when they are built.  step_detector also rejects
-a frame whose t_s is not the previous frame's plus 1 s; the caller's
-state is unchanged, so the stream continues from the last good frame.
+of the arrays it is given.  step_detector rejects a frame whose t_s is not
+the previous frame's plus 1 s and leaves the caller's state unchanged, so
+the stream continues from the last good frame.
 
-An attacked trace (threatgen.apply_scenario, through
-TelemetryTrace._gather) carries the nominal trace and a source map, in
-range by construction, as its ``_origin``, and run_detector reuses the
-nominal's predictions through it.  They are memoized on the nominal trace
-in one slot: the model object, the predictions, frame-major, so that a
-flat index into the voltages addresses the prediction made from that
-value, and each voltage entry's frame current in the same flat order, NaN
-over the last frame, which feeds no prediction.  Row (k, m), the input
-(v_m(k), i(k)), holds the nominal value at ``source[k, m]`` by
-construction, so it takes that value's prediction when its current equals
-the memoized one; every other row is predicted, in one call.  The currents are compared in the memo's
-flat order: a gathered trace shares its origin's ``i_pack_a``, so row
-(k, m)'s own current is the memo's entry at k*q + m, and no current is
-broadcast over the rows.  A swap moves values within their frames,
-so it predicts nothing; a replay predicts only the rows whose recorded
-current differs from the live one.  A trace never changes
-(simkit.TelemetryTrace), so the memo never goes stale; it serves only the
-same model object, and calibration builds none.  The reuse is bit-exact
-because a prediction depends only on the row's two values: predict_batch
-scales each element on its own and the node-table walk compares
-``x >= t`` and adds each row's leaves in its own column, in tree order.
-A row at current -0.0 takes the prediction made at 0.0, whose branches
-it takes too.
+An attacked trace carries the nominal trace and a source map, in range by
+construction, as its ``_origin``, and run_detector reuses the nominal's
+predictions through it.  They are memoized on the nominal trace in one
+slot: the model object, the predictions, frame-major, so that a flat
+index into the voltages addresses the prediction made from that value,
+and each voltage entry's frame current in the same flat order, NaN over
+the last frame, which feeds no prediction.  Row (k, m) holds the nominal
+value at ``source[k, m]`` by construction, so it takes that value's
+prediction when its current equals the memoized one; every other row is
+predicted, in one call.  A gathered trace shares its origin's
+``i_pack_a``, so row (k, m)'s own current is the memo's entry at k*q + m,
+and no current is broadcast over the rows.  A trace never changes, so the
+memo never goes stale; it serves only the same model object, and
+calibration builds none.  The reuse is bit-exact because a prediction
+depends only on the row's two values: predict_batch scales each element
+on its own and the node-table walk compares ``x >= t`` and adds each
+row's leaves in its own column, in tree order.  A row at current -0.0
+takes the prediction made at 0.0, whose branches it takes too.
 
 Predictor rows are module-major, so the predictions form a contiguous
 (q, n-1) array and r is one reduction along its first axis.
@@ -52,16 +45,11 @@ the crossings so far.  It is fragile by construction, since a single
 nominal spike at or above epsilon inverts the flag for good.  A
 DetectionTrace is built from its residuals alone: one comparison
 r >= epsilon gives the crossings, and the flags and events are derived
-from them, so reports.score_detection reads the flag's rises and falls
-straight off the crossings.
-
-Each value is checked once, where it comes in.  The DetectionTrace
-constructor checks what a caller gives it.  run_detector and
-pipeline.calibrate_on_trace build theirs (DetectionTrace._of_residuals)
-from residuals that _residuals has just checked and a read-only slice of
-the trace's times, so they check only the caller's epsilon and do not
-re-scan r.  Either way r is copied once, into the immutable buffer it is
-kept in.
+from them.  Its constructor checks what a caller gives it; run_detector
+and pipeline.calibrate_on_trace build theirs (DetectionTrace._of_residuals)
+from residuals that _residuals has just checked, so they check only the
+caller's epsilon.  Either way r is copied once, into the immutable buffer
+it is kept in.
 """
 
 from __future__ import annotations

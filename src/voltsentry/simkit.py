@@ -12,43 +12,28 @@ linear ODEs over a step with constant current, so one macro step equals any
 number of sub-steps up to float roundoff.
 
 A pack is q parallel modules, each made of `branches_per_module` identical
-parallel branches of `series_cells` cells.  Modules connect to a common
-charger bus through per-module interconnect resistances; the current split
-across modules is the exact solution of the parallel constraint (one shared
-bus voltage, Kirchhoff current balance).  The recorded module voltage is the
-series sum of one representative branch, i.e. the bus voltage minus that
-module's interconnect drop, which is what gives packs their stable module
-voltage ordering.
+parallel branches of `series_cells` cells, behind per-module interconnect
+resistances to one charger bus; the current split is the exact solution of
+the parallel constraint.  The recorded module voltage is the bus voltage
+minus that module's interconnect drop, which gives packs their stable
+module voltage ordering.
 
-Both CCCV loops compute each step's state once, through one cell update
-kernel, ``_cell_update``, and record at 1 Hz.  The cell loop calls it on
-local floats, with the decay factors and the OCV knot table taken out of
-the loop; it evaluates the OCV and solves the current once per step.  It
-steps 1 s at a time in CC and rest, where the current is constant and the
-update is exact, and 0.1 s at a time in the second that switches to CV
-and in CV (run_cccv_cell).  The pack steps 0.1 s at a time throughout,
-since its current split changes at every sub-step; it calls the kernel
-on its (q, s) state arrays with one branch current per module: the
-augmented assignments that rebind a float update the pack's arrays in
-place, and only the final clamp to [0, 1] is chosen by form.
-The pack model fixes its module and total resistances per run, rejects a
-module whose total resistance is not positive and finite, or a pack whose
-conductances overflow, and computes the module offsets once per state,
-which the CC check, the CV solve and the current split share.  Small but
+Both CCCV loops step through one cell update kernel, ``_cell_update``, and
+record at 1 Hz.  The cell steps 1 s at a time where the current is
+constant (CC and rest) and 0.1 s at a time in the second that switches to
+CV and in CV (run_cccv_cell).  The pack steps 0.1 s at a time throughout,
+since its current split changes at every sub-step; it calls the kernel on
+its (q, s) state arrays, whose augmented assignments update them in place,
+and only the final clamp to [0, 1] is chosen by form.  Small but
 representable module resistances are accepted, yet the run is unstable
 for them, because each sub-step's current split is computed once and
 held: with r0 = 0 and links of 1e-6 ohm, a 3-module pack charging from
 SOC 0.3 at 1 C stops within a few steps with SolverError ("CV solve
-produced negative pack current") where it should stay in CC, and at
-1e-4 ohm the Kirchhoff error grows to about 5e-12 (3e-15 at 0.2 ohm).
-A recorded step's current and split also drive its first sub-step,
-which starts from the same state.  Every float operation is the one a
-per-call evaluation of the same stepping rule would make, in the same
-order, so the traces are bit-identical to it; the tests keep the
-per-call loops as their oracle.  Against sub-stepping every second, the
-cell's recorded voltages and the corpus CSVs are byte-identical, and
-only its in-memory CV currents differ, by under 6e-11 A; the pack is
-unchanged and bit-identical.
+produced negative pack current") where it should stay in CC.  A recorded
+step's current and split also drive its first sub-step, which starts from
+the same state.  Every float operation is the one a per-call evaluation of
+the same stepping rule would make, in the same order, so the traces are
+bit-identical to it; the tests keep the per-call loops as their oracle.
 Parameters are checked once, when the dataclasses are built: every field
 must be finite.
 """
@@ -280,7 +265,7 @@ class TelemetryFrame:
         return len(self.v_modules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TelemetryTrace:
     """Recorded charging run at 1 Hz.
 
@@ -293,10 +278,11 @@ class TelemetryTrace:
     value must be the previous one plus 1 s; a gap, a duplicate or a
     reversal raises ValueError.
 
-    A trace is an immutable value.  The constructor copies every array it
-    is given into an immutable buffer and never freezes a caller's array;
-    neither a trace's arrays nor any view of them can be made writable, and
-    no attribute can be reassigned (``FrozenInstanceError``).  ``_memo`` is
+    A trace is an immutable value, compared by identity.  The constructor
+    copies every array it is given into an immutable buffer and never
+    freezes a caller's array; neither a trace's arrays nor any view of them
+    can be made writable, and no attribute can be reassigned
+    (``FrozenInstanceError``).  ``_memo`` is
     set only by ``sentinel``: a model object and its one-step predictions
     of this trace, which attacked traces gathered from it reuse under that
     same model.  ``_origin`` is set only by ``_gather``: the trace and the
@@ -310,10 +296,8 @@ class TelemetryTrace:
     i_modules: np.ndarray | None = None
     attack_mask: np.ndarray | None = None
     name: str = ""
-    _memo: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
-    _origin: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False)
+    _origin: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__  # the one way to set a frozen field
@@ -381,22 +365,6 @@ class TelemetryTrace:
         frames equals the argsort of that slice bit for bit.
         """
         return _frozen(np.argsort(-self.v_modules, axis=1, kind="stable"))
-
-    def __eq__(self, other):
-        if not isinstance(other, TelemetryTrace):
-            return NotImplemented
-        if self.v_modules.shape != other.v_modules.shape:
-            return False
-        same = (np.array_equal(self.t_s, other.t_s)
-                and np.array_equal(self.i_pack_a, other.i_pack_a)
-                and np.array_equal(self.v_modules, other.v_modules))
-        if not same:
-            return False
-        if (self.attack_mask is None) != (other.attack_mask is None):
-            return False
-        if self.attack_mask is not None:
-            return np.array_equal(self.attack_mask, other.attack_mask)
-        return True
 
 
 # ---------------------------------------------------------------------------

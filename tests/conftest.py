@@ -4,18 +4,28 @@ These are session-scoped because base training takes tens of seconds; the
 acceptance suite and a few integration tests share them.  The pack traces
 are simulated from the shipped configs/ specs, as the study driver's are.
 write_sim_config writes a simulator INI for tests that need one of their
-own, and gather builds an attacked trace from a source map of their own.
+own, gather builds an attacked trace from a source map of their own, and
+same_trace compares two traces' values.
 """
 
 import configparser
+import importlib.util
 import os
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from voltsentry import boost, configio, pipeline, simkit, transfer
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The voltsentry that PYTHONPATH names, else (a bare pytest run) the
+# checkout's.
+if importlib.util.find_spec("voltsentry") is None:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from voltsentry import boost, configio, pipeline, simkit, transfer  # noqa: E402
 
 # Hypothesis imports this module to report a falsifying example.  Its
 # dependencies raise a DeprecationWarning on import, which pyproject.toml's
@@ -25,8 +35,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "configs")
+CONFIGS = os.path.join(ROOT, "configs")
 
 
 def canonical_config(name: str) -> str:
@@ -150,6 +159,17 @@ def make_trace(v, i=None, t=None, **kwargs):
     return simkit.TelemetryTrace(t_s=np.asarray(t, float),
                                  i_pack_a=np.asarray(i, float),
                                  v_modules=v, **kwargs)
+
+
+def same_trace(a, b) -> bool:
+    """Whether two traces hold equal t_s, i_pack_a, v_modules and
+    attack_mask (None on both, or equal arrays)."""
+    if (a.attack_mask is None) != (b.attack_mask is None):
+        return False
+    names = ("t_s", "i_pack_a", "v_modules")
+    if a.attack_mask is not None:
+        names += ("attack_mask",)
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
 
 
 def gather(trace, source, attack_mask, name="x"):

@@ -593,6 +593,29 @@ class TestKernelMatchesReference:
         assert ens.history.val_mse[:20] == history.val_mse
 
 
+class TestOneSplitRule:
+    """Training and validation rows go down a split by the same rule."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+           styles=st.tuples(*[st.sampled_from(["constant", "signed", "grid",
+                                                "ulp", "uniform"])] * 2),
+           depth=st.integers(1, 6),
+           min_child_weight=st.sampled_from([0.0, 1.0, 3.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_training_rows_as_validation_reach_their_leaves(
+            self, seed, n, styles, depth, min_child_weight):
+        """The training rows passed again as validation rows, with ties,
+        1-ulp neighbours and grid values, land in the leaves the training
+        rows land in, tree after tree."""
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([feature_column(rng, s, n) for s in styles])
+        blocks = _ColumnBlocks(x, TrainConfig(
+            max_depth=depth, min_child_weight=min_child_weight), x)
+        for _ in range(3):
+            blocks.grow(rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n))
+            assert np.array_equal(blocks.leaf, blocks.val_leaf)
+
+
 class TestColumnBlocksMemory:
     """The grower's working set: int32 rows and candidate positions, and no
     n-sized table or temporary beyond the workspace."""
@@ -611,16 +634,15 @@ class TestColumnBlocksMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 97 bytes per row; 113 with arrays of their own for the right sums
-        # and the denominators, 158 with intp positions and a denominator
-        # table.  One more n-sized float array would exceed the bound.
-        assert peak / n <= 103
-        for (rows, cand), rank in zip(blocks.root, blocks.rank):
-            assert rows.dtype == cand.dtype == rank.dtype == np.int32
+        # 85 bytes per row.  One more n-sized float array would exceed the
+        # bound.
+        assert peak / n <= 91
+        for rows, cand in blocks.root:
+            assert rows.dtype == cand.dtype == np.int32
 
     def test_row_count_limit(self):
-        """int32 positions and ranks would wrap at 2**31 rows; the check
-        comes before any allocation (the view below holds 16 bytes)."""
+        """int32 rows and candidate positions would wrap at 2**31 rows; the
+        check comes before any allocation (the view below holds 16 bytes)."""
         x = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
         with pytest.raises(ValueError, match=r"2\*\*31"):
             boost._ColumnBlocks(x, TrainConfig())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import make_trace, same_trace
 from writers_reference import (reference_write_detection,
                                reference_write_events,
                                reference_write_loss_curve,
@@ -114,7 +114,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         write_trace(path, trace)
         back = read_trace(path)
-        assert back == trace
+        assert same_trace(back, trace)
 
     def test_round_trip_with_mask(self, tmp_path):
         v = np.round(np.linspace(3.5, 3.6, 5), 6)
@@ -122,7 +122,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         write_trace(path, trace)
         back = read_trace(path)
-        assert back == trace
+        assert same_trace(back, trace)
         assert np.array_equal(back.attack_mask, trace.attack_mask)
 
     def test_idempotent_at_declared_precision(self, tmp_path):
@@ -135,7 +135,7 @@ class TestCsvRoundTrip:
         once = read_trace(p1)
         write_trace(p2, once)
         assert p1.read_bytes() == p2.read_bytes()
-        assert read_trace(p2) == once
+        assert same_trace(read_trace(p2), once)
 
     @given(q=st.integers(1, 6), n=st.integers(2, 12), seed=st.integers(0, 2 ** 31))
     @settings(max_examples=25, deadline=None)
@@ -145,7 +145,7 @@ class TestCsvRoundTrip:
                            i=np.round(rng.uniform(0, 6, n), 6))
         path = tmp_path_factory.mktemp("rt") / "p.csv"
         write_trace(path, trace)
-        assert read_trace(path) == trace
+        assert same_trace(read_trace(path), trace)
 
     def test_header_written_as_documented(self, tmp_path):
         trace = make_trace(np.ones((2, 3)) * 3.7)
@@ -259,7 +259,7 @@ class TestCsvMatchesReference:
         trace = random_trace(rng, n, q, with_mask)
         path = write_both(tmp_path_factory.mktemp("csv"), trace)
         got, want = read_trace(path), reference_read_trace(path)
-        assert got == want
+        assert same_trace(got, want)
         assert got.name == want.name
         if with_mask:
             assert got.attack_mask.dtype == want.attack_mask.dtype
@@ -294,7 +294,7 @@ class TestCsvMatchesReference:
             assert str(err.value) == str(exc)
             assert err.value.line == exc.line
         else:  # the corruption left a valid file (say, 1.0 to 1.000000)
-            assert read_trace(path) == want
+            assert same_trace(read_trace(path), want)
 
 
 
