@@ -9,7 +9,7 @@ same_trace compares two traces' values.
 """
 
 import configparser
-import importlib.util
+import importlib.machinery
 import os
 import sys
 import time
@@ -20,9 +20,10 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The voltsentry that PYTHONPATH names, else (a bare pytest run) the
-# checkout's.
-if importlib.util.find_spec("voltsentry") is None:
+# The voltsentry that PYTHONPATH names, else this checkout's own, ahead of
+# any installed copy (an editable install of another checkout, say).
+_PYTHONPATH = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+if importlib.machinery.PathFinder.find_spec("voltsentry", _PYTHONPATH) is None:
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from voltsentry import boost, configio, pipeline, simkit, transfer  # noqa: E402
