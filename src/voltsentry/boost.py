@@ -19,8 +19,7 @@ needs mid > lo, thr <= xs[k+1] because rounding is monotone (an overflowing
 midpoint is +inf, which Tree rejects), and equal values never straddle a
 candidate.  The other feature's rows keep their stable order through the
 selection, so every child keeps the order a fresh stable sort would give.
-Because every hessian is 1, H of c rows is the count c, and
-min_child_weight becomes a range of positions.
+Because every hessian is 1, H of c rows is the count c.
 
 Every per-node temporary lives in one workspace of arrays of the segment's
 row count, allocated once per segment: fresh temporaries of that size at
@@ -309,16 +308,14 @@ class TrainConfig:
     """Boosting hyper-parameters, of base training and of fine-tuning.
 
     n_trees may be 0 (a fine-tune that appends an empty segment); train
-    needs at least one tree.  The regularizers and min_child_weight must be
-    nonnegative and finite (ValueError otherwise).
+    needs at least one tree.  lambda_l2 must be nonnegative and finite
+    (ValueError otherwise).
     """
 
     n_trees: int = 400
     max_depth: int = 4
     learning_rate: float = 0.12
     lambda_l2: float = 1.0
-    gamma_leaf: float = 0.0
-    min_child_weight: float = 1.0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -327,11 +324,8 @@ class TrainConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not (0.0 <= self.lambda_l2 < math.inf
-                and 0.0 <= self.gamma_leaf < math.inf):
+        if not 0.0 <= self.lambda_l2 < math.inf:
             raise ValueError("regularizers must be nonnegative and finite")
-        if not 0.0 <= self.min_child_weight < math.inf:
-            raise ValueError("min_child_weight must be nonnegative and finite")
 
 
 BASE_RECIPE = TrainConfig(n_trees=400, max_depth=4, learning_rate=0.12)
@@ -468,15 +462,8 @@ class _ColumnBlocks:
         """
         cfg = self.cfg
         parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
-        # Each child's hessian sum is its row count c: need <= c <= m - need.
-        need = (math.ceil(cfg.min_child_weight)
-                if cfg.min_child_weight <= m else m + 1)
-        # int32 keys: with a Python int, searchsorted would first convert
-        # the whole int32 block to int64.
-        lo, hi = np.int32(need - 1), np.int32(m - 1 - need)
         best = None
-        for f, (rows, cand) in enumerate(node):
-            c = cand[cand.searchsorted(lo):cand.searchsorted(hi, "right")]
+        for f, (rows, c) in enumerate(node):
             if c.size == 0:
                 continue
             top, nc = int(c[-1]) + 1, c.shape[0]
@@ -500,7 +487,6 @@ class _ColumnBlocks:
             gl += gr
             gl -= parent
             gl *= 0.5
-            gl -= cfg.gamma_leaf
             j = int(np.argmax(gl))
             if best is None or gl[j] > best[0]:
                 best = (float(gl[j]), f, int(c[j]))

@@ -123,6 +123,7 @@ def cmd_simulate(args) -> int:
 def cmd_train_base(args) -> int:
     cfg = configio.read_train_config(args.config) if args.config else boost.BASE_RECIPE
     out_dir = _out_dir(args)
+    manifest = os.path.join(args.corpus_dir, pipeline.CORPUS_MANIFEST)
     cell = pipeline.read_corpus_cell(args.corpus_dir)
     train_set, val_set = pipeline.load_cell_corpus(args.corpus_dir)
     t0 = time.perf_counter()
@@ -148,7 +149,9 @@ def cmd_train_base(args) -> int:
         },
         artifacts={"model": _name(model_path),
                    "loss_curve": _name(curve_path)},
-        provenance=_provenance(**_with_base("config", args.config)))
+        provenance={**_provenance(**_with_base("config", args.config),
+                                  corpus_manifest=manifest),
+                    "corpus_csvs_sha256": pipeline.corpus_csvs_sha256(args.corpus_dir)})
     report_path = os.path.join(out_dir, "report_train_base.json")
     write_report(report_path, report)
     write_timings(os.path.join(out_dir, "timings_train_base.json"),

@@ -56,7 +56,7 @@ def _float_or_floats(text: str):
 
 
 _BOOSTING = {"n_trees": int, "max_depth": int, "learning_rate": float,
-             "lambda_l2": float, "gamma_leaf": float, "min_child_weight": float}
+             "lambda_l2": float}
 
 # Every section a config file may hold: its keys and the parser of each.
 SCHEMA = {
@@ -67,8 +67,7 @@ SCHEMA = {
     "pack": {"name": str, "parallel_modules": int, "branches_per_module": int,
              "series_cells": int, "heterogeneity_sigma": float, "rng_seed": int,
              "interconnect_ohm": _float_or_floats},
-    "policy": {"c_rate": float, "v_max": float, "taper_cutoff_c": float,
-               "duration_s": float},
+    "policy": {"c_rate": float, "taper_cutoff_c": float, "duration_s": float},
     "noise": {"rel_sigma": float},
     "attack": {"kind": str, "k0_s": int, "kf_s": int, "record_start_s": int,
                "record_end_s": int, "target_modules": _ints},

@@ -14,6 +14,7 @@ artifact.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -112,13 +113,30 @@ def read_corpus_cell(corpus_dir) -> CellParams:
         raise ValueError(f"{path}: not a corpus manifest ({exc!r})") from None
 
 
-def load_cell_corpus(corpus_dir):
-    """Read corpus CSVs back into pooled (train, val) supervised sets."""
+def _corpus_csvs(corpus_dir) -> list:
+    """The corpus CSV names, sorted (FileNotFoundError if there are none)."""
     files = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".csv"))
     if not files:
         raise FileNotFoundError(f"no corpus CSVs in {corpus_dir}")
+    return files
+
+
+def corpus_csvs_sha256(corpus_dir) -> str:
+    """SHA-256 over each corpus CSV's name, length and bytes, in the order
+    load_cell_corpus reads them."""
+    h = hashlib.sha256()
+    for fname in _corpus_csvs(corpus_dir):
+        with open(os.path.join(corpus_dir, fname), "rb") as fh:
+            data = fh.read()
+        h.update(f"{fname}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def load_cell_corpus(corpus_dir):
+    """Read corpus CSVs back into pooled (train, val) supervised sets."""
     train_parts, val_parts = [], []
-    for fname in files:
+    for fname in _corpus_csvs(corpus_dir):
         trace = datasets.read_trace(os.path.join(corpus_dir, fname))
         part = datasets.build_supervised(trace, 1)
         (val_parts if _VAL_TAG in fname else train_parts).append(part)

@@ -27,19 +27,24 @@ class DetectionMetrics:
     """Scores of a detection run against the ground-truth attack mask.
 
     Delays are in samples and nonnegative; a missed transition is None.
-    A false alarm is a flag rise at a step whose mask is 0.
+    A window that ends at the last frame has no frame to withdraw at, so
+    its withdrawal is None and as_dict writes "no-frame" for it.  A false
+    alarm is a flag rise at a step whose mask is 0.
     """
 
     onset_delay: int | None
     withdrawal_delay: int | None
     false_alarms: int
     crossings: int
+    ends_at_last_frame: bool
 
     def as_dict(self) -> dict:
+        withdrawal = self.withdrawal_delay
+        if withdrawal is None:
+            withdrawal = "no-frame" if self.ends_at_last_frame else "missed"
         return {
             "onset_delay_samples": "missed" if self.onset_delay is None else self.onset_delay,
-            "withdrawal_delay_samples": ("missed" if self.withdrawal_delay is None
-                                         else self.withdrawal_delay),
+            "withdrawal_delay_samples": withdrawal,
             "false_alarms": self.false_alarms,
             "threshold_crossings": self.crossings,
         }
@@ -68,7 +73,8 @@ def score_detection(det: DetectionTrace, mask: np.ndarray) -> DetectionMetrics:
     onset = rises[on] - k0 if on < len(rises) else None
     withdrawal = falls[off] - kf if off < len(falls) else None
     false_alarms = int(np.count_nonzero(mask[rises] == 0))
-    return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings)
+    return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings,
+                            kf == mask.shape[0])
 
 
 @dataclass

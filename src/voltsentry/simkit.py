@@ -97,7 +97,8 @@ def _require_finite_drops(cell: "CellParams", i_max: float) -> None:
 
 @dataclass(frozen=True)
 class CellParams:
-    """Electrical parameters of a single cell."""
+    """Electrical parameters of a single cell; ``v_max`` is the CV setpoint
+    per cell."""
 
     capacity_ah: float = 5.0
     r0_ohm: float = 0.018
@@ -192,15 +193,15 @@ class PackConfig:
 
 @dataclass(frozen=True)
 class CccvPolicy:
-    """Constant-current / constant-voltage charging policy."""
+    """Constant-current / constant-voltage charging policy; the CV
+    setpoint is the cell's ``v_max``."""
 
     c_rate: float
-    v_max: float = 4.2
     taper_cutoff_c: float = 0.05
     duration_s: float = 900.0
 
     def __post_init__(self):
-        _require_finite_fields(self, "c_rate", "v_max", "taper_cutoff_c", "duration_s")
+        _require_finite_fields(self, "c_rate", "taper_cutoff_c", "duration_s")
         if not self.c_rate > 0:
             raise ValueError("c_rate must be positive")
         if not 0 < self.taper_cutoff_c < self.c_rate:
@@ -430,7 +431,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     """Simulate one CCCV charge of a single cell, recorded at 1 Hz.
 
     CC holds ``c_rate * capacity`` amps until the noise-free terminal voltage
-    reaches ``policy.v_max``; CV then solves the current each sub-step so the
+    reaches ``params.v_max``; CV then solves the current each sub-step so the
     terminal voltage sits at the setpoint, tapering until the cutoff C-rate,
     after which the cell rests at zero current for the remaining duration.
     Measurement noise only touches the recorded voltages.
@@ -449,14 +450,14 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if params.ocv(init_soc) >= policy.v_max:
+    if params.ocv(init_soc) >= params.v_max:
         raise ValueError(
-            f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
+            f"infeasible policy: OCV({init_soc}) >= v_max {params.v_max}")
 
     i_cc = policy.c_rate * params.capacity_ah
     _require_finite_drops(params, i_cc)
     i_cut = policy.taper_cutoff_c * params.capacity_ah
-    v_max, r0, r1 = policy.v_max, params.r0_ohm, params.r1_ohm
+    v_max, r0, r1 = params.v_max, params.r0_ohm, params.r1_ohm
     capacity, tau_d = params.capacity_ah, params.diff_tau_s
     rc_decay, diff_decay = _decays(params, _SUB_DT)
     rc_decay_1s, diff_decay_1s = _decays(params, 1.0)
@@ -611,7 +612,7 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
 
     CC applies ``c_rate`` times the pack capacity (cell capacity times
     ``parallel_modules * branches_per_module``) until the bus voltage reaches
-    the pack setpoint ``series_cells * policy.v_max``; CV then holds the bus at
+    the pack setpoint ``series_cells * cell.v_max``; CV then holds the bus at
     the setpoint until the pack current tapers to the cutoff C-rate.  The
     noise seed derives from (rng_seed, policy, init_soc) so that identical
     inputs reproduce byte-identical traces while distinct policies on the
@@ -619,9 +620,9 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if cell.ocv(init_soc) >= policy.v_max:
+    if cell.ocv(init_soc) >= cell.v_max:
         raise ValueError(
-            f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
+            f"infeasible policy: OCV({init_soc}) >= v_max {cell.v_max}")
 
     capacity = (cell.capacity_ah * config.parallel_modules
                 * config.branches_per_module)
@@ -629,7 +630,7 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     # At most the whole pack current through one module's branches.
     _require_finite_drops(cell, i_cc / config.branches_per_module)
     model = _PackModel(config, cell, init_soc, _SUB_DT)
-    setpoint = config.series_cells * policy.v_max
+    setpoint = config.series_cells * cell.v_max
     i_cut = policy.taper_cutoff_c * capacity
     n_records = int(policy.duration_s) + 1
     phase = "cc"

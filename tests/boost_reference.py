@@ -84,13 +84,12 @@ def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
         hs = np.cumsum(h[idx])[:-1]
         thr = (xv[:-1] + xv[1:]) * 0.5
         ok = distinct & (thr > xv[:-1])  # degenerate midpoints cannot partition
-        ok &= (hs >= cfg.min_child_weight) & (h_total - hs >= cfg.min_child_weight)
         if not ok.any():
             continue
         gl, hl = gs[ok], hs[ok]
         gr, hr = g_total - gl, h_total - hl
         gains = 0.5 * (gl ** 2 / (hl + cfg.lambda_l2)
-                       + gr ** 2 / (hr + cfg.lambda_l2) - parent) - cfg.gamma_leaf
+                       + gr ** 2 / (hr + cfg.lambda_l2) - parent)
         j = int(np.argmax(gains))
         if best is None or gains[j] > best[0]:
             best = (float(gains[j]), f, float(thr[ok][j]))
@@ -235,13 +234,8 @@ class _ColumnBlocks:
         """
         cfg = self.cfg
         parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
-        # Each child's hessian sum is its row count c: need <= c <= m - need.
-        need = (math.ceil(cfg.min_child_weight)
-                if cfg.min_child_weight <= m else m + 1)
         best = None
-        for f, (_, _, g, cand) in enumerate(node):
-            c = cand[np.searchsorted(cand, need - 1):
-                     np.searchsorted(cand, m - 1 - need, "right")]
+        for f, (_, _, g, c) in enumerate(node):
             if c.size == 0:
                 continue
             gl = np.cumsum(g[:c[-1] + 1]).take(c)
@@ -258,7 +252,6 @@ class _ColumnBlocks:
             gl += gr
             gl -= parent
             gl *= 0.5
-            gl -= cfg.gamma_leaf
             j = int(np.argmax(gl))
             if best is None or gl[j] > best[0]:
                 best = (float(gl[j]), f, int(c[j]))

@@ -65,7 +65,6 @@ def write_sim_config(path, spec: configio.SimRunSpec) -> None:
     if not corpus:
         parser["policy"] = {
             "c_rate": repr(spec.policy.c_rate),
-            "v_max": repr(spec.policy.v_max),
             "taper_cutoff_c": repr(spec.policy.taper_cutoff_c),
             "duration_s": repr(spec.policy.duration_s),
         }

@@ -1,9 +1,9 @@
 """Reference detection scoring that ``voltsentry.reports`` must match.
 
 ``reference_score_detection`` is the flag-based ``score_detection`` that
-the crossing-based one replaced, kept verbatim but for its name: it
-rebuilds the flag's rises and falls by comparing each flag with the one
-before it.
+the crossing-based one replaced, kept verbatim but for its name and the
+window-at-the-last-frame field: it rebuilds the flag's rises and falls by
+comparing each flag with the one before it.
 """
 
 import numpy as np
@@ -32,4 +32,5 @@ def reference_score_detection(det: DetectionTrace,
     onset = int(on[0] - k0) if on.size else None
     withdrawal = int(off[0] - kf) if off.size else None
     false_alarms = int(np.count_nonzero(mask[rises] == 0))
-    return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings)
+    return DetectionMetrics(onset, withdrawal, false_alarms, det.crossings,
+                            bool(mask[-1] == 1))

@@ -84,7 +84,7 @@ def run_cccv_cell(params: CellParams, policy: CccvPolicy, init_soc: float,
     """Simulate one CCCV charge of a single cell, recorded at 1 Hz.
 
     CC holds ``c_rate * capacity`` amps until the noise-free terminal voltage
-    reaches ``policy.v_max``; CV then solves the current each sub-step so the
+    reaches ``params.v_max``; CV then solves the current each sub-step so the
     terminal voltage sits at the setpoint, tapering until the cutoff C-rate,
     after which the cell rests at zero current for the remaining duration.
     Measurement noise only touches the recorded voltages.
@@ -117,9 +117,9 @@ def _cell_charge(params: CellParams, policy: CccvPolicy, init_soc: float,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if float(params.ocv(init_soc)) >= policy.v_max:
+    if float(params.ocv(init_soc)) >= params.v_max:
         raise ValueError(
-            f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
+            f"infeasible policy: OCV({init_soc}) >= v_max {params.v_max}")
 
     i_cc = policy.c_rate * params.capacity_ah
     i_cut = policy.taper_cutoff_c * params.capacity_ah
@@ -134,14 +134,14 @@ def _cell_charge(params: CellParams, policy: CccvPolicy, init_soc: float,
     def current_now(st: CellState, step: int) -> float:
         nonlocal phase
         if phase == "cc":
-            if cell_voltage(st, params, i_cc) >= policy.v_max:
+            if cell_voltage(st, params, i_cc) >= params.v_max:
                 phase = "cv"
             else:
                 return i_cc
         if phase == "cv":
             if params.r0_ohm <= 0.0:
                 raise SolverError("cannot regulate voltage with r0 = 0", step)
-            i_cv = (policy.v_max - params.ocv(st.soc_surf) - st.v_rc) / params.r0_ohm
+            i_cv = (params.v_max - params.ocv(st.soc_surf) - st.v_rc) / params.r0_ohm
             if i_cv < -1e-9:
                 raise SolverError("CV solve produced negative current", step)
             i_cv = min(max(i_cv, 0.0), i_cc)
@@ -162,7 +162,7 @@ def _cell_charge(params: CellParams, policy: CccvPolicy, init_soc: float,
             whole = step_cell(state, params, i_k, 1.0)
             if (0.0 < whole.soc < 1.0 and 0.0 < whole.soc_surf < 1.0
                     and (phase == "rest"
-                         or cell_voltage(whole, params, i_cc) < policy.v_max)):
+                         or cell_voltage(whole, params, i_cc) < params.v_max)):
                 state = whole
                 sub_step += 10
                 continue
@@ -263,7 +263,7 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     """Simulate a CCCV charge of a pack, recorded at 1 Hz.
 
     CC applies ``c_rate * pack capacity`` until the bus voltage reaches the
-    pack setpoint ``series_cells * policy.v_max``; CV then holds the bus at
+    pack setpoint ``series_cells * cell.v_max``; CV then holds the bus at
     the setpoint until the pack current tapers to the cutoff C-rate.  The
     noise seed derives from (rng_seed, policy, init_soc) so that identical
     inputs reproduce byte-identical traces while distinct policies on the
@@ -271,12 +271,12 @@ def run_cccv_pack(config: PackConfig, cell: CellParams, policy: CccvPolicy,
     """
     if not 0.0 <= init_soc < 1.0:
         raise ValueError("init_soc must be in [0, 1)")
-    if float(cell.ocv(init_soc)) >= policy.v_max:
+    if float(cell.ocv(init_soc)) >= cell.v_max:
         raise ValueError(
-            f"infeasible policy: OCV({init_soc}) >= v_max {policy.v_max}")
+            f"infeasible policy: OCV({init_soc}) >= v_max {cell.v_max}")
 
     model = _PackModel(config, cell, init_soc)
-    setpoint = config.series_cells * policy.v_max
+    setpoint = config.series_cells * cell.v_max
     capacity = (cell.capacity_ah * config.parallel_modules
                 * config.branches_per_module)
     i_cc = policy.c_rate * capacity

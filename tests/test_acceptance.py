@@ -33,7 +33,7 @@ def test_01_boosting_oracle_equivalence():
     """Exact greedy split equals brute force; leaf weights match numeric
     minimization within 1e-9; 200 datasets under 10 s."""
     cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                      lambda_l2=1.0, min_child_weight=1.0)
+                      lambda_l2=1.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     for case in range(200):

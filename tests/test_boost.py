@@ -91,12 +91,10 @@ def brute_force_best_split(x, g, h, cfg):
                 continue
             left = x[:, f] < thr
             hl, hr = h[left].sum(), h[~left].sum()
-            if hl < cfg.min_child_weight or hr < cfg.min_child_weight:
-                continue
             gl, gr = g[left].sum(), g[~left].sum()
             gain = 0.5 * (gl ** 2 / (hl + cfg.lambda_l2)
                           + gr ** 2 / (hr + cfg.lambda_l2)
-                          - parent) - cfg.gamma_leaf
+                          - parent)
             if best is None or gain > best[0]:
                 best = (gain, f, thr)
     return best
@@ -151,7 +149,7 @@ class TestLeafWeight:
 
 class TestFitTree:
     CFG = TrainConfig(n_trees=1, max_depth=3, learning_rate=1.0,
-                      lambda_l2=1.0, min_child_weight=1.0)
+                      lambda_l2=1.0)
 
     def test_constant_targets_single_leaf(self):
         x = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
@@ -166,7 +164,7 @@ class TestFitTree:
         x = np.column_stack([x0, x1])
         y = np.where(x0 < x0[9], -1.0, 1.0)
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                          lambda_l2=0.0, min_child_weight=1.0)
+                          lambda_l2=0.0)
         assert count_candidates(x) == 30
         tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] == 0
@@ -211,7 +209,7 @@ class TestFitTree:
         x = rng.integers(0, 6, size=(n, 2)) * 0.25
         y = rng.integers(-4, 5, size=n) * 0.5
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                          lambda_l2=1.0, min_child_weight=1.0)
+                          lambda_l2=1.0)
         tree = grow_tree(x, y, np.zeros(n), cfg)
         oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
         if oracle is None or oracle[0] <= 0.0:
@@ -401,19 +399,16 @@ class TestKernelMatchesReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
            styles=st.tuples(*[st.sampled_from(["constant", "grid", "ulp",
                                                 "uniform"])] * 2),
-           depth=st.integers(1, 8),
-           min_child_weight=st.sampled_from([0.0, 1.0, 2.0, 3.5]),
-           gamma=st.sampled_from([0.0, 0.1]), lam=st.sampled_from([0.0, 1.0]),
+           depth=st.integers(1, 8), lam=st.sampled_from([0.0, 1.0]),
            n_trees=st.integers(1, 4), warm=st.booleans(), n_val=st.integers(0, 20))
     @settings(max_examples=150, deadline=None)
-    def test_random_segments(self, seed, n, styles, depth, min_child_weight,
-                             gamma, lam, n_trees, warm, n_val):
+    def test_random_segments(self, seed, n, styles, depth, lam, n_trees, warm,
+                             n_val):
         rng = np.random.default_rng(seed)
         x = np.column_stack([feature_column(rng, s, n) for s in styles])
         y = rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n) * (seed % 2)
         cfg = TrainConfig(n_trees=n_trees, max_depth=depth, learning_rate=0.3,
-                          lambda_l2=lam, gamma_leaf=gamma,
-                          min_child_weight=min_child_weight)
+                          lambda_l2=lam)
         if warm:  # a fine-tune segment continues from non-constant predictions
             preds, tag = y + rng.normal(size=n), "finetune"
         else:
@@ -430,10 +425,9 @@ class TestKernelMatchesReference:
             assert np.array_equal(got_preds, want_preds)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 64),
-           depth=st.integers(1, 8), min_child_weight=st.sampled_from([1.0, 2.0, 5.0]),
-           levels=st.integers(1, 4))
+           depth=st.integers(1, 8), levels=st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
-    def test_ties_and_repeats(self, seed, n, depth, min_child_weight, levels):
+    def test_ties_and_repeats(self, seed, n, depth, levels):
         """Few distinct feature values and grid targets: repeated values,
         equal gains between positions and between features."""
         rng = np.random.default_rng(seed)
@@ -441,8 +435,7 @@ class TestKernelMatchesReference:
         if seed % 3 == 0:  # the same values on both features
             x[:, 1] = x[:, 0]
         y = rng.integers(-2, 3, size=n) * 0.25
-        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.5,
-                          min_child_weight=min_child_weight)
+        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.5)
         runs = kernel_and_reference(x, y, np.zeros(n), cfg, "base")
         for want, want_hist, want_preds in runs[1:]:
             assert runs[0][0] == want
@@ -452,24 +445,21 @@ class TestKernelMatchesReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
            styles=st.tuples(*[st.sampled_from(["signed", "grid", "ulp",
                                                 "uniform"])] * 2),
-           depth=st.integers(1, 8),
-           min_child_weight=st.sampled_from([0.0, 1.0, 3.5]),
-           warm=st.booleans(), n_val=st.integers(0, 40))
-    @example(seed=0, n=3, styles=("signed", "uniform"), depth=2,
-             min_child_weight=3.5, warm=False, n_val=8)  # the root is a leaf
+           depth=st.integers(1, 8), warm=st.booleans(), n_val=st.integers(0, 40))
+    @example(seed=0, n=1, styles=("signed", "uniform"), depth=2,
+             warm=False, n_val=8)  # the root is a leaf
     @example(seed=1, n=50, styles=("signed", "grid"), depth=3,
-             min_child_weight=1.0, warm=True, n_val=0)
+             warm=True, n_val=0)
     @settings(max_examples=150, deadline=None)
     def test_validation_routing_reaches_the_walked_leaf(
-            self, seed, n, styles, depth, min_child_weight, warm, n_val):
+            self, seed, n, styles, depth, warm, n_val):
         """The grower routes each validation row to the leaf the walk of
         the new tree reaches, with most rows on the grown thresholds and
         signed zeros: every round adds what a one-tree node table adds."""
         rng = np.random.default_rng(seed)
         x = np.column_stack([feature_column(rng, s, n) for s in styles])
         y = rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n) * (seed % 2)
-        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.3,
-                          min_child_weight=min_child_weight)
+        cfg = TrainConfig(n_trees=3, max_depth=depth, learning_rate=0.3)
         if warm:  # a fine-tune segment continues from non-constant predictions
             preds, tag = y + rng.normal(size=n), "finetune"
             val_start = rng.normal(size=n_val)
@@ -578,9 +568,7 @@ class TestKernelMatchesReference:
         ens, _, train_set, val_set = base_bundle
         cfg = TrainConfig(n_trees=20, max_depth=BASE_RECIPE.max_depth,
                           learning_rate=BASE_RECIPE.learning_rate,
-                          lambda_l2=BASE_RECIPE.lambda_l2,
-                          gamma_leaf=BASE_RECIPE.gamma_leaf,
-                          min_child_weight=BASE_RECIPE.min_child_weight)
+                          lambda_l2=BASE_RECIPE.lambda_l2)
         preds = np.full(len(train_set), ens.base_score)
         val_preds = np.full(len(val_set), ens.base_score)
         segment, history = reference_boost_segment(
@@ -599,18 +587,16 @@ class TestOneSplitRule:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
            styles=st.tuples(*[st.sampled_from(["constant", "signed", "grid",
                                                 "ulp", "uniform"])] * 2),
-           depth=st.integers(1, 6),
-           min_child_weight=st.sampled_from([0.0, 1.0, 3.5]))
+           depth=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_training_rows_as_validation_reach_their_leaves(
-            self, seed, n, styles, depth, min_child_weight):
+            self, seed, n, styles, depth):
         """The training rows passed again as validation rows, with ties,
         1-ulp neighbours and grid values, land in the leaves the training
         rows land in, tree after tree."""
         rng = np.random.default_rng(seed)
         x = np.column_stack([feature_column(rng, s, n) for s in styles])
-        blocks = _ColumnBlocks(x, TrainConfig(
-            max_depth=depth, min_child_weight=min_child_weight), x)
+        blocks = _ColumnBlocks(x, TrainConfig(max_depth=depth), x)
         for _ in range(3):
             blocks.grow(rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n))
             assert np.array_equal(blocks.leaf, blocks.val_leaf)
@@ -1046,8 +1032,7 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(max_depth=0)
 
-    @pytest.mark.parametrize("key", ["lambda_l2", "gamma_leaf",
-                                     "min_child_weight"])
+    @pytest.mark.parametrize("key", ["lambda_l2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
     def test_regularizers_nonnegative_and_finite(self, key, bad):
         with pytest.raises(ValueError, match="nonnegative and finite"):

@@ -281,6 +281,13 @@ class TestTrainBaseNominalVoltage:
         assert cli.main(["simulate", "--config", str(config),
                          "--out-dir", str(corpus)]) == 0
         assert pipeline.read_corpus_cell(corpus) == cell
+        # The corpus charges hold CV at the cell's v_max, within the noise.
+        for name in ("cell_c120_s050_r100", "cell_c050_s050_r100"):
+            trace = datasets.read_trace(corpus / (name + ".csv"))
+            i = trace.i_pack_a
+            cv = (i < i[0]) & (i > 0)
+            assert cv.sum() > 100, name
+            assert abs(np.median(trace.v_modules[cv, 0]) - 4.1) <= 1e-3, name
         train_cfg = tmp_path / "train.ini"
         train_cfg.write_text("[train]\nn_trees = 3\nmax_depth = 2\n")
         assert cli.main(["train-base", "--corpus-dir", str(corpus),
@@ -290,6 +297,27 @@ class TestTrainBaseNominalVoltage:
                            .read_text())["model"]
         assert model["val_max_abs_error_fraction"] == (
             model["val_max_abs_error_v"] / 4.1)
+
+    def test_report_pins_its_corpus(self, mini_setup):
+        """The provenance holds the manifest's digest and one digest of the
+        CSVs' names and bytes, which changes when a CSV does."""
+        corpus = mini_setup["corpus"]
+        argv = ["train-base", "--corpus-dir", str(corpus),
+                "--config", str(mini_setup["train_cfg"]), "--out-dir"]
+        assert cli.main(argv + [str(mini_setup["tmp"] / "a")]) == 0
+        # The same charge as write_mini_corpus's first run, another noise draw.
+        redrawn = simkit.run_cccv_cell(
+            MINI_CELL, simkit.CccvPolicy(c_rate=1.0, duration_s=240), 0.10,
+            simkit.NoiseSpec(), seed=9)
+        datasets.write_trace(corpus / "cell_c100_s010_r100.csv", redrawn)
+        assert cli.main(argv + [str(mini_setup["tmp"] / "b")]) == 0
+        a, b = (json.loads((mini_setup["tmp"] / d / "report_train_base.json")
+                           .read_text())["provenance"] for d in "ab")
+        assert a["corpus_manifest_sha256"] == configio.sha256_of(
+            corpus / pipeline.CORPUS_MANIFEST)
+        assert b["corpus_manifest_sha256"] == a["corpus_manifest_sha256"]
+        assert b["corpus_csvs_sha256"] == pipeline.corpus_csvs_sha256(corpus)
+        assert b["corpus_csvs_sha256"] != a["corpus_csvs_sha256"]
 
     def test_corpus_without_manifest_is_missing_file(self, mini_setup, capsys):
         (mini_setup["corpus"] / pipeline.CORPUS_MANIFEST).unlink()
@@ -463,7 +491,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("kind, section, values, field", [
         ("cell", "policy", {"duration_s": "inf"}, "duration_s"),
-        ("cell", "policy", {"v_max": "nan"}, "v_max"),
+        ("cell", "cell", {"v_max": "nan"}, "v_max"),
         ("cell", "policy", {"c_rate": "inf"}, "c_rate"),
         ("cell", "cell", {"r1_ohm": "nan"}, "r1_ohm"),
         ("cell", "cell", {"ocv_soc": "0.0, 0.5, 1.0", "ocv_v": "3.0, nan, 4.2"},
@@ -719,7 +747,7 @@ class TestIgnoredInputsRejected:
         write_sim_config(cfg, SimRunSpec(
             kind="cell_corpus", cell=MINI_CELL, policy=simkit.CccvPolicy(1.0),
             noise=simkit.NoiseSpec(), seed=1))
-        cfg.write_text(cfg.read_text() + "\n[policy]\nv_max = 4.0\n")
+        cfg.write_text(cfg.read_text() + "\n[policy]\ntaper_cutoff_c = 0.1\n")
         message = TestMissingRequiredKey.run(
             tmp_path, capsys, ["simulate", "--config", str(cfg)])
         assert message == (f"{cfg}: a cell_corpus run reads no [policy] "
@@ -756,9 +784,9 @@ class TestIgnoredInputsRejected:
 
 
 class TestUnknownKeyOrSection:
-    """A misspelled key, and then a section that no reader knows, each exit
-    4 with a message naming the file and the key or section, before the
-    command writes anything; one test per reader."""
+    """A misspelled or removed key, and then a section that no reader
+    knows, each exit 4 with a message naming the file and the key or
+    section, before the command writes anything; one test per reader."""
 
     @staticmethod
     def run(tmp_path, capsys, argv, path, section, key):
@@ -772,7 +800,8 @@ class TestUnknownKeyOrSection:
 
     @pytest.mark.parametrize("section, key", [("policy", "c_rat"),
                                               ("pack", "rng_sed"),
-                                              ("run", "sed")])
+                                              ("run", "sed"),
+                                              ("policy", "v_max")])
     def test_sim_config(self, tmp_path, capsys, section, key):
         cfg = write_pack_configs(tmp_path)["c100"]
         self.run(tmp_path, capsys, ["simulate", "--config", str(cfg)],
@@ -804,6 +833,23 @@ class TestUnknownKeyOrSection:
             "--config", str(write_pack_configs(tmp_path)["c100"]),
             "--traces", trace, "--test-trace", trace, "--recipe", str(recipe)],
             recipe, "finetune", "lamda_l2")
+
+    def test_removed_boosting_keys(self, tmp_path, capsys):
+        """The grower has no split penalty and no child-count limit."""
+        model, trace = TestMissingRequiredKey.tiny_model_and_trace(tmp_path)
+        train_cfg = tmp_path / "train.ini"
+        train_cfg.write_text("[train]\nn_trees = 3\n")
+        self.run(tmp_path, capsys, [
+            "train-base", "--corpus-dir", str(tmp_path / "corpus"),
+            "--config", str(train_cfg)], train_cfg, "train", "gamma_leaf")
+        recipe = tmp_path / "recipe.ini"
+        recipe.write_text("[finetune]\nn_trees = 2\nmax_depth = 2\n"
+                          "learning_rate = 0.05\n")
+        self.run(tmp_path, capsys, [
+            "finetune", "--model", model,
+            "--config", str(write_pack_configs(tmp_path)["c100"]),
+            "--traces", trace, "--test-trace", trace, "--recipe", str(recipe)],
+            recipe, "finetune", "min_child_weight")
 
 
 class TestBoostingRecipes:
@@ -850,8 +896,7 @@ class TestBoostingRecipes:
         assert "regularizers" in err["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["lambda_l2", "gamma_leaf",
-                                     "min_child_weight"])
+    @pytest.mark.parametrize("key", ["lambda_l2"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_regularizer_rejected(self, tmp_path, capsys, key, bad):
         """A non-finite regularizer in a [train] or [finetune] file exits 5

@@ -111,7 +111,7 @@ class TestSimConfig:
             read_sim_config(path)
 
     @pytest.mark.parametrize("kind, section, key, unread", [
-        ("cell_corpus", "policy", "v_max", "[policy]"),
+        ("cell_corpus", "policy", "taper_cutoff_c", "[policy]"),
         ("cell_corpus", "run", "init_soc", "[run] init_soc"),
         ("cell_corpus", "pack", "series_cells", "[pack]"),
         ("cell", "pack", "series_cells", "[pack]")])
@@ -296,10 +296,9 @@ class TestRecipes:
 
     def test_recipe_file_reads_every_boosting_key(self, tmp_path):
         keys = ("n_trees = 0\nmax_depth = 3\nlearning_rate = 0.05\n"
-                "lambda_l2 = 2.0\ngamma_leaf = 0.1\nmin_child_weight = 4.0\n")
+                "lambda_l2 = 2.0\n")
         expected = TrainConfig(n_trees=0, max_depth=3, learning_rate=0.05,
-                               lambda_l2=2.0, gamma_leaf=0.1,
-                               min_child_weight=4.0)
+                               lambda_l2=2.0)
         (tmp_path / "ft.ini").write_text("[finetune]\n" + keys)
         (tmp_path / "train.ini").write_text("[train]\n" + keys)
         assert resolve_recipe(tmp_path / "ft.ini") == expected

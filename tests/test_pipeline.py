@@ -40,6 +40,16 @@ class TestCorpusRecipe:
         assert all("_s030_r100" in n for n in names)
         assert len(names) == 4
 
+    def test_csvs_digest_follows_the_seed(self, corpus_dir, tmp_path):
+        """The CSV digest a train-base report pins tells corpora of two
+        seeds apart and gives one seed's corpus one digest."""
+        digest = pipeline.corpus_csvs_sha256(corpus_dir)
+        pipeline.generate_cell_corpus(tmp_path / "again",
+                                      seed=pipeline.CANONICAL_CORPUS_SEED)
+        pipeline.generate_cell_corpus(tmp_path / "other", seed=2)
+        assert pipeline.corpus_csvs_sha256(tmp_path / "again") == digest
+        assert pipeline.corpus_csvs_sha256(tmp_path / "other") != digest
+
 
 class TestPackSets:
     def test_round_robin_uses_both_rates(self, pack1_bundle):
@@ -163,6 +173,24 @@ class TestScoreDetection:
         det = detection(flags)
         m = score_detection(det, self.mask(n, k0, kf))
         assert m.false_alarms == 1
+
+    def test_window_ending_at_last_frame_has_no_withdrawal_frame(self):
+        n, k0 = 20, 12
+        flags = np.zeros(n - 1, dtype=int)
+        flags[k0 - 1:] = 1  # rises at k0 and is still raised at the end
+        m = score_detection(detection(flags), self.mask(n, k0, n))
+        assert (m.onset_delay, m.withdrawal_delay) == (0, None)
+        assert m.ends_at_last_frame
+        assert m.as_dict()["withdrawal_delay_samples"] == "no-frame"
+
+    def test_flag_never_falling_after_the_window_is_missed(self):
+        n, k0 = 20, 12
+        flags = np.zeros(n - 1, dtype=int)
+        flags[k0 - 1:] = 1
+        m = score_detection(detection(flags), self.mask(n, k0, n - 1))
+        assert (m.onset_delay, m.withdrawal_delay) == (0, None)
+        assert not m.ends_at_last_frame
+        assert m.as_dict()["withdrawal_delay_samples"] == "missed"
 
     def test_mask_without_window_rejected(self):
         det = detection(np.zeros(5, dtype=int))

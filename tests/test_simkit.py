@@ -1,11 +1,12 @@
 import hashlib
+import math
 import os
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import simkit_reference
@@ -139,9 +140,19 @@ class TestRunCccvCell:
         cutoff = 0.05 * CELL.capacity_ah
         assert np.all(i[cv] > cutoff)
 
+    def test_cv_regulates_at_the_cells_v_max(self):
+        """The CV setpoint is the cell's v_max; the policy has none."""
+        trace = run_cccv_cell(replace(CELL, v_max=4.1),
+                              CccvPolicy(c_rate=1.0, duration_s=1500), 0.85,
+                              NoiseSpec(0.0), seed=0)
+        i = trace.i_pack_a
+        cv = (i < i[0]) & (i > 0)
+        assert cv.sum() > 50
+        assert np.max(np.abs(trace.v_modules[cv, 0] - 4.1)) <= 1e-3
+
     def test_infeasible_policy_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
-            run_cccv_cell(CELL, CccvPolicy(c_rate=1.0, v_max=3.2),
+            run_cccv_cell(replace(CELL, v_max=3.2), CccvPolicy(c_rate=1.0),
                           0.5, NoiseSpec(0.0), seed=0)
 
     def test_init_soc_range(self):
@@ -212,7 +223,7 @@ class TestRunCccvPack:
         config = small_pack(sigma=0.01, interconnect=(0.0, 0.02, 0.04))
         policy = CccvPolicy(c_rate=1.0, duration_s=600)
         trace = run_cccv_pack(config, CELL, policy, 0.8, NoiseSpec(0.0))
-        setpoint = config.series_cells * policy.v_max
+        setpoint = config.series_cells * CELL.v_max
         i = trace.i_pack_a
         cv = (i < i[0]) & (i > 0)
         assert cv.sum() > 30
@@ -225,6 +236,19 @@ class TestRunCccvPack:
         # to quantization precision, not solver precision.
         assert np.max(bus.max(axis=1) - bus.min(axis=1)) <= 2e-6
         assert np.all(np.diff(i[cv]) < 0)
+
+    def test_cv_regulates_bus_at_the_cells_v_max(self):
+        """The pack setpoint is series_cells times the cell's v_max."""
+        config = small_pack(interconnect=(0.0, 0.02, 0.04))
+        trace = run_cccv_pack(config, replace(CELL, v_max=4.1),
+                              CccvPolicy(c_rate=1.0, duration_s=600), 0.8,
+                              NoiseSpec(0.0))
+        i = trace.i_pack_a
+        cv = (i < i[0]) & (i > 0)
+        assert cv.sum() > 30
+        bus = trace.v_modules[cv] + trace.i_modules[cv] * np.array(
+            config.interconnect_ohm)
+        assert np.max(np.abs(bus - config.series_cells * 4.1)) <= 1e-3
 
     def test_pack1_table_row(self):
         config = simkit.pack1_config()
@@ -468,17 +492,17 @@ def _cells(r0_values):
         r0_ohm=st.sampled_from(r0_values),
         r1_ohm=st.sampled_from((0.0, 0.004, 0.012)),
         c1_f=st.floats(100.0, 5000.0),
-        diff_tau_s=st.floats(5.0, 120.0))
+        diff_tau_s=st.floats(5.0, 120.0),
+        v_max=st.floats(4.0, 4.25))
 
 
 cell_params = _cells((0.0, 0.005, 0.018, 0.03))
 
 policies = st.builds(
-    lambda c_rate, cut, v_max, duration: CccvPolicy(
-        c_rate=c_rate, taper_cutoff_c=cut * c_rate, v_max=v_max,
-        duration_s=duration),
+    lambda c_rate, cut, duration: CccvPolicy(
+        c_rate=c_rate, taper_cutoff_c=cut * c_rate, duration_s=duration),
     c_rate=st.floats(0.2, 3.0), cut=st.floats(0.02, 0.9),
-    v_max=st.floats(4.0, 4.25), duration=st.floats(1.0, 300.0))
+    duration=st.floats(1.0, 300.0))
 
 # Half the runs start near full charge, so that CV and rest are reached.
 init_socs = st.one_of(st.floats(0.0, 0.99), st.floats(0.85, 0.95))
@@ -602,7 +626,7 @@ class TestMatchesReference:
         # A module with zero cell and link resistance is rejected before
         # any division (after the policy's feasibility check).
         if (cell.r0_ohm == 0.0 and min(config.interconnect_ohm) == 0.0
-                and cell.ocv(init_soc) < policy.v_max):
+                and cell.ocv(init_soc) < cell.v_max):
             assert new == ("error", ValueError, RESISTANCE_ERROR, None)
             return
         want = _outcome(lambda: simkit_reference.run_cccv_pack(
@@ -645,12 +669,24 @@ class TestOneSecondSteps:
     @given(soc=st.floats(0.05, 0.95), v_rc=st.floats(-0.1, 0.1),
            surf=st.floats(0.05, 0.95), i=st.floats(-20.0, 20.0),
            params=cell_params)
+    @example(soc=0.5, v_rc=0.0, surf=0.5, i=2.225073858507e-311,
+             params=CellParams(capacity_ah=1.0, r0_ohm=0.0, r1_ohm=0.012,
+                               c1_f=100.0, diff_tau_s=5.0))
     @settings(max_examples=200, deadline=None)
     def test_one_second_equals_ten_substeps_property(self, soc, v_rc, surf,
                                                      i, params):
         """At constant current, one 1 s update equals ten 0.1 s updates
         within 1e-12 relative whenever no clamp engages.  v_rc is compared
-        relative to the size of its move, since it may end near 0."""
+        relative to the size of its move, since it may end near 0.
+
+        Where that move is subnormal, 1e-12 of it underflows, so the bound
+        has a floor of 44 ulp(0.0): each update makes four float operations
+        on v_rc (i * r1, the subtraction, the product with the decay, the
+        addition), the eleven updates make 44, and each rounds by at most
+        half an ulp(0.0) where the values are subnormal, so the two sides
+        differ by at most 22 ulp(0.0) and the floor doubles that; the two
+        sides' decay factors differ by far less than one ulp(0.0) of such a
+        value.  Above about 2e-310, 1e-12 relative is the larger bound."""
         whole = cell_update(params, soc, v_rc, surf, i, 1.0)
         steps = [(soc, v_rc, surf)]
         for _ in range(10):
@@ -661,7 +697,8 @@ class TestOneSecondSteps:
         sub = steps[-1]
         for j, scale in ((0, abs(sub[0])), (2, abs(sub[2])),
                          (1, max(abs(v_rc), abs(i * params.r1_ohm)))):
-            assert abs(whole[j] - sub[j]) <= 1e-12 * scale
+            assert abs(whole[j] - sub[j]) <= max(1e-12 * scale,
+                                                 44 * math.ulp(0.0))
 
     @pytest.mark.parametrize("init_soc, c_rate, cutoff", [
         (0.2, 1.0, 0.05),
@@ -708,9 +745,9 @@ class TestOneSecondSteps:
 
         kernel = simkit._cell_update
         monkeypatch.setattr(simkit, "_cell_update", recording)
-        params = replace(CELL, r0_ohm=0.0, r1_ohm=0.0)
-        policy = CccvPolicy(c_rate=1.0, v_max=CELL.ocv_knots[-1][1],
-                            duration_s=300)
+        params = replace(CELL, r0_ohm=0.0, r1_ohm=0.0,
+                         v_max=CELL.ocv_knots[-1][1])
+        policy = CccvPolicy(c_rate=1.0, duration_s=300)
         new = _outcome(lambda: run_cccv_cell(params, policy, 0.98, seed=1))
         assert new[0] == "trace"
         assert set(np.frombuffer(new[2]).tolist()) == {policy.c_rate
@@ -752,7 +789,7 @@ class TestPackProperties:
         resistance, so the cells have a positive r0: every module then has
         at least about 1 milliohm.
         """
-        assume(cell.ocv(init_soc) < policy.v_max)
+        assume(cell.ocv(init_soc) < cell.v_max)
         config = _pack_config(data, cell, q, s, branches, sigma, ladder, rng_seed)
         trace = run_cccv_pack(config, cell, policy, init_soc)
         event(_phases(_outcome(lambda: trace),
@@ -798,7 +835,6 @@ class TestNonFiniteParams:
         (lambda x: CellParams(ocv_knots=((0.0, 3.0), (x, 3.7), (1.0, 4.2))),
          "ocv_knots"),
         (lambda x: CccvPolicy(c_rate=x), "c_rate"),
-        (lambda x: CccvPolicy(c_rate=1.0, v_max=x), "v_max"),
         (lambda x: CccvPolicy(c_rate=1.0, taper_cutoff_c=x), "taper_cutoff_c"),
         (lambda x: CccvPolicy(c_rate=1.0, duration_s=x), "duration_s"),
         (lambda x: NoiseSpec(rel_sigma=x), "rel_sigma"),
