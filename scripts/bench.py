@@ -14,8 +14,9 @@ canonical inputs and models of the README's CLI flow (seed 1):
 - ``train_base_s``: ``boost.train`` with ``BASE_RECIPE`` on the corpus
 - ``train_base_traced_peak_mb``: the tracemalloc peak of one more such
   call, in MB of 2**20 bytes (perfbench's unit).  It is a separate call,
-  so tracing does not slow ``train_base_s``; the count is deterministic,
-  unlike the process's RSS.
+  so tracing does not slow ``train_base_s``.  It moves far less than the
+  process's RSS, but it is not deterministic: runs of the same sources
+  spread over about 0.02 MB, so read a change off the pairs.
 - ``finetune_{pack1,pack2}_ms``: each pack's fine-tune with its recipe,
   as ``pipeline.finetune_pack`` times it (``test_03``'s ``finetune_s``)
 - ``load_model_base_ms``: ``boost.load_model`` on the 400-tree base model

@@ -3,7 +3,8 @@
 Squared-error loss in the halved convention, 0.5 * sum (y - yhat)^2, so the
 per-point gradient is g = yhat - y and the hessian is h = 1.  Leaf weights
 minimize the second-order objective sum(g w + 0.5 h w^2) + 0.5 lambda w^2,
-giving w* = -G / (H + lambda).  Split search is exact greedy over midpoints
+giving w* = -G / (H + lambda), with XGBoost's default lambda = 1
+(LAMBDA_L2).  Split search is exact greedy over midpoints
 of consecutive distinct sorted feature values, with a deterministic
 tie-break: lowest feature index first, then lowest threshold.
 
@@ -308,14 +309,12 @@ class TrainConfig:
     """Boosting hyper-parameters, of base training and of fine-tuning.
 
     n_trees may be 0 (a fine-tune that appends an empty segment); train
-    needs at least one tree.  lambda_l2 must be nonnegative and finite
-    (ValueError otherwise).
+    needs at least one tree.  The L2 weight is LAMBDA_L2.
     """
 
     n_trees: int = 400
     max_depth: int = 4
     learning_rate: float = 0.12
-    lambda_l2: float = 1.0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -324,9 +323,10 @@ class TrainConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.lambda_l2 < math.inf:
-            raise ValueError("regularizers must be nonnegative and finite")
 
+
+# The L2 weight of every leaf, XGBoost's default.
+LAMBDA_L2 = 1.0
 
 BASE_RECIPE = TrainConfig(n_trees=400, max_depth=4, learning_rate=0.12)
 
@@ -424,7 +424,7 @@ class _ColumnBlocks:
             self.leaf[rows0] = pos
             self.val_leaf[val] = pos
             nodes.append((-1, 0.0, -1, -1, leaf_weight(g_sum, float(m),
-                                                       cfg.lambda_l2)))
+                                                       LAMBDA_L2)))
             return pos
         _, f, k = best
         rows, cand = node[f]
@@ -460,8 +460,7 @@ class _ColumnBlocks:
         keeps the lowest threshold among equal gains and the strict > the
         lower feature index.  Expects feature 0's gradients in _g.
         """
-        cfg = self.cfg
-        parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
+        parent = g_sum ** 2 / (float(m) + LAMBDA_L2)
         best = None
         for f, (rows, c) in enumerate(node):
             if c.size == 0:
@@ -477,11 +476,11 @@ class _ColumnBlocks:
             gr = np.subtract(g_sum, gl, out=self._g[:nc])
             # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
             den = np.add(c, 1, out=self._cum[:nc])
-            den += cfg.lambda_l2
+            den += LAMBDA_L2
             gl *= gl
             gl /= den
             np.subtract(m - 1, c, out=den)
-            den += cfg.lambda_l2
+            den += LAMBDA_L2
             gr *= gr
             gr /= den
             gl += gr
@@ -583,15 +582,26 @@ def train(data, val, cfg: TrainConfig) -> Ensemble:
 # Prediction
 # ---------------------------------------------------------------------------
 
+def _pairs(x) -> np.ndarray:
+    """x as a float (N, 2) matrix of (v, i) rows; ValueError for any other
+    shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"features must be an (N, 2) matrix, got shape "
+                         f"{x.shape}")
+    return x
+
+
 def predict_model_space(ens: Ensemble, x_model: np.ndarray) -> np.ndarray:
     """Raw additive model output for already-normalized (N, 2) inputs;
-    raises ValueError if an input is not finite."""
-    return ens.table.walk(x_model, ens.base_score)
+    raises ValueError if an input is not finite or not (N, 2)."""
+    return ens.table.walk(_pairs(x_model), ens.base_score)
 
 
 def predict_batch(ens: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Predict next voltages for an (N, 2) matrix of physical (v, i) rows."""
-    x = np.asarray(x, dtype=float)
+    """Predict next voltages for an (N, 2) matrix of physical (v, i) rows;
+    raises ValueError if an input is not finite or not (N, 2)."""
+    x = _pairs(x)
     x_model = np.column_stack([x[:, 0] / ens.norm.v_scale,
                                x[:, 1] / ens.norm.i_scale])
     return predict_model_space(ens, x_model) * ens.norm.v_scale

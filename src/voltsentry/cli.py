@@ -204,7 +204,7 @@ def cmd_calibrate(args) -> int:
     trace = datasets.read_trace(args.trace)
     check_model_trace_compat(model, trace, model.norm.v_scale)
     out_dir = _out_dir(args)
-    epsilon, det, preds = pipeline.calibrate_on_trace(model, trace, args.margin)
+    epsilon, det, preds = pipeline.calibrate_on_trace(model, trace)
 
     pred_path = os.path.join(out_dir, f"predictions_{trace.name}.csv")
     pipeline.write_prediction_csv(pred_path, trace, preds, det.r)
@@ -215,7 +215,7 @@ def cmd_calibrate(args) -> int:
         inputs={"model": _name(args.model), "trace": _name(args.trace)},
         detection={
             "epsilon_v": epsilon,
-            "margin": args.margin,
+            "margin": sentinel.MARGIN,
             "max_nominal_residual_v": float(np.max(det.r)),
             "nominal_crossings": det.crossings,
         },
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="threshold from a nominal run")
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--margin", type=float, default=4.0 / 3.0)
     common(p)
     p.set_defaults(func=cmd_calibrate)
 

@@ -55,8 +55,7 @@ def _float_or_floats(text: str):
     return values[0] if len(values) == 1 else values
 
 
-_BOOSTING = {"n_trees": int, "max_depth": int, "learning_rate": float,
-             "lambda_l2": float}
+_BOOSTING = {"n_trees": int, "max_depth": int, "learning_rate": float}
 
 # Every section a config file may hold: its keys and the parser of each.
 SCHEMA = {

@@ -215,8 +215,7 @@ def finetune_pack(base: boost.Ensemble, config: PackConfig, train_traces: list,
     return tl, info, seconds
 
 
-def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
-                       margin: float = 4.0 / 3.0):
+def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace):
     """Nominal-run residuals and the resulting threshold, from one
     prediction pass over the trace.
 
@@ -227,7 +226,7 @@ def calibrate_on_trace(model: boost.Ensemble, trace: TelemetryTrace,
     """
     preds, residuals = sentinel.one_step_residuals(
         model, trace.v_modules, trace.i_pack_a)
-    epsilon = sentinel.calibrate_threshold(residuals, margin)
+    epsilon = sentinel.calibrate_threshold(residuals)
     det = sentinel.DetectionTrace._of_residuals(trace.t_s[1:], residuals,
                                                 epsilon)
     return epsilon, det, preds

@@ -159,16 +159,18 @@ def _check_residuals(r: np.ndarray) -> None:
         raise ValueError("residuals must be finite and nonnegative")
 
 
-def calibrate_threshold(nominal_residuals, margin: float = 4.0 / 3.0) -> float:
-    """Threshold as margin times the largest attack-free residual; the
-    margin must be positive and finite, the residuals finite and
-    nonnegative."""
-    _positive_finite("margin", margin)
+# The threshold's margin over the largest attack-free residual.
+MARGIN = 4.0 / 3.0
+
+
+def calibrate_threshold(nominal_residuals) -> float:
+    """Threshold as MARGIN times the largest attack-free residual; the
+    residuals must be finite and nonnegative."""
     r = np.asarray(nominal_residuals, dtype=float)
     if r.size == 0:
         raise ValueError("cannot calibrate on an empty nominal run")
     _check_residuals(r)
-    epsilon = margin * float(np.max(r))
+    epsilon = MARGIN * float(np.max(r))
     if epsilon <= 0.0:
         raise ValueError("degenerate calibration: nominal residuals are all zero")
     return epsilon

@@ -230,6 +230,15 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
+def _frozen_floats(a) -> np.ndarray:
+    """An immutable float copy of ``a``; ValueError unless it holds
+    numbers (booleans, integers or floats)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"trace arrays must hold numbers, got dtype {a.dtype}")
+    return _frozen(a, float)
+
+
 def _checked_mask(attack_mask, n: int) -> np.ndarray:
     """An immutable copy of an attack mask; ValueError unless it holds
     one 0 or 1 per frame of n."""
@@ -271,13 +280,14 @@ class TelemetryTrace:
     """Recorded charging run at 1 Hz.
 
     ``v_modules`` has shape (n, q).  ``i_modules`` is a noise-free per-module
-    current diagnostic kept for balance checks; it is not part of the CSV
-    schema.  ``attack_mask`` is set on corrupted traces: one 0 or 1 per
-    frame, 1 inside the attack window; any other value raises ValueError.
-    ``t_s``, ``i_pack_a`` and ``v_modules`` must be finite; a NaN or
-    infinite value raises ValueError.  ``t_s`` must be nonnegative and each
-    value must be the previous one plus 1 s; a gap, a duplicate or a
-    reversal raises ValueError.
+    current diagnostic kept for balance checks, of ``v_modules``' shape; it
+    is not part of the CSV schema.  ``attack_mask`` is set on corrupted
+    traces: one 0 or 1 per frame, 1 inside the attack window; any other
+    value raises ValueError.  ``t_s``, ``i_pack_a``, ``v_modules`` and
+    ``i_modules`` are stored as floats and must hold numbers, all finite;
+    any other array, a NaN or an infinite value raises ValueError.  ``t_s``
+    must be nonnegative and each value must be the previous one plus 1 s;
+    a gap, a duplicate or a reversal raises ValueError.
 
     A trace is an immutable value, compared by identity.  The constructor
     copies every array it is given into an immutable buffer and never
@@ -302,18 +312,23 @@ class TelemetryTrace:
 
     def __post_init__(self):
         put = object.__setattr__  # the one way to set a frozen field
-        put(self, "t_s", _frozen(self.t_s, float))
-        put(self, "i_pack_a", _frozen(self.i_pack_a, float))
-        put(self, "v_modules", _frozen(np.atleast_2d(self.v_modules), float))
+        put(self, "t_s", _frozen_floats(self.t_s))
+        put(self, "i_pack_a", _frozen_floats(self.i_pack_a))
+        put(self, "v_modules", _frozen_floats(np.atleast_2d(self.v_modules)))
+        arrays = [self.t_s, self.i_pack_a, self.v_modules]
         if self.i_modules is not None:
-            put(self, "i_modules", _frozen(self.i_modules))
+            put(self, "i_modules", _frozen_floats(self.i_modules))
+            if self.i_modules.shape != self.v_modules.shape:
+                raise ValueError("i_modules must have v_modules' shape "
+                                 f"{self.v_modules.shape}, got "
+                                 f"{self.i_modules.shape}")
+            arrays.append(self.i_modules)
         n = self.t_s.shape[0]
         if self.i_pack_a.shape != (n,) or self.v_modules.shape[0] != n:
             raise ValueError("trace arrays must have matching lengths")
         if self.attack_mask is not None:
             put(self, "attack_mask", _checked_mask(self.attack_mask, n))
-        if not (np.isfinite(self.t_s).all() and np.isfinite(self.i_pack_a).all()
-                and np.isfinite(self.v_modules).all()):
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("trace values must be finite")
         if not np.all(self.t_s[1:] == self.t_s[:-1] + 1.0):
             raise ValueError("t_s must step by exactly 1 s (no gap, duplicate "

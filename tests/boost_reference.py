@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from voltsentry.boost import (BoostHistory, Segment, TrainConfig, Tree,
-                              TrainingError, _NodeTable, leaf_weight)
+from voltsentry.boost import (LAMBDA_L2, BoostHistory, Segment, TrainConfig,
+                              Tree, TrainingError, _NodeTable, leaf_weight)
 
 
 def _eval_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -63,7 +63,7 @@ def tree_depth(tree: Tree) -> int:
     return int(depth.max())
 
 
-def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
+def _best_split(x, g, h, idx_by_feature):
     """Scan both features over midpoints of consecutive distinct values.
 
     Returns (gain, feature, threshold) of the best candidate or None.  The
@@ -72,7 +72,7 @@ def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
     """
     g_total = float(g[idx_by_feature[0]].sum())
     h_total = float(h[idx_by_feature[0]].sum())
-    parent = g_total ** 2 / (h_total + cfg.lambda_l2)
+    parent = g_total ** 2 / (h_total + LAMBDA_L2)
     best = None
     for f in (0, 1):
         idx = idx_by_feature[f]
@@ -88,8 +88,8 @@ def _best_split(x, g, h, idx_by_feature, cfg: TrainConfig):
             continue
         gl, hl = gs[ok], hs[ok]
         gr, hr = g_total - gl, h_total - hl
-        gains = 0.5 * (gl ** 2 / (hl + cfg.lambda_l2)
-                       + gr ** 2 / (hr + cfg.lambda_l2) - parent)
+        gains = 0.5 * (gl ** 2 / (hl + LAMBDA_L2)
+                       + gr ** 2 / (hr + LAMBDA_L2) - parent)
         j = int(np.argmax(gains))
         if best is None or gains[j] > best[0]:
             best = (float(gains[j]), f, float(thr[ok][j]))
@@ -104,14 +104,14 @@ def _grow(x, g, h, idx_by_feature, cfg: TrainConfig, depth: int, leaf_updates: l
     h_sum = float(h[idx].sum())
 
     def leaf():
-        w = leaf_weight(g_sum, h_sum, cfg.lambda_l2)
+        w = leaf_weight(g_sum, h_sum, LAMBDA_L2)
         leaf_updates.append((idx, w))
         nodes.append((-1, 0.0, -1, -1, w))
         return pos
 
     if depth >= cfg.max_depth or idx.shape[0] < 2:
         return leaf()
-    best = _best_split(x, g, h, idx_by_feature, cfg)
+    best = _best_split(x, g, h, idx_by_feature)
     if best is None or best[0] <= 0.0:
         return leaf()
     _, f, thr = best
@@ -203,7 +203,7 @@ class _ColumnBlocks:
         if depth < cfg.max_depth and m >= 2:
             best = self._split(node, m, g_sum)
         if best is None or best[0] <= 0.0:
-            w = leaf_weight(g_sum, float(m), cfg.lambda_l2)
+            w = leaf_weight(g_sum, float(m), LAMBDA_L2)
             leaves.append((rows0, w))
             nodes.append((-1, 0.0, -1, -1, w))
             return pos
@@ -232,8 +232,7 @@ class _ColumnBlocks:
         keeps the lowest threshold among equal gains and the strict > the
         lower feature index.
         """
-        cfg = self.cfg
-        parent = g_sum ** 2 / (float(m) + cfg.lambda_l2)
+        parent = g_sum ** 2 / (float(m) + LAMBDA_L2)
         best = None
         for f, (_, _, g, c) in enumerate(node):
             if c.size == 0:
@@ -242,11 +241,11 @@ class _ColumnBlocks:
             gr = g_sum - gl
             # Hessian sums are row counts: c + 1 rows left, m - 1 - c right.
             den = np.add(c, 1, dtype=float)
-            den += cfg.lambda_l2
+            den += LAMBDA_L2
             gl *= gl
             gl /= den
             np.subtract(m - 1, c, out=den, dtype=float)
-            den += cfg.lambda_l2
+            den += LAMBDA_L2
             gr *= gr
             gr /= den
             gl += gr

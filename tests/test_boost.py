@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,8 +16,8 @@ from boost_reference import (_eval_tree, column_block_boost_segment,
                              leaf_value, reference_boost_segment,
                              tree_depth)
 from voltsentry import boost, transfer
-from voltsentry.boost import (BASE_RECIPE, Ensemble, ModelParseError, NormSpec,
-                              Segment, Tree, TrainConfig, TrainingError,
+from voltsentry.boost import (BASE_RECIPE, LAMBDA_L2, Ensemble, ModelParseError,
+                              NormSpec, Segment, Tree, TrainConfig, TrainingError,
                               _ColumnBlocks, leaf_weight, predict_batch,
                               predict_model_space, train)
 from voltsentry.datasets import SupervisedSet
@@ -81,7 +80,7 @@ def brute_force_best_split(x, g, h, cfg):
     """
     n = x.shape[0]
     g_tot, h_tot = g.sum(), h.sum()
-    parent = g_tot ** 2 / (h_tot + cfg.lambda_l2)
+    parent = g_tot ** 2 / (h_tot + LAMBDA_L2)
     best = None
     for f in (0, 1):
         values = np.unique(x[:, f])
@@ -92,8 +91,8 @@ def brute_force_best_split(x, g, h, cfg):
             left = x[:, f] < thr
             hl, hr = h[left].sum(), h[~left].sum()
             gl, gr = g[left].sum(), g[~left].sum()
-            gain = 0.5 * (gl ** 2 / (hl + cfg.lambda_l2)
-                          + gr ** 2 / (hr + cfg.lambda_l2)
+            gain = 0.5 * (gl ** 2 / (hl + LAMBDA_L2)
+                          + gr ** 2 / (hr + LAMBDA_L2)
                           - parent)
             if best is None or gain > best[0]:
                 best = (gain, f, thr)
@@ -148,8 +147,7 @@ class TestLeafWeight:
 # ---------------------------------------------------------------------------
 
 class TestFitTree:
-    CFG = TrainConfig(n_trees=1, max_depth=3, learning_rate=1.0,
-                      lambda_l2=1.0)
+    CFG = TrainConfig(n_trees=1, max_depth=3, learning_rate=1.0)
 
     def test_constant_targets_single_leaf(self):
         x = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
@@ -163,8 +161,7 @@ class TestFitTree:
         x1 = rng.uniform(0, 1, 16)
         x = np.column_stack([x0, x1])
         y = np.where(x0 < x0[9], -1.0, 1.0)
-        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                          lambda_l2=0.0)
+        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0)
         assert count_candidates(x) == 30
         tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] == 0
@@ -183,8 +180,7 @@ class TestFitTree:
                 ts.append(sign * (1.0 + a))
         x = np.array(xs)
         y = np.array(ts)
-        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                          lambda_l2=1.0)
+        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0)
         tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] >= 0
         assert list(tree.feature[1:]) == [-1, -1]
@@ -208,8 +204,7 @@ class TestFitTree:
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 6, size=(n, 2)) * 0.25
         y = rng.integers(-4, 5, size=n) * 0.5
-        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0,
-                          lambda_l2=1.0)
+        cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0)
         tree = grow_tree(x, y, np.zeros(n), cfg)
         oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
         if oracle is None or oracle[0] <= 0.0:
@@ -226,8 +221,7 @@ class TestTrain:
     def test_already_fit_constant(self):
         x = np.column_stack([np.linspace(0, 1, 10), np.zeros(10)])
         ds = dataset(x, np.full(10, 2.5))
-        cfg = TrainConfig(n_trees=1, max_depth=2, learning_rate=1.0,
-                          lambda_l2=0.0)
+        cfg = TrainConfig(n_trees=1, max_depth=2, learning_rate=1.0)
         ens = train(ds, None, cfg)
         assert ens.base_score == 2.5
         assert ens.history.train_mse[-1] == 0.0
@@ -399,16 +393,15 @@ class TestKernelMatchesReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
            styles=st.tuples(*[st.sampled_from(["constant", "grid", "ulp",
                                                 "uniform"])] * 2),
-           depth=st.integers(1, 8), lam=st.sampled_from([0.0, 1.0]),
-           n_trees=st.integers(1, 4), warm=st.booleans(), n_val=st.integers(0, 20))
+           depth=st.integers(1, 8), n_trees=st.integers(1, 4),
+           warm=st.booleans(), n_val=st.integers(0, 20))
     @settings(max_examples=150, deadline=None)
-    def test_random_segments(self, seed, n, styles, depth, lam, n_trees, warm,
+    def test_random_segments(self, seed, n, styles, depth, n_trees, warm,
                              n_val):
         rng = np.random.default_rng(seed)
         x = np.column_stack([feature_column(rng, s, n) for s in styles])
         y = rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n) * (seed % 2)
-        cfg = TrainConfig(n_trees=n_trees, max_depth=depth, learning_rate=0.3,
-                          lambda_l2=lam)
+        cfg = TrainConfig(n_trees=n_trees, max_depth=depth, learning_rate=0.3)
         if warm:  # a fine-tune segment continues from non-constant predictions
             preds, tag = y + rng.normal(size=n), "finetune"
         else:
@@ -567,8 +560,7 @@ class TestKernelMatchesReference:
         reference rounds on the canonical corpus."""
         ens, _, train_set, val_set = base_bundle
         cfg = TrainConfig(n_trees=20, max_depth=BASE_RECIPE.max_depth,
-                          learning_rate=BASE_RECIPE.learning_rate,
-                          lambda_l2=BASE_RECIPE.lambda_l2)
+                          learning_rate=BASE_RECIPE.learning_rate)
         preds = np.full(len(train_set), ens.base_score)
         val_preds = np.full(len(val_set), ens.base_score)
         segment, history = reference_boost_segment(
@@ -743,6 +735,17 @@ class TestPredict:
         x[1, column] = bad
         with pytest.raises(ValueError, match="features must be finite"):
             predict(ens, x)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2,), (4, 1), (4, 2, 1),
+                                       ()])
+    @pytest.mark.parametrize("predict", [predict_batch, predict_model_space])
+    def test_input_other_than_n_by_2_rejected(self, predict, shape):
+        """A third column would be dropped unread, and a 1-D array would
+        be read as one row or fail on its column index."""
+        ens = Ensemble(0.0, (Segment("base", 1.0, (stump(1, 0.5, -1.0, 2.0),)),))
+        with pytest.raises(ValueError, match=r"\(N, 2\) matrix"):
+            predict(ens, np.full(shape, 0.25))
+        assert predict(ens, np.full((0, 2), 0.25)).shape == (0,)
 
     def test_nonfinite_in_model_space_rejected(self):
         # Finite physical rows that overflow when normalized.
@@ -1028,13 +1031,10 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=1.5)
         with pytest.raises(ValueError):
-            TrainConfig(lambda_l2=-0.1)
-        with pytest.raises(ValueError):
             TrainConfig(max_depth=0)
 
-    @pytest.mark.parametrize("key", ["lambda_l2"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
-    def test_regularizers_nonnegative_and_finite(self, key, bad):
-        with pytest.raises(ValueError, match="nonnegative and finite"):
-            TrainConfig(**{key: bad})
-        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0
+    def test_l2_weight_is_not_a_setting(self):
+        """Every leaf's L2 weight is LAMBDA_L2, XGBoost's default of 1."""
+        assert LAMBDA_L2 == 1.0
+        with pytest.raises(TypeError):
+            TrainConfig(lambda_l2=1.0)

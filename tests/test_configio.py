@@ -295,10 +295,8 @@ class TestRecipes:
         assert (recipe.n_trees, recipe.max_depth, recipe.learning_rate) == (4, 3, 0.05)
 
     def test_recipe_file_reads_every_boosting_key(self, tmp_path):
-        keys = ("n_trees = 0\nmax_depth = 3\nlearning_rate = 0.05\n"
-                "lambda_l2 = 2.0\n")
-        expected = TrainConfig(n_trees=0, max_depth=3, learning_rate=0.05,
-                               lambda_l2=2.0)
+        keys = "n_trees = 0\nmax_depth = 3\nlearning_rate = 0.05\n"
+        expected = TrainConfig(n_trees=0, max_depth=3, learning_rate=0.05)
         (tmp_path / "ft.ini").write_text("[finetune]\n" + keys)
         (tmp_path / "train.ini").write_text("[train]\n" + keys)
         assert resolve_recipe(tmp_path / "ft.ini") == expected
@@ -316,10 +314,9 @@ class TestRecipes:
     def test_train_config_file(self, tmp_path):
         path = tmp_path / "train.ini"
         path.write_text("[train]\nn_trees = 25\nmax_depth = 3\n"
-                        "learning_rate = 0.2\nlambda_l2 = 0.5\n")
+                        "learning_rate = 0.2\n")
         cfg = read_train_config(path)
-        assert cfg == TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2,
-                                  lambda_l2=0.5)
+        assert cfg == TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2)
 
     def test_sha256(self, tmp_path):
         path = tmp_path / "x"

@@ -370,6 +370,26 @@ class TestTelemetryTypes:
                                   v_modules=np.ones((3, 1)),
                                   attack_mask=np.zeros(2, int))
 
+    @pytest.mark.parametrize("i_modules", [
+        np.full(7, np.inf), np.ones((3, 1)), np.ones((2, 2)), np.ones((3, 2, 1)),
+        np.full((3, 2), "x"), np.full((3, 2), "1.0"),
+        np.full((3, 2), None, dtype=object), np.ones((3, 2), dtype=complex),
+        np.array([[1.0, np.nan]] * 3), np.array([[1.0, -np.inf]] * 3)],
+        ids=["7-inf", "column", "short", "3d", "str", "numeric-str", "object",
+             "complex", "nan", "-inf"])
+    def test_i_modules_checked(self, i_modules):
+        """i_modules is a finite numeric array of v_modules' shape."""
+        with pytest.raises(ValueError, match="numbers|shape|finite"):
+            simkit.TelemetryTrace(t_s=np.arange(3.0), i_pack_a=np.zeros(3),
+                                  v_modules=np.ones((3, 2)), i_modules=i_modules)
+
+    def test_pack_charge_i_modules_pass_the_checks(self):
+        trace = pack_trace()
+        assert trace.i_modules.shape == trace.v_modules.shape == (12, 4)
+        again = replace(trace)  # through the constructor again
+        assert again.i_modules.dtype == float
+        assert again.i_modules.tobytes() == trace.i_modules.tobytes()
+
     @pytest.mark.parametrize("mask", [[0, 2, 1], [0, 0.5, 1], [0, -1, 1],
                                       [0, np.nan, 1]])
     def test_attack_mask_other_than_zero_or_one_rejected(self, mask):
