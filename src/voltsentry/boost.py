@@ -365,13 +365,13 @@ class _ColumnBlocks:
     rule, _below; val_leaf[r] is then the leaf of validation row r.
     """
 
-    def __init__(self, x: np.ndarray, cfg: TrainConfig, val_x=None):
+    def __init__(self, x: np.ndarray, max_depth: int, val_x=None):
         n = x.shape[0]
         if n >= 2 ** 31:
             raise ValueError("training data must have fewer than 2**31 rows")
         if val_x is None:
             val_x = np.empty((0, 2))
-        self.cfg = cfg
+        self.max_depth = max_depth
         self.g = None
         self.val_cols = [np.ascontiguousarray(val_x[:, f]) for f in (0, 1)]
         self.val_root = np.arange(val_x.shape[0])
@@ -411,14 +411,13 @@ class _ColumnBlocks:
         """Append the subtree of a node, which holds the validation rows
         val, to nodes, one (feature, threshold, left, right, weight) row per
         node in preorder; returns its index."""
-        cfg = self.cfg
         pos = len(nodes)
         rows0 = node[0][0]
         m = rows0.shape[0]
         # Feature 0's gradients stay in _g for the split search.
         g_sum = float(self.g.take(rows0, out=self._g[:m], mode="clip").sum())
         best = None
-        if depth < cfg.max_depth and m >= 2:
+        if depth < self.max_depth and m >= 2:
             best = self._split(node, m, g_sum)
         if best is None or best[0] <= 0.0:
             self.leaf[rows0] = pos
@@ -430,7 +429,7 @@ class _ColumnBlocks:
         rows, cand = node[f]
         col = self.cols[f]
         thr = float((col[rows[k]] + col[rows[k + 1]]) * 0.5)
-        full = depth + 1 < cfg.max_depth
+        full = depth + 1 < self.max_depth
         # Rows with x_f < thr are the prefix [0, k] of f's block.
         children = [[(rows[:k + 1], None)], [(rows[k + 1:], None)]]
         if full:
@@ -520,15 +519,16 @@ def _boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
         if not np.all(np.isfinite(val_x)):
             raise ValueError("features must be finite")
         val_buf = np.empty_like(val_y)
-    blocks = _ColumnBlocks(x, cfg, val_x)
+    # Round 0's loss; each round's own is checked once its tree is added.
+    if not math.isfinite(float(np.mean(np.square(y - preds)))):
+        raise TrainingError("non-finite training loss", 0)
+    blocks = _ColumnBlocks(x, cfg.max_depth, val_x)
     # g holds the gradients while a tree grows, then serves as the scratch
     # for its predictions and errors; val_buf is that scratch for the
     # validation rows.
     g = np.empty_like(y)
     for rnd in range(cfg.n_trees):
         np.subtract(preds, y, out=g)
-        if not math.isfinite(float(np.dot(g, g))):
-            raise TrainingError("non-finite training loss", rnd)
         tree = blocks.grow(g)
         # Each row gains the lr * w of its leaf.
         preds += (cfg.learning_rate * tree.weight).take(

@@ -138,10 +138,13 @@ def one_step_residuals(model: Ensemble, v_modules, i_pack_a):
 
     ``v_modules`` is (n, q) and ``i_pack_a`` (n,) over n consecutive frames.
     Returns (predictions of shape (n-1, q), r of shape (n-1,)); raises
-    ValueError if a residual is not finite.
+    ValueError for arrays of other shapes or a residual that is not finite.
     """
     v = np.asarray(v_modules, dtype=float)
     i = np.asarray(i_pack_a, dtype=float)
+    if v.ndim != 2 or i.shape != v.shape[:1]:
+        raise ValueError(f"voltages must be (n, q) and currents (n,), got "
+                         f"shapes {v.shape} and {i.shape}")
     predicted = predict_batch(model, _features(v, i)).reshape(v.shape[1], -1)
     return predicted.T, _residuals(v, predicted)
 
@@ -178,17 +181,19 @@ def calibrate_threshold(nominal_residuals) -> float:
 
 @dataclass(frozen=True)
 class DetectorState:
-    """Immutable detector state threaded through step_detector."""
+    """Immutable state of step_detector: epsilon, the last frame and the
+    crossings as events (t_s, r); the flag is their parity."""
 
     epsilon: float
-    flag: int = 0
     last_frame: TelemetryFrame | None = None
     events: tuple = ()
 
     def __post_init__(self):
         _positive_finite("epsilon", self.epsilon)
-        if self.flag not in (0, 1):
-            raise ValueError("flag must be 0 or 1")
+
+    @property
+    def flag(self) -> int:
+        return len(self.events) % 2
 
     @classmethod
     def initial(cls, epsilon: float, first_frame: TelemetryFrame) -> "DetectorState":
@@ -209,12 +214,9 @@ def step_detector(state: DetectorState, measured: TelemetryFrame,
     _, r = one_step_residuals(model, (prev.v_modules, measured.v_modules),
                               (prev.i_pack_a, measured.i_pack_a))
     r = float(r[0])
-    flag = state.flag
-    events = state.events
-    if r >= state.epsilon:
-        flag = 1 - flag
-        events = events + ((measured.t_s, r),)
-    return replace(state, flag=flag, last_frame=measured, events=events), r, flag
+    crossed = ((measured.t_s, r),) if r >= state.epsilon else ()
+    state = replace(state, last_frame=measured, events=state.events + crossed)
+    return state, r, state.flag
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ verbatim, emitting the same preorder node arrays as the kernel.
 
 ``_ColumnBlocks`` is the presorted column-block grower that ``boost``
 replaced with its workspace grower, kept verbatim with its ``_candidates``
-helper: each node carries its rows, sorted values, gradients and candidate
-positions per feature, in freshly allocated arrays.
+helper but for taking ``max_depth`` alone, as ``boost``'s does: each node
+carries its rows, sorted values, gradients and candidate positions per
+feature, in freshly allocated arrays.
 ``column_block_boost_segment`` is the ``boost._boost_segment`` that drove
 it, kept verbatim but for its name.
 
@@ -172,8 +173,8 @@ class _ColumnBlocks:
     order (int32: fewer than 2**31 rows).
     """
 
-    def __init__(self, x: np.ndarray, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, x: np.ndarray, max_depth: int):
+        self.max_depth = max_depth
         self.order = []
         self.rank = []
         for f in (0, 1):
@@ -194,13 +195,12 @@ class _ColumnBlocks:
     def _node(self, node, depth: int, leaves: list, nodes: list) -> int:
         """Append the subtree of a node to nodes, one (feature, threshold,
         left, right, weight) row per node in preorder; returns its index."""
-        cfg = self.cfg
         pos = len(nodes)
         rows0, _, g0, _ = node[0]
         m = rows0.shape[0]
         g_sum = float(g0.sum())
         best = None
-        if depth < cfg.max_depth and m >= 2:
+        if depth < self.max_depth and m >= 2:
             best = self._split(node, m, g_sum)
         if best is None or best[0] <= 0.0:
             w = leaf_weight(g_sum, float(m), LAMBDA_L2)
@@ -210,7 +210,7 @@ class _ColumnBlocks:
         _, f, k = best
         xs = node[f][1]
         thr = float((xs[k] + xs[k + 1]) * 0.5)
-        full = depth + 1 < cfg.max_depth
+        full = depth + 1 < self.max_depth
         go_left = None
         if full or f == 1:  # the children need the other feature's block
             # Within a node, x_f < thr exactly for the rows ranked at or
@@ -289,7 +289,7 @@ def column_block_boost_segment(x, y, preds, cfg: TrainConfig, tag: str,
     Mutates preds / val_preds in place and returns (Segment, BoostHistory).
     """
     history = BoostHistory()
-    blocks = _ColumnBlocks(x, cfg)
+    blocks = _ColumnBlocks(x, cfg.max_depth)
     trees = []
     for rnd in range(cfg.n_trees):
         g = preds - y

@@ -44,7 +44,7 @@ def test_01_boosting_oracle_equivalence():
         x = rng.integers(-8, 9, size=(n, 2)) * 0.25
         y = rng.integers(-8, 9, size=n) * 0.5
         tree = grow_tree(x, y, np.zeros(n), cfg)
-        oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
+        oracle = brute_force_best_split(x, -y, np.ones(n))
         if oracle is None or oracle[0] <= 0.0:
             assert list(tree.feature) == [-1], \
                 f"case {case}: tree split where oracle saw no gain"

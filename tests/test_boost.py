@@ -31,7 +31,7 @@ def grow_tree(x, y, pred, cfg):
     """One tree fitted to the residuals of the prediction pred, as a
     boosting round grows it."""
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return _ColumnBlocks(x, cfg).grow(pred - y)
+    return _ColumnBlocks(x, cfg.max_depth).grow(pred - y)
 
 
 def leaf(w):
@@ -72,7 +72,7 @@ def numeric_leaf_weight(g, h, lam):
     return w1 - 0.5 * num / denom
 
 
-def brute_force_best_split(x, g, h, cfg):
+def brute_force_best_split(x, g, h):
     """Exhaustive candidate enumeration with objective-reduction scoring.
 
     Scans features in order and thresholds ascending, keeping the first
@@ -166,7 +166,7 @@ class TestFitTree:
         tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx((x0[8] + x0[9]) / 2)
-        oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
+        oracle = brute_force_best_split(x, -y, np.ones(16))
         assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_depth_cap_one_checkerboard_axis_by_gain(self):
@@ -184,7 +184,7 @@ class TestFitTree:
         tree = grow_tree(x, y, np.zeros(16), cfg)
         assert tree.feature[0] >= 0
         assert list(tree.feature[1:]) == [-1, -1]
-        oracle = brute_force_best_split(x, -y, np.ones(16), cfg)
+        oracle = brute_force_best_split(x, -y, np.ones(16))
         assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_depth_limit_respected(self):
@@ -206,7 +206,7 @@ class TestFitTree:
         y = rng.integers(-4, 5, size=n) * 0.5
         cfg = TrainConfig(n_trees=1, max_depth=1, learning_rate=1.0)
         tree = grow_tree(x, y, np.zeros(n), cfg)
-        oracle = brute_force_best_split(x, -y, np.ones(n), cfg)
+        oracle = brute_force_best_split(x, -y, np.ones(n))
         if oracle is None or oracle[0] <= 0.0:
             assert list(tree.feature) == [-1]
         else:
@@ -256,7 +256,7 @@ class TestTrain:
         ens = train(ds, vs, cfg)
         assert len(ens.history.val_mse) == 5
 
-    # The targets overflow np.dot(g, g) on purpose.
+    # The targets overflow the round-0 loss check on purpose.
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_loss_aborts_with_round(self):
         x = np.column_stack([np.linspace(0, 1, 4), np.zeros(4)])
@@ -588,7 +588,7 @@ class TestOneSplitRule:
         rows land in, tree after tree."""
         rng = np.random.default_rng(seed)
         x = np.column_stack([feature_column(rng, s, n) for s in styles])
-        blocks = _ColumnBlocks(x, TrainConfig(max_depth=depth), x)
+        blocks = _ColumnBlocks(x, depth, x)
         for _ in range(3):
             blocks.grow(rng.integers(-4, 5, size=n) * 0.5 + rng.normal(size=n))
             assert np.array_equal(blocks.leaf, blocks.val_leaf)
@@ -606,7 +606,7 @@ class TestColumnBlocksMemory:
         grads = [rng.normal(size=n) for _ in range(3)]
         tracemalloc.start()
         try:
-            blocks = boost._ColumnBlocks(x, TrainConfig(max_depth=4))
+            blocks = boost._ColumnBlocks(x, 4)
             for g in grads:
                 blocks.grow(g)
             peak = tracemalloc.get_traced_memory()[1]
@@ -623,7 +623,7 @@ class TestColumnBlocksMemory:
         check comes before any allocation (the view below holds 16 bytes)."""
         x = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
         with pytest.raises(ValueError, match=r"2\*\*31"):
-            boost._ColumnBlocks(x, TrainConfig())
+            boost._ColumnBlocks(x, 4)
 
 
 GRID = np.arange(-4, 5) * 0.25  # thresholds, and model-space inputs

@@ -54,6 +54,23 @@ class TestResidual:
         assert np.array_equal(predicted_p, predicted[:, perm])
         assert np.array_equal(r_p, r)
 
+    @pytest.mark.parametrize("v, i", [
+        ([350.0, 351.0, 352.0], [1.0, 1.0, 1.0]),
+        (np.full((6, 4, 1), 350.0), np.ones(6)),
+        (np.full((2, 3), 350.0), np.ones((2, 1))),
+        (np.full((3, 2), 350.0), np.ones(4)),
+        (np.full((3, 2), 350.0), 1.0),
+        (350.0, 1.0),
+    ], ids=["1d-voltages", "3d-voltages", "2d-currents", "current-count",
+            "scalar-current", "scalar-voltage"])
+    def test_shapes_other_than_n_q_and_n_rejected(self, v, i):
+        """Voltages must be (n, q) and currents (n,): 1-D, 3-D or scalar
+        voltages and currents of another shape or count raise ValueError,
+        where a 1-D voltage array would raise IndexError and (6, 4, 1)
+        voltages or (2, 1) currents would give residuals."""
+        with pytest.raises(ValueError, match=r"\(n, q\) and currents \(n,\)"):
+            one_step_residuals(offset_model(), v, i)
+
     def test_calibration_predicts_trace_once(self, monkeypatch):
         rows = []
 
@@ -280,6 +297,7 @@ class TestStepDetector:
         rs, flags = [], []
         for k in range(1, trace.n_frames):
             state, r, flag = step_detector(state, trace.frame(k), model)
+            assert state.flag == flag == len(state.events) % 2
             rs.append(r)
             flags.append(flag)
         assert np.array_equal(np.array(rs), det.r)
@@ -325,6 +343,7 @@ class TestStepDetector:
         rs, flags = [], []
         for k in range(1, n):
             state, r_k, flag = step_detector(state, trace.frame(k), model)
+            assert state.flag == flag == len(state.events) % 2
             rs.append(r_k)
             flags.append(flag)
         assert np.array(rs).tobytes() == det.r.tobytes()
@@ -353,6 +372,16 @@ class TestStepDetector:
         det_half = run_detector(half, model, epsilon=0.1)
         assert np.array_equal(det_half.r, det_full.r[:49])
         assert np.array_equal(det_half.flag, det_full.flag[:49])
+
+    def test_flag_is_derived_not_stored(self):
+        """The state holds epsilon, the last frame and the crossings; the
+        flag is their parity, so no state can be built with another."""
+        names = [f.name for f in dataclasses.fields(DetectorState)]
+        assert names == ["epsilon", "last_frame", "events"]
+        with pytest.raises(TypeError):
+            DetectorState(epsilon=1.0, flag=1)
+        state = DetectorState(epsilon=1.0, events=((1.0, 2.0),) * 3)
+        assert state.flag == 1
 
     def test_uninitialized_state_rejected(self):
         model, trace, _ = ramp_model_and_trace()
